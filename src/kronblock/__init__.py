@@ -3,7 +3,6 @@ factorization, with exact closed-form kernels, an exact flop cost model,
 proximal baselines, a parameter-minimizing shape optimizer, and one-shot
 block-size selection."""
 
-from ._kernels import HAVE_NUMBA, USE_NUMBA, build_backend
 from .data import (
     Dataset,
     IdxBadMagicError,
@@ -91,3 +90,4 @@ from .train import (
 )
 
 __version__ = "0.1.0"
+USE_NUMBA = False  # one numpy code path; kept because perfbench/run.py reports it

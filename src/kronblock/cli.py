@@ -469,10 +469,10 @@ def cmd_shape_opt(args) -> int:
     return 0
 
 
-def cmd_flops(args) -> int:
-    cfg = load_config(args.config)
-    _check_keys(cfg, {"flops"}, "config")
-    section = _require(cfg, "flops", "config")
+def flop_audit_case(section: dict):
+    """Validate a ``flops`` config section and build its audit case: the
+    analytic report, the instrumented tag prefix (``<prefix>_forward`` and
+    ``<prefix>_backward``) and the random inputs drawn from ``seed``."""
     _check_keys(
         section, {"kind", "batch", "m", "n", "d_in", "d_hidden", "d_out",
                   "shape", "rank", "shape1", "rank1", "shape2", "rank2", "seed"},
@@ -494,16 +494,14 @@ def cmd_flops(args) -> int:
         n = _positive_int(_require(section, "n", "flops"), "flops.n")
         report = dense_layer_report(nb, m, n)
         x, w, y = rng.standard_normal((nb, n)), rng.standard_normal((m, n)), rng.standard_normal((nb, m))
-        inst_fwd = instrumented_count("dense_forward", x=x, w=w, y=y)
-        inst_bwd = instrumented_count("dense_backward", x=x, w=w, y=y)
-    elif kind == "kron":
+        return report, "dense", {"x": x, "w": w, "y": y}
+    if kind == "kron":
         shape = parse_shape("shape", "rank")
         report = kron_layer_report(nb, shape)
         fac = random_factor(shape, rng)
         x, y = rng.standard_normal((nb, shape.n)), rng.standard_normal((nb, shape.m))
-        inst_fwd = instrumented_count("kron_forward", factor=fac, x=x, y=y)
-        inst_bwd = instrumented_count("kron_backward", factor=fac, x=x, y=y)
-    elif kind == "two_layer_dense":
+        return report, "kron", {"factor": fac, "x": x, "y": y}
+    if kind == "two_layer_dense":
         d_in = _positive_int(_require(section, "d_in", "flops"), "flops.d_in")
         d_hidden = _positive_int(_require(section, "d_hidden", "flops"), "flops.d_hidden")
         d_out = _positive_int(_require(section, "d_out", "flops"), "flops.d_out")
@@ -511,9 +509,8 @@ def cmd_flops(args) -> int:
         x = rng.standard_normal((nb, d_in))
         w1, w2 = rng.standard_normal((d_hidden, d_in)), rng.standard_normal((d_out, d_hidden))
         y = rng.standard_normal((nb, d_out))
-        inst_fwd = instrumented_count("two_layer_dense_forward", x=x, w1=w1, w2=w2, y=y)
-        inst_bwd = instrumented_count("two_layer_dense_backward", x=x, w1=w1, w2=w2, y=y)
-    elif kind == "two_layer_kron":
+        return report, "two_layer_dense", {"x": x, "w1": w1, "w2": w2, "y": y}
+    if kind == "two_layer_kron":
         s1 = parse_shape("shape1", "rank1")
         s2 = parse_shape("shape2", "rank2")
         try:
@@ -522,10 +519,16 @@ def cmd_flops(args) -> int:
             raise ConfigError(f"flops: {exc}") from exc
         f1, f2 = random_factor(s1, rng), random_factor(s2, rng)
         x, y = rng.standard_normal((nb, s1.n)), rng.standard_normal((nb, s2.m))
-        inst_fwd = instrumented_count("two_layer_kron_forward", f1=f1, f2=f2, x=x, y=y)
-        inst_bwd = instrumented_count("two_layer_kron_backward", f1=f1, f2=f2, x=x, y=y)
-    else:
-        raise ConfigError(f"flops.kind: unknown kind {kind!r}")
+        return report, "two_layer_kron", {"f1": f1, "f2": f2, "x": x, "y": y}
+    raise ConfigError(f"flops.kind: unknown kind {kind!r}")
+
+
+def cmd_flops(args) -> int:
+    cfg = load_config(args.config)
+    _check_keys(cfg, {"flops"}, "config")
+    report, prefix, inputs = flop_audit_case(_require(cfg, "flops", "config"))
+    inst_fwd = instrumented_count(f"{prefix}_forward", **inputs)
+    inst_bwd = instrumented_count(f"{prefix}_backward", **inputs)
     payload = {
         "analytic": report.to_dict(),
         "instrumented": {"forward": inst_fwd, "backward": inst_bwd},

@@ -184,17 +184,20 @@ def backward(factor: KronFactor, cache: KronForwardCache, d_out: np.ndarray) -> 
     if len(cache.mids) != sh.r:
         raise ValueError("cache does not match factor rank")
     d_of = unfold_output(d_out, sh.m2)
-    d_s = np.zeros((sh.m1, sh.n1))
     d_a: list[np.ndarray] = []
     d_b: list[np.ndarray] = []
-    d_xf = np.zeros_like(cache.x_folded)
     for i in range(sh.r):
         g = d_of.T @ cache.mids[i]
-        d_s += g * factor.a[i]
         d_a.append(g * factor.s)
         d_mid = unfold_mid(d_of @ cache.masked_a[i], sh.m2)
         d_b.append(d_mid @ cache.x_folded.T)
-        d_xf += factor.b[i].T @ d_mid
+        # the sums over rank terms start from the first term: r - 1 adds
+        if i == 0:
+            d_s = g * factor.a[i]
+            d_xf = factor.b[i].T @ d_mid
+        else:
+            d_s += g * factor.a[i]
+            d_xf += factor.b[i].T @ d_mid
     return KronGradient(d_s, d_a, d_b, unfold_input(d_xf, sh.n1))
 
 
@@ -260,17 +263,24 @@ def write_factor(fh, factor: KronFactor) -> None:
         fh.write(x.astype("<f8").tobytes())
 
 
+def read_exact(fh, size: int, what: str) -> bytes:
+    """Read exactly ``size`` bytes or raise ValueError naming ``what``."""
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise ValueError(f"truncated {what}: expected {size} bytes, got {len(raw)}")
+    return raw
+
+
 def read_factor(fh) -> KronFactor:
     magic = fh.read(4)
     if magic != _FACTOR_MAGIC:
         raise ValueError(f"bad factor file magic: {magic!r}")
-    m1, n1, m2, n2, r = struct.unpack("<5q", fh.read(40))
-    shape = KronShape(int(m1), int(n1), int(m2), int(n2), int(r))
+    header = read_exact(fh, 40, "factor header (m1, n1, m2, n2, r)")
+    m1, n1, m2, n2, r = (int(d) for d in struct.unpack("<5q", header))
+    shape = KronShape(m1, n1, m2, n2, r)
 
     def _arr(rows, cols):
-        raw = fh.read(8 * rows * cols)
-        if len(raw) != 8 * rows * cols:
-            raise ValueError("truncated factor file")
+        raw = read_exact(fh, 8 * rows * cols, "factor payload")
         return np.frombuffer(raw, dtype="<f8").reshape(rows, cols).astype(np.float64)
 
     s = _arr(m1, n1)
@@ -286,4 +296,8 @@ def save_factor(path, factor: KronFactor) -> None:
 
 def load_factor(path) -> KronFactor:
     with open(path, "rb") as fh:
-        return read_factor(fh)
+        factor = read_factor(fh)
+        trailing = len(fh.read())
+    if trailing:
+        raise ValueError(f"factor file has {trailing} trailing bytes after the payload")
+    return factor

@@ -4,8 +4,11 @@ Two independent routes are kept deliberately separate and compared in tests:
 
 * the *analytic* closed forms below (pre-asymptotic, exact integers), and
 * the *instrumented* counter, which actually executes the tagged computation
-  through the counted scalar kernels of :mod:`kronblock._kernels`, adding one
-  flop per scalar multiply/add/subtract (a multiply-accumulate is two).
+  with numpy, one counted helper per operation. Each helper returns its result
+  with the flops it cost, derived from the operand shapes: one flop per scalar
+  multiply/add/subtract (a multiply-accumulate is two), so a ``(p, q) @ (q, s)``
+  matmul costs ``p*s*(2q-1)``, a sum of squares ``2*size - 1`` and every other
+  element-wise helper ``size``.
 
 Convention notes (required to reproduce the exact totals):
   * loss ||O - Y||_F^2 costs 3*N*m - 1 (subtract, square, sum-reduce),
@@ -13,7 +16,7 @@ Convention notes (required to reproduce the exact totals):
     forward pass),
   * relu costs one flop per scalar; its backward mask product costs one flop
     per scalar (the 0/1 mask itself is free),
-  * reshapes/folds cost nothing,
+  * comparisons, reshapes and folds cost nothing,
   * parameter updates are one flop per trainable A/B parameter for factored
     layers (r*(m1*n1 + m2*n2)) and m*n for a dense layer.
 """
@@ -24,11 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .factor import KronFactor, KronShape
 from .linalg import fold_input, fold_mid, fold_output, unfold_input, unfold_mid, unfold_output
-
-_K = _kernels.active()
 
 
 @dataclass
@@ -252,22 +252,54 @@ def two_layer_kron_report(n_batch: int, s1: KronShape, s2: KronShape) -> FlopRep
 
 
 # ---------------------------------------------------------------------------
-# instrumented counter: executes the tagged computation with counted kernels
+# instrumented counter: executes the tagged computation with counted helpers
 # ---------------------------------------------------------------------------
 
 
-def _ct(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(a.T)
+def _counted_matmul(a, b):
+    # (p, q) @ (q, s): per output element q multiplies + (q - 1) adds.
+    p, q = a.shape
+    return a @ b, p * b.shape[1] * (2 * q - 1)
+
+
+def _counted_hadamard(a, b):
+    return a * b, a.size
+
+
+def _counted_add(a, b):
+    return a + b, a.size
+
+
+def _counted_sub(a, b):
+    return a - b, a.size
+
+
+def _counted_scale(a, c):
+    return c * a, a.size
+
+
+def _counted_sq_sum(a):
+    # sum of squares: one multiply per element, size - 1 adds.
+    return float(np.sum(a * a)), 2 * a.size - 1
+
+
+def _counted_relu(a):
+    # max(x, 0): one flop per scalar, per the cost model's activation rule.
+    return np.where(a > 0.0, a, 0.0), a.size
+
+
+def _counted_mask_mul(g, pre):
+    # g * relu'(pre): the element-wise product is counted, the 0/1 mask is free.
+    return np.where(pre > 0.0, g, 0.0), g.size
 
 
 def _counted_dense_out(x, w):
-    o, flops = _K.counted_matmul(x, _ct(w))
-    return o, flops
+    return _counted_matmul(x, w.T)
 
 
 def _counted_loss(o, y):
-    diff, c1 = _K.counted_sub(o, y)
-    _, c2 = _K.counted_sq_sum(diff)
+    diff, c1 = _counted_sub(o, y)
+    _, c2 = _counted_sq_sum(diff)
     return diff, c1 + c2
 
 
@@ -279,8 +311,8 @@ def counted_dense_forward(x, w, y):
 
 def counted_dense_backward(x, w, y):
     fwd = counted_dense_forward(x, w, y)
-    d_o, c1 = _K.counted_scale(fwd["diff"], 2.0)
-    _, c2 = _K.counted_matmul(_ct(d_o), x)
+    d_o, c1 = _counted_scale(fwd["diff"], 2.0)
+    _, c2 = _counted_matmul(d_o.T, x)
     return {"flops": c1 + c2}
 
 
@@ -292,17 +324,17 @@ def _counted_kron_out(factor: KronFactor, x):
     acc = None
     mids, sas = [], []
     for a_i, b_i in zip(factor.a, factor.b):
-        raw_mid, c = _K.counted_matmul(b_i, xf)
+        raw_mid, c = _counted_matmul(b_i, xf)
         flops += c
         mid = fold_mid(raw_mid, sh.n1)
-        sa, c = _K.counted_hadamard(factor.s, a_i)
+        sa, c = _counted_hadamard(factor.s, a_i)
         flops += c
-        term, c = _K.counted_matmul(mid, _ct(sa))
+        term, c = _counted_matmul(mid, sa.T)
         flops += c
         if acc is None:
             acc = term
         else:
-            acc, c = _K.counted_add(acc, term)
+            acc, c = _counted_add(acc, term)
             flops += c
         mids.append(mid)
         sas.append(sa)
@@ -324,31 +356,30 @@ def _counted_kron_layer_backward(factor, xf, mids, sas, d_of, with_dx):
     flops = 0
     d_s = None
     d_xf = None
-    d_of_t = _ct(d_of)
     for i in range(sh.r):
-        g, c = _K.counted_matmul(d_of_t, mids[i])
+        g, c = _counted_matmul(d_of.T, mids[i])
         flops += c
-        ga, c = _K.counted_hadamard(g, factor.a[i])
+        ga, c = _counted_hadamard(g, factor.a[i])
         flops += c
         if d_s is None:
             d_s = ga
         else:
-            d_s, c = _K.counted_add(d_s, ga)
+            d_s, c = _counted_add(d_s, ga)
             flops += c
-        _, c = _K.counted_hadamard(g, factor.s)
+        _, c = _counted_hadamard(g, factor.s)
         flops += c
-        d_mid_folded, c = _K.counted_matmul(d_of, sas[i])
+        d_mid_folded, c = _counted_matmul(d_of, sas[i])
         flops += c
         d_mid = unfold_mid(d_mid_folded, sh.m2)
-        _, c = _K.counted_matmul(d_mid, _ct(xf))
+        _, c = _counted_matmul(d_mid, xf.T)
         flops += c
         if with_dx:
-            term, c = _K.counted_matmul(_ct(factor.b[i]), d_mid)
+            term, c = _counted_matmul(factor.b[i].T, d_mid)
             flops += c
             if d_xf is None:
                 d_xf = term
             else:
-                d_xf, c = _K.counted_add(d_xf, term)
+                d_xf, c = _counted_add(d_xf, term)
                 flops += c
     return flops, d_xf
 
@@ -356,7 +387,7 @@ def _counted_kron_layer_backward(factor, xf, mids, sas, d_of, with_dx):
 def counted_kron_backward(factor: KronFactor, x, y):
     fwd = counted_kron_forward(factor, x, y)
     sh = factor.shape
-    d_o, flops = _K.counted_scale(fwd["diff"], 2.0)
+    d_o, flops = _counted_scale(fwd["diff"], 2.0)
     d_of = unfold_output(d_o, sh.m2)
     c, _ = _counted_kron_layer_backward(factor, fwd["xf"], fwd["mids"], fwd["sas"], d_of, False)
     return {"flops": flops + c}
@@ -364,7 +395,7 @@ def counted_kron_backward(factor: KronFactor, x, y):
 
 def counted_two_layer_dense_forward(x, w1, w2, y):
     o1, f1 = _counted_dense_out(x, w1)
-    x2, f2 = _K.counted_relu(o1)
+    x2, f2 = _counted_relu(o1)
     o2, f3 = _counted_dense_out(x2, w2)
     diff, f4 = _counted_loss(o2, y)
     return {"flops": f1 + f2 + f3 + f4, "diff": diff, "o1": o1, "x2": x2}
@@ -372,17 +403,17 @@ def counted_two_layer_dense_forward(x, w1, w2, y):
 
 def counted_two_layer_dense_backward(x, w1, w2, y):
     fwd = counted_two_layer_dense_forward(x, w1, w2, y)
-    d_o2, c1 = _K.counted_scale(fwd["diff"], 2.0)
-    _, c2 = _K.counted_matmul(_ct(d_o2), fwd["x2"])
-    d_x2, c3 = _K.counted_matmul(d_o2, w2)
-    d_o1, c4 = _K.counted_mask_mul(d_x2, fwd["o1"])
-    _, c5 = _K.counted_matmul(_ct(d_o1), x)
+    d_o2, c1 = _counted_scale(fwd["diff"], 2.0)
+    _, c2 = _counted_matmul(d_o2.T, fwd["x2"])
+    d_x2, c3 = _counted_matmul(d_o2, w2)
+    d_o1, c4 = _counted_mask_mul(d_x2, fwd["o1"])
+    _, c5 = _counted_matmul(d_o1.T, x)
     return {"flops": c1 + c2 + c3 + c4 + c5}
 
 
 def counted_two_layer_kron_forward(f1: KronFactor, f2: KronFactor, x, y):
     o1, xf1, mids1, sas1, c1 = _counted_kron_out(f1, x)
-    x2, c2 = _K.counted_relu(o1)
+    x2, c2 = _counted_relu(o1)
     o2, xf2, mids2, sas2, c3 = _counted_kron_out(f2, x2)
     diff, c4 = _counted_loss(o2, y)
     return {
@@ -398,12 +429,12 @@ def counted_two_layer_kron_backward(f1: KronFactor, f2: KronFactor, x, y):
     fwd = counted_two_layer_kron_forward(f1, f2, x, y)
     xf1, mids1, sas1 = fwd["layer1"]
     xf2, mids2, sas2 = fwd["layer2"]
-    d_o2, flops = _K.counted_scale(fwd["diff"], 2.0)
+    d_o2, flops = _counted_scale(fwd["diff"], 2.0)
     d_of2 = unfold_output(d_o2, f2.shape.m2)
     c, d_xf2 = _counted_kron_layer_backward(f2, xf2, mids2, sas2, d_of2, True)
     flops += c
     d_x2 = unfold_input(d_xf2, f2.shape.n1)
-    d_o1, c = _K.counted_mask_mul(d_x2, fwd["o1"])
+    d_o1, c = _counted_mask_mul(d_x2, fwd["o1"])
     flops += c
     d_of1 = unfold_output(d_o1, f1.shape.m2)
     c, _ = _counted_kron_layer_backward(f1, xf1, mids1, sas1, d_of1, False)
@@ -432,7 +463,7 @@ _TAGS = {
 
 
 def instrumented_count(tag: str, **inputs) -> int:
-    """Execute the tagged computation with the counting kernels and return the
+    """Execute the tagged computation with the counted helpers and return the
     exact number of scalar multiply/add/subtract operations performed.
 
     Tags: dense_forward, dense_backward, kron_forward, kron_backward,

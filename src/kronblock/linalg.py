@@ -25,10 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-
-_K = _kernels.active()
-
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
     """Coerce to a C-contiguous float64 2-D array, validating dimensionality."""
@@ -63,37 +59,60 @@ def fold_input(x: np.ndarray, n1: int, n2: int) -> np.ndarray:
     x = as_matrix(x, "x")
     if x.shape[1] != n1 * n2:
         raise ValueError(f"fold_input: expected {n1 * n2} columns, got {x.shape[1]}")
-    return _K.fold_input(x, n1, n2)
+    nbatch = x.shape[0]
+    return np.ascontiguousarray(
+        x.reshape(nbatch, n1, n2).transpose(2, 0, 1).reshape(n2, nbatch * n1)
+    )
 
 
 def unfold_input(xf: np.ndarray, n1: int) -> np.ndarray:
     xf = as_matrix(xf, "xf")
     _check_divisible(xf.shape[1], n1, "unfold_input columns")
-    return _K.unfold_input(xf, n1)
+    n2 = xf.shape[0]
+    nbatch = xf.shape[1] // n1
+    return np.ascontiguousarray(
+        xf.reshape(n2, nbatch, n1).transpose(1, 2, 0).reshape(nbatch, n1 * n2)
+    )
 
 
 def fold_mid(v: np.ndarray, n1: int) -> np.ndarray:
     v = as_matrix(v, "mid")
     _check_divisible(v.shape[1], n1, "fold_mid columns")
-    return _K.fold_mid(v, n1)
+    m2 = v.shape[0]
+    nbatch = v.shape[1] // n1
+    return np.ascontiguousarray(
+        v.reshape(m2, nbatch, n1).transpose(1, 0, 2).reshape(nbatch * m2, n1)
+    )
 
 
 def unfold_mid(v: np.ndarray, m2: int) -> np.ndarray:
     v = as_matrix(v, "mid")
     _check_divisible(v.shape[0], m2, "unfold_mid rows")
-    return _K.unfold_mid(v, m2)
+    nbatch = v.shape[0] // m2
+    n1 = v.shape[1]
+    return np.ascontiguousarray(
+        v.reshape(nbatch, m2, n1).transpose(1, 0, 2).reshape(m2, nbatch * n1)
+    )
 
 
 def fold_output(v: np.ndarray, m2: int) -> np.ndarray:
     v = as_matrix(v, "out")
     _check_divisible(v.shape[0], m2, "fold_output rows")
-    return _K.fold_output(v, m2)
+    nbatch = v.shape[0] // m2
+    m1 = v.shape[1]
+    return np.ascontiguousarray(
+        v.reshape(nbatch, m2, m1).transpose(0, 2, 1).reshape(nbatch, m1 * m2)
+    )
 
 
 def unfold_output(o: np.ndarray, m2: int) -> np.ndarray:
     o = as_matrix(o, "out")
     _check_divisible(o.shape[1], m2, "unfold_output columns")
-    return _K.unfold_output(o, m2)
+    nbatch = o.shape[0]
+    m1 = o.shape[1] // m2
+    return np.ascontiguousarray(
+        o.reshape(nbatch, m1, m2).transpose(0, 2, 1).reshape(nbatch * m2, m1)
+    )
 
 
 @dataclass(frozen=True)

@@ -338,21 +338,30 @@ def load_network(path) -> Network:
         magic = fh.read(4)
         if magic != _NET_MAGIC:
             raise ValueError(f"bad network checkpoint magic: {magic!r}")
-        version, n_layers = struct.unpack("<Hq", fh.read(10))
+        header = kf.read_exact(fh, 10, "network checkpoint header (version, layer count)")
+        version, n_layers = struct.unpack("<Hq", header)
         if version != 1:
             raise ValueError(f"unsupported checkpoint version {version}")
         layers = []
-        for _ in range(n_layers):
-            kind, act = struct.unpack("<BB", fh.read(2))
+        for idx in range(n_layers):
+            where = f"network checkpoint layer {idx}"
+            kind, act = struct.unpack("<BB", kf.read_exact(fh, 2, f"{where} kind/activation"))
+            if act not in _ACT_NAME:
+                raise ValueError(f"{where}: unknown activation byte {act}")
             activation = _ACT_NAME[act]
             if kind == 1:
                 fac = kf.read_factor(fh)
                 layers.append(Layer(kron_spec(fac.shape, activation), factor=fac))
-            else:
-                m, n = struct.unpack("<2q", fh.read(16))
-                raw = fh.read(8 * m * n)
-                if len(raw) != 8 * m * n:
-                    raise ValueError("truncated network checkpoint")
+            elif kind == 0:
+                m, n = struct.unpack("<2q", kf.read_exact(fh, 16, f"{where} dims"))
+                if m < 1 or n < 1:
+                    raise ValueError(f"{where}: dense dims must be positive, got {m}x{n}")
+                raw = kf.read_exact(fh, 8 * m * n, f"{where} weights")
                 w = np.frombuffer(raw, dtype="<f8").reshape(m, n).astype(np.float64)
                 layers.append(Layer(dense_spec(int(m), int(n), activation), w=w))
+            else:
+                raise ValueError(f"{where}: unknown layer kind byte {kind} (0 dense, 1 kron)")
+        trailing = len(fh.read())
+    if trailing:
+        raise ValueError(f"network checkpoint has {trailing} trailing bytes after the last layer")
     return Network(layers)

@@ -256,6 +256,23 @@ def test_factor_serialization_bad_magic():
         read_factor(io.BytesIO(b"NOPE" + b"\x00" * 64))
 
 
+def test_factor_serialization_truncated_header():
+    from kronblock.factor import read_factor
+
+    with pytest.raises(ValueError, match="truncated factor header"):
+        read_factor(io.BytesIO(b"KBF1" + b"\x00" * 12))
+
+
+def test_factor_file_trailing_bytes(tmp_path, rng):
+    from kronblock.factor import load_factor, save_factor
+
+    path = tmp_path / "f.kbf"
+    save_factor(path, random_dense_factor(KronShape(2, 2, 2, 2, 1), rng))
+    path.write_bytes(path.read_bytes() + b"\x01")
+    with pytest.raises(ValueError, match="1 trailing bytes"):
+        load_factor(path)
+
+
 def test_factor_validation(rng):
     with pytest.raises(ValueError):
         KronFactor(KronShape(2, 2, 2, 2, 2), np.ones((2, 2)), [np.ones((2, 2))], [np.ones((2, 2))])

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +10,7 @@ from hypothesis import strategies as st
 
 import kronblock as kb
 from kronblock import KronShape
+from kronblock import flops as fl
 from kronblock.flops import (
     dense_backward_flops,
     dense_forward_flops,
@@ -234,3 +240,126 @@ def test_network_flops_match_two_layer_reports():
     rep = two_layer_dense_report(n, 5, 4, 3)
     assert network_forward_flops(dnet, n) == rep.forward
     assert network_backward_flops(dnet, n) == rep.backward
+
+
+def test_counted_matmul_flop_formula():
+    rng = np.random.default_rng(2)
+    for p, q, s in [(1, 1, 1), (3, 5, 2), (4, 1, 6)]:
+        a, b = rng.standard_normal((p, q)), rng.standard_normal((q, s))
+        out, flops = fl._counted_matmul(a, b)
+        assert flops == p * s * (2 * q - 1)
+        assert np.allclose(out, a @ b)
+
+
+def test_counted_sq_sum_formula():
+    a = np.arange(6, dtype=float).reshape(2, 3)
+    total, flops = fl._counted_sq_sum(a)
+    assert flops == 2 * a.size - 1
+    assert total == np.sum(a * a)
+
+
+# Scalar-loop references: every multiply, add or subtract performed adds one
+# to the count, so the shape-derived counts of the helpers are checked against
+# an independent tally of the operations.
+
+
+def _loop_matmul(a, b):
+    p, q = a.shape
+    out = np.empty((p, b.shape[1]))
+    flops = 0
+    for i in range(p):
+        for j in range(b.shape[1]):
+            acc = a[i, 0] * b[0, j]
+            flops += 1
+            for k in range(1, q):
+                acc += a[i, k] * b[k, j]
+                flops += 2
+            out[i, j] = acc
+    return out, flops
+
+
+def _loop_elementwise(op):
+    def run(a, *rest):
+        out = np.empty_like(a)
+        flops = 0
+        for i in range(a.shape[0]):
+            for j in range(a.shape[1]):
+                out[i, j] = op(a[i, j], *(x if np.isscalar(x) else x[i, j] for x in rest))
+                flops += 1
+        return out, flops
+
+    return run
+
+
+def _loop_sq_sum(a):
+    flat = a.ravel()
+    total = flat[0] * flat[0]
+    flops = 1
+    for v in flat[1:]:
+        total += v * v
+        flops += 2
+    return total, flops
+
+
+def _one(r, p, q, _s):
+    return (r.standard_normal((p, q)),)
+
+
+def _two(r, p, q, _s):
+    return r.standard_normal((p, q)), r.standard_normal((p, q))
+
+
+def _matmul_args(r, p, q, s):
+    return r.standard_normal((p, q)), r.standard_normal((q, s))
+
+
+def _scale_args(r, p, q, _s):
+    return r.standard_normal((p, q)), float(r.standard_normal())
+
+
+_HELPER_REFERENCES = {
+    "_counted_matmul": (_loop_matmul, _matmul_args),
+    "_counted_hadamard": (_loop_elementwise(lambda x, y: x * y), _two),
+    "_counted_add": (_loop_elementwise(lambda x, y: x + y), _two),
+    "_counted_sub": (_loop_elementwise(lambda x, y: x - y), _two),
+    "_counted_scale": (_loop_elementwise(lambda x, c: c * x), _scale_args),
+    "_counted_sq_sum": (_loop_sq_sum, _one),
+    "_counted_relu": (_loop_elementwise(lambda x: x if x > 0.0 else 0.0), _one),
+    "_counted_mask_mul": (_loop_elementwise(lambda g, pre: g if pre > 0.0 else 0.0), _two),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HELPER_REFERENCES))
+def test_counted_helpers_match_scalar_loops(name):
+    reference, make_args = _HELPER_REFERENCES[name]
+    helper = getattr(fl, name)
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        args = make_args(rng, *(int(d) for d in rng.integers(1, 7, size=3)))
+        got, got_flops = helper(*args)
+        want, want_flops = reference(*args)
+        assert got_flops == want_flops
+        assert np.shape(got) == np.shape(want)
+        assert np.max(np.abs(np.asarray(got) - want)) <= 1e-12
+
+
+def test_bench_flops_script_writes_schema(tmp_path):
+    # schema only: timings are noisy, so no bound is placed on them
+    script = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "bench_flops.py")
+    out_path = tmp_path / "BENCH_flops.json"
+    proc = subprocess.run(
+        [sys.executable, script, "--repeats", "2", "--out", str(out_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out_path.read_text())
+    assert set(result) == {"benchmark", "batch", "seed", "environment", "rows",
+                           "audit_pass_median_s"}
+    assert set(result["environment"]) == {"python", "numpy", "blas", "blas_version",
+                                          "blas_threads", "nproc"}
+    assert len(result["rows"]) == 10
+    for row in result["rows"]:
+        assert set(row) == {"config", "tag", "analytic_flops", "median_s", "iqr_s", "repeats"}
+        assert row["tag"] in fl._TAGS
+        assert row["repeats"] == 2
+        assert row["median_s"] >= 0.0 and row["iqr_s"] >= 0.0

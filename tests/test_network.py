@@ -207,3 +207,47 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_bytes(b"XXXX" + b"\x00" * 32)
     with pytest.raises(ValueError, match="magic"):
         load_network(path)
+
+
+def _corrupt_checkpoint(tmp_path, rng, edit):
+    path = tmp_path / "net.kbn"
+    save_network(path, two_layer_net(rng, kinds=("dense", "kron")))
+    raw = bytearray(path.read_bytes())
+    path.write_bytes(bytes(edit(raw)))
+    return path
+
+
+def _set_byte(offset, value):
+    def edit(raw):
+        raw[offset] = value
+        return raw
+
+    return edit
+
+
+# layout: 4-byte magic, u16 version + i64 layer count, then per layer the
+# kind byte (offset 14 for layer 0) and the activation byte (offset 15)
+
+
+def test_checkpoint_unknown_activation_byte(tmp_path, rng):
+    path = _corrupt_checkpoint(tmp_path, rng, _set_byte(15, 9))
+    with pytest.raises(ValueError, match="layer 0: unknown activation byte 9"):
+        load_network(path)
+
+
+def test_checkpoint_unknown_layer_kind_byte(tmp_path, rng):
+    path = _corrupt_checkpoint(tmp_path, rng, _set_byte(14, 7))
+    with pytest.raises(ValueError, match="layer 0: unknown layer kind byte 7"):
+        load_network(path)
+
+
+def test_checkpoint_truncated_header(tmp_path, rng):
+    path = _corrupt_checkpoint(tmp_path, rng, lambda raw: raw[:8])
+    with pytest.raises(ValueError, match=r"truncated network checkpoint header .*got 4"):
+        load_network(path)
+
+
+def test_checkpoint_trailing_bytes(tmp_path, rng):
+    path = _corrupt_checkpoint(tmp_path, rng, lambda raw: raw + b"\x00\x00\x00")
+    with pytest.raises(ValueError, match="3 trailing bytes"):
+        load_network(path)
