@@ -65,6 +65,7 @@ from .network import (
     load_network,
     net_backward,
     net_forward,
+    net_predict,
     save_network,
 )
 from .patterns import (

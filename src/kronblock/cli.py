@@ -55,6 +55,7 @@ from .network import (
     Network,
     build_network,
     dense_spec,
+    eval_paths,
     kron_spec,
     save_network,
 )
@@ -105,6 +106,12 @@ def _positive_int(value, path: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ConfigError(f"{path}: must be a positive integer, got {value!r}")
     return value
+
+
+def _number(value, path: str) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ConfigError(f"{path}: must be a number, got {value!r}")
+    return float(value)
 
 
 def load_config(path: str) -> dict:
@@ -194,21 +201,24 @@ def build_dataset(ds_cfg: dict, seed: int) -> tuple[Dataset, Dataset | None]:
         m = _positive_int(_require(ds_cfg, "m", "dataset"), "dataset.m")
         n = _positive_int(_require(ds_cfg, "n", "dataset"), "dataset.n")
         block = _parse_block(_require(ds_cfg, "block", "dataset"), "dataset.block")
-        frac = ds_cfg.get("zero_tile_fraction", 0.5)
+        frac = _number(ds_cfg.get("zero_tile_fraction", 0.5), "dataset.zero_tile_fraction")
         n_samples = _positive_int(ds_cfg.get("n_samples", 512), "dataset.n_samples")
+        noise_sigma = _number(ds_cfg.get("noise_sigma", 0.0), "dataset.noise_sigma")
+        test_fraction = _number(ds_cfg.get("test_fraction", 0.0), "dataset.test_fraction")
         try:
             ds, _ = make_teacher_dataset(
                 m, n, block, frac, n_samples,
-                noise_sigma=float(ds_cfg.get("noise_sigma", 0.0)),
+                noise_sigma=noise_sigma,
                 seed=int(ds_cfg.get("seed", seed)),
                 classification=bool(ds_cfg.get("classification", True)),
             )
         except ValueError as exc:
             raise ConfigError(f"dataset: {exc}") from exc
-        test_fraction = float(ds_cfg.get("test_fraction", 0.0))
         if test_fraction > 0:
-            train, test = train_test_split(ds, test_fraction, seed=int(ds_cfg.get("seed", seed)))
-            return train, test
+            try:
+                return train_test_split(ds, test_fraction, seed=int(ds_cfg.get("seed", seed)))
+            except ValueError as exc:
+                raise ConfigError(f"dataset.test_fraction: {exc}") from exc
         return ds, None
     if kind == "mnist":
         _check_keys(ds_cfg, {"kind", "dir", "limit"}, "dataset")
@@ -279,7 +289,15 @@ def _dump_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def write_run_outputs(out_dir: str, config_path: str, records: list[MetricRecord], summary: dict):
+def _run_info(net: Network, eval_ds: Dataset) -> dict:
+    """Wall clock plus the inference path of each layer at the row count of
+    the set the run evaluates on (``network.eval_paths``)."""
+    return {"timestamp": time.time(), "eval_paths": eval_paths(net, eval_ds.n)}
+
+
+def write_run_outputs(
+    out_dir: str, config_path: str, records: list[MetricRecord], summary: dict, run_info: dict
+):
     os.makedirs(out_dir, exist_ok=True)
     shutil.copyfile(config_path, os.path.join(out_dir, "config.json"))
     with open(os.path.join(out_dir, "metrics.ndjson"), "w") as fh:
@@ -291,7 +309,7 @@ def write_run_outputs(out_dir: str, config_path: str, records: list[MetricRecord
         for rec in records:
             writer.writerow([repr(getattr(rec, f)) for f in METRIC_FIELDS])
     _dump_json(os.path.join(out_dir, "summary.json"), summary)
-    _dump_json(os.path.join(out_dir, "run_info.json"), {"timestamp": time.time()})
+    _dump_json(os.path.join(out_dir, "run_info.json"), run_info)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +360,8 @@ def cmd_train(args) -> int:
         "backward_flops": final.backward_flops,
         "seed": seed,
     }
-    write_run_outputs(args.out, args.config, records, summary)
+    run_info = _run_info(net, eval_ds if eval_ds is not None else train_ds)
+    write_run_outputs(args.out, args.config, records, summary, run_info)
     save_network(os.path.join(args.out, "checkpoint.kbn"), net)
     print(json.dumps(summary, sort_keys=True))
     return 0
@@ -432,7 +451,8 @@ def cmd_select_pattern(args) -> int:
         **eval_section,
     }
     _dump_json(os.path.join(args.out, "summary.json"), summary)
-    _dump_json(os.path.join(args.out, "run_info.json"), {"timestamp": time.time()})
+    run_info = _run_info(result.net, eval_ds if eval_ds is not None else train_ds)
+    _dump_json(os.path.join(args.out, "run_info.json"), run_info)
     save_network(os.path.join(args.out, "checkpoint.kbn"), result.net)
     print(json.dumps(summary, sort_keys=True))
     return 0

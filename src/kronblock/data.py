@@ -71,6 +71,8 @@ class Dataset:
             self.y = np.ascontiguousarray(self.y, dtype=np.float64)
             if self.y.ndim != 2 or self.y.shape[0] != self.x.shape[0]:
                 raise ValueError("targets must be 2-D with one row per sample")
+            if not np.all(np.isfinite(self.y)):
+                raise ValueError("targets must be finite")
 
     @property
     def n(self) -> int:

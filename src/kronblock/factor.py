@@ -3,9 +3,11 @@
 A layer's weight is represented as ``sum_i kron(S * A_i, B_i)`` where the
 mask ``S`` and the ``A_i`` are ``m1 x n1``, the ``B_i`` are ``m2 x n2``, and
 entry ``S[i1, j1]`` gates exactly tile ``(i1, j1)`` of the materialized
-``m x n`` weight. The efficient forward pass never materializes the weight:
-it runs through the fold maps of :mod:`kronblock.linalg`, and the backward
-pass reuses the forward intermediates (they are cached, never recomputed).
+``m x n`` weight. Training never materializes the weight: ``forward`` runs
+through the fold maps of :mod:`kronblock.linalg`, and ``backward`` reuses the
+forward intermediates (they are cached, never recomputed). Inference
+(``network.net_predict``) may instead build the weight with ``materialize``
+and run one GEMM, when the cost model counts that as no dearer.
 """
 
 from __future__ import annotations
@@ -117,10 +119,11 @@ def random_factor(shape: KronShape, rng: np.random.Generator) -> KronFactor:
 
 
 def materialize(factor: KronFactor) -> np.ndarray:
-    """Expand to the dense m x n weight: sum_i kron(S * A_i, B_i)."""
-    sh = factor.shape
-    out = np.zeros((sh.m, sh.n))
-    for a_i, b_i in zip(factor.a, factor.b):
+    """Expand to the dense m x n weight: sum_i kron(S * A_i, B_i). The sum
+    starts from the first term (r - 1 adds, as ``flops.materialized_forward_flops``
+    counts)."""
+    out = kron(hadamard(factor.s, factor.a[0]), factor.b[0])
+    for a_i, b_i in zip(factor.a[1:], factor.b[1:]):
         out += kron(hadamard(factor.s, a_i), b_i)
     return out
 
@@ -271,6 +274,17 @@ def read_exact(fh, size: int, what: str) -> bytes:
     return raw
 
 
+def check_payload(fh, size: int, what: str) -> None:
+    """Raise ValueError naming ``what`` when a header declares ``size`` payload
+    bytes but fewer remain in the seekable file ``fh``; checked before any read,
+    so huge declared dims never reach ``fh.read``."""
+    pos = fh.tell()
+    left = fh.seek(0, 2) - pos
+    fh.seek(pos)
+    if size > left:
+        raise ValueError(f"{what} declare {size} payload bytes, but only {left} remain")
+
+
 def read_factor(fh) -> KronFactor:
     magic = fh.read(4)
     if magic != _FACTOR_MAGIC:
@@ -278,6 +292,11 @@ def read_factor(fh) -> KronFactor:
     header = read_exact(fh, 40, "factor header (m1, n1, m2, n2, r)")
     m1, n1, m2, n2, r = (int(d) for d in struct.unpack("<5q", header))
     shape = KronShape(m1, n1, m2, n2, r)
+    check_payload(
+        fh,
+        8 * ((1 + r) * m1 * n1 + r * m2 * n2),
+        f"factor dims (m1, n1, m2, n2, r) = {(m1, n1, m2, n2, r)}",
+    )
 
     def _arr(rows, cols):
         raw = read_exact(fh, 8 * rows * cols, "factor payload")

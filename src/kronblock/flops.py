@@ -93,6 +93,27 @@ def kron_forward_matmul_flops(n_batch: int, s: KronShape) -> int:
     return s.r * per_term + (s.r - 1) * n_batch * s.m
 
 
+def materialized_forward_flops(n_batch: int, s: KronShape) -> int:
+    """Flops to produce the layer output by building W and one GEMM:
+    r*m1*n1 (S * A_i) + r*m*n (Kronecker products) + (r-1)*m*n (rank sum)
+    + N*m*(2n-1) (X @ W.T)."""
+    return (
+        s.r * s.m1 * s.n1
+        + s.r * s.m * s.n
+        + (s.r - 1) * s.m * s.n
+        + n_batch * s.m * (2 * s.n - 1)
+    )
+
+
+def forward_path(n_batch: int, s: KronShape) -> str:
+    """Inference path of a factored layer at this batch size: ``"materialized"``
+    when building W plus one GEMM costs no more flops than the fold path,
+    ``"fold"`` otherwise. Training always takes the fold path."""
+    if materialized_forward_flops(n_batch, s) <= kron_forward_matmul_flops(n_batch, s):
+        return "materialized"
+    return "fold"
+
+
 def kron_forward_flops(n_batch: int, s: KronShape) -> int:
     """Factored layer forward incl. squared loss."""
     return kron_forward_matmul_flops(n_batch, s) + 3 * n_batch * s.m - 1

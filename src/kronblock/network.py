@@ -197,10 +197,21 @@ class DenseGradient:
     d_x: np.ndarray
 
 
-def net_forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, NetCache]:
+def _net_input(net: Network, x) -> np.ndarray:
     x = as_matrix(x, "x")
     if x.shape[1] != net.in_dim:
         raise ValueError(f"input has {x.shape[1]} features, network expects {net.in_dim}")
+    return x
+
+
+def _activate(layer: Layer, pre: np.ndarray) -> np.ndarray:
+    return np.maximum(pre, 0.0) if layer.spec.activation == "relu" else pre
+
+
+def net_forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, NetCache]:
+    """Training forward: every factored layer takes the fold path, and the
+    cache holds what ``net_backward`` reuses."""
+    x = _net_input(net, x)
     cache = NetCache()
     cur = x
     for layer in net.layers:
@@ -210,9 +221,36 @@ def net_forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, NetCache]:
         else:
             pre = cur @ layer.w.T
             cache.layers.append(LayerCache(cur, pre))
-        cur = np.maximum(pre, 0.0) if layer.spec.activation == "relu" else pre
+        cur = _activate(layer, pre)
     cache.output = cur
     return cur, cache
+
+
+def eval_paths(net: Network, n_batch: int) -> list[str]:
+    """Per layer, the path ``net_predict`` takes for ``n_batch`` rows:
+    ``"dense"`` for a dense layer, else ``flops.forward_path`` of its shape."""
+    return [
+        fl.forward_path(n_batch, layer.spec.shape) if layer.spec.kind == "kron" else "dense"
+        for layer in net.layers
+    ]
+
+
+def net_predict(net: Network, x: np.ndarray) -> np.ndarray:
+    """Inference forward: the output of ``net_forward`` without a cache. A
+    factored layer on the ``"materialized"`` path of ``eval_paths`` runs one
+    GEMM on its materialized weight (rebuilt on every call); on ``"fold"`` it
+    runs ``factor.forward``."""
+    x = _net_input(net, x)
+    cur = x
+    for layer, path in zip(net.layers, eval_paths(net, x.shape[0])):
+        if path == "fold":
+            pre, _ = kf.forward(layer.factor, cur)
+        elif path == "materialized":
+            pre = cur @ kf.materialize(layer.factor).T
+        else:
+            pre = cur @ layer.w.T
+        cur = _activate(layer, pre)
+    return cur
 
 
 def net_backward(
@@ -239,8 +277,9 @@ def net_backward(
 
 def evaluate(net: Network, x: np.ndarray, labels, loss_kind: str = "softmax_cross_entropy") -> dict:
     """Classification metrics: loss plus argmax accuracy (ties break to the
-    lowest class index). Squared loss evaluates against one-hot targets."""
-    out, _ = net_forward(net, x)
+    lowest class index). Squared loss evaluates against one-hot targets. The
+    outputs come from ``net_predict``."""
+    out = net_predict(net, x)
     labels = np.asarray(labels)
     if loss_kind == "squared_frobenius":
         onehot = np.zeros_like(out)
@@ -356,6 +395,7 @@ def load_network(path) -> Network:
                 m, n = struct.unpack("<2q", kf.read_exact(fh, 16, f"{where} dims"))
                 if m < 1 or n < 1:
                     raise ValueError(f"{where}: dense dims must be positive, got {m}x{n}")
+                kf.check_payload(fh, 8 * m * n, f"{where}: dense dims {m}x{n}")
                 raw = kf.read_exact(fh, 8 * m * n, f"{where} weights")
                 w = np.frombuffer(raw, dtype="<f8").reshape(m, n).astype(np.float64)
                 layers.append(Layer(dense_spec(int(m), int(n), activation), w=w))

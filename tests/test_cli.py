@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from kronblock import KronShape
 from kronblock.cli import main
+from kronblock.flops import forward_path
 
 
 def write_config(path, cfg):
@@ -119,6 +121,28 @@ def test_unknown_config_field_rejected(tmp_path, capsys):
     assert "lerning_rate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field,value", [("zero_tile_fraction", "lots"), ("test_fraction", "x")]
+)
+def test_dataset_number_field_rejected(tmp_path, capsys, field, value):
+    cfg = teacher_train_config()
+    cfg["dataset"][field] = value
+    path = write_config(tmp_path / "c.json", cfg)
+    assert main(["train", "--config", path, "--method", "kron", "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: dataset.{field}: must be a number, got {value!r}\n"
+
+
+def test_run_info_records_eval_paths(tmp_path):
+    # the eval set has 32 rows, where the cost model puts (4,8,2,2) r=2 on
+    # the materialized path; the dense baselines report "dense"
+    cfg = write_config(tmp_path / "c.json", teacher_train_config())
+    for method, paths in (("kron", ["materialized"]), ("group-lasso", ["dense"])):
+        out = tmp_path / method
+        assert main(["train", "--config", cfg, "--method", method, "--out", str(out)]) == 0
+        assert json.loads((out / "run_info.json").read_text())["eval_paths"] == paths
+
+
 def test_divergence_exit_code(tmp_path):
     cfg = teacher_train_config()
     cfg["dataset"]["classification"] = False
@@ -156,6 +180,10 @@ def test_select_pattern_outputs(tmp_path):
         # one 16x32 layer per pattern at rank 2
         s + 2 * (s + b) for s, b in ((128, 4), (32, 16), (8, 64))
     )
+    # no held-out set: the eval paths are at the training set's 128 rows
+    (m2, n2), = summary["winner_blocks"]
+    want = forward_path(128, KronShape(16 // m2, 32 // n2, m2, n2, 2))
+    assert json.loads((out / "run_info.json").read_text())["eval_paths"] == [want]
     records = [json.loads(l) for l in (out / "selection.ndjson").read_text().splitlines()]
     assert {r["k"] for r in records} == {0, 1, 2}
     assert all({"epoch", "k", "group_norm", "l1_norm"} <= set(r) for r in records)

@@ -176,3 +176,12 @@ def test_dataset_validation(rng):
         Dataset(rng.standard_normal((3, 2)), labels=np.array([0, 1, 5]), class_count=3)
     with pytest.raises(ValueError):
         Dataset(np.array([[np.inf, 0.0]]), labels=np.array([0]))
+
+
+def test_dataset_rejects_non_finite_targets(rng):
+    x = rng.standard_normal((3, 2))
+    for bad in (np.nan, np.inf):
+        y = np.zeros((3, 2))
+        y[1, 0] = bad
+        with pytest.raises(ValueError, match="targets must be finite"):
+            Dataset(x, y=y)

@@ -263,6 +263,27 @@ def test_factor_serialization_truncated_header():
         read_factor(io.BytesIO(b"KBF1" + b"\x00" * 12))
 
 
+def test_factor_header_dims_overflow():
+    # dims whose payload size overflows an index must not reach fh.read
+    import struct
+
+    from kronblock.factor import read_factor
+
+    raw = b"KBF1" + struct.pack("<5q", 2**40, 2**40, 1, 1, 1)
+    with pytest.raises(ValueError, match=r"\(1099511627776, 1099511627776, 1, 1, 1\) declare"):
+        read_factor(io.BytesIO(raw))
+
+
+def test_factor_header_dims_beyond_file():
+    import struct
+
+    from kronblock.factor import read_factor
+
+    raw = b"KBF1" + struct.pack("<5q", 100, 100, 1, 1, 1) + b"\x00" * 80
+    with pytest.raises(ValueError, match="declare 160008 payload bytes, but only 80 remain"):
+        read_factor(io.BytesIO(raw))
+
+
 def test_factor_file_trailing_bytes(tmp_path, rng):
     from kronblock.factor import load_factor, save_factor
 

@@ -15,11 +15,13 @@ from kronblock.flops import (
     dense_backward_flops,
     dense_forward_flops,
     dense_layer_report,
+    forward_path,
     instrumented_count,
     kron_backward_flops,
     kron_forward_flops,
     kron_layer_report,
     kron_update_flops,
+    materialized_forward_flops,
     two_layer_dense_report,
     two_layer_kron_report,
 )
@@ -343,6 +345,45 @@ def test_counted_helpers_match_scalar_loops(name):
         assert np.max(np.abs(np.asarray(got) - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_materialized_forward_flops_counts_the_path(seed):
+    # build W term by term (S*A_i, its Kronecker product with B_i, the rank
+    # sum from the first term), then one counted GEMM
+    rng = np.random.default_rng(seed)
+    shape = random_shape(rng, max_dim=32)
+    f = random_dense_factor(shape, rng)
+    x = rng.standard_normal((int(rng.integers(1, 9)), shape.n))
+    flops, w = 0, None
+    for a_i, b_i in zip(f.a, f.b):
+        sa, c = fl._counted_hadamard(f.s, a_i)
+        term = np.kron(sa, b_i)
+        flops += c + term.size
+        if w is None:
+            w = term
+        else:
+            w, c = fl._counted_add(w, term)
+            flops += c
+    out, c = fl._counted_matmul(x, w.T)
+    assert flops + c == materialized_forward_flops(x.shape[0], shape)
+    assert np.allclose(out, kb.forward(f, x)[0], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "dims,rows,path",
+    [
+        ((5, 392, 2, 2), 2048, "materialized"),  # linear784 eval set
+        ((64, 64, 16, 16), 512, "fold"),  # wide1024 layer 1 eval set
+        ((1, 64, 16, 16), 512, "materialized"),  # wide1024 layer 2 eval set
+        ((5, 392, 2, 2), 1, "fold"),
+    ],
+)
+def test_forward_path_picks(dims, rows, path):
+    shape = KronShape(*dims, 2)
+    assert forward_path(rows, shape) == path
+    cheaper = materialized_forward_flops(rows, shape) <= fl.kron_forward_matmul_flops(rows, shape)
+    assert (path == "materialized") == cheaper
+
+
 def test_bench_flops_script_writes_schema(tmp_path):
     # schema only: timings are noisy, so no bound is placed on them
     script = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "bench_flops.py")
@@ -363,3 +404,33 @@ def test_bench_flops_script_writes_schema(tmp_path):
         assert row["tag"] in fl._TAGS
         assert row["repeats"] == 2
         assert row["median_s"] >= 0.0 and row["iqr_s"] >= 0.0
+
+
+def test_bench_eval_script_writes_schema(tmp_path):
+    # schema only: timings are noisy, so no bound is placed on them
+    script = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "bench_eval.py")
+    out_path = tmp_path / "BENCH_eval.json"
+    proc = subprocess.run(
+        [sys.executable, script, "--repeats", "2", "--shape", "8,16,2,2", "--batches", "1,64",
+         "--out", str(out_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out_path.read_text())
+    assert set(result) == {"benchmark", "rank", "repeats", "seed", "environment", "cells",
+                           "rule_right", "rule_wrong"}
+    assert {"blas", "blas_version", "blas_threads"} <= set(result["environment"])
+    assert [c["batch"] for c in result["cells"]] == [1, 64]
+    for cell in result["cells"]:
+        assert set(cell) == {"shape", "r", "m", "n", "batch", "fold", "materialized", "pick",
+                             "faster", "pick_is_faster"}
+        assert cell["shape"] == [8, 16, 2, 2] and cell["r"] == 2
+        shape = KronShape(8, 16, 2, 2, 2)
+        assert cell["pick"] == forward_path(cell["batch"], shape)
+        assert cell["fold"]["flops"] == fl.kron_forward_matmul_flops(cell["batch"], shape)
+        assert cell["materialized"]["flops"] == materialized_forward_flops(cell["batch"], shape)
+        for path in ("fold", "materialized"):
+            assert set(cell[path]) == {"flops", "median_s", "iqr_s", "gflops"}
+            assert cell[path]["median_s"] >= 0.0 and cell[path]["iqr_s"] >= 0.0
+        assert cell["pick_is_faster"] == (cell["pick"] == cell["faster"])
+    assert result["rule_right"] + len(result["rule_wrong"]) == 2

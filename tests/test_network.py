@@ -7,11 +7,13 @@ from kronblock.network import (
     Layer,
     build_network,
     dense_spec,
+    eval_paths,
     evaluate,
     kron_spec,
     load_network,
     net_backward,
     net_forward,
+    net_predict,
     save_network,
     softmax,
     softmax_cross_entropy,
@@ -180,6 +182,38 @@ def test_evaluate_deterministic_across_rebuilds(rng):
     assert vals[0] == vals[1]
 
 
+# (specs, rows, the eval_paths the cost model gives at that row count): both
+# sides of the rule, relu and identity, and nets mixing dense and factored layers
+PREDICT_CASES = [
+    ([kron_spec(KronShape(5, 392, 2, 2, 2))], 64, ["materialized"]),
+    ([kron_spec(KronShape(5, 392, 2, 2, 2))], 1, ["fold"]),
+    ([kron_spec(KronShape(5, 49, 2, 16, 2), "softmax_output")], 64, ["fold"]),
+    (
+        [kron_spec(KronShape(4, 4, 4, 4, 2), "relu"), dense_spec(8, 16, "relu"),
+         kron_spec(KronShape(3, 2, 2, 4, 2))],
+        64,
+        ["fold", "dense", "materialized"],
+    ),
+    (
+        [dense_spec(32, 12, "relu"), kron_spec(KronShape(8, 16, 2, 2, 1), "relu"),
+         kron_spec(KronShape(1, 16, 4, 1, 3), "relu")],
+        33,
+        ["dense", "fold", "materialized"],
+    ),
+]
+
+
+@pytest.mark.parametrize("specs,rows,paths", PREDICT_CASES)
+def test_net_predict_matches_net_forward(specs, rows, paths):
+    net = build_network(specs, seed=11)
+    x = np.random.default_rng(rows).standard_normal((rows, net.in_dim))
+    assert eval_paths(net, rows) == paths
+    want, _ = net_forward(net, x)
+    got = net_predict(net, x)
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_network_dim_chaining_validated():
     with pytest.raises(ValueError):
         kb.Network(
@@ -250,4 +284,26 @@ def test_checkpoint_truncated_header(tmp_path, rng):
 def test_checkpoint_trailing_bytes(tmp_path, rng):
     path = _corrupt_checkpoint(tmp_path, rng, lambda raw: raw + b"\x00\x00\x00")
     with pytest.raises(ValueError, match="3 trailing bytes"):
+        load_network(path)
+
+
+def test_checkpoint_dense_dims_beyond_file(tmp_path):
+    import struct
+
+    path = tmp_path / "net.kbn"
+    head = b"KBN1" + struct.pack("<Hq", 1, 1) + struct.pack("<BB", 0, 1)
+    for m, n in ((2**40, 2**40), (1000, 1000)):
+        path.write_bytes(head + struct.pack("<2q", m, n) + b"\x00" * 64)
+        with pytest.raises(ValueError, match=f"layer 0: dense dims {m}x{n} declare"):
+            load_network(path)
+
+
+@pytest.mark.parametrize("dims", [(2**40, 2**40, 1, 1, 1), (100, 100, 1, 1, 1)])
+def test_checkpoint_factor_dims_beyond_file(tmp_path, dims):
+    import struct
+
+    path = tmp_path / "net.kbn"
+    head = b"KBN1" + struct.pack("<Hq", 1, 1) + struct.pack("<BB", 1, 1)
+    path.write_bytes(head + b"KBF1" + struct.pack("<5q", *dims) + b"\x00" * 64)
+    with pytest.raises(ValueError, match=r"factor dims \(m1, n1, m2, n2, r\) = .* declare"):
         load_network(path)

@@ -16,7 +16,7 @@ from kronblock import (
     train_kron,
 )
 from kronblock.network import build_network, dense_spec, kron_spec, net_backward, net_forward
-from kronblock.train import dense_tile_sparsity, net_mask_sparsity, soft_threshold
+from kronblock.train import dense_tile_sparsity, eval_metrics, net_mask_sparsity, soft_threshold
 from kronblock.data import batches
 
 
@@ -341,3 +341,55 @@ def test_mixed_net_sparsity_counts_only_masks(rng):
     net = build_network([kron_spec(KronShape(2, 4, 2, 2, 1)), dense_spec(3, 4)], seed=0)
     net.layers[0].factor.s[:] = 0.0
     assert net_mask_sparsity(net) == 1.0
+
+
+@pytest.mark.parametrize("loss", ["squared_frobenius", "softmax_cross_entropy"])
+def test_eval_metrics_matches_training_forward(loss):
+    # labelled and regression sets, on a net whose layer the cost model puts
+    # on the materialized path at 256 rows (and on fold at one row)
+    net = build_network([kron_spec(KronShape(5, 392, 2, 2, 2))], seed=5)
+    assert kb.network.eval_paths(net, 256) == ["materialized"]
+    assert kb.network.eval_paths(net, 1) == ["fold"]
+    for classification in (True, False):
+        ds, _ = make_teacher_dataset(10, 784, (2, 2), 0.5, 256, seed=6,
+                                     classification=classification)
+        for rows in (ds.subset(np.arange(256)), ds.subset(np.arange(1))):
+            out, _ = net_forward(net, rows.x)
+            if classification:
+                target = rows.labels
+                onehot = np.zeros_like(out)
+                onehot[np.arange(rows.n), target] = 1.0
+                if loss == "squared_frobenius":
+                    want = float(np.sum((out - onehot) ** 2))
+                else:
+                    want, _ = kb.network.softmax_cross_entropy(out, target)
+                want_acc = float(np.mean(np.argmax(out, axis=1) == target))
+            else:
+                want = float(np.sum((out - rows.y) ** 2))
+                want_acc = float(np.mean(np.argmax(out, axis=1) == np.argmax(rows.y, axis=1)))
+            got, acc = eval_metrics(net, rows, loss)
+            assert abs(got - want) <= 1e-12 * abs(want)
+            assert acc == want_acc
+
+
+def test_benchmark_tracer_installs_and_traces_eval(monkeypatch):
+    # the benchmark's tracer rebinds kronblock names by module attribute, so a
+    # name it expects and the package drops would fail its install
+    import os
+
+    from kronblock import train as train_module
+
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    from spans import Tracer
+
+    ds, _ = make_teacher_dataset(4, 8, (2, 2), 0.5, 64, seed=1, classification=True)
+    net = build_network([kron_spec(KronShape(2, 4, 2, 2, 2))], seed=2)
+    want = train_module.eval_metrics(net, ds, "softmax_cross_entropy")
+    tracer = Tracer()
+    tracer.install()
+    try:
+        got = train_module.eval_metrics(net, ds, "softmax_cross_entropy")
+    finally:
+        tracer.uninstall()
+    assert got == want
+    assert tracer.totals()["train.eval"]["calls"] == 1
