@@ -44,8 +44,6 @@ from .flops import (
     two_layer_kron_report,
 )
 from .linalg import (
-    BlockIndexMaps,
-    extract_block,
     fold_input,
     fold_mid,
     fold_output,

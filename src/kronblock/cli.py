@@ -108,6 +108,18 @@ def _positive_int(value, path: str) -> int:
     return value
 
 
+def _nonnegative_int(value, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ConfigError(f"{path}: must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _boolean(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: must be a boolean, got {value!r}")
+    return value
+
+
 def _number(value, path: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{path}: must be a number, got {value!r}")
@@ -157,7 +169,7 @@ def build_model(model_cfg: dict, seed: int, force_dense: bool = False) -> Networ
     layers_cfg = _require(model_cfg, "layers", "model")
     if not isinstance(layers_cfg, list) or not layers_cfg:
         raise ConfigError("model.layers: must be a non-empty list")
-    init_seed = model_cfg.get("init_seed", seed)
+    init_seed = _nonnegative_int(model_cfg.get("init_seed", seed), "model.init_seed")
     specs = []
     for idx, layer in enumerate(layers_cfg):
         path = f"model.layers[{idx}]"
@@ -205,18 +217,20 @@ def build_dataset(ds_cfg: dict, seed: int) -> tuple[Dataset, Dataset | None]:
         n_samples = _positive_int(ds_cfg.get("n_samples", 512), "dataset.n_samples")
         noise_sigma = _number(ds_cfg.get("noise_sigma", 0.0), "dataset.noise_sigma")
         test_fraction = _number(ds_cfg.get("test_fraction", 0.0), "dataset.test_fraction")
+        ds_seed = _nonnegative_int(ds_cfg.get("seed", seed), "dataset.seed")
+        classification = _boolean(ds_cfg.get("classification", True), "dataset.classification")
         try:
             ds, _ = make_teacher_dataset(
                 m, n, block, frac, n_samples,
                 noise_sigma=noise_sigma,
-                seed=int(ds_cfg.get("seed", seed)),
-                classification=bool(ds_cfg.get("classification", True)),
+                seed=ds_seed,
+                classification=classification,
             )
         except ValueError as exc:
             raise ConfigError(f"dataset: {exc}") from exc
         if test_fraction > 0:
             try:
-                return train_test_split(ds, test_fraction, seed=int(ds_cfg.get("seed", seed)))
+                return train_test_split(ds, test_fraction, seed=ds_seed)
             except ValueError as exc:
                 raise ConfigError(f"dataset.test_fraction: {exc}") from exc
         return ds, None
@@ -266,14 +280,18 @@ def build_train_config(train_cfg: dict, seed: int) -> TrainConfig:
             batch_size=_positive_int(
                 _require(train_cfg, "batch_size", "train"), "train.batch_size"
             ),
-            learning_rate=float(_require(train_cfg, "learning_rate", "train")),
-            momentum=float(train_cfg.get("momentum", 0.9)),
-            lam=float(train_cfg.get("lambda", 0.0)),
-            eps_zero=float(train_cfg.get("epsilon_zero", 1e-6)),
+            learning_rate=_number(
+                _require(train_cfg, "learning_rate", "train"), "train.learning_rate"
+            ),
+            momentum=_number(train_cfg.get("momentum", 0.9), "train.momentum"),
+            lam=_number(train_cfg.get("lambda", 0.0), "train.lambda"),
+            eps_zero=_number(train_cfg.get("epsilon_zero", 1e-6), "train.epsilon_zero"),
             seed=seed,
             loss=train_cfg.get("loss", "softmax_cross_entropy"),
-            shuffle=bool(train_cfg.get("shuffle", True)),
+            shuffle=_boolean(train_cfg.get("shuffle", True), "train.shuffle"),
         )
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"train: {exc}") from exc
 
@@ -317,10 +335,17 @@ def write_run_outputs(
 # ---------------------------------------------------------------------------
 
 
+def _config_seed(args, cfg: dict) -> int:
+    """The master seed: ``--seed`` if given, else the config's ``seed``."""
+    if args.seed is not None:
+        return _nonnegative_int(args.seed, "--seed")
+    return _nonnegative_int(cfg.get("seed", 0), "seed")
+
+
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     _check_keys(cfg, {"seed", "dataset", "model", "train"}, "config")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = _config_seed(args, cfg)
     train_ds, eval_ds = build_dataset(_require(cfg, "dataset", "config"), seed)
     tcfg = build_train_config(_require(cfg, "train", "config"), seed)
     train_section = cfg["train"]
@@ -334,13 +359,13 @@ def cmd_train(args) -> int:
         sparsity = net_mask_sparsity(net, tcfg.eps_zero)
     else:
         block = _parse_block(_require(train_section, "block", "train"), "train.block")
+        target = _number(train_section.get("target_rate", 0.5), "train.target_rate")
+        rounds = _positive_int(train_section.get("rounds", 1), "train.rounds")
         net = build_model(_require(cfg, "model", "config"), seed, force_dense=True)
         try:
             if method == "group-lasso":
                 net, records = train_group_lasso(net, train_ds, tcfg, block, eval_data=eval_ds)
             else:
-                target = float(train_section.get("target_rate", 0.5))
-                rounds = _positive_int(train_section.get("rounds", 1), "train.rounds")
                 net, records = prune_blocks(
                     net, train_ds, tcfg, block, target, rounds, eval_data=eval_ds
                 )
@@ -377,7 +402,7 @@ _SELECT_KEYS = {
 def cmd_select_pattern(args) -> int:
     cfg = load_config(args.config)
     _check_keys(cfg, {"seed", "dataset", "model", "train", "select"}, "config")
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    seed = _config_seed(args, cfg)
     train_ds, eval_ds = build_dataset(_require(cfg, "dataset", "config"), seed)
     tcfg = build_train_config(_require(cfg, "train", "config"), seed)
     select_cfg = _require(cfg, "select", "config")
@@ -413,17 +438,27 @@ def cmd_select_pattern(args) -> int:
         pset = build_pattern_set(layer_dims, blocks_per_pattern, rank, activations, seed)
         scfg = SelectConfig(
             train=tcfg,
-            lambda1_init=float(select_cfg.get("lambda1_init", 0.01)),
-            lambda2_init=float(select_cfg.get("lambda2_init", 0.01)),
-            lambda_increment=float(select_cfg.get("lambda_increment", 0.002)),
+            lambda1_init=_number(select_cfg.get("lambda1_init", 0.01), "select.lambda1_init"),
+            lambda2_init=_number(select_cfg.get("lambda2_init", 0.01), "select.lambda2_init"),
+            lambda_increment=_number(
+                select_cfg.get("lambda_increment", 0.002), "select.lambda_increment"
+            ),
             increment_period_epochs=_positive_int(
                 select_cfg.get("increment_period_epochs", 5), "select.increment_period_epochs"
             ),
             max_epochs=_positive_int(select_cfg.get("max_epochs", 50), "select.max_epochs"),
-            epsilon_group_rel=float(select_cfg.get("epsilon_group_rel", 1e-3)),
-            finetune_epochs=int(select_cfg.get("finetune_epochs", 5)),
-            keep_l1_in_finetune=bool(select_cfg.get("keep_l1_in_finetune", True)),
+            epsilon_group_rel=_number(
+                select_cfg.get("epsilon_group_rel", 1e-3), "select.epsilon_group_rel"
+            ),
+            finetune_epochs=_nonnegative_int(
+                select_cfg.get("finetune_epochs", 5), "select.finetune_epochs"
+            ),
+            keep_l1_in_finetune=_boolean(
+                select_cfg.get("keep_l1_in_finetune", True), "select.keep_l1_in_finetune"
+            ),
         )
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"select: {exc}") from exc
     result = select_pattern(pset, train_ds, scfg)
@@ -500,7 +535,7 @@ def flop_audit_case(section: dict):
     )
     kind = _require(section, "kind", "flops")
     nb = _positive_int(section.get("batch", 1), "flops.batch")
-    rng = np.random.default_rng(int(section.get("seed", 0)))
+    rng = np.random.default_rng(_nonnegative_int(section.get("seed", 0), "flops.seed"))
 
     def parse_shape(key: str, rank_key: str) -> KronShape:
         sh = _require(section, key, "flops")

@@ -5,8 +5,8 @@ mini-batch iteration.
 IDX files are big-endian: 2 zero bytes, a dtype code (0x08 unsigned byte,
 0x0D float64), the number of dimensions, then one u32 per dimension and the
 payload. MNIST images use magic 0x00000803 (ubyte, 3-D), labels 0x00000801
-(ubyte, 1-D). Synthetic exports use the float64 container so round trips are
-lossless.
+(ubyte, 1-D). ``write_idx`` writes float64 arrays in the float64 container,
+so round trips are lossless.
 """
 
 from __future__ import annotations
@@ -253,29 +253,3 @@ def batches(ds: Dataset, batch_size: int, shuffle: bool = True, seed=0):
     for start in range(0, ds.n, batch_size):
         idx = order[start : start + batch_size]
         yield ds.x[idx], target[idx]
-
-
-# ---------------------------------------------------------------------------
-# teacher export: IDX float64 features/targets (or ubyte labels) plus a
-# float64 sidecar holding the teacher matrix
-# ---------------------------------------------------------------------------
-
-
-def export_teacher(dirpath, ds: Dataset, teacher: np.ndarray) -> None:
-    os.makedirs(dirpath, exist_ok=True)
-    write_idx(os.path.join(dirpath, "features.idx"), ds.x)
-    if ds.labels is not None:
-        write_idx(os.path.join(dirpath, "labels.idx"), ds.labels.astype(np.uint8))
-    if ds.y is not None:
-        write_idx(os.path.join(dirpath, "targets.idx"), ds.y)
-    write_idx(os.path.join(dirpath, "teacher.idx"), teacher)
-
-
-def load_teacher(dirpath) -> tuple[Dataset, np.ndarray]:
-    x = read_idx(os.path.join(dirpath, "features.idx"))
-    labels_path = os.path.join(dirpath, "labels.idx")
-    targets_path = os.path.join(dirpath, "targets.idx")
-    labels = read_idx(labels_path).astype(np.int64) if os.path.exists(labels_path) else None
-    y = read_idx(targets_path) if os.path.exists(targets_path) else None
-    teacher = read_idx(os.path.join(dirpath, "teacher.idx"))
-    return Dataset(x, labels=labels, y=y), teacher

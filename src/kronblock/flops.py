@@ -2,20 +2,31 @@
 
 Two independent routes are kept deliberately separate and compared in tests:
 
-* the *analytic* closed forms below (pre-asymptotic, exact integers), and
-* the *instrumented* counter, which actually executes the tagged computation
-  with numpy, one counted helper per operation. Each helper returns its result
-  with the flops it cost, derived from the operand shapes: one flop per scalar
-  multiply/add/subtract (a multiply-accumulate is two), so a ``(p, q) @ (q, s)``
-  matmul costs ``p*s*(2q-1)``, a sum of squares ``2*size - 1`` and every other
-  element-wise helper ``size``.
+* the *analytic* cost model: per-layer forward and backward pieces (exact
+  integers, pre-asymptotic) that ``layers_report`` sums over a layer list;
+  every closed form and report below is such a sum, and
+* the *instrumented* counter, which walks a layer list in the order of
+  ``network.net_forward`` / ``network.net_backward`` and executes every
+  operation with numpy, one counted helper per operation. Each helper returns
+  its result with the flops it cost, derived from the operand shapes: one flop
+  per scalar multiply/add/subtract (a multiply-accumulate is two), so a
+  ``(p, q) @ (q, s)`` matmul costs ``p*s*(2q-1)``, a sum of squares
+  ``2*size - 1`` and every other element-wise helper ``size``.
+
+Both routes read a model as a list of ``(layer, activation)`` pairs. For the
+cost model a layer is its dimensions: a ``KronShape``, or ``(m, n)`` for a
+dense layer. For the counter it is its weight: a ``KronFactor``, or the dense
+``m x n`` matrix (so the ``.shape`` of a weight is its dimensions).
 
 Convention notes (required to reproduce the exact totals):
-  * loss ||O - Y||_F^2 costs 3*N*m - 1 (subtract, square, sum-reduce),
+  * the loss is ||O - Y||_F^2 whatever loss trains the model; it costs
+    3*N*m - 1 (subtract, square, sum-reduce),
   * the backward seed 2*(O - Y) costs N*m (the difference is reused from the
     forward pass),
   * relu costs one flop per scalar; its backward mask product costs one flop
-    per scalar (the 0/1 mask itself is free),
+    per scalar (the 0/1 mask itself is free); every other activation passes
+    its input through at no cost,
+  * the input gradient is counted for every layer but the first,
   * comparisons, reshapes and folds cost nothing,
   * parameter updates are one flop per trainable A/B parameter for factored
     layers (r*(m1*n1 + m2*n2)) and m*n for a dense layer.
@@ -64,59 +75,28 @@ class FlopReport:
 
 
 # ---------------------------------------------------------------------------
-# analytic closed forms
+# analytic cost model: per-layer pieces and the one builder that sums them
 # ---------------------------------------------------------------------------
 
 
-def dense_forward_flops(n_batch: int, m: int, n: int) -> int:
-    """Dense layer forward incl. squared loss: Nm(2n-1) + 3Nm - 1."""
-    return n_batch * m * (2 * n - 1) + 3 * n_batch * m - 1
+def _dense_forward_pieces(n_batch: int, m: int, n: int) -> dict[str, int]:
+    return {"matmul": n_batch * m * (2 * n - 1)}
 
 
-def dense_backward_flops(n_batch: int, m: int, n: int) -> int:
-    """Dense layer backward: Nm (seed) + mn(2N-1) (weight gradient)."""
-    return n_batch * m + m * n * (2 * n_batch - 1)
+def _kron_forward_pieces(n_batch: int, s: KronShape) -> dict[str, int]:
+    return {
+        "b_matmul": s.r * n_batch * s.n1 * s.m2 * (2 * s.n2 - 1),
+        "mask_products": s.r * s.m1 * s.n1,
+        "a_matmul": s.r * n_batch * s.m1 * s.m2 * (2 * s.n1 - 1),
+        "rank_sum": (s.r - 1) * n_batch * s.m,
+    }
 
 
-def dense_update_flops(m: int, n: int) -> int:
-    return m * n
-
-
-def kron_forward_matmul_flops(n_batch: int, s: KronShape) -> int:
-    """Flops to produce the layer output (loss excluded):
-    r(N*m1*m2*(2n1-1) + m1*n1 + N*n1*m2*(2n2-1)) + (r-1)*N*m."""
-    per_term = (
-        n_batch * s.m1 * s.m2 * (2 * s.n1 - 1)
-        + s.m1 * s.n1
-        + n_batch * s.n1 * s.m2 * (2 * s.n2 - 1)
-    )
-    return s.r * per_term + (s.r - 1) * n_batch * s.m
-
-
-def materialized_forward_flops(n_batch: int, s: KronShape) -> int:
-    """Flops to produce the layer output by building W and one GEMM:
-    r*m1*n1 (S * A_i) + r*m*n (Kronecker products) + (r-1)*m*n (rank sum)
-    + N*m*(2n-1) (X @ W.T)."""
-    return (
-        s.r * s.m1 * s.n1
-        + s.r * s.m * s.n
-        + (s.r - 1) * s.m * s.n
-        + n_batch * s.m * (2 * s.n - 1)
-    )
-
-
-def forward_path(n_batch: int, s: KronShape) -> str:
-    """Inference path of a factored layer at this batch size: ``"materialized"``
-    when building W plus one GEMM costs no more flops than the fold path,
-    ``"fold"`` otherwise. Training always takes the fold path."""
-    if materialized_forward_flops(n_batch, s) <= kron_forward_matmul_flops(n_batch, s):
-        return "materialized"
-    return "fold"
-
-
-def kron_forward_flops(n_batch: int, s: KronShape) -> int:
-    """Factored layer forward incl. squared loss."""
-    return kron_forward_matmul_flops(n_batch, s) + 3 * n_batch * s.m - 1
+def _dense_backward_pieces(n_batch: int, m: int, n: int, with_dx: bool) -> dict[str, int]:
+    pieces = {"weight_grad": m * n * (2 * n_batch - 1)}
+    if with_dx:
+        pieces["input_grad"] = n_batch * n * (2 * m - 1)
+    return pieces
 
 
 def _kron_backward_pieces(n_batch: int, s: KronShape, with_dx: bool) -> dict[str, int]:
@@ -135,78 +115,85 @@ def _kron_backward_pieces(n_batch: int, s: KronShape, with_dx: bool) -> dict[str
     return pieces
 
 
-def kron_backward_flops(n_batch: int, s: KronShape) -> int:
-    """Factored layer backward (single-layer model, no input gradient):
-    Nm + r*m1n1*(2Nm2-1) + r*m1n1 + (r-1)*m1n1 + r*m1n1
-    + r*N*m2*n1*(2m1-1) + r*m2n2*(2Nn1-1)."""
-    return n_batch * s.m + sum(_kron_backward_pieces(n_batch, s, with_dx=False).values())
+def dense_update_flops(m: int, n: int) -> int:
+    return m * n
 
 
 def kron_update_flops(s: KronShape) -> int:
     return s.r * (s.m1 * s.n1 + s.m2 * s.n2)
 
 
-def dense_layer_report(n_batch: int, m: int, n: int) -> FlopReport:
-    breakdown = {
-        "forward.matmul": n_batch * m * (2 * n - 1),
-        "forward.loss": 3 * n_batch * m - 1,
-        "backward.seed": n_batch * m,
-        "backward.weight_grad": m * n * (2 * n_batch - 1),
-        "update.params": dense_update_flops(m, n),
-    }
-    rep = FlopReport(
-        forward=dense_forward_flops(n_batch, m, n),
-        backward=dense_backward_flops(n_batch, m, n),
-        update=dense_update_flops(m, n),
-        breakdown=breakdown,
+def _dims(layer) -> tuple[int, int]:
+    """(m, n) of a cost-model layer: a ``KronShape`` or a dense ``(m, n)``."""
+    return (layer.m, layer.n) if isinstance(layer, KronShape) else tuple(layer)
+
+
+def _layer_pieces(n_batch: int, layer, with_dx: bool):
+    """Forward pieces, backward pieces and update flops of one layer."""
+    if isinstance(layer, KronShape):
+        return (
+            _kron_forward_pieces(n_batch, layer),
+            _kron_backward_pieces(n_batch, layer, with_dx),
+            kron_update_flops(layer),
+        )
+    m, n = layer
+    return (
+        _dense_forward_pieces(n_batch, m, n),
+        _dense_backward_pieces(n_batch, m, n, with_dx),
+        dense_update_flops(m, n),
     )
-    rep.check()
-    return rep
+
+
+def layers_report(n_batch: int, layers: list) -> FlopReport:
+    """Exact flops of one training step of a model given as ``(dims,
+    activation)`` pairs (``dims`` a ``KronShape`` or a dense ``(m, n)``), in
+    the order ``network.net_forward`` and ``net_backward`` run.
+
+    Breakdown keys are ``forward.<piece>`` and ``backward.<piece>``, with the
+    piece prefixed ``layer<i>.`` when the model has more than one layer; relu
+    costs add up under ``forward.activation`` and ``backward.activation_mask``.
+    """
+    for (prev, _), (nxt, _) in zip(layers, layers[1:]):
+        if _dims(prev)[0] != _dims(nxt)[1]:
+            raise ValueError(f"layer dims incompatible: {_dims(prev)[0]} -> {_dims(nxt)[1]}")
+    n = n_batch
+    pieces = [_layer_pieces(n, dims, idx > 0) for idx, (dims, _) in enumerate(layers)]
+    prefixes = [f"layer{idx + 1}." if len(layers) > 1 else "" for idx in range(len(layers))]
+    out_dim = _dims(layers[-1][0])[0]
+
+    fwd: dict[str, int] = {}
+    for (dims, activation), (f_pieces, _, _), prefix in zip(layers, pieces, prefixes):
+        fwd.update({prefix + k: v for k, v in f_pieces.items()})
+        if activation == "relu":
+            fwd["activation"] = fwd.get("activation", 0) + n * _dims(dims)[0]
+    fwd["loss"] = 3 * n * out_dim - 1
+
+    bwd = {"seed": n * out_dim}
+    for (dims, activation), (_, b_pieces, _), prefix in reversed(
+        list(zip(layers, pieces, prefixes))
+    ):
+        if activation == "relu":
+            bwd["activation_mask"] = bwd.get("activation_mask", 0) + n * _dims(dims)[0]
+        bwd.update({prefix + k: v for k, v in b_pieces.items()})
+
+    upd = sum(u for _, _, u in pieces)
+    breakdown = {f"forward.{k}": v for k, v in fwd.items()}
+    breakdown.update({f"backward.{k}": v for k, v in bwd.items()})
+    breakdown["update.params"] = upd
+    return FlopReport(sum(fwd.values()), sum(bwd.values()), upd, breakdown)
+
+
+def dense_layer_report(n_batch: int, m: int, n: int) -> FlopReport:
+    return layers_report(n_batch, [((m, n), "identity")])
 
 
 def kron_layer_report(n_batch: int, s: KronShape) -> FlopReport:
-    bwd = _kron_backward_pieces(n_batch, s, with_dx=False)
-    breakdown = {
-        "forward.b_matmul": s.r * n_batch * s.n1 * s.m2 * (2 * s.n2 - 1),
-        "forward.mask_products": s.r * s.m1 * s.n1,
-        "forward.a_matmul": s.r * n_batch * s.m1 * s.m2 * (2 * s.n1 - 1),
-        "forward.rank_sum": (s.r - 1) * n_batch * s.m,
-        "forward.loss": 3 * n_batch * s.m - 1,
-        "backward.seed": n_batch * s.m,
-    }
-    breakdown.update({f"backward.{k}": v for k, v in bwd.items()})
-    breakdown["update.params"] = kron_update_flops(s)
-    rep = FlopReport(
-        forward=kron_forward_flops(n_batch, s),
-        backward=kron_backward_flops(n_batch, s),
-        update=kron_update_flops(s),
-        breakdown=breakdown,
-    )
-    rep.check()
-    return rep
+    return layers_report(n_batch, [(s, "identity")])
 
 
 def two_layer_dense_report(n_batch: int, d_in: int, d_hidden: int, d_out: int) -> FlopReport:
     """Two-layer relu regression model with dense weights (exact sums)."""
-    n = n_batch
-    breakdown = {
-        "forward.layer1.matmul": n * d_hidden * (2 * d_in - 1),
-        "forward.activation": n * d_hidden,
-        "forward.layer2.matmul": n * d_out * (2 * d_hidden - 1),
-        "forward.loss": 3 * n * d_out - 1,
-        "backward.seed": n * d_out,
-        "backward.layer2.weight_grad": d_hidden * d_out * (2 * n - 1),
-        "backward.layer2.input_grad": n * d_hidden * (2 * d_out - 1),
-        "backward.activation_mask": n * d_hidden,
-        "backward.layer1.weight_grad": d_in * d_hidden * (2 * n - 1),
-    }
-    fwd = sum(v for k, v in breakdown.items() if k.startswith("forward."))
-    bwd = sum(v for k, v in breakdown.items() if k.startswith("backward."))
-    upd = d_in * d_hidden + d_hidden * d_out
-    breakdown["update.params"] = upd
-    rep = FlopReport(forward=fwd, backward=bwd, update=upd, breakdown=breakdown)
-    rep.check()
-    return rep
+    return layers_report(n_batch, [((d_hidden, d_in), "relu"), ((d_out, d_hidden), "identity")])
 
 
 def _c_forward(n_batch: int, s: KronShape) -> int:
@@ -231,49 +218,67 @@ def two_layer_kron_report(n_batch: int, s1: KronShape, s2: KronShape) -> FlopRep
     s1.m == s2.n. ``constants`` exposes the leading-term aggregates C1/C2
     (forward, per rank term) and C3/C4 (backward, rank included).
     """
-    if s1.m != s2.n:
-        raise ValueError(f"layer dims incompatible: {s1.m} -> {s2.n}")
-    n = n_batch
-    l2_bwd = _kron_backward_pieces(n, s2, with_dx=True)
-    l1_bwd = _kron_backward_pieces(n, s1, with_dx=False)
-    breakdown = {
-        "forward.layer1.b_matmul": s1.r * n * s1.n1 * s1.m2 * (2 * s1.n2 - 1),
-        "forward.layer1.mask_products": s1.r * s1.m1 * s1.n1,
-        "forward.layer1.a_matmul": s1.r * n * s1.m1 * s1.m2 * (2 * s1.n1 - 1),
-        "forward.layer1.rank_sum": (s1.r - 1) * n * s1.m,
-        "forward.activation": n * s1.m,
-        "forward.layer2.b_matmul": s2.r * n * s2.n1 * s2.m2 * (2 * s2.n2 - 1),
-        "forward.layer2.mask_products": s2.r * s2.m1 * s2.n1,
-        "forward.layer2.a_matmul": s2.r * n * s2.m1 * s2.m2 * (2 * s2.n1 - 1),
-        "forward.layer2.rank_sum": (s2.r - 1) * n * s2.m,
-        "forward.loss": 3 * n * s2.m - 1,
-        "backward.seed": n * s2.m,
+    rep = layers_report(n_batch, [(s1, "relu"), (s2, "identity")])
+    rep.constants = {
+        "C1": _c_forward(n_batch, s1),
+        "C2": _c_forward(n_batch, s2),
+        "C3": _c_backward(n_batch, s2),
+        "C4": _c_backward(n_batch, s1),
     }
-    breakdown.update({f"backward.layer2.{k}": v for k, v in l2_bwd.items()})
-    breakdown["backward.activation_mask"] = n * s1.m
-    breakdown.update({f"backward.layer1.{k}": v for k, v in l1_bwd.items()})
-    fwd = sum(v for k, v in breakdown.items() if k.startswith("forward."))
-    bwd = sum(v for k, v in breakdown.items() if k.startswith("backward."))
-    upd = kron_update_flops(s1) + kron_update_flops(s2)
-    breakdown["update.params"] = upd
-    rep = FlopReport(
-        forward=fwd,
-        backward=bwd,
-        update=upd,
-        breakdown=breakdown,
-        constants={
-            "C1": _c_forward(n, s1),
-            "C2": _c_forward(n, s2),
-            "C3": _c_backward(n, s2),
-            "C4": _c_backward(n, s1),
-        },
-    )
-    rep.check()
     return rep
 
 
+def dense_forward_flops(n_batch: int, m: int, n: int) -> int:
+    """Dense layer forward incl. squared loss: Nm(2n-1) + 3Nm - 1."""
+    return dense_layer_report(n_batch, m, n).forward
+
+
+def dense_backward_flops(n_batch: int, m: int, n: int) -> int:
+    """Dense layer backward: Nm (seed) + mn(2N-1) (weight gradient)."""
+    return dense_layer_report(n_batch, m, n).backward
+
+
+def kron_forward_matmul_flops(n_batch: int, s: KronShape) -> int:
+    """Flops to produce the layer output (loss excluded):
+    r(N*m1*m2*(2n1-1) + m1*n1 + N*n1*m2*(2n2-1)) + (r-1)*N*m."""
+    return sum(_kron_forward_pieces(n_batch, s).values())
+
+
+def kron_forward_flops(n_batch: int, s: KronShape) -> int:
+    """Factored layer forward incl. squared loss."""
+    return kron_layer_report(n_batch, s).forward
+
+
+def kron_backward_flops(n_batch: int, s: KronShape) -> int:
+    """Factored layer backward (single-layer model, no input gradient):
+    Nm + r*m1n1*(2Nm2-1) + r*m1n1 + (r-1)*m1n1 + r*m1n1
+    + r*N*m2*n1*(2m1-1) + r*m2n2*(2Nn1-1)."""
+    return kron_layer_report(n_batch, s).backward
+
+
+def materialized_forward_flops(n_batch: int, s: KronShape) -> int:
+    """Flops to produce the layer output by building W and one GEMM:
+    r*m1*n1 (S * A_i) + r*m*n (Kronecker products) + (r-1)*m*n (rank sum)
+    + N*m*(2n-1) (X @ W.T)."""
+    return (
+        s.r * s.m1 * s.n1
+        + s.r * s.m * s.n
+        + (s.r - 1) * s.m * s.n
+        + n_batch * s.m * (2 * s.n - 1)
+    )
+
+
+def forward_path(n_batch: int, s: KronShape) -> str:
+    """Inference path of a factored layer at this batch size: ``"materialized"``
+    when building W plus one GEMM costs no more flops than the fold path,
+    ``"fold"`` otherwise. Training always takes the fold path."""
+    if materialized_forward_flops(n_batch, s) <= kron_forward_matmul_flops(n_batch, s):
+        return "materialized"
+    return "fold"
+
+
 # ---------------------------------------------------------------------------
-# instrumented counter: executes the tagged computation with counted helpers
+# instrumented counter: executes a layer list with counted helpers
 # ---------------------------------------------------------------------------
 
 
@@ -314,187 +319,122 @@ def _counted_mask_mul(g, pre):
     return np.where(pre > 0.0, g, 0.0), g.size
 
 
-def _counted_dense_out(x, w):
-    return _counted_matmul(x, w.T)
+class _Tally:
+    """Running flop total: ``tally(helper(...))`` adds the counted helper's
+    flops and returns its result."""
+
+    def __init__(self):
+        self.flops = 0
+
+    def __call__(self, counted):
+        result, flops = counted
+        self.flops += flops
+        return result
 
 
-def _counted_loss(o, y):
-    diff, c1 = _counted_sub(o, y)
-    _, c2 = _counted_sq_sum(diff)
-    return diff, c1 + c2
+def _sum_terms(terms: list, tally: _Tally):
+    # a sum over rank terms starts from the first term: r - 1 adds
+    acc = terms[0]
+    for term in terms[1:]:
+        acc = tally(_counted_add(acc, term))
+    return acc
 
 
-def counted_dense_forward(x, w, y):
-    o, f1 = _counted_dense_out(x, w)
-    diff, f2 = _counted_loss(o, y)
-    return {"flops": f1 + f2, "diff": diff}
-
-
-def counted_dense_backward(x, w, y):
-    fwd = counted_dense_forward(x, w, y)
-    d_o, c1 = _counted_scale(fwd["diff"], 2.0)
-    _, c2 = _counted_matmul(d_o.T, x)
-    return {"flops": c1 + c2}
-
-
-def _counted_kron_out(factor: KronFactor, x):
-    """Factored layer output with counting; returns intermediates for backward."""
-    sh = factor.shape
-    xf = fold_input(x, sh.n1, sh.n2)
-    flops = 0
-    acc = None
-    mids, sas = [], []
-    for a_i, b_i in zip(factor.a, factor.b):
-        raw_mid, c = _counted_matmul(b_i, xf)
-        flops += c
-        mid = fold_mid(raw_mid, sh.n1)
-        sa, c = _counted_hadamard(factor.s, a_i)
-        flops += c
-        term, c = _counted_matmul(mid, sa.T)
-        flops += c
-        if acc is None:
-            acc = term
+def _walk_forward(layers: list, x, y, tally: _Tally):
+    """``net_forward`` of ``layers`` plus the squared loss, counted into
+    ``tally``. Returns the residual O - Y and, per layer, what the backward
+    walk reuses: (input, pre-activation, fold intermediates or None)."""
+    saved, cur = [], x
+    for weight, activation in layers:
+        if isinstance(weight, KronFactor):
+            sh = weight.shape
+            xf = fold_input(cur, sh.n1, sh.n2)
+            mids = [fold_mid(tally(_counted_matmul(b_i, xf)), sh.n1) for b_i in weight.b]
+            sas = [tally(_counted_hadamard(weight.s, a_i)) for a_i in weight.a]
+            terms = [tally(_counted_matmul(mid, sa.T)) for mid, sa in zip(mids, sas)]
+            pre = fold_output(_sum_terms(terms, tally), sh.m2)
+            saved.append((cur, pre, (xf, mids, sas)))
         else:
-            acc, c = _counted_add(acc, term)
-            flops += c
-        mids.append(mid)
-        sas.append(sa)
-    o = fold_output(acc, sh.m2)
-    return o, xf, mids, sas, flops
+            pre = tally(_counted_matmul(cur, weight.T))
+            saved.append((cur, pre, None))
+        cur = tally(_counted_relu(pre)) if activation == "relu" else pre
+    diff = tally(_counted_sub(cur, y))
+    tally(_counted_sq_sum(diff))
+    return diff, saved
 
 
-def counted_kron_forward(factor: KronFactor, x, y):
-    o, xf, mids, sas, flops = _counted_kron_out(factor, x)
-    diff, c = _counted_loss(o, y)
-    return {"flops": flops + c, "diff": diff, "xf": xf, "mids": mids, "sas": sas}
+def counted_forward(layers: list, x, y) -> tuple[int, np.ndarray]:
+    """Counted forward pass plus squared loss of ``(weight, activation)``
+    layers: the flops and the residual O - Y."""
+    tally = _Tally()
+    diff, _ = _walk_forward(layers, x, y, tally)
+    return tally.flops, diff
 
 
-def _counted_kron_layer_backward(factor, xf, mids, sas, d_of, with_dx):
-    """Backward flops for one factored layer given the already-folded upstream
-    gradient d_of (N*m2 x m1). Counts exactly the closed-form chain; the input
-    gradient is counted only when with_dx."""
-    sh = factor.shape
-    flops = 0
-    d_s = None
-    d_xf = None
-    for i in range(sh.r):
-        g, c = _counted_matmul(d_of.T, mids[i])
-        flops += c
-        ga, c = _counted_hadamard(g, factor.a[i])
-        flops += c
-        if d_s is None:
-            d_s = ga
+def counted_backward(layers: list, x, y) -> int:
+    """Counted backward pass of ``(weight, activation)`` layers after their
+    forward pass and squared loss, in ``net_backward`` order: the flops from
+    the seed on. The first layer's input gradient is not computed."""
+    diff, saved = _walk_forward(layers, x, y, _Tally())
+    tally = _Tally()
+    d_act = tally(_counted_scale(diff, 2.0))
+    for idx in range(len(layers) - 1, -1, -1):
+        weight, activation = layers[idx]
+        x_in, pre, fold = saved[idx]
+        d_pre = tally(_counted_mask_mul(d_act, pre)) if activation == "relu" else d_act
+        if isinstance(weight, KronFactor):
+            sh = weight.shape
+            xf, mids, sas = fold
+            d_of = unfold_output(d_pre, sh.m2)
+            # G_i, the gradient w.r.t. S * A_i; dS = sum_i G_i * A_i; dA_i = G_i * S
+            grads = [tally(_counted_matmul(d_of.T, mid)) for mid in mids]
+            _sum_terms([tally(_counted_hadamard(g, a)) for g, a in zip(grads, weight.a)], tally)
+            for g in grads:
+                tally(_counted_hadamard(g, weight.s))
+            # dB_i = unfold_mid(d_of @ (S * A_i)) @ fold(X).T
+            d_mids = [unfold_mid(tally(_counted_matmul(d_of, sa)), sh.m2) for sa in sas]
+            for d_mid in d_mids:
+                tally(_counted_matmul(d_mid, xf.T))
+            if idx > 0:  # dX = unfold_in(sum_i B_i.T @ d_mid_i)
+                d_xf = _sum_terms(
+                    [tally(_counted_matmul(b_i.T, d_mid)) for b_i, d_mid in zip(weight.b, d_mids)],
+                    tally,
+                )
+                d_act = unfold_input(d_xf, sh.n1)
         else:
-            d_s, c = _counted_add(d_s, ga)
-            flops += c
-        _, c = _counted_hadamard(g, factor.s)
-        flops += c
-        d_mid_folded, c = _counted_matmul(d_of, sas[i])
-        flops += c
-        d_mid = unfold_mid(d_mid_folded, sh.m2)
-        _, c = _counted_matmul(d_mid, xf.T)
-        flops += c
-        if with_dx:
-            term, c = _counted_matmul(factor.b[i].T, d_mid)
-            flops += c
-            if d_xf is None:
-                d_xf = term
-            else:
-                d_xf, c = _counted_add(d_xf, term)
-                flops += c
-    return flops, d_xf
+            tally(_counted_matmul(d_pre.T, x_in))
+            if idx > 0:
+                d_act = tally(_counted_matmul(d_pre, weight))
+    return tally.flops
 
 
-def counted_kron_backward(factor: KronFactor, x, y):
-    fwd = counted_kron_forward(factor, x, y)
-    sh = factor.shape
-    d_o, flops = _counted_scale(fwd["diff"], 2.0)
-    d_of = unfold_output(d_o, sh.m2)
-    c, _ = _counted_kron_layer_backward(factor, fwd["xf"], fwd["mids"], fwd["sas"], d_of, False)
-    return {"flops": flops + c}
-
-
-def counted_two_layer_dense_forward(x, w1, w2, y):
-    o1, f1 = _counted_dense_out(x, w1)
-    x2, f2 = _counted_relu(o1)
-    o2, f3 = _counted_dense_out(x2, w2)
-    diff, f4 = _counted_loss(o2, y)
-    return {"flops": f1 + f2 + f3 + f4, "diff": diff, "o1": o1, "x2": x2}
-
-
-def counted_two_layer_dense_backward(x, w1, w2, y):
-    fwd = counted_two_layer_dense_forward(x, w1, w2, y)
-    d_o2, c1 = _counted_scale(fwd["diff"], 2.0)
-    _, c2 = _counted_matmul(d_o2.T, fwd["x2"])
-    d_x2, c3 = _counted_matmul(d_o2, w2)
-    d_o1, c4 = _counted_mask_mul(d_x2, fwd["o1"])
-    _, c5 = _counted_matmul(d_o1.T, x)
-    return {"flops": c1 + c2 + c3 + c4 + c5}
-
-
-def counted_two_layer_kron_forward(f1: KronFactor, f2: KronFactor, x, y):
-    o1, xf1, mids1, sas1, c1 = _counted_kron_out(f1, x)
-    x2, c2 = _counted_relu(o1)
-    o2, xf2, mids2, sas2, c3 = _counted_kron_out(f2, x2)
-    diff, c4 = _counted_loss(o2, y)
-    return {
-        "flops": c1 + c2 + c3 + c4,
-        "diff": diff,
-        "o1": o1,
-        "layer1": (xf1, mids1, sas1),
-        "layer2": (xf2, mids2, sas2),
-    }
-
-
-def counted_two_layer_kron_backward(f1: KronFactor, f2: KronFactor, x, y):
-    fwd = counted_two_layer_kron_forward(f1, f2, x, y)
-    xf1, mids1, sas1 = fwd["layer1"]
-    xf2, mids2, sas2 = fwd["layer2"]
-    d_o2, flops = _counted_scale(fwd["diff"], 2.0)
-    d_of2 = unfold_output(d_o2, f2.shape.m2)
-    c, d_xf2 = _counted_kron_layer_backward(f2, xf2, mids2, sas2, d_of2, True)
-    flops += c
-    d_x2 = unfold_input(d_xf2, f2.shape.n1)
-    d_o1, c = _counted_mask_mul(d_x2, fwd["o1"])
-    flops += c
-    d_of1 = unfold_output(d_o1, f1.shape.m2)
-    c, _ = _counted_kron_layer_backward(f1, xf1, mids1, sas1, d_of1, False)
-    flops += c
-    return {"flops": flops}
-
-
+# Tag prefix -> the (weight, activation) layers built from the tag's inputs.
 _TAGS = {
-    "dense_forward": lambda kw: counted_dense_forward(kw["x"], kw["w"], kw["y"]),
-    "dense_backward": lambda kw: counted_dense_backward(kw["x"], kw["w"], kw["y"]),
-    "kron_forward": lambda kw: counted_kron_forward(kw["factor"], kw["x"], kw["y"]),
-    "kron_backward": lambda kw: counted_kron_backward(kw["factor"], kw["x"], kw["y"]),
-    "two_layer_dense_forward": lambda kw: counted_two_layer_dense_forward(
-        kw["x"], kw["w1"], kw["w2"], kw["y"]
-    ),
-    "two_layer_dense_backward": lambda kw: counted_two_layer_dense_backward(
-        kw["x"], kw["w1"], kw["w2"], kw["y"]
-    ),
-    "two_layer_kron_forward": lambda kw: counted_two_layer_kron_forward(
-        kw["f1"], kw["f2"], kw["x"], kw["y"]
-    ),
-    "two_layer_kron_backward": lambda kw: counted_two_layer_kron_backward(
-        kw["f1"], kw["f2"], kw["x"], kw["y"]
-    ),
+    "dense": lambda kw: [(kw["w"], "identity")],
+    "kron": lambda kw: [(kw["factor"], "identity")],
+    "two_layer_dense": lambda kw: [(kw["w1"], "relu"), (kw["w2"], "identity")],
+    "two_layer_kron": lambda kw: [(kw["f1"], "relu"), (kw["f2"], "identity")],
 }
+TAGS = tuple(f"{prefix}_{phase}" for prefix in _TAGS for phase in ("forward", "backward"))
 
 
 def instrumented_count(tag: str, **inputs) -> int:
     """Execute the tagged computation with the counted helpers and return the
     exact number of scalar multiply/add/subtract operations performed.
 
-    Tags: dense_forward, dense_backward, kron_forward, kron_backward,
-    two_layer_dense_forward, two_layer_dense_backward, two_layer_kron_forward,
-    two_layer_kron_backward.
+    Tags (``TAGS``): dense_forward, dense_backward, kron_forward,
+    kron_backward, two_layer_dense_forward, two_layer_dense_backward,
+    two_layer_kron_forward, two_layer_kron_backward. The two-layer models put
+    a relu after the first layer.
     """
-    if tag not in _TAGS:
-        raise ValueError(f"unknown computation tag {tag!r}; known: {sorted(_TAGS)}")
+    if tag not in TAGS:
+        raise ValueError(f"unknown computation tag {tag!r}; known: {sorted(TAGS)}")
     inputs = {
         k: (np.ascontiguousarray(v, dtype=np.float64) if isinstance(v, np.ndarray) else v)
         for k, v in inputs.items()
     }
-    return int(_TAGS[tag](inputs)["flops"])
+    prefix, _, phase = tag.rpartition("_")
+    layers = _TAGS[prefix](inputs)
+    if phase == "forward":
+        return int(counted_forward(layers, inputs["x"], inputs["y"])[0])
+    return int(counted_backward(layers, inputs["x"], inputs["y"]))

@@ -21,8 +21,6 @@ number of threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -113,73 +111,6 @@ def unfold_output(o: np.ndarray, m2: int) -> np.ndarray:
     return np.ascontiguousarray(
         o.reshape(nbatch, m1, m2).transpose(0, 2, 1).reshape(nbatch * m2, m1)
     )
-
-
-@dataclass(frozen=True)
-class BlockIndexMaps:
-    """The reshape maps for one factored layer, bound to fixed dimensions.
-
-    ``n1, n2`` factor the layer input dimension, ``m1, m2`` the output
-    dimension, ``batch`` is the sample count N.
-    """
-
-    n1: int
-    n2: int
-    m1: int
-    m2: int
-    batch: int
-
-    def __post_init__(self):
-        for field in ("n1", "n2", "m1", "m2", "batch"):
-            if getattr(self, field) < 1:
-                raise ValueError(f"BlockIndexMaps.{field} must be positive")
-
-    def fold_input(self, x: np.ndarray) -> np.ndarray:
-        x = as_matrix(x, "x")
-        if x.shape != (self.batch, self.n1 * self.n2):
-            raise ValueError(f"expected {(self.batch, self.n1 * self.n2)}, got {x.shape}")
-        return fold_input(x, self.n1, self.n2)
-
-    def unfold_input(self, xf: np.ndarray) -> np.ndarray:
-        xf = as_matrix(xf, "xf")
-        if xf.shape != (self.n2, self.batch * self.n1):
-            raise ValueError(f"expected {(self.n2, self.batch * self.n1)}, got {xf.shape}")
-        return unfold_input(xf, self.n1)
-
-    def fold_mid(self, v: np.ndarray) -> np.ndarray:
-        v = as_matrix(v, "mid")
-        if v.shape != (self.m2, self.batch * self.n1):
-            raise ValueError(f"expected {(self.m2, self.batch * self.n1)}, got {v.shape}")
-        return fold_mid(v, self.n1)
-
-    def unfold_mid(self, v: np.ndarray) -> np.ndarray:
-        v = as_matrix(v, "mid")
-        if v.shape != (self.batch * self.m2, self.n1):
-            raise ValueError(f"expected {(self.batch * self.m2, self.n1)}, got {v.shape}")
-        return unfold_mid(v, self.m2)
-
-    def fold_output(self, v: np.ndarray) -> np.ndarray:
-        v = as_matrix(v, "out")
-        if v.shape != (self.batch * self.m2, self.m1):
-            raise ValueError(f"expected {(self.batch * self.m2, self.m1)}, got {v.shape}")
-        return fold_output(v, self.m2)
-
-    def unfold_output(self, o: np.ndarray) -> np.ndarray:
-        o = as_matrix(o, "out")
-        if o.shape != (self.batch, self.m1 * self.m2):
-            raise ValueError(f"expected {(self.batch, self.m1 * self.m2)}, got {o.shape}")
-        return unfold_output(o, self.m2)
-
-
-def extract_block(w: np.ndarray, shape: tuple[int, int, int, int], i1: int, j1: int) -> np.ndarray:
-    """Copy the (i1, j1) tile of a matrix partitioned into m2 x n2 blocks."""
-    w = as_matrix(w, "w")
-    m1, n1, m2, n2 = shape
-    if w.shape != (m1 * m2, n1 * n2):
-        raise ValueError(f"extract_block: matrix {w.shape} incompatible with {shape}")
-    if not (0 <= i1 < m1 and 0 <= j1 < n1):
-        raise IndexError(f"tile index ({i1}, {j1}) out of range for {m1}x{n1} tiles")
-    return w[i1 * m2 : (i1 + 1) * m2, j1 * n2 : (j1 + 1) * n2].copy()
 
 
 def tile_view(w: np.ndarray, m2: int, n2: int) -> np.ndarray:

@@ -306,48 +306,31 @@ def count_network_params(net: Network) -> int:
     return total
 
 
+def _flop_layers(net: Network) -> list:
+    """The net as ``flops.layers_report`` reads it: per layer its dimensions
+    (the ``KronShape``, or ``(m, n)`` for a dense layer) and its activation."""
+    return [
+        (layer.spec.shape if layer.spec.kind == "kron" else (layer.spec.m, layer.spec.n),
+         layer.spec.activation)
+        for layer in net.layers
+    ]
+
+
 def network_forward_flops(net: Network, n_batch: int) -> int:
     """Analytic forward flops for one batch, squared-loss accounting (the only
     loss the cost model covers; used for every configured loss)."""
-    total = 0
-    for layer in net.layers:
-        if layer.spec.kind == "kron":
-            total += fl.kron_forward_matmul_flops(n_batch, layer.spec.shape)
-        else:
-            total += n_batch * layer.spec.m * (2 * layer.spec.n - 1)
-        if layer.spec.activation == "relu":
-            total += n_batch * layer.spec.out_dim
-    return total + 3 * n_batch * net.out_dim - 1
+    return fl.layers_report(n_batch, _flop_layers(net)).forward
 
 
 def network_backward_flops(net: Network, n_batch: int) -> int:
     """Analytic backward flops for one batch (seed, per-layer gradients, input
     gradients for all but the first layer, relu mask products)."""
-    total = n_batch * net.out_dim
-    for idx, layer in enumerate(net.layers):
-        with_dx = idx > 0
-        if layer.spec.kind == "kron":
-            total += sum(
-                fl._kron_backward_pieces(n_batch, layer.spec.shape, with_dx).values()
-            )
-        else:
-            m, n = layer.spec.m, layer.spec.n
-            total += m * n * (2 * n_batch - 1)
-            if with_dx:
-                total += n_batch * n * (2 * m - 1)
-        if layer.spec.activation == "relu":
-            total += n_batch * layer.spec.out_dim
-    return total
+    return fl.layers_report(n_batch, _flop_layers(net)).backward
 
 
 def network_update_flops(net: Network) -> int:
-    total = 0
-    for layer in net.layers:
-        if layer.spec.kind == "kron":
-            total += fl.kron_update_flops(layer.spec.shape)
-        else:
-            total += layer.spec.m * layer.spec.n
-    return total
+    # the update cost does not depend on the batch size
+    return fl.layers_report(1, _flop_layers(net)).update
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, batches
-from .linalg import tile_view
+from .linalg import tile_norms, tile_view
 # loss_and_seed and squared_frobenius are unused here, but the benchmark's
 # tracer (perfbench/spans.py) wraps them under this module's name.
 from .network import (  # noqa: F401
@@ -138,8 +138,7 @@ def dense_tile_sparsity(net: Network, block: tuple[int, int], eps_zero: float = 
     for layer in net.layers:
         if layer.spec.kind != "dense":
             continue
-        v = tile_view(layer.w, m2, n2)
-        norms = np.sqrt(np.einsum("abcd,abcd->ac", v, v))
+        norms = tile_norms(layer.w, m2, n2)
         zeros += int(np.sum(norms < eps_zero))
         total += norms.size
     return zeros / total if total else 0.0
@@ -260,11 +259,10 @@ def group_lasso_prox(w: np.ndarray, block: tuple[int, int], t: float) -> None:
     max(1 - t/||tile||_F, 0); tiles at or below the threshold become exact
     zeros."""
     m2, n2 = block
-    v = tile_view(w, m2, n2)
-    norms = np.sqrt(np.einsum("abcd,abcd->ac", v, v))
+    norms = tile_norms(w, m2, n2)
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(norms > t, 1.0 - t / norms, 0.0)
-    v *= scale[:, None, :, None]
+    tile_view(w, m2, n2)[:] *= scale[:, None, :, None]
 
 
 def train_group_lasso(
@@ -356,13 +354,12 @@ def prune_blocks(
         for layer, mask, v in zip(net.layers, masks, vel):
             n_tiles = mask.size
             quota = int(round(n_tiles * quota_fraction))
-            tv = tile_view(layer.w, m2, n2)
-            norms = np.sqrt(np.einsum("abcd,abcd->ac", tv, tv)).ravel()
+            norms = tile_norms(layer.w, m2, n2).ravel()
             order = np.lexsort((np.arange(n_tiles), norms))
             doomed = order[:quota]
             flat = mask.ravel()
             flat[doomed] = False
-            tv *= mask[:, None, :, None]
+            tile_view(layer.w, m2, n2)[:] *= mask[:, None, :, None]
             tile_view(v["w"], m2, n2)[:] *= mask[:, None, :, None]
 
     run_phase(cfg.epochs)

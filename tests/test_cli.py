@@ -133,6 +133,41 @@ def test_dataset_number_field_rejected(tmp_path, capsys, field, value):
     assert err == f"error: dataset.{field}: must be a number, got {value!r}\n"
 
 
+@pytest.mark.parametrize(
+    "path,value,expected",
+    [
+        ("train.shuffle", "false", "a boolean"),
+        ("dataset.classification", "false", "a boolean"),
+        ("select.keep_l1_in_finetune", "false", "a boolean"),
+        ("seed", "abc", "a non-negative integer"),
+        ("dataset.seed", -1, "a non-negative integer"),
+        ("model.init_seed", "abc", "a non-negative integer"),
+        ("select.finetune_epochs", 1.5, "a non-negative integer"),
+        ("train.learning_rate", "0.1", "a number"),
+        ("train.momentum", None, "a number"),
+        ("select.lambda1_init", "x", "a number"),
+    ],
+)
+def test_config_scalar_field_rejected(tmp_path, capsys, path, value, expected):
+    # a wrong scalar type ends with exit code 1 and a one-line message naming
+    # the field; it is never coerced ("false" is not true) or a traceback
+    select = path.startswith("select.")
+    cfg = select_config() if select else teacher_train_config()
+    *parents, key = path.split(".")
+    section = cfg
+    for name in parents:
+        section = section[name]
+    section[key] = value
+    cfg_path = write_config(tmp_path / "c.json", cfg)
+    out = str(tmp_path / "x")
+    if select:
+        argv = ["select-pattern", "--config", cfg_path, "--out", out]
+    else:
+        argv = ["train", "--config", cfg_path, "--method", "kron", "--out", out]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}: must be {expected}, got {value!r}\n"
+
+
 def test_run_info_records_eval_paths(tmp_path):
     # the eval set has 32 rows, where the cost model puts (4,8,2,2) r=2 on
     # the materialized path; the dense baselines report "dense"

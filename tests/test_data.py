@@ -16,7 +16,6 @@ from kronblock import (
     train_test_split,
     write_idx,
 )
-from kronblock.data import export_teacher, load_teacher
 
 
 def write_mnist_fixture(tmp_path, images, labels):
@@ -158,15 +157,6 @@ def test_train_test_split_partitions(rng):
     assert tr.n == 15 and te.n == 5
     combined = np.vstack([tr.x, te.x])
     assert np.array_equal(np.sort(combined, axis=0), np.sort(ds.x, axis=0))
-
-
-def test_teacher_export_roundtrip(tmp_path):
-    ds, teacher = make_teacher_dataset(4, 6, (2, 2), 0.5, 12, noise_sigma=0.05, seed=4)
-    export_teacher(tmp_path / "teach", ds, teacher)
-    ds2, teacher2 = load_teacher(tmp_path / "teach")
-    assert np.array_equal(ds.x, ds2.x)
-    assert np.array_equal(ds.y, ds2.y)
-    assert np.array_equal(teacher, teacher2)
 
 
 def test_dataset_validation(rng):

@@ -205,18 +205,67 @@ def test_unknown_tag_rejected():
         instrumented_count("nonsense")
 
 
-def test_counted_pipeline_computes_real_values(rng):
-    # the instrumented run is a genuine execution: its residual must equal the
-    # uncounted pipeline's output minus the target
-    from kronblock.flops import counted_kron_forward
+def test_counted_pipeline_computes_real_values():
+    # the instrumented run is a genuine execution: for every tag its residual
+    # must equal the uncounted network's output minus the target
+    from kronblock.cli import flop_audit_case
+    from kronblock.network import Layer, Network, dense_spec, kron_spec
 
-    shape = KronShape(2, 3, 2, 4, 2)
-    f = random_dense_factor(shape, rng)
-    x = rng.standard_normal((3, shape.n))
-    y = rng.standard_normal((3, shape.m))
-    got = counted_kron_forward(f, x, y)
-    o, _ = kb.forward(f, x)
-    assert np.max(np.abs(got["diff"] - (o - y))) <= 1e-12
+    for section in (
+        {"kind": "dense", "m": 3, "n": 4},
+        {"kind": "kron", "shape": [2, 3, 2, 4], "rank": 2},
+        {"kind": "two_layer_dense", "d_in": 5, "d_hidden": 6, "d_out": 3},
+        {"kind": "two_layer_kron", "shape1": [2, 3, 3, 2], "rank1": 2,
+         "shape2": [2, 2, 3, 3], "rank2": 2},
+    ):
+        _, prefix, inputs = flop_audit_case({"batch": 3, "seed": 4, **section})
+        layers = fl._TAGS[prefix](inputs)
+        _, diff = fl.counted_forward(layers, inputs["x"], inputs["y"])
+        net = Network([
+            Layer(kron_spec(w.shape, act), factor=w) if isinstance(w, kb.KronFactor)
+            else Layer(dense_spec(*w.shape, act), w=w)
+            for w, act in layers
+        ])
+        o, _ = kb.net_forward(net, inputs["x"])
+        assert np.max(np.abs(diff - (o - inputs["y"]))) <= 1e-12
+
+
+@given(seed=st.integers(0, 2**31))
+@settings(max_examples=40, deadline=None)
+def test_counted_walk_matches_network_flops(seed):
+    # mixed dense/kron nets of 1-3 layers with every activation: the counted
+    # walk over the net's own weights equals the metric fields' accounting
+    from kronblock.network import (
+        ACTIVATIONS,
+        build_network,
+        dense_spec,
+        kron_spec,
+        network_backward_flops,
+        network_forward_flops,
+    )
+
+    r = np.random.default_rng(seed)
+    specs, d_in = [], int(r.integers(1, 13))
+    for _ in range(int(r.integers(1, 4))):
+        act = ACTIVATIONS[int(r.integers(len(ACTIVATIONS)))]
+        if r.random() < 0.5:
+            n1 = int(r.choice([d for d in range(1, d_in + 1) if d_in % d == 0]))
+            shape = KronShape(int(r.integers(1, 5)), n1, int(r.integers(1, 5)), d_in // n1,
+                              int(r.integers(1, 4)))
+            specs.append(kron_spec(shape, act))
+        else:
+            specs.append(dense_spec(int(r.integers(1, 13)), d_in, act))
+        d_in = specs[-1].out_dim
+    net = build_network(specs, seed=seed)
+    n = int(r.integers(1, 5))
+    x = r.standard_normal((n, net.in_dim))
+    y = r.standard_normal((n, net.out_dim))
+    layers = [
+        (layer.factor if layer.spec.kind == "kron" else layer.w, layer.spec.activation)
+        for layer in net.layers
+    ]
+    assert fl.counted_forward(layers, x, y)[0] == network_forward_flops(net, n)
+    assert fl.counted_backward(layers, x, y) == network_backward_flops(net, n)
 
 
 def test_network_flops_match_two_layer_reports():
@@ -401,7 +450,7 @@ def test_bench_flops_script_writes_schema(tmp_path):
     assert len(result["rows"]) == 10
     for row in result["rows"]:
         assert set(row) == {"config", "tag", "analytic_flops", "median_s", "iqr_s", "repeats"}
-        assert row["tag"] in fl._TAGS
+        assert row["tag"] in fl.TAGS
         assert row["repeats"] == 2
         assert row["median_s"] >= 0.0 and row["iqr_s"] >= 0.0
 

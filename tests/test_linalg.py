@@ -4,8 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kronblock import (
-    BlockIndexMaps,
-    extract_block,
     fold_input,
     fold_mid,
     fold_output,
@@ -114,13 +112,13 @@ def test_fold_output_roundtrip(n, m1, m2, seed):
 
 
 def test_three_sample_batch_roundtrips(rng):
-    maps = BlockIndexMaps(n1=4, n2=3, m1=2, m2=5, batch=3)
+    # n1=4, n2=3, m1=2, m2=5 at batch 3
     x = rng.standard_normal((3, 12))
-    assert np.array_equal(maps.unfold_input(maps.fold_input(x)), x)
+    assert np.array_equal(unfold_input(fold_input(x, 4, 3), 4), x)
     v = rng.standard_normal((5, 12))
-    assert np.array_equal(maps.unfold_mid(maps.fold_mid(v)), v)
+    assert np.array_equal(unfold_mid(fold_mid(v, 4), 5), v)
     o = rng.standard_normal((15, 2))
-    assert np.array_equal(maps.unfold_output(maps.fold_output(o)), o)
+    assert np.array_equal(unfold_output(fold_output(o, 5), 5), o)
 
 
 def test_fold_index_formula(rng):
@@ -139,8 +137,6 @@ def test_fold_dimension_errors():
         fold_input(np.ones((2, 5)), 2, 2)
     with pytest.raises(ValueError):
         unfold_mid(np.ones((5, 3)), 2)
-    with pytest.raises(ValueError):
-        BlockIndexMaps(n1=0, n2=1, m1=1, m2=1, batch=1)
 
 
 @given(seed=st.integers(0, 2**31))
@@ -156,31 +152,3 @@ def test_kron_apply_via_folds_matches_dense(seed):
     dense = x @ kron(a, b).T
     piped = fold_output(fold_mid(b @ fold_input(x, n1, n2), n1) @ a.T, m2)
     assert np.max(np.abs(dense - piped)) <= 1e-12
-
-
-def test_extract_block_kron_tiles(rng):
-    a = rng.standard_normal((2, 3))
-    b = rng.standard_normal((4, 2))
-    w = kron(a, b)
-    for i1 in range(2):
-        for j1 in range(3):
-            assert np.array_equal(extract_block(w, (2, 3, 4, 2), i1, j1), a[i1, j1] * b)
-
-
-def test_extract_block_zero_matrix():
-    assert np.array_equal(extract_block(np.zeros((4, 4)), (2, 2, 2, 2), 1, 1), np.zeros((2, 2)))
-
-
-def test_extract_block_reassembles(rng):
-    w = rng.standard_normal((4, 6))
-    shape = (2, 3, 2, 2)
-    rebuilt = np.zeros_like(w)
-    for i1 in range(2):
-        for j1 in range(3):
-            rebuilt[i1 * 2 : (i1 + 1) * 2, j1 * 2 : (j1 + 1) * 2] = extract_block(w, shape, i1, j1)
-    assert np.array_equal(rebuilt, w)
-
-
-def test_extract_block_out_of_range(rng):
-    with pytest.raises(IndexError):
-        extract_block(np.ones((4, 4)), (2, 2, 2, 2), 2, 0)
