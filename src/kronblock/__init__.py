@@ -21,6 +21,7 @@ from .factor import (
     KronGradient,
     KronShape,
     backward,
+    backward_params,
     count_params,
     forward,
     load_factor,
@@ -62,6 +63,7 @@ from .network import (
     kron_spec,
     load_network,
     net_backward,
+    net_backward_params,
     net_forward,
     net_predict,
     save_network,

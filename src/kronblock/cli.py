@@ -242,8 +242,11 @@ def build_dataset(ds_cfg: dict, seed: int) -> tuple[Dataset, Dataset | None]:
                 f"dataset.dir: MNIST files not found under "
                 f"{ds_cfg.get('dir') or default_data_dir()}"
             )
-        train = load_idx(paths["train_images"], paths["train_labels"])
-        test = load_idx(paths["test_images"], paths["test_labels"])
+        try:
+            train = load_idx(paths["train_images"], paths["train_labels"])
+            test = load_idx(paths["test_images"], paths["test_labels"])
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"dataset: {exc}") from exc
         limit = ds_cfg.get("limit")
         if limit is not None:
             limit = _positive_int(limit, "dataset.limit")

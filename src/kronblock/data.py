@@ -11,11 +11,14 @@ so round trips are lossless.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+from .factor import check_payload
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -111,8 +114,9 @@ def read_idx(path) -> np.ndarray:
             raise IdxBadMagicError(f"{path}: bad magic {(zeros, dtype_code, ndim)}")
         dims = struct.unpack(f">{ndim}I", _read_exact(fh, 4 * ndim, path))
         dtype = _IDX_DTYPES[dtype_code]
-        count = int(np.prod(dims)) if dims else 0
-        raw = _read_exact(fh, dtype.itemsize * count, path)
+        size = dtype.itemsize * math.prod(dims) if dims else 0
+        check_payload(fh, size, f"{path}: dims {dims}", IdxTruncatedError)
+        raw = _read_exact(fh, size, path)
         if fh.read(1):
             raise IdxFormatError(f"{path}: trailing bytes after payload")
     return np.frombuffer(raw, dtype=dtype).reshape(dims).astype(dtype.newbyteorder("="))
@@ -143,7 +147,9 @@ def load_idx(images_path, labels_path) -> Dataset:
                 f"{images_path}: bad magic {magic:#010x}, expected {IDX_IMAGE_MAGIC:#010x}"
             )
         count, rows, cols = struct.unpack(">3I", _read_exact(fh, 12, images_path))
-        raw = _read_exact(fh, count * rows * cols, images_path)
+        size = count * rows * cols
+        check_payload(fh, size, f"{images_path}: dims {(count, rows, cols)}", IdxTruncatedError)
+        raw = _read_exact(fh, size, images_path)
     images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
 
     with open(labels_path, "rb") as fh:
@@ -153,6 +159,7 @@ def load_idx(images_path, labels_path) -> Dataset:
                 f"{labels_path}: bad magic {magic:#010x}, expected {IDX_LABEL_MAGIC:#010x}"
             )
         label_count = struct.unpack(">I", _read_exact(fh, 4, labels_path))[0]
+        check_payload(fh, label_count, f"{labels_path}: dims {(label_count,)}", IdxTruncatedError)
         label_raw = _read_exact(fh, label_count, labels_path)
     if label_count != count:
         raise IdxCountMismatchError(

@@ -5,9 +5,11 @@ mask ``S`` and the ``A_i`` are ``m1 x n1``, the ``B_i`` are ``m2 x n2``, and
 entry ``S[i1, j1]`` gates exactly tile ``(i1, j1)`` of the materialized
 ``m x n`` weight. Training never materializes the weight: ``forward`` runs
 through the fold maps of :mod:`kronblock.linalg`, and ``backward`` reuses the
-forward intermediates (they are cached, never recomputed). Inference
-(``network.net_predict``) may instead build the weight with ``materialize``
-and run one GEMM, when the cost model counts that as no dearer.
+forward intermediates (they are cached, never recomputed). ``backward_params``
+is ``backward`` without the input gradient, which training skips for the
+first layer of a network. Inference (``network.net_predict``) may instead
+build the weight with ``materialize`` and run one GEMM, when the cost model
+counts that as no dearer.
 """
 
 from __future__ import annotations
@@ -162,24 +164,18 @@ def forward(factor: KronFactor, x: np.ndarray) -> tuple[np.ndarray, KronForwardC
 
 @dataclass
 class KronGradient:
-    """Gradients for one factored layer plus the input gradient for backprop."""
+    """Gradients for one factored layer plus the input gradient for backprop
+    (``None`` from ``backward_params``, which does not compute it)."""
 
     d_s: np.ndarray
     d_a: list[np.ndarray]
     d_b: list[np.ndarray]
-    d_x: np.ndarray
+    d_x: np.ndarray | None = None
 
 
-def backward(factor: KronFactor, cache: KronForwardCache, d_out: np.ndarray) -> KronGradient:
-    """Exact closed-form backward pass.
-
-    ``d_out`` is the loss gradient w.r.t. the layer output in N x m layout.
-    Per term i, with G_i the gradient w.r.t. S*A_i:
-      G_i   = unfold_out(dO).T @ mid_i
-      dS    = sum_i G_i * A_i,   dA_i = G_i * S
-      dB_i  = unfold_mid(unfold_out(dO) @ (S*A_i)) @ fold(X).T
-      dX    = unfold_in(sum_i B_i.T @ unfold_mid(...))
-    """
+def _backward(
+    factor: KronFactor, cache: KronForwardCache, d_out: np.ndarray, with_dx: bool
+) -> KronGradient:
     sh = factor.shape
     d_out = as_matrix(d_out, "d_out")
     if d_out.shape != (cache.batch, sh.m):
@@ -197,11 +193,36 @@ def backward(factor: KronFactor, cache: KronForwardCache, d_out: np.ndarray) -> 
         # the sums over rank terms start from the first term: r - 1 adds
         if i == 0:
             d_s = g * factor.a[i]
-            d_xf = factor.b[i].T @ d_mid
+            if with_dx:
+                d_xf = factor.b[i].T @ d_mid
         else:
             d_s += g * factor.a[i]
-            d_xf += factor.b[i].T @ d_mid
-    return KronGradient(d_s, d_a, d_b, unfold_input(d_xf, sh.n1))
+            if with_dx:
+                d_xf += factor.b[i].T @ d_mid
+    return KronGradient(d_s, d_a, d_b, unfold_input(d_xf, sh.n1) if with_dx else None)
+
+
+def backward(factor: KronFactor, cache: KronForwardCache, d_out: np.ndarray) -> KronGradient:
+    """Exact closed-form backward pass.
+
+    ``d_out`` is the loss gradient w.r.t. the layer output in N x m layout.
+    Per term i, with G_i the gradient w.r.t. S*A_i:
+      G_i   = unfold_out(dO).T @ mid_i
+      dS    = sum_i G_i * A_i,   dA_i = G_i * S
+      dB_i  = unfold_mid(unfold_out(dO) @ (S*A_i)) @ fold(X).T
+      dX    = unfold_in(sum_i B_i.T @ unfold_mid(...))
+    """
+    return _backward(factor, cache, d_out, with_dx=True)
+
+
+def backward_params(
+    factor: KronFactor, cache: KronForwardCache, d_out: np.ndarray
+) -> KronGradient:
+    """``backward`` without the input gradient (``d_x`` is ``None``): the same
+    dS, dA_i and dB_i from the same operations in the same order, minus the r
+    GEMMs ``B_i.T @ d_mid``, their r - 1 adds and ``unfold_input``. For the
+    first layer of a network, whose input gradient nothing reads."""
+    return _backward(factor, cache, d_out, with_dx=False)
 
 
 def reconstruct_from_blockwise(w: np.ndarray, block: tuple[int, int]) -> KronFactor:
@@ -274,15 +295,16 @@ def read_exact(fh, size: int, what: str) -> bytes:
     return raw
 
 
-def check_payload(fh, size: int, what: str) -> None:
-    """Raise ValueError naming ``what`` when a header declares ``size`` payload
-    bytes but fewer remain in the seekable file ``fh``; checked before any read,
-    so huge declared dims never reach ``fh.read``."""
+def check_payload(fh, size: int, what: str, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` (a ValueError) naming ``what`` when a header declares
+    ``size`` payload bytes but fewer remain in the seekable file ``fh``; checked
+    before any read, so huge declared dims never reach ``fh.read``. ``size``
+    must be computed with Python ints, which cannot wrap."""
     pos = fh.tell()
     left = fh.seek(0, 2) - pos
     fh.seek(pos)
     if size > left:
-        raise ValueError(f"{what} declare {size} payload bytes, but only {left} remain")
+        raise error(f"{what} declare {size} payload bytes, but only {left} remain")
 
 
 def read_factor(fh) -> KronFactor:

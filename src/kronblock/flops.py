@@ -6,7 +6,8 @@ Two independent routes are kept deliberately separate and compared in tests:
   integers, pre-asymptotic) that ``layers_report`` sums over a layer list;
   every closed form and report below is such a sum, and
 * the *instrumented* counter, which walks a layer list in the order of
-  ``network.net_forward`` / ``network.net_backward`` and executes every
+  ``network.net_forward`` / ``network.net_backward_params`` (the training
+  step: forward, then the backward the trainers run) and executes every
   operation with numpy, one counted helper per operation. Each helper returns
   its result with the flops it cost, derived from the operand shapes: one flop
   per scalar multiply/add/subtract (a multiply-accumulate is two), so a
@@ -26,7 +27,9 @@ Convention notes (required to reproduce the exact totals):
   * relu costs one flop per scalar; its backward mask product costs one flop
     per scalar (the 0/1 mask itself is free); every other activation passes
     its input through at no cost,
-  * the input gradient is counted for every layer but the first,
+  * the input gradient is counted for every layer but the first, as
+    ``network.net_backward_params`` computes it (training never reads the
+    gradient w.r.t. the network input),
   * comparisons, reshapes and folds cost nothing,
   * parameter updates are one flop per trainable A/B parameter for factored
     layers (r*(m1*n1 + m2*n2)) and m*n for a dense layer.
@@ -147,7 +150,7 @@ def _layer_pieces(n_batch: int, layer, with_dx: bool):
 def layers_report(n_batch: int, layers: list) -> FlopReport:
     """Exact flops of one training step of a model given as ``(dims,
     activation)`` pairs (``dims`` a ``KronShape`` or a dense ``(m, n)``), in
-    the order ``network.net_forward`` and ``net_backward`` run.
+    the order ``network.net_forward`` and ``net_backward_params`` run.
 
     Breakdown keys are ``forward.<piece>`` and ``backward.<piece>``, with the
     piece prefixed ``layer<i>.`` when the model has more than one layer; relu
@@ -373,8 +376,9 @@ def counted_forward(layers: list, x, y) -> tuple[int, np.ndarray]:
 
 def counted_backward(layers: list, x, y) -> int:
     """Counted backward pass of ``(weight, activation)`` layers after their
-    forward pass and squared loss, in ``net_backward`` order: the flops from
-    the seed on. The first layer's input gradient is not computed."""
+    forward pass and squared loss: the flops from the seed on. The walk
+    mirrors ``network.net_backward_params``, the backward that trains: same
+    layer order, and no input gradient for the first layer."""
     diff, saved = _walk_forward(layers, x, y, _Tally())
     tally = _Tally()
     d_act = tally(_counted_scale(diff, 2.0))

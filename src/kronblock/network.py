@@ -8,6 +8,10 @@ latter passes logits through and defers the softmax to the loss/metrics.
 The squared Frobenius loss is the unnormalized sum over the batch; the
 softmax cross-entropy gradient seed is normalized by the batch size so the
 learning-rate scale is batch-size invariant.
+
+Training runs ``net_forward`` then ``net_backward_params``, which skips the
+gradient w.r.t. the network input (the trainers never read it);
+``net_backward`` also returns that gradient.
 """
 
 from __future__ import annotations
@@ -194,7 +198,7 @@ class NetCache:
 @dataclass
 class DenseGradient:
     d_w: np.ndarray
-    d_x: np.ndarray
+    d_x: np.ndarray | None = None
 
 
 def _net_input(net: Network, x) -> np.ndarray:
@@ -210,7 +214,7 @@ def _activate(layer: Layer, pre: np.ndarray) -> np.ndarray:
 
 def net_forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, NetCache]:
     """Training forward: every factored layer takes the fold path, and the
-    cache holds what ``net_backward`` reuses."""
+    cache holds what ``net_backward``/``net_backward_params`` reuse."""
     x = _net_input(net, x)
     cache = NetCache()
     cur = x
@@ -253,10 +257,7 @@ def net_predict(net: Network, x: np.ndarray) -> np.ndarray:
     return cur
 
 
-def net_backward(
-    net: Network, cache: NetCache, target, loss_kind: str
-) -> tuple[float, list, np.ndarray]:
-    """Loss value, per-layer gradients, and the gradient w.r.t. the input."""
+def _backward(net: Network, cache: NetCache, target, loss_kind: str, first_dx: bool):
     if cache.output is None or len(cache.layers) != len(net.layers):
         raise ValueError("cache does not match network")
     loss, d_act = loss_and_seed(cache.output, target, loss_kind)
@@ -265,14 +266,34 @@ def net_backward(
         layer = net.layers[idx]
         lc = cache.layers[idx]
         d_pre = d_act * (lc.pre > 0.0) if layer.spec.activation == "relu" else d_act
+        with_dx = first_dx or idx > 0
         if layer.spec.kind == "kron":
-            g = kf.backward(layer.factor, lc.fcache, d_pre)
-            grads[idx] = g
-            d_act = g.d_x
+            layer_backward = kf.backward if with_dx else kf.backward_params
+            grads[idx] = layer_backward(layer.factor, lc.fcache, d_pre)
         else:
-            grads[idx] = DenseGradient(d_w=d_pre.T @ lc.x_in, d_x=d_pre @ layer.w)
-            d_act = grads[idx].d_x
+            grads[idx] = DenseGradient(
+                d_w=d_pre.T @ lc.x_in, d_x=d_pre @ layer.w if with_dx else None
+            )
+        d_act = grads[idx].d_x
     return loss, grads, d_act
+
+
+def net_backward(
+    net: Network, cache: NetCache, target, loss_kind: str
+) -> tuple[float, list, np.ndarray]:
+    """Loss value, per-layer gradients, and the gradient w.r.t. the input."""
+    return _backward(net, cache, target, loss_kind, first_dx=True)
+
+
+def net_backward_params(
+    net: Network, cache: NetCache, target, loss_kind: str
+) -> tuple[float, list]:
+    """Loss value and per-layer gradients: the training backward. It is
+    ``net_backward`` without the gradient w.r.t. the network input (the first
+    layer's gradient has ``d_x`` None); every other value comes from the same
+    operations in the same order, so the gradients are bit-identical."""
+    loss, grads, _ = _backward(net, cache, target, loss_kind, first_dx=False)
+    return loss, grads
 
 
 def evaluate(net: Network, x: np.ndarray, labels, loss_kind: str = "softmax_cross_entropy") -> dict:
@@ -323,8 +344,9 @@ def network_forward_flops(net: Network, n_batch: int) -> int:
 
 
 def network_backward_flops(net: Network, n_batch: int) -> int:
-    """Analytic backward flops for one batch (seed, per-layer gradients, input
-    gradients for all but the first layer, relu mask products)."""
+    """Analytic backward flops for one batch of ``net_backward_params``, the
+    training backward (seed, per-layer gradients, input gradients for all but
+    the first layer, relu mask products)."""
     return fl.layers_report(n_batch, _flop_layers(net)).backward
 
 

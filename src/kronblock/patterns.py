@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import Dataset, batches
 from .factor import KronShape, count_params
-from .network import Network, build_network, kron_spec, net_backward, net_forward
+from .network import Network, build_network, kron_spec, net_backward_params, net_forward
 from .shapeopt import divisors
 from .train import (
     MetricRecord,
@@ -199,7 +199,7 @@ def select_pattern(pset: PatternSet, data: Dataset, cfg: SelectConfig) -> Select
         for xb, tb in batches(data, tcfg.batch_size, tcfg.shuffle, seed=(tcfg.seed, epoch)):
             for net, vel in zip(pset.nets, vels):
                 _, cache = net_forward(net, xb)
-                loss, grads, _ = net_backward(net, cache, tb, tcfg.loss)
+                loss, grads = net_backward_params(net, cache, tb, tcfg.loss)
                 _guard(loss)
                 sgd_step(net, grads, vel, tcfg, prox_l1=False)
                 _pattern_prox(net, tcfg.learning_rate, lam1, lam2)

@@ -23,7 +23,7 @@ from .network import (  # noqa: F401
     count_network_params,
     evaluate,
     loss_and_seed,
-    net_backward,
+    net_backward_params,
     net_forward,
     net_predict,
     network_backward_flops,
@@ -222,7 +222,7 @@ def _epoch_pass(net, data, cfg, epoch, vel, prox_l1=True, grad_hook=None, post_s
     losses = []
     for xb, tb in batches(data, cfg.batch_size, cfg.shuffle, seed=(cfg.seed, epoch)):
         _, cache = net_forward(net, xb)
-        loss, grads, _ = net_backward(net, cache, tb, cfg.loss)
+        loss, grads = net_backward_params(net, cache, tb, cfg.loss)
         _guard(loss)
         losses.append(loss)
         if grad_hook is not None:

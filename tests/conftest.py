@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kronblock import KronShape, random_factor
+from kronblock.network import ACTIVATIONS, build_network, dense_spec, kron_spec
 
 
 @pytest.fixture
@@ -60,3 +61,20 @@ def finite_diff(loss_fn, arr, h=1e-5):
         arr[idx] = orig
         grad[idx] = (up - down) / (2.0 * h)
     return grad
+
+
+def random_mixed_net(r, seed):
+    """Network of 1-3 layers, each kron or dense with a random activation,
+    with small random dims; weights drawn from ``seed``."""
+    specs, d_in = [], int(r.integers(1, 13))
+    for _ in range(int(r.integers(1, 4))):
+        act = ACTIVATIONS[int(r.integers(len(ACTIVATIONS)))]
+        if r.random() < 0.5:
+            n1 = int(r.choice([d for d in range(1, d_in + 1) if d_in % d == 0]))
+            shape = KronShape(int(r.integers(1, 5)), n1, int(r.integers(1, 5)), d_in // n1,
+                              int(r.integers(1, 4)))
+            specs.append(kron_spec(shape, act))
+        else:
+            specs.append(dense_spec(int(r.integers(1, 13)), d_in, act))
+        d_in = specs[-1].out_dim
+    return build_network(specs, seed=seed)

@@ -113,6 +113,31 @@ def test_missing_dataset_path_fails_validation(tmp_path):
     assert rc != 0
 
 
+@pytest.mark.parametrize("kind", ["idx", "mnist"])
+def test_oversize_idx_dims_exit_1(tmp_path, capsys, kind):
+    # IDX dims whose payload exceeds sys.maxsize end in exit code 1 and a
+    # message naming the dims, never a traceback
+    import struct
+
+    big = 2**32 - 1
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    for prefix in ("train", "t10k"):
+        (data_dir / f"{prefix}-images-idx3-ubyte").write_bytes(
+            struct.pack(">IIII", 0x00000803, big, big, big))
+        (data_dir / f"{prefix}-labels-idx1-ubyte").write_bytes(
+            struct.pack(">II", 0x00000801, 1) + b"\x00")
+    cfg = teacher_train_config()
+    cfg["dataset"] = {"kind": "mnist", "dir": str(data_dir)} if kind == "mnist" else {
+        "kind": "idx",
+        "images": str(data_dir / "train-images-idx3-ubyte"),
+        "labels": str(data_dir / "train-labels-idx1-ubyte"),
+    }
+    path = write_config(tmp_path / "c.json", cfg)
+    assert main(["train", "--config", path, "--method", "kron", "--out", str(tmp_path / "x")]) == 1
+    assert f"dims ({big}, {big}, {big})" in capsys.readouterr().err
+
+
 def test_unknown_config_field_rejected(tmp_path, capsys):
     cfg = teacher_train_config()
     cfg["train"]["lerning_rate"] = 0.1

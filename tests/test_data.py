@@ -1,4 +1,5 @@
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from kronblock import (
     Dataset,
     IdxBadMagicError,
     IdxCountMismatchError,
+    IdxFormatError,
     IdxTruncatedError,
     batches,
     load_idx,
@@ -69,6 +71,45 @@ def test_load_idx_count_mismatch(tmp_path):
     lab.write_bytes(struct.pack(">II", 0x00000801, 1) + b"\x03")
     with pytest.raises(IdxCountMismatchError):
         load_idx(img, lab)
+
+
+BIG = 2**32 - 1  # largest u32 dim: three of them overflow sys.maxsize
+
+
+def test_load_idx_oversize_dims_rejected_before_read(tmp_path):
+    # the declared payload is checked against the file before any read, so
+    # dims whose byte count exceeds sys.maxsize end in an IdxFormatError that
+    # names them
+    img = tmp_path / "img.idx"
+    img.write_bytes(struct.pack(">IIII", 0x00000803, BIG, BIG, BIG))
+    lab = tmp_path / "lab.idx"
+    lab.write_bytes(struct.pack(">II", 0x00000801, 2) + b"\x00\x01")
+    assert BIG**3 > sys.maxsize
+    with pytest.raises(IdxTruncatedError, match=rf"dims \({BIG}, {BIG}, {BIG}\) declare {BIG**3}"):
+        load_idx(img, lab)
+
+
+def test_load_idx_label_count_beyond_file_names_dims(tmp_path):
+    # a u32 label count never exceeds sys.maxsize, so the label check is shown
+    # with a small declared count
+    images = np.zeros((2, 2, 2), dtype=np.uint8)
+    img, _ = write_mnist_fixture(tmp_path, images, np.array([0, 1], dtype=np.uint8))
+    lab = tmp_path / "long.idx"
+    lab.write_bytes(struct.pack(">II", 0x00000801, 1000) + b"\x00\x01")
+    with pytest.raises(IdxTruncatedError, match=r"dims \(1000,\) declare 1000 payload bytes, but only 2"):
+        load_idx(img, lab)
+
+
+@pytest.mark.parametrize("dims,code", [((2**31, 2**31, 4), 0x08), ((BIG, BIG, 4), 0x0D)])
+def test_read_idx_oversize_dims_rejected(tmp_path, dims, code):
+    # in int64 the element counts wrap, to 0 and to a negative number; the
+    # byte count must be a Python int
+    size = (1 if code == 0x08 else 8) * dims[0] * dims[1] * dims[2]
+    assert size > sys.maxsize
+    path = tmp_path / "big.idx"
+    path.write_bytes(struct.pack(">HBB3I", 0, code, 3, *dims) + b"\x00" * 16)
+    with pytest.raises(IdxFormatError, match=rf"dims \({dims[0]}, {dims[1]}, {dims[2]}\) declare {size}"):
+        read_idx(path)
 
 
 def test_idx_roundtrip_lossless(tmp_path, rng):

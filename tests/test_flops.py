@@ -26,7 +26,7 @@ from kronblock.flops import (
     two_layer_kron_report,
 )
 
-from conftest import random_dense_factor, random_shape
+from conftest import random_dense_factor, random_mixed_net, random_shape
 
 
 def test_dense_forward_closed_form():
@@ -235,28 +235,10 @@ def test_counted_pipeline_computes_real_values():
 def test_counted_walk_matches_network_flops(seed):
     # mixed dense/kron nets of 1-3 layers with every activation: the counted
     # walk over the net's own weights equals the metric fields' accounting
-    from kronblock.network import (
-        ACTIVATIONS,
-        build_network,
-        dense_spec,
-        kron_spec,
-        network_backward_flops,
-        network_forward_flops,
-    )
+    from kronblock.network import network_backward_flops, network_forward_flops
 
     r = np.random.default_rng(seed)
-    specs, d_in = [], int(r.integers(1, 13))
-    for _ in range(int(r.integers(1, 4))):
-        act = ACTIVATIONS[int(r.integers(len(ACTIVATIONS)))]
-        if r.random() < 0.5:
-            n1 = int(r.choice([d for d in range(1, d_in + 1) if d_in % d == 0]))
-            shape = KronShape(int(r.integers(1, 5)), n1, int(r.integers(1, 5)), d_in // n1,
-                              int(r.integers(1, 4)))
-            specs.append(kron_spec(shape, act))
-        else:
-            specs.append(dense_spec(int(r.integers(1, 13)), d_in, act))
-        d_in = specs[-1].out_dim
-    net = build_network(specs, seed=seed)
+    net = random_mixed_net(r, seed)
     n = int(r.integers(1, 5))
     x = r.standard_normal((n, net.in_dim))
     y = r.standard_normal((n, net.out_dim))
@@ -483,3 +465,45 @@ def test_bench_eval_script_writes_schema(tmp_path):
             assert cell[path]["median_s"] >= 0.0 and cell[path]["iqr_s"] >= 0.0
         assert cell["pick_is_faster"] == (cell["pick"] == cell["faster"])
     assert result["rule_right"] + len(result["rule_wrong"]) == 2
+
+
+def test_bench_train_script_writes_schema(tmp_path):
+    # schema only: timings are noisy, so no bound is placed on them
+    script = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "bench_train.py")
+    out_path = tmp_path / "BENCH_train.json"
+    proc = subprocess.run(
+        [sys.executable, script, "--repeats", "2", "--shape", "8,16,2,2", "--batches", "1,64",
+         "--out", str(out_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out_path.read_text())
+    assert set(result) == {"benchmark", "rank", "repeats", "seed", "environment", "cells"}
+    assert {"blas", "blas_version", "blas_threads"} <= set(result["environment"])
+    assert [c["batch"] for c in result["cells"]] == [1, 64]
+    shape = KronShape(8, 16, 2, 2, 2)
+    for cell in result["cells"]:
+        assert set(cell) == {"shape", "r", "m", "n", "batch", "kron", "dense"}
+        assert cell["shape"] == [8, 16, 2, 2] and cell["r"] == 2
+        n = cell["batch"]
+        want = {
+            "kron": {
+                "forward": fl.kron_forward_matmul_flops(n, shape),
+                "backward_dx": sum(fl._kron_backward_pieces(n, shape, True).values()),
+                "backward": sum(fl._kron_backward_pieces(n, shape, False).values()),
+                "update": kron_update_flops(shape),
+            },
+            "dense": {
+                "forward": n * 16 * (2 * 32 - 1),
+                "backward_dx": 16 * 32 * (2 * n - 1) + n * 32 * (2 * 16 - 1),
+                "backward": 16 * 32 * (2 * n - 1),
+                "update": 16 * 32,
+            },
+        }
+        for kind, parts in want.items():
+            assert list(cell[kind]) == list(parts)
+            for part, flops in parts.items():
+                row = cell[kind][part]
+                assert set(row) == {"flops", "median_s", "iqr_s", "gflops"}
+                assert row["flops"] == flops
+                assert row["median_s"] >= 0.0 and row["iqr_s"] >= 0.0

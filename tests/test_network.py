@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kronblock as kb
 from kronblock import KronShape
 from kronblock.network import (
+    LOSSES,
     Layer,
     build_network,
     dense_spec,
@@ -12,6 +15,7 @@ from kronblock.network import (
     kron_spec,
     load_network,
     net_backward,
+    net_backward_params,
     net_forward,
     net_predict,
     save_network,
@@ -19,7 +23,7 @@ from kronblock.network import (
     softmax_cross_entropy,
 )
 
-from conftest import finite_diff, rel_err
+from conftest import finite_diff, random_mixed_net, rel_err
 
 
 def two_layer_net(rng, loss="squared_frobenius", act="relu", kinds=("kron", "kron")):
@@ -133,6 +137,40 @@ def test_full_network_gradient_check(rng, kinds, act, loss):
     for arr, g in zip(_net_params(net), _net_grads(grads)):
         assert rel_err(g, finite_diff(loss_fn, arr)) <= 1e-6
     assert rel_err(dx, finite_diff(loss_fn, x)) <= 1e-6
+
+
+@given(seed=st.integers(0, 2**31))
+@settings(max_examples=40, deadline=None)
+def test_training_backward_matches_net_backward(seed):
+    # mixed dense/kron nets of 1-3 layers, every activation, both losses: the
+    # training backward differs from net_backward only by the input gradient
+    # it skips, so every loss and parameter gradient is bit-identical
+    r = np.random.default_rng(seed)
+    net = random_mixed_net(r, seed)
+    n = int(r.integers(1, 6))
+    x = r.standard_normal((n, net.in_dim))
+    _, cache = net_forward(net, x)
+    for loss in LOSSES:
+        if loss == "squared_frobenius":
+            target = r.standard_normal((n, net.out_dim))
+        else:
+            target = r.integers(0, net.out_dim, size=n)
+        want_loss, want, _ = net_backward(net, cache, target, loss)
+        got_loss, got = net_backward_params(net, cache, target, loss)
+        assert got_loss == want_loss
+        assert got[0].d_x is None
+        for g_got, g_want in zip(got[1:], want[1:]):
+            assert np.array_equal(g_got.d_x, g_want.d_x)
+        for a, b in zip(_net_grads(got), _net_grads(want), strict=True):
+            assert np.array_equal(a, b)
+    for layer, lc in zip(net.layers, cache.layers):
+        if layer.spec.kind == "kron":
+            d_out = r.standard_normal(lc.pre.shape)
+            want = kb.backward(layer.factor, lc.fcache, d_out)
+            got = kb.backward_params(layer.factor, lc.fcache, d_out)
+            assert got.d_x is None
+            for a, b in zip(_net_grads([got]), _net_grads([want]), strict=True):
+                assert np.array_equal(a, b)
 
 
 def test_relu_dead_unit_blocks_gradient(rng):

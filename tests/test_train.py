@@ -393,3 +393,37 @@ def test_benchmark_tracer_installs_and_traces_eval(monkeypatch):
         tracer.uninstall()
     assert got == want
     assert tracer.totals()["train.eval"]["calls"] == 1
+
+
+def test_training_skips_first_layer_input_gradient(monkeypatch):
+    # a factored layer's input gradient ends in unfold_input; training never
+    # asks for the gradient w.r.t. the network input, so only the second layer
+    # of a two-layer net computes one, once per step
+    from kronblock import factor as kf
+    from kronblock.patterns import SelectConfig, build_pattern_set, select_pattern
+
+    calls = []
+    unfold_input = kf.unfold_input
+
+    def spy(*args):
+        calls.append(1)
+        return unfold_input(*args)
+
+    monkeypatch.setattr(kf, "unfold_input", spy)
+    ds, _ = make_teacher_dataset(4, 8, (2, 2), 0.5, 40, seed=1, classification=True)
+    cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=0.05, seed=4)
+    steps = cfg.epochs * 3  # 40 rows in batches of 16
+
+    train_kron(build_network([kron_spec(KronShape(2, 4, 2, 2, 2))], seed=2), ds, cfg)
+    assert calls == []
+    pset = build_pattern_set([(4, 8)], [[(2, 2)], [(2, 4)]], rank=2, seed=3)
+    select_pattern(pset, ds, SelectConfig(
+        train=cfg, increment_period_epochs=1, max_epochs=2, finetune_epochs=1))
+    assert calls == []
+
+    two = build_network(
+        [kron_spec(KronShape(2, 4, 2, 2, 2), "relu"), kron_spec(KronShape(2, 2, 2, 2, 2))],
+        seed=2,
+    )
+    train_kron(two, ds, cfg)
+    assert len(calls) == steps
