@@ -96,6 +96,14 @@ def _require(cfg: dict, key: str, path: str):
     return cfg[key]
 
 
+def _section(cfg: dict, key: str) -> dict:
+    """The required top-level section ``cfg[key]``, which must be an object."""
+    value = _require(cfg, key, "config")
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key}: must be an object")
+    return value
+
+
 def _check_keys(cfg: dict, allowed: set[str], path: str) -> None:
     unknown = set(cfg) - allowed
     if unknown:
@@ -149,13 +157,20 @@ def _parse_block(value, path: str) -> tuple[int, int]:
     return int(value[0]), int(value[1])
 
 
+def _parse_shape(section: dict, key: str, rank_key: str, path: str) -> KronShape:
+    """``section[key]`` as ``[m1, n1, m2, n2]`` with the rank
+    ``section[rank_key]`` (default 1); ``path`` names the section."""
+    sh = _require(section, key, path)
+    if not isinstance(sh, list) or len(sh) != 4:
+        raise ConfigError(f"{path}.{key}: must be [m1, n1, m2, n2]")
+    rank = _positive_int(section.get(rank_key, 1), f"{path}.{rank_key}")
+    return KronShape(*(_positive_int(v, f"{path}.{key}") for v in sh), rank)
+
+
 def _layer_shape(layer: dict, path: str) -> KronShape:
-    rank = _positive_int(layer.get("rank", 1), f"{path}.rank")
     if "shape" in layer:
-        sh = layer["shape"]
-        if not isinstance(sh, list) or len(sh) != 4:
-            raise ConfigError(f"{path}.shape: must be [m1, n1, m2, n2]")
-        return KronShape(*(_positive_int(v, f"{path}.shape") for v in sh), rank)
+        return _parse_shape(layer, "shape", "rank", path)
+    rank = _positive_int(layer.get("rank", 1), f"{path}.rank")
     m = _positive_int(_require(layer, "m", path), f"{path}.m")
     n = _positive_int(_require(layer, "n", path), f"{path}.n")
     m2, n2 = _parse_block(_require(layer, "block", path), f"{path}.block")
@@ -164,18 +179,27 @@ def _layer_shape(layer: dict, path: str) -> KronShape:
     return KronShape(m // m2, n // n2, m2, n2, rank)
 
 
-def build_model(model_cfg: dict, seed: int, force_dense: bool = False) -> Network:
-    _check_keys(model_cfg, {"layers", "init_seed"}, "model")
+def _model_layers(model_cfg: dict, model_keys: set[str], layer_keys: set[str]):
+    """Check the keys of the ``model`` section, then yield ``(path, layer)``
+    per layer with the layer's keys checked."""
+    _check_keys(model_cfg, model_keys, "model")
     layers_cfg = _require(model_cfg, "layers", "model")
     if not isinstance(layers_cfg, list) or not layers_cfg:
         raise ConfigError("model.layers: must be a non-empty list")
-    init_seed = _nonnegative_int(model_cfg.get("init_seed", seed), "model.init_seed")
-    specs = []
     for idx, layer in enumerate(layers_cfg):
         path = f"model.layers[{idx}]"
         if not isinstance(layer, dict):
             raise ConfigError(f"{path}: must be an object")
-        _check_keys(layer, {"kind", "activation", "shape", "rank", "m", "n", "block"}, path)
+        _check_keys(layer, layer_keys, path)
+        yield path, layer
+
+
+def build_model(model_cfg: dict, seed: int, force_dense: bool = False) -> Network:
+    specs = []
+    for path, layer in _model_layers(
+        model_cfg, {"layers", "init_seed"},
+        {"kind", "activation", "shape", "rank", "m", "n", "block"},
+    ):
         kind = _require(layer, "kind", path)
         activation = layer.get("activation", "identity")
         if activation not in ACTIVATIONS:
@@ -192,6 +216,7 @@ def build_model(model_cfg: dict, seed: int, force_dense: bool = False) -> Networ
             specs.append(dense_spec(m, n, activation))
         else:
             raise ConfigError(f"{path}.kind: must be 'kron' or 'dense', got {kind!r}")
+    init_seed = _nonnegative_int(model_cfg.get("init_seed", seed), "model.init_seed")
     try:
         return build_network(specs, seed=init_seed)
     except ValueError as exc:
@@ -349,12 +374,12 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config)
     _check_keys(cfg, {"seed", "dataset", "model", "train"}, "config")
     seed = _config_seed(args, cfg)
-    train_ds, eval_ds = build_dataset(_require(cfg, "dataset", "config"), seed)
-    tcfg = build_train_config(_require(cfg, "train", "config"), seed)
+    train_ds, eval_ds = build_dataset(_section(cfg, "dataset"), seed)
+    tcfg = build_train_config(_section(cfg, "train"), seed)
     train_section = cfg["train"]
     method = args.method
     if method == "kron":
-        net = build_model(_require(cfg, "model", "config"), seed)
+        net = build_model(_section(cfg, "model"), seed)
         try:
             net, records = train_kron(net, train_ds, tcfg, eval_data=eval_ds)
         except ValueError as exc:
@@ -364,7 +389,7 @@ def cmd_train(args) -> int:
         block = _parse_block(_require(train_section, "block", "train"), "train.block")
         target = _number(train_section.get("target_rate", 0.5), "train.target_rate")
         rounds = _positive_int(train_section.get("rounds", 1), "train.rounds")
-        net = build_model(_require(cfg, "model", "config"), seed, force_dense=True)
+        net = build_model(_section(cfg, "model"), seed, force_dense=True)
         try:
             if method == "group-lasso":
                 net, records = train_group_lasso(net, train_ds, tcfg, block, eval_data=eval_ds)
@@ -406,20 +431,16 @@ def cmd_select_pattern(args) -> int:
     cfg = load_config(args.config)
     _check_keys(cfg, {"seed", "dataset", "model", "train", "select"}, "config")
     seed = _config_seed(args, cfg)
-    train_ds, eval_ds = build_dataset(_require(cfg, "dataset", "config"), seed)
-    tcfg = build_train_config(_require(cfg, "train", "config"), seed)
-    select_cfg = _require(cfg, "select", "config")
+    train_ds, eval_ds = build_dataset(_section(cfg, "dataset"), seed)
+    tcfg = build_train_config(_section(cfg, "train"), seed)
+    select_cfg = _section(cfg, "select")
     _check_keys(select_cfg, _SELECT_KEYS, "select")
 
-    model_cfg = _require(cfg, "model", "config")
-    layers_cfg = _require(model_cfg, "layers", "model")
     layer_dims = []
     activations = []
-    for idx, layer in enumerate(layers_cfg):
-        path = f"model.layers[{idx}]"
-        if not isinstance(layer, dict):
-            raise ConfigError(f"{path}: must be an object")
-        _check_keys(layer, {"kind", "activation", "m", "n"}, path)
+    for path, layer in _model_layers(
+        _section(cfg, "model"), {"layers"}, {"kind", "activation", "m", "n"}
+    ):
         if layer.get("kind", "kron") != "kron":
             raise ConfigError(f"{path}.kind: pattern selection factorizes every layer")
         m = _positive_int(_require(layer, "m", path), f"{path}.m")
@@ -540,13 +561,6 @@ def flop_audit_case(section: dict):
     nb = _positive_int(section.get("batch", 1), "flops.batch")
     rng = np.random.default_rng(_nonnegative_int(section.get("seed", 0), "flops.seed"))
 
-    def parse_shape(key: str, rank_key: str) -> KronShape:
-        sh = _require(section, key, "flops")
-        if not isinstance(sh, list) or len(sh) != 4:
-            raise ConfigError(f"flops.{key}: must be [m1, n1, m2, n2]")
-        r = _positive_int(section.get(rank_key, 1), f"flops.{rank_key}")
-        return KronShape(*(_positive_int(v, f"flops.{key}") for v in sh), r)
-
     if kind == "dense":
         m = _positive_int(_require(section, "m", "flops"), "flops.m")
         n = _positive_int(_require(section, "n", "flops"), "flops.n")
@@ -554,7 +568,7 @@ def flop_audit_case(section: dict):
         x, w, y = rng.standard_normal((nb, n)), rng.standard_normal((m, n)), rng.standard_normal((nb, m))
         return report, "dense", {"x": x, "w": w, "y": y}
     if kind == "kron":
-        shape = parse_shape("shape", "rank")
+        shape = _parse_shape(section, "shape", "rank", "flops")
         report = kron_layer_report(nb, shape)
         fac = random_factor(shape, rng)
         x, y = rng.standard_normal((nb, shape.n)), rng.standard_normal((nb, shape.m))
@@ -569,8 +583,8 @@ def flop_audit_case(section: dict):
         y = rng.standard_normal((nb, d_out))
         return report, "two_layer_dense", {"x": x, "w1": w1, "w2": w2, "y": y}
     if kind == "two_layer_kron":
-        s1 = parse_shape("shape1", "rank1")
-        s2 = parse_shape("shape2", "rank2")
+        s1 = _parse_shape(section, "shape1", "rank1", "flops")
+        s2 = _parse_shape(section, "shape2", "rank2", "flops")
         try:
             report = two_layer_kron_report(nb, s1, s2)
         except ValueError as exc:
@@ -584,7 +598,7 @@ def flop_audit_case(section: dict):
 def cmd_flops(args) -> int:
     cfg = load_config(args.config)
     _check_keys(cfg, {"flops"}, "config")
-    report, prefix, inputs = flop_audit_case(_require(cfg, "flops", "config"))
+    report, prefix, inputs = flop_audit_case(_section(cfg, "flops"))
     inst_fwd = instrumented_count(f"{prefix}_forward", **inputs)
     inst_bwd = instrumented_count(f"{prefix}_backward", **inputs)
     payload = {

@@ -106,6 +106,15 @@ def _read_exact(fh, count: int, path) -> bytes:
     return raw
 
 
+def _read_payload(fh, size: int, dims: tuple, path) -> bytes:
+    """The ``size``-byte payload that ``dims`` declare, which must end the file."""
+    check_payload(fh, size, f"{path}: dims {dims}", IdxTruncatedError)
+    raw = _read_exact(fh, size, path)
+    if fh.read(1):
+        raise IdxFormatError(f"{path}: trailing bytes after payload")
+    return raw
+
+
 def read_idx(path) -> np.ndarray:
     """Read any supported IDX container into a numpy array."""
     with open(path, "rb") as fh:
@@ -115,10 +124,7 @@ def read_idx(path) -> np.ndarray:
         dims = struct.unpack(f">{ndim}I", _read_exact(fh, 4 * ndim, path))
         dtype = _IDX_DTYPES[dtype_code]
         size = dtype.itemsize * math.prod(dims) if dims else 0
-        check_payload(fh, size, f"{path}: dims {dims}", IdxTruncatedError)
-        raw = _read_exact(fh, size, path)
-        if fh.read(1):
-            raise IdxFormatError(f"{path}: trailing bytes after payload")
+        raw = _read_payload(fh, size, dims, path)
     return np.frombuffer(raw, dtype=dtype).reshape(dims).astype(dtype.newbyteorder("="))
 
 
@@ -137,8 +143,9 @@ def write_idx(path, arr: np.ndarray) -> None:
 def load_idx(images_path, labels_path) -> Dataset:
     """Load an MNIST-style image/label pair.
 
-    Checks the magic numbers (0x00000803 / 0x00000801), flattens each image
-    row-major and scales pixels to [0, 1] by /255.
+    Checks the magic numbers (0x00000803 / 0x00000801) and that each payload
+    ends its file, flattens each image row-major and scales pixels to [0, 1]
+    by /255.
     """
     with open(images_path, "rb") as fh:
         magic = struct.unpack(">I", _read_exact(fh, 4, images_path))[0]
@@ -147,9 +154,7 @@ def load_idx(images_path, labels_path) -> Dataset:
                 f"{images_path}: bad magic {magic:#010x}, expected {IDX_IMAGE_MAGIC:#010x}"
             )
         count, rows, cols = struct.unpack(">3I", _read_exact(fh, 12, images_path))
-        size = count * rows * cols
-        check_payload(fh, size, f"{images_path}: dims {(count, rows, cols)}", IdxTruncatedError)
-        raw = _read_exact(fh, size, images_path)
+        raw = _read_payload(fh, count * rows * cols, (count, rows, cols), images_path)
     images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
 
     with open(labels_path, "rb") as fh:
@@ -159,8 +164,7 @@ def load_idx(images_path, labels_path) -> Dataset:
                 f"{labels_path}: bad magic {magic:#010x}, expected {IDX_LABEL_MAGIC:#010x}"
             )
         label_count = struct.unpack(">I", _read_exact(fh, 4, labels_path))[0]
-        check_payload(fh, label_count, f"{labels_path}: dims {(label_count,)}", IdxTruncatedError)
-        label_raw = _read_exact(fh, label_count, labels_path)
+        label_raw = _read_payload(fh, label_count, (label_count,), labels_path)
     if label_count != count:
         raise IdxCountMismatchError(
             f"{images_path} has {count} images but {labels_path} has {label_count} labels"

@@ -5,7 +5,9 @@ mask ``S`` and the ``A_i`` are ``m1 x n1``, the ``B_i`` are ``m2 x n2``, and
 entry ``S[i1, j1]`` gates exactly tile ``(i1, j1)`` of the materialized
 ``m x n`` weight. Training never materializes the weight: ``forward`` runs
 through the fold maps of :mod:`kronblock.linalg`, and ``backward`` reuses the
-forward intermediates (they are cached, never recomputed). ``backward_params``
+forward intermediates (they are cached, never recomputed). Every multiply,
+add and subtract runs through the counted ops of :mod:`kronblock.linalg`, so
+``flops.instrumented_count`` counts this code. ``backward_params``
 is ``backward`` without the input gradient, which training skips for the
 first layer of a network. Inference (``network.net_predict``) may instead
 build the weight with ``materialize`` and run one GEMM, when the cost model
@@ -20,15 +22,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    add,
     as_matrix,
     fold_input,
     fold_mid,
+    fold_output,
     hadamard,
     kron,
+    matmul,
     unfold_input,
     unfold_mid,
     unfold_output,
-    fold_output,
 )
 
 _FACTOR_MAGIC = b"KBF1"
@@ -120,13 +124,17 @@ def random_factor(shape: KronShape, rng: np.random.Generator) -> KronFactor:
     return KronFactor(shape, np.ones((shape.m1, shape.n1)), a, b)
 
 
+def _plus(acc: np.ndarray | None, term: np.ndarray) -> np.ndarray:
+    # a sum over rank terms starts from the first term (``acc`` None): r - 1 adds
+    return term if acc is None else add(acc, term)
+
+
 def materialize(factor: KronFactor) -> np.ndarray:
-    """Expand to the dense m x n weight: sum_i kron(S * A_i, B_i). The sum
-    starts from the first term (r - 1 adds, as ``flops.materialized_forward_flops``
-    counts)."""
-    out = kron(hadamard(factor.s, factor.a[0]), factor.b[0])
-    for a_i, b_i in zip(factor.a[1:], factor.b[1:]):
-        out += kron(hadamard(factor.s, a_i), b_i)
+    """Expand to the dense m x n weight: sum_i kron(S * A_i, B_i), the flops
+    ``flops.materialized_forward_flops`` counts before its GEMM."""
+    out = None
+    for a_i, b_i in zip(factor.a, factor.b):
+        out = _plus(out, kron(hadamard(factor.s, a_i), b_i))
     return out
 
 
@@ -153,12 +161,11 @@ def forward(factor: KronFactor, x: np.ndarray) -> tuple[np.ndarray, KronForwardC
     cache = KronForwardCache(batch=nbatch, x_folded=xf)
     acc = None
     for a_i, b_i in zip(factor.a, factor.b):
-        mid = fold_mid(b_i @ xf, sh.n1)
-        sa = factor.s * a_i
+        mid = fold_mid(matmul(b_i, xf), sh.n1)
+        sa = hadamard(factor.s, a_i)
         cache.mids.append(mid)
         cache.masked_a.append(sa)
-        term = mid @ sa.T
-        acc = term if acc is None else acc + term
+        acc = _plus(acc, matmul(mid, sa.T))
     return fold_output(acc, sh.m2), cache
 
 
@@ -185,20 +192,15 @@ def _backward(
     d_of = unfold_output(d_out, sh.m2)
     d_a: list[np.ndarray] = []
     d_b: list[np.ndarray] = []
+    d_s = d_xf = None
     for i in range(sh.r):
-        g = d_of.T @ cache.mids[i]
-        d_a.append(g * factor.s)
-        d_mid = unfold_mid(d_of @ cache.masked_a[i], sh.m2)
-        d_b.append(d_mid @ cache.x_folded.T)
-        # the sums over rank terms start from the first term: r - 1 adds
-        if i == 0:
-            d_s = g * factor.a[i]
-            if with_dx:
-                d_xf = factor.b[i].T @ d_mid
-        else:
-            d_s += g * factor.a[i]
-            if with_dx:
-                d_xf += factor.b[i].T @ d_mid
+        g = matmul(d_of.T, cache.mids[i])
+        d_a.append(hadamard(g, factor.s))
+        d_mid = unfold_mid(matmul(d_of, cache.masked_a[i]), sh.m2)
+        d_b.append(matmul(d_mid, cache.x_folded.T))
+        d_s = _plus(d_s, hadamard(g, factor.a[i]))
+        if with_dx:
+            d_xf = _plus(d_xf, matmul(factor.b[i].T, d_mid))
     return KronGradient(d_s, d_a, d_b, unfold_input(d_xf, sh.n1) if with_dx else None)
 
 

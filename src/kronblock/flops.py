@@ -5,19 +5,15 @@ Two independent routes are kept deliberately separate and compared in tests:
 * the *analytic* cost model: per-layer forward and backward pieces (exact
   integers, pre-asymptotic) that ``layers_report`` sums over a layer list;
   every closed form and report below is such a sum, and
-* the *instrumented* counter, which walks a layer list in the order of
-  ``network.net_forward`` / ``network.net_backward_params`` (the training
-  step: forward, then the backward the trainers run) and executes every
-  operation with numpy, one counted helper per operation. Each helper returns
-  its result with the flops it cost, derived from the operand shapes: one flop
-  per scalar multiply/add/subtract (a multiply-accumulate is two), so a
-  ``(p, q) @ (q, s)`` matmul costs ``p*s*(2q-1)``, a sum of squares
-  ``2*size - 1`` and every other element-wise helper ``size``.
+* the *instrumented* counter: ``counted_step`` runs one real training step
+  of a ``network.Network`` (``net_forward``, then ``net_backward_params``
+  with the squared loss) inside ``linalg.counting()``, where every multiply,
+  add and subtract goes through a counted op of :mod:`kronblock.linalg`. It
+  holds no formula or walk of its own; ``instrumented_count`` builds the
+  network from a tag's inputs.
 
-Both routes read a model as a list of ``(layer, activation)`` pairs. For the
-cost model a layer is its dimensions: a ``KronShape``, or ``(m, n)`` for a
-dense layer. For the counter it is its weight: a ``KronFactor``, or the dense
-``m x n`` matrix (so the ``.shape`` of a weight is its dimensions).
+For the cost model a layer is its dimensions: a ``KronShape``, or ``(m, n)``
+for a dense layer, paired with its activation.
 
 Convention notes (required to reproduce the exact totals):
   * the loss is ||O - Y||_F^2 whatever loss trains the model; it costs
@@ -39,10 +35,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .factor import KronFactor, KronShape
-from .linalg import fold_input, fold_mid, fold_output, unfold_input, unfold_mid, unfold_output
+from .linalg import counting
 
 
 @dataclass
@@ -281,164 +275,57 @@ def forward_path(n_batch: int, s: KronShape) -> str:
 
 
 # ---------------------------------------------------------------------------
-# instrumented counter: executes a layer list with counted helpers
+# instrumented counter: one counted training step of the real network code
 # ---------------------------------------------------------------------------
 
 
-def _counted_matmul(a, b):
-    # (p, q) @ (q, s): per output element q multiplies + (q - 1) adds.
-    p, q = a.shape
-    return a @ b, p * b.shape[1] * (2 * q - 1)
-
-
-def _counted_hadamard(a, b):
-    return a * b, a.size
-
-
-def _counted_add(a, b):
-    return a + b, a.size
-
-
-def _counted_sub(a, b):
-    return a - b, a.size
-
-
-def _counted_scale(a, c):
-    return c * a, a.size
-
-
-def _counted_sq_sum(a):
-    # sum of squares: one multiply per element, size - 1 adds.
-    return float(np.sum(a * a)), 2 * a.size - 1
-
-
-def _counted_relu(a):
-    # max(x, 0): one flop per scalar, per the cost model's activation rule.
-    return np.where(a > 0.0, a, 0.0), a.size
-
-
-def _counted_mask_mul(g, pre):
-    # g * relu'(pre): the element-wise product is counted, the 0/1 mask is free.
-    return np.where(pre > 0.0, g, 0.0), g.size
-
-
-class _Tally:
-    """Running flop total: ``tally(helper(...))`` adds the counted helper's
-    flops and returns its result."""
-
-    def __init__(self):
-        self.flops = 0
-
-    def __call__(self, counted):
-        result, flops = counted
-        self.flops += flops
-        return result
-
-
-def _sum_terms(terms: list, tally: _Tally):
-    # a sum over rank terms starts from the first term: r - 1 adds
-    acc = terms[0]
-    for term in terms[1:]:
-        acc = tally(_counted_add(acc, term))
-    return acc
-
-
-def _walk_forward(layers: list, x, y, tally: _Tally):
-    """``net_forward`` of ``layers`` plus the squared loss, counted into
-    ``tally``. Returns the residual O - Y and, per layer, what the backward
-    walk reuses: (input, pre-activation, fold intermediates or None)."""
-    saved, cur = [], x
-    for weight, activation in layers:
-        if isinstance(weight, KronFactor):
-            sh = weight.shape
-            xf = fold_input(cur, sh.n1, sh.n2)
-            mids = [fold_mid(tally(_counted_matmul(b_i, xf)), sh.n1) for b_i in weight.b]
-            sas = [tally(_counted_hadamard(weight.s, a_i)) for a_i in weight.a]
-            terms = [tally(_counted_matmul(mid, sa.T)) for mid, sa in zip(mids, sas)]
-            pre = fold_output(_sum_terms(terms, tally), sh.m2)
-            saved.append((cur, pre, (xf, mids, sas)))
-        else:
-            pre = tally(_counted_matmul(cur, weight.T))
-            saved.append((cur, pre, None))
-        cur = tally(_counted_relu(pre)) if activation == "relu" else pre
-    diff = tally(_counted_sub(cur, y))
-    tally(_counted_sq_sum(diff))
-    return diff, saved
-
-
-def counted_forward(layers: list, x, y) -> tuple[int, np.ndarray]:
-    """Counted forward pass plus squared loss of ``(weight, activation)``
-    layers: the flops and the residual O - Y."""
-    tally = _Tally()
-    diff, _ = _walk_forward(layers, x, y, tally)
-    return tally.flops, diff
-
-
-def counted_backward(layers: list, x, y) -> int:
-    """Counted backward pass of ``(weight, activation)`` layers after their
-    forward pass and squared loss: the flops from the seed on. The walk
-    mirrors ``network.net_backward_params``, the backward that trains: same
-    layer order, and no input gradient for the first layer."""
-    diff, saved = _walk_forward(layers, x, y, _Tally())
-    tally = _Tally()
-    d_act = tally(_counted_scale(diff, 2.0))
-    for idx in range(len(layers) - 1, -1, -1):
-        weight, activation = layers[idx]
-        x_in, pre, fold = saved[idx]
-        d_pre = tally(_counted_mask_mul(d_act, pre)) if activation == "relu" else d_act
-        if isinstance(weight, KronFactor):
-            sh = weight.shape
-            xf, mids, sas = fold
-            d_of = unfold_output(d_pre, sh.m2)
-            # G_i, the gradient w.r.t. S * A_i; dS = sum_i G_i * A_i; dA_i = G_i * S
-            grads = [tally(_counted_matmul(d_of.T, mid)) for mid in mids]
-            _sum_terms([tally(_counted_hadamard(g, a)) for g, a in zip(grads, weight.a)], tally)
-            for g in grads:
-                tally(_counted_hadamard(g, weight.s))
-            # dB_i = unfold_mid(d_of @ (S * A_i)) @ fold(X).T
-            d_mids = [unfold_mid(tally(_counted_matmul(d_of, sa)), sh.m2) for sa in sas]
-            for d_mid in d_mids:
-                tally(_counted_matmul(d_mid, xf.T))
-            if idx > 0:  # dX = unfold_in(sum_i B_i.T @ d_mid_i)
-                d_xf = _sum_terms(
-                    [tally(_counted_matmul(b_i.T, d_mid)) for b_i, d_mid in zip(weight.b, d_mids)],
-                    tally,
-                )
-                d_act = unfold_input(d_xf, sh.n1)
-        else:
-            tally(_counted_matmul(d_pre.T, x_in))
-            if idx > 0:
-                d_act = tally(_counted_matmul(d_pre, weight))
-    return tally.flops
-
-
-# Tag prefix -> the (weight, activation) layers built from the tag's inputs.
-_TAGS = {
-    "dense": lambda kw: [(kw["w"], "identity")],
-    "kron": lambda kw: [(kw["factor"], "identity")],
-    "two_layer_dense": lambda kw: [(kw["w1"], "relu"), (kw["w2"], "identity")],
-    "two_layer_kron": lambda kw: [(kw["f1"], "relu"), (kw["f2"], "identity")],
+# Tag prefix -> the input names of its weights, in layer order.
+_TAG_WEIGHTS = {
+    "dense": ("w",),
+    "kron": ("factor",),
+    "two_layer_dense": ("w1", "w2"),
+    "two_layer_kron": ("f1", "f2"),
 }
-TAGS = tuple(f"{prefix}_{phase}" for prefix in _TAGS for phase in ("forward", "backward"))
+TAGS = tuple(f"{prefix}_{phase}" for prefix in _TAG_WEIGHTS for phase in ("forward", "backward"))
+
+
+def counted_step(net, x, y) -> tuple[int, int]:
+    """Forward and backward flops of one training step of ``net`` on
+    ``(x, y)``: ``network.net_forward`` then ``network.net_backward_params``
+    with the squared loss, counted op by op. The forward phase ends with the
+    loss's sum of squares; the backward phase is every op after it."""
+    from . import network  # network imports this module
+
+    with counting() as ops:
+        _, cache = network.net_forward(net, x)
+        network.net_backward_params(net, cache, y, "squared_frobenius")
+    split = [name for name, _ in ops].index("sq_sum") + 1
+    return sum(flops for _, flops in ops[:split]), sum(flops for _, flops in ops[split:])
 
 
 def instrumented_count(tag: str, **inputs) -> int:
-    """Execute the tagged computation with the counted helpers and return the
-    exact number of scalar multiply/add/subtract operations performed.
+    """Run ``counted_step`` on the tagged model and return the exact number of
+    scalar multiply/add/subtract operations of the tag's phase.
 
     Tags (``TAGS``): dense_forward, dense_backward, kron_forward,
     kron_backward, two_layer_dense_forward, two_layer_dense_backward,
-    two_layer_kron_forward, two_layer_kron_backward. The two-layer models put
-    a relu after the first layer.
+    two_layer_kron_forward, two_layer_kron_backward. The inputs are ``x``,
+    ``y`` and the weights: ``w``, ``factor``, ``w1``/``w2`` or ``f1``/``f2``
+    (a dense matrix or a ``KronFactor`` each). The two-layer models put a
+    relu after the first layer.
     """
+    from . import network
+
     if tag not in TAGS:
         raise ValueError(f"unknown computation tag {tag!r}; known: {sorted(TAGS)}")
-    inputs = {
-        k: (np.ascontiguousarray(v, dtype=np.float64) if isinstance(v, np.ndarray) else v)
-        for k, v in inputs.items()
-    }
     prefix, _, phase = tag.rpartition("_")
-    layers = _TAGS[prefix](inputs)
-    if phase == "forward":
-        return int(counted_forward(layers, inputs["x"], inputs["y"])[0])
-    return int(counted_backward(layers, inputs["x"], inputs["y"]))
+    keys = _TAG_WEIGHTS[prefix]
+    layers = []
+    for idx, key in enumerate(keys):
+        weight, activation = inputs[key], "relu" if idx < len(keys) - 1 else "identity"
+        if isinstance(weight, KronFactor):
+            layers.append(network.Layer(network.kron_spec(weight.shape, activation), factor=weight))
+        else:
+            layers.append(network.Layer(network.dense_spec(*weight.shape, activation), w=weight))
+    forward, backward = counted_step(network.Network(layers), inputs["x"], inputs["y"])
+    return forward if phase == "forward" else backward

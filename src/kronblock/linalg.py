@@ -1,5 +1,5 @@
-"""Dense matrix building blocks: Kronecker and Hadamard products, the exact
-batched reshape maps the factored layers rely on, and tile utilities.
+"""Dense matrix building blocks: the counted arithmetic ops, the exact batched
+reshape maps the factored layers rely on, and tile utilities.
 
 Index conventions, normative for the whole package:
 
@@ -15,13 +15,55 @@ Index conventions, normative for the whole package:
   ``out[s, i1*m2 + i2] = v[s*m2 + i2, i1]``.
 
 Every fold has an exact inverse (``unfold_*``); the pairs are bijections and
-round-trip bit-exactly. All functions here are pure and safe to call from any
-number of threads.
+round-trip bit-exactly.
+
+The layer forward/backward, the losses and ``factor.materialize`` do every
+multiply, add and subtract the cost model counts through the *counted ops*
+below. An op's flops follow from its operand shapes: one per scalar
+multiply, add or subtract, so a ``(p, q) @ (q, s)`` matmul costs
+``p*s*(2q-1)``, a sum of squares ``2*size - 1``, a Kronecker product one
+multiply per output entry and every other op ``size`` (the 0/1 relu mask is
+free). Inside a ``counting()`` block each op appends ``(op name, flops)`` to
+the block's list; the list lives in a ``ContextVar``, so all functions here
+stay safe to call from any number of threads.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+from contextvars import ContextVar
+
 import numpy as np
+
+_TALLY: ContextVar[list | None] = ContextVar("kronblock_flop_tally", default=None)
+
+
+@contextlib.contextmanager
+def counting():
+    """Count the counted ops run inside the block, in this thread or task:
+    yields the list that receives one ``(op name, flops)`` per op call."""
+    token = _TALLY.set([])
+    try:
+        yield _TALLY.get()
+    finally:
+        _TALLY.reset(token)
+
+
+def _counted(flops):
+    """Make an op append ``(its name, flops(*args))`` to the active tally."""
+
+    def wrap(op):
+        @functools.wraps(op)
+        def counted(*args):
+            tally = _TALLY.get()
+            if tally is not None:
+                tally.append((op.__name__, flops(*args)))
+            return op(*args)
+
+        return counted
+
+    return wrap
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -32,6 +74,7 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     return a
 
 
+@_counted(lambda a, b: np.size(a) * np.size(b))
 def kron(a, b) -> np.ndarray:
     """Kronecker product with the tile convention documented above."""
     a = as_matrix(a, "a")
@@ -39,6 +82,7 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
+@_counted(lambda a, b: np.size(a))
 def hadamard(a, b) -> np.ndarray:
     """Element-wise product; raises on shape mismatch."""
     a = as_matrix(a, "a")
@@ -46,6 +90,42 @@ def hadamard(a, b) -> np.ndarray:
     if a.shape != b.shape:
         raise ValueError(f"hadamard shape mismatch: {a.shape} vs {b.shape}")
     return a * b
+
+
+@_counted(lambda a, b: a.shape[0] * b.shape[1] * (2 * a.shape[1] - 1))
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b
+
+
+@_counted(lambda a, b: a.size)
+def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a + b
+
+
+@_counted(lambda a, b: a.size)
+def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a - b
+
+
+@_counted(lambda a, c: a.size)
+def scale(a: np.ndarray, c: float) -> np.ndarray:
+    return c * a
+
+
+@_counted(lambda a: 2 * a.size - 1)
+def sq_sum(a: np.ndarray) -> float:
+    return float(np.sum(a * a))
+
+
+@_counted(lambda a: a.size)
+def relu(a: np.ndarray) -> np.ndarray:
+    return np.maximum(a, 0.0)
+
+
+@_counted(lambda g, pre: g.size)
+def mask_mul(g: np.ndarray, pre: np.ndarray) -> np.ndarray:
+    """``g * relu'(pre)``: the gradient through a relu with input ``pre``."""
+    return g * (pre > 0.0)
 
 
 def _check_divisible(value: int, factor: int, what: str) -> None:

@@ -11,7 +11,10 @@ learning-rate scale is batch-size invariant.
 
 Training runs ``net_forward`` then ``net_backward_params``, which skips the
 gradient w.r.t. the network input (the trainers never read it);
-``net_backward`` also returns that gradient.
+``net_backward`` also returns that gradient. The arithmetic the cost model
+counts (layer products, relu, the squared loss) runs through the counted ops
+of :mod:`kronblock.linalg`; ``flops.instrumented_count`` counts one such
+training step.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import factor as kf
 from . import flops as fl
-from .linalg import as_matrix
+from .linalg import as_matrix, mask_mul, matmul, relu, scale, sq_sum, sub
 
 ACTIVATIONS = ("relu", "identity", "softmax_output")
 LOSSES = ("squared_frobenius", "softmax_cross_entropy")
@@ -145,8 +148,8 @@ def squared_frobenius(o: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     y = as_matrix(y, "y")
     if y.shape != o.shape:
         raise ValueError(f"target shape {y.shape} != output shape {o.shape}")
-    diff = o - y
-    return float(np.sum(diff * diff)), 2.0 * diff
+    diff = sub(o, y)
+    return sq_sum(diff), scale(diff, 2.0)
 
 
 def softmax(o: np.ndarray) -> np.ndarray:
@@ -209,7 +212,7 @@ def _net_input(net: Network, x) -> np.ndarray:
 
 
 def _activate(layer: Layer, pre: np.ndarray) -> np.ndarray:
-    return np.maximum(pre, 0.0) if layer.spec.activation == "relu" else pre
+    return relu(pre) if layer.spec.activation == "relu" else pre
 
 
 def net_forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, NetCache]:
@@ -223,7 +226,7 @@ def net_forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, NetCache]:
             pre, fcache = kf.forward(layer.factor, cur)
             cache.layers.append(LayerCache(cur, pre, fcache))
         else:
-            pre = cur @ layer.w.T
+            pre = matmul(cur, layer.w.T)
             cache.layers.append(LayerCache(cur, pre))
         cur = _activate(layer, pre)
     cache.output = cur
@@ -250,9 +253,9 @@ def net_predict(net: Network, x: np.ndarray) -> np.ndarray:
         if path == "fold":
             pre, _ = kf.forward(layer.factor, cur)
         elif path == "materialized":
-            pre = cur @ kf.materialize(layer.factor).T
+            pre = matmul(cur, kf.materialize(layer.factor).T)
         else:
-            pre = cur @ layer.w.T
+            pre = matmul(cur, layer.w.T)
         cur = _activate(layer, pre)
     return cur
 
@@ -265,14 +268,14 @@ def _backward(net: Network, cache: NetCache, target, loss_kind: str, first_dx: b
     for idx in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[idx]
         lc = cache.layers[idx]
-        d_pre = d_act * (lc.pre > 0.0) if layer.spec.activation == "relu" else d_act
+        d_pre = mask_mul(d_act, lc.pre) if layer.spec.activation == "relu" else d_act
         with_dx = first_dx or idx > 0
         if layer.spec.kind == "kron":
             layer_backward = kf.backward if with_dx else kf.backward_params
             grads[idx] = layer_backward(layer.factor, lc.fcache, d_pre)
         else:
             grads[idx] = DenseGradient(
-                d_w=d_pre.T @ lc.x_in, d_x=d_pre @ layer.w if with_dx else None
+                d_w=matmul(d_pre.T, lc.x_in), d_x=matmul(d_pre, layer.w) if with_dx else None
             )
         d_act = grads[idx].d_x
     return loss, grads, d_act

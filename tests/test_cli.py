@@ -193,6 +193,40 @@ def test_config_scalar_field_rejected(tmp_path, capsys, path, value, expected):
     assert capsys.readouterr().err == f"error: {path}: must be {expected}, got {value!r}\n"
 
 
+@pytest.mark.parametrize(
+    "command,section,value,message",
+    [
+        ("train", "dataset", 5, "dataset: must be an object"),
+        ("train", "train", [1], "train: must be an object"),
+        ("train", "model", [1], "model: must be an object"),
+        ("select-pattern", "select", 5, "select: must be an object"),
+        ("select-pattern", "model", {"layers": 5}, "model.layers: must be a non-empty list"),
+        ("flops", "flops", 5, "flops: must be an object"),
+    ],
+)
+def test_config_section_not_object_rejected(tmp_path, capsys, command, section, value, message):
+    # a section of the wrong JSON type ends with exit code 1 and a one-line
+    # message naming it, never a traceback
+    cfg = {"train": teacher_train_config(), "select-pattern": select_config(), "flops": {}}[command]
+    cfg[section] = value
+    argv = [command, "--config", write_config(tmp_path / "c.json", cfg)]
+    if command != "flops":
+        argv += ["--out", str(tmp_path / "x")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("key", ["foo", "init_seed"])
+def test_select_pattern_rejects_unknown_model_field(tmp_path, capsys, key):
+    # the pattern set is initialized from the master seed: select-pattern
+    # takes no model.init_seed, and rejects it like any unknown field
+    cfg = select_config()
+    cfg["model"][key] = 0
+    path = write_config(tmp_path / "s.json", cfg)
+    assert main(["select-pattern", "--config", path, "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: model.{key}: unknown field\n"
+
+
 def test_run_info_records_eval_paths(tmp_path):
     # the eval set has 32 rows, where the cost model puts (4,8,2,2) r=2 on
     # the materialized path; the dense baselines report "dense"

@@ -1,3 +1,4 @@
+import re
 import struct
 import sys
 
@@ -70,6 +71,18 @@ def test_load_idx_count_mismatch(tmp_path):
     lab = tmp_path / "short.idx"
     lab.write_bytes(struct.pack(">II", 0x00000801, 1) + b"\x03")
     with pytest.raises(IdxCountMismatchError):
+        load_idx(img, lab)
+
+
+@pytest.mark.parametrize("extra", ["images", "labels"])
+def test_load_idx_trailing_bytes_rejected(tmp_path, extra):
+    # as in read_idx, a payload must end its file; the error names the file
+    images = np.zeros((2, 2, 2), dtype=np.uint8)
+    img, lab = write_mnist_fixture(tmp_path, images, np.array([0, 1], dtype=np.uint8))
+    path = img if extra == "images" else lab
+    with open(path, "ab") as fh:
+        fh.write(b"\x00" * 4)
+    with pytest.raises(IdxFormatError, match=rf"{re.escape(str(path))}: trailing bytes"):
         load_idx(img, lab)
 
 

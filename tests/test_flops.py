@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import kronblock as kb
 from kronblock import KronShape
 from kronblock import flops as fl
+from kronblock import linalg
 from kronblock.flops import (
     dense_backward_flops,
     dense_forward_flops,
@@ -25,6 +27,7 @@ from kronblock.flops import (
     two_layer_dense_report,
     two_layer_kron_report,
 )
+from kronblock.linalg import counting
 
 from conftest import random_dense_factor, random_mixed_net, random_shape
 
@@ -205,36 +208,11 @@ def test_unknown_tag_rejected():
         instrumented_count("nonsense")
 
 
-def test_counted_pipeline_computes_real_values():
-    # the instrumented run is a genuine execution: for every tag its residual
-    # must equal the uncounted network's output minus the target
-    from kronblock.cli import flop_audit_case
-    from kronblock.network import Layer, Network, dense_spec, kron_spec
-
-    for section in (
-        {"kind": "dense", "m": 3, "n": 4},
-        {"kind": "kron", "shape": [2, 3, 2, 4], "rank": 2},
-        {"kind": "two_layer_dense", "d_in": 5, "d_hidden": 6, "d_out": 3},
-        {"kind": "two_layer_kron", "shape1": [2, 3, 3, 2], "rank1": 2,
-         "shape2": [2, 2, 3, 3], "rank2": 2},
-    ):
-        _, prefix, inputs = flop_audit_case({"batch": 3, "seed": 4, **section})
-        layers = fl._TAGS[prefix](inputs)
-        _, diff = fl.counted_forward(layers, inputs["x"], inputs["y"])
-        net = Network([
-            Layer(kron_spec(w.shape, act), factor=w) if isinstance(w, kb.KronFactor)
-            else Layer(dense_spec(*w.shape, act), w=w)
-            for w, act in layers
-        ])
-        o, _ = kb.net_forward(net, inputs["x"])
-        assert np.max(np.abs(diff - (o - inputs["y"]))) <= 1e-12
-
-
 @given(seed=st.integers(0, 2**31))
 @settings(max_examples=40, deadline=None)
 def test_counted_walk_matches_network_flops(seed):
-    # mixed dense/kron nets of 1-3 layers with every activation: the counted
-    # walk over the net's own weights equals the metric fields' accounting
+    # mixed dense/kron nets of 1-3 layers with every activation: one counted
+    # training step of the net equals the metric fields' accounting
     from kronblock.network import network_backward_flops, network_forward_flops
 
     r = np.random.default_rng(seed)
@@ -242,12 +220,9 @@ def test_counted_walk_matches_network_flops(seed):
     n = int(r.integers(1, 5))
     x = r.standard_normal((n, net.in_dim))
     y = r.standard_normal((n, net.out_dim))
-    layers = [
-        (layer.factor if layer.spec.kind == "kron" else layer.w, layer.spec.activation)
-        for layer in net.layers
-    ]
-    assert fl.counted_forward(layers, x, y)[0] == network_forward_flops(net, n)
-    assert fl.counted_backward(layers, x, y) == network_backward_flops(net, n)
+    assert fl.counted_step(net, x, y) == (
+        network_forward_flops(net, n), network_backward_flops(net, n)
+    )
 
 
 def test_network_flops_match_two_layer_reports():
@@ -279,21 +254,50 @@ def test_counted_matmul_flop_formula():
     rng = np.random.default_rng(2)
     for p, q, s in [(1, 1, 1), (3, 5, 2), (4, 1, 6)]:
         a, b = rng.standard_normal((p, q)), rng.standard_normal((q, s))
-        out, flops = fl._counted_matmul(a, b)
-        assert flops == p * s * (2 * q - 1)
+        with counting() as ops:
+            out = linalg.matmul(a, b)
+        assert ops == [("matmul", p * s * (2 * q - 1))]
         assert np.allclose(out, a @ b)
 
 
 def test_counted_sq_sum_formula():
     a = np.arange(6, dtype=float).reshape(2, 3)
-    total, flops = fl._counted_sq_sum(a)
-    assert flops == 2 * a.size - 1
+    with counting() as ops:
+        total = linalg.sq_sum(a)
+    assert ops == [("sq_sum", 2 * a.size - 1)]
     assert total == np.sum(a * a)
 
 
+def test_counting_tallies_only_inside_the_block():
+    a, b = np.ones((2, 3)), np.ones((3, 4))
+    assert linalg._TALLY.get() is None
+    with counting() as outer:
+        linalg.matmul(a, b)
+        with counting() as inner:
+            linalg.relu(a)
+        linalg.add(a, a)
+    assert inner == [("relu", 6)]
+    assert outer == [("matmul", 2 * 4 * 5), ("add", 6)]
+    # outside a block the ops compute the same values and record nothing
+    assert linalg._TALLY.get() is None
+    assert np.array_equal(linalg.matmul(a, b), a @ b)
+    assert outer == [("matmul", 40), ("add", 6)] and inner == [("relu", 6)]
+    with pytest.raises(ZeroDivisionError):
+        with counting():
+            1 / 0
+    assert linalg._TALLY.get() is None
+    # the tally belongs to the context that opened the block: another thread's
+    # ops are not counted into it
+    with counting() as ops:
+        worker = threading.Thread(target=linalg.matmul, args=(a, b))
+        worker.start()
+        worker.join(timeout=10)
+    assert not worker.is_alive() and ops == []
+
+
 # Scalar-loop references: every multiply, add or subtract performed adds one
-# to the count, so the shape-derived counts of the helpers are checked against
-# an independent tally of the operations.
+# to the count, so the shape-derived counts of the counted ops of
+# kronblock.linalg are checked against an independent tally of the operations.
 
 
 def _loop_matmul(a, b):
@@ -324,6 +328,20 @@ def _loop_elementwise(op):
     return run
 
 
+def _loop_kron(a, b):
+    p, q = a.shape
+    s, t = b.shape
+    out = np.empty((p * s, q * t))
+    flops = 0
+    for i1 in range(p):
+        for j1 in range(q):
+            for i2 in range(s):
+                for j2 in range(t):
+                    out[i1 * s + i2, j1 * t + j2] = a[i1, j1] * b[i2, j2]
+                    flops += 1
+    return out, flops
+
+
 def _loop_sq_sum(a):
     flat = a.ravel()
     total = flat[0] * flat[0]
@@ -350,53 +368,66 @@ def _scale_args(r, p, q, _s):
     return r.standard_normal((p, q)), float(r.standard_normal())
 
 
-_HELPER_REFERENCES = {
-    "_counted_matmul": (_loop_matmul, _matmul_args),
-    "_counted_hadamard": (_loop_elementwise(lambda x, y: x * y), _two),
-    "_counted_add": (_loop_elementwise(lambda x, y: x + y), _two),
-    "_counted_sub": (_loop_elementwise(lambda x, y: x - y), _two),
-    "_counted_scale": (_loop_elementwise(lambda x, c: c * x), _scale_args),
-    "_counted_sq_sum": (_loop_sq_sum, _one),
-    "_counted_relu": (_loop_elementwise(lambda x: x if x > 0.0 else 0.0), _one),
-    "_counted_mask_mul": (_loop_elementwise(lambda g, pre: g if pre > 0.0 else 0.0), _two),
+def _kron_args(r, p, q, s):
+    return r.standard_normal((p, q)), r.standard_normal((s, p))
+
+
+_OP_REFERENCES = {
+    "matmul": (_loop_matmul, _matmul_args),
+    "hadamard": (_loop_elementwise(lambda x, y: x * y), _two),
+    "add": (_loop_elementwise(lambda x, y: x + y), _two),
+    "sub": (_loop_elementwise(lambda x, y: x - y), _two),
+    "scale": (_loop_elementwise(lambda x, c: c * x), _scale_args),
+    "sq_sum": (_loop_sq_sum, _one),
+    "relu": (_loop_elementwise(lambda x: x if x > 0.0 else 0.0), _one),
+    "mask_mul": (_loop_elementwise(lambda g, pre: g if pre > 0.0 else 0.0), _two),
+    "kron": (_loop_kron, _kron_args),
 }
 
 
-@pytest.mark.parametrize("name", sorted(_HELPER_REFERENCES))
-def test_counted_helpers_match_scalar_loops(name):
-    reference, make_args = _HELPER_REFERENCES[name]
-    helper = getattr(fl, name)
+@pytest.mark.parametrize("op", sorted(_OP_REFERENCES), ids=lambda op: f"_counted_{op}")
+def test_counted_helpers_match_scalar_loops(op):
+    reference, make_args = _OP_REFERENCES[op]
     rng = np.random.default_rng(3)
     for _ in range(10):
         args = make_args(rng, *(int(d) for d in rng.integers(1, 7, size=3)))
-        got, got_flops = helper(*args)
+        with counting() as ops:
+            got = getattr(linalg, op)(*args)
         want, want_flops = reference(*args)
-        assert got_flops == want_flops
+        assert ops == [(op, want_flops)]
         assert np.shape(got) == np.shape(want)
         assert np.max(np.abs(np.asarray(got) - want)) <= 1e-12
 
 
+def _predict_on_path(seed, path):
+    # a random one-layer factored net and a row count at which net_predict
+    # takes ``path``: its counted flops, the cost model's, and the outputs
+    rng = np.random.default_rng(seed)
+    rows = None
+    while rows is None:
+        shape = random_shape(rng, max_dim=32)
+        rows = next((n for n in range(1, 65) if forward_path(n, shape) == path), None)
+    net = kb.build_network([kb.kron_spec(shape)], seed=seed)
+    x = rng.standard_normal((rows, shape.n))
+    with counting() as ops:
+        out = kb.net_predict(net, x)
+    return sum(flops for _, flops in ops), shape, rows, out, kb.forward(net.layers[0].factor, x)[0]
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_materialized_forward_flops_counts_the_path(seed):
-    # build W term by term (S*A_i, its Kronecker product with B_i, the rank
-    # sum from the first term), then one counted GEMM
-    rng = np.random.default_rng(seed)
-    shape = random_shape(rng, max_dim=32)
-    f = random_dense_factor(shape, rng)
-    x = rng.standard_normal((int(rng.integers(1, 9)), shape.n))
-    flops, w = 0, None
-    for a_i, b_i in zip(f.a, f.b):
-        sa, c = fl._counted_hadamard(f.s, a_i)
-        term = np.kron(sa, b_i)
-        flops += c + term.size
-        if w is None:
-            w = term
-        else:
-            w, c = fl._counted_add(w, term)
-            flops += c
-    out, c = fl._counted_matmul(x, w.T)
-    assert flops + c == materialized_forward_flops(x.shape[0], shape)
-    assert np.allclose(out, kb.forward(f, x)[0], rtol=1e-12, atol=1e-12)
+    # net_predict builds W term by term (S*A_i, its Kronecker product with
+    # B_i, the rank sum from the first term), then runs one GEMM
+    counted, shape, rows, out, fold_out = _predict_on_path(seed, "materialized")
+    assert counted == materialized_forward_flops(rows, shape)
+    assert np.allclose(out, fold_out, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fold_forward_flops_counts_the_path(seed):
+    counted, shape, rows, out, fold_out = _predict_on_path(seed, "fold")
+    assert counted == fl.kron_forward_matmul_flops(rows, shape)
+    assert np.array_equal(out, fold_out)
 
 
 @pytest.mark.parametrize(
