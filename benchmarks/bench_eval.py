@@ -2,8 +2,9 @@
 """Time the two inference paths of a factored layer against the rule that picks one.
 
 For each shape (all at rank 2) and batch size this times the fold path
-(``factor.forward``) and the materialized path (``x @ materialize(W).T``,
-building W included) over repeated runs, and records each path's median and
+(``factor.forward``) and the materialized path
+(``factor.materialized_forward``: building W, then ``x @ W.T``) over repeated
+runs, and records each path's median and
 interquartile range, its analytic flops and achieved GFLOP/s, the path that
 ``flops.forward_path`` picks and whether that pick was the faster one
 measured. Cells where it was not are listed under ``rule_wrong``. BLAS runs
@@ -29,7 +30,12 @@ from bench_flops import ROOT, environment  # noqa: E402  (puts src/ on sys.path)
 
 import numpy as np  # noqa: E402
 
-from kronblock.factor import KronShape, forward, materialize, random_factor  # noqa: E402
+from kronblock.factor import (  # noqa: E402
+    KronShape,
+    forward,
+    materialized_forward,
+    random_factor,
+)
 from kronblock.flops import (  # noqa: E402
     forward_path,
     kron_forward_matmul_flops,
@@ -80,7 +86,7 @@ def measure(dims: tuple, n_batch: int, repeats: int, rng) -> dict:
     )
     mat = path_row(
         materialized_forward_flops(n_batch, shape),
-        time_path(lambda: x @ materialize(fac).T, repeats),
+        time_path(lambda: materialized_forward(fac, x), repeats),
     )
     pick = forward_path(n_batch, shape)
     faster = "materialized" if mat["median_s"] < fold["median_s"] else "fold"

@@ -1,22 +1,30 @@
 #!/usr/bin/env python3
-"""Time one training step of a factored layer and of the dense layer of the same size.
+"""Time one training step of a factored layer on both paths, and of the dense layer of the same size.
 
-For each shape (all at rank 2) and batch size this times the four parts of a
-training step, for the factored layer and for its dense ``m x n`` twin:
+For each shape (all at rank 2) and batch size this times the parts of a
+training step on the two training paths of the factored layer and on its
+dense ``m x n`` twin:
 
-* ``forward``: ``factor.forward``, or ``x @ W.T`` for the dense layer;
+* ``forward``: ``factor.forward`` (fold), ``factor.materialized_forward``
+  (materialized), or ``x @ W.T`` (dense);
 * ``backward_dx``: the backward with the input gradient (``factor.backward``,
-  or ``dO.T @ x`` and ``dO @ W``), as every layer after the first runs it;
-* ``backward``: the backward without it (``factor.backward_params``, or
-  ``dO.T @ x``), as the first layer runs it in training;
-* ``update``: one ``train.sgd_step`` on a one-layer net (momentum, no prox).
+  ``factor.materialized_backward(..., with_dx=True)``, or ``dO.T @ x`` and
+  ``dO @ W``), as every layer after the first runs it;
+* ``backward``: the backward without it (``factor.backward_params``,
+  ``factor.materialized_backward(..., with_dx=False)``, or ``dO.T @ x``), as
+  the first layer runs it in training;
+* ``update``: one ``train.sgd_step`` on a one-layer net (momentum, no prox),
+  for the factored layer (the same on both paths) and for the dense one.
 
 Each part records the median and interquartile range of repeated runs, its
 flops by the cost model of ``kronblock.flops`` and the achieved GFLOP/s (the
 cost model counts one flop per updated parameter, so the update's rate is a
-lower bound). BLAS runs on one thread unless OPENBLAS_NUM_THREADS is set; the
-environment (Python, numpy, BLAS name, version and thread count) goes into the
-same file.
+lower bound). For the step without and with the input gradient, ``pick`` is
+the path ``flops.train_path`` picks, ``faster`` the path whose measured
+forward plus backward medians are smaller, and ``pick_is_faster`` whether
+they agree; steps where they do not are listed under ``rule_wrong``. BLAS
+runs on one thread unless OPENBLAS_NUM_THREADS is set; the environment
+(Python, numpy, BLAS name, version and thread count) goes into the same file.
 
 Run: python benchmarks/bench_train.py [--repeats 20] [--out BENCH_train.json]
      [--shape 5,392,2,2 ...] [--batches 1,64,512]
@@ -42,6 +50,8 @@ from kronblock.factor import (  # noqa: E402
     backward,
     backward_params,
     forward,
+    materialized_backward,
+    materialized_forward,
     random_factor,
 )
 from kronblock.network import (  # noqa: E402
@@ -54,24 +64,33 @@ from kronblock.network import (  # noqa: E402
 from kronblock.train import TrainConfig, init_velocities, sgd_step  # noqa: E402
 
 RANK = 2
-SHAPES = ((5, 392, 2, 2), (5, 49, 2, 16), (64, 64, 16, 16))
+SHAPES = ((5, 392, 2, 2), (5, 49, 2, 16), (64, 64, 16, 16), (1, 64, 16, 16), (32, 32, 32, 32))
 BATCHES = (1, 64, 512)
 SEED = 0
-PARTS = ("forward", "backward_dx", "backward", "update")
+PATHS = ("fold", "materialized", "dense")
+PARTS = ("forward", "backward_dx", "backward")
+# the two backward parts, each the step of a layer without / with the input gradient
+STEPS = {"backward": False, "backward_dx": True}
 # lr small enough that repeated steps keep the weights finite; lam 0, so the
 # update is the momentum step alone (the cost model's update)
 UPDATE_CFG = TrainConfig(epochs=1, batch_size=1, learning_rate=1e-6)
 
 
-def flops_by_part(n_batch: int, dims) -> dict:
-    """Cost-model flops of each part for a ``KronShape`` or a dense ``(m, n)``."""
-    fwd, bwd_dx, upd = fl._layer_pieces(n_batch, dims, with_dx=True)
-    _, bwd, _ = fl._layer_pieces(n_batch, dims, with_dx=False)
+def flops_by_part(n_batch: int, shape: KronShape, path: str) -> dict:
+    """Cost-model flops of each part of the factored layer on ``path``, or of
+    its dense twin for ``path == "dense"``."""
+
+    def pieces(with_dx):
+        if path == "dense":
+            return fl._layer_pieces(n_batch, (shape.m, shape.n), with_dx)[:2]
+        return fl._kron_path_pieces(n_batch, shape, with_dx)[path]
+
+    fwd, bwd_dx = pieces(True)
+    _, bwd = pieces(False)
     return {
         "forward": sum(fwd.values()),
         "backward_dx": sum(bwd_dx.values()),
         "backward": sum(bwd.values()),
-        "update": upd,
     }
 
 
@@ -81,26 +100,32 @@ def time_update(layer: Layer, grad, repeats: int) -> list[float]:
     return time_path(lambda: sgd_step(net, [grad], vel, UPDATE_CFG), repeats)
 
 
-def kron_parts(shape: KronShape, x, d_out, repeats: int, rng) -> dict:
-    fac = random_factor(shape, rng)
+def kron_parts(fac, x, d_out, repeats: int) -> dict:
     _, cache = forward(fac, x)
-    grad = backward_params(fac, cache, d_out)
+    _, mcache = materialized_forward(fac, x)
     return {
-        "forward": time_path(lambda: forward(fac, x), repeats),
-        "backward_dx": time_path(lambda: backward(fac, cache, d_out), repeats),
-        "backward": time_path(lambda: backward_params(fac, cache, d_out), repeats),
-        "update": time_update(Layer(kron_spec(shape), factor=fac.copy()), grad, repeats),
+        "fold": {
+            "forward": time_path(lambda: forward(fac, x), repeats),
+            "backward_dx": time_path(lambda: backward(fac, cache, d_out), repeats),
+            "backward": time_path(lambda: backward_params(fac, cache, d_out), repeats),
+        },
+        "materialized": {
+            "forward": time_path(lambda: materialized_forward(fac, x), repeats),
+            "backward_dx": time_path(
+                lambda: materialized_backward(fac, mcache, d_out, True), repeats
+            ),
+            "backward": time_path(
+                lambda: materialized_backward(fac, mcache, d_out, False), repeats
+            ),
+        },
     }
 
 
-def dense_parts(m: int, n: int, x, d_out, repeats: int, rng) -> dict:
-    w = rng.standard_normal((m, n)) / np.sqrt(n)
-    grad = DenseGradient(d_w=d_out.T @ x)
+def dense_parts(w, x, d_out, repeats: int) -> dict:
     return {
         "forward": time_path(lambda: x @ w.T, repeats),
         "backward_dx": time_path(lambda: (d_out.T @ x, d_out @ w), repeats),
         "backward": time_path(lambda: d_out.T @ x, repeats),
-        "update": time_update(Layer(dense_spec(m, n), w=w.copy()), grad, repeats),
     }
 
 
@@ -108,13 +133,39 @@ def measure(dims: tuple, n_batch: int, repeats: int, rng) -> dict:
     shape = KronShape(*dims, RANK)
     x = rng.standard_normal((n_batch, shape.n))
     d_out = rng.standard_normal((n_batch, shape.m))
+    fac = random_factor(shape, rng)
+    w = rng.standard_normal((shape.m, shape.n)) / np.sqrt(shape.n)
+    times = kron_parts(fac, x, d_out, repeats)
+    times["dense"] = dense_parts(w, x, d_out, repeats)
     cell = {"shape": list(dims), "r": RANK, "m": shape.m, "n": shape.n, "batch": n_batch}
-    for kind, dims_of_kind, times in (
-        ("kron", shape, kron_parts(shape, x, d_out, repeats, rng)),
-        ("dense", (shape.m, shape.n), dense_parts(shape.m, shape.n, x, d_out, repeats, rng)),
-    ):
-        flops = flops_by_part(n_batch, dims_of_kind)
-        cell[kind] = {part: path_row(flops[part], times[part]) for part in PARTS}
+    for path in PATHS:
+        flops = flops_by_part(n_batch, shape, path)
+        cell[path] = {part: path_row(flops[part], times[path][part]) for part in PARTS}
+    kron_grad = backward_params(fac, forward(fac, x)[1], d_out)
+    cell["update"] = {
+        "kron": path_row(
+            fl.kron_update_flops(shape),
+            time_update(Layer(kron_spec(shape), factor=fac.copy()), kron_grad, repeats),
+        ),
+        "dense": path_row(
+            fl.dense_update_flops(shape.m, shape.n),
+            time_update(
+                Layer(dense_spec(shape.m, shape.n), w=w.copy()),
+                DenseGradient(d_w=d_out.T @ x),
+                repeats,
+            ),
+        ),
+    }
+
+    def step_s(path, part):
+        return cell[path]["forward"]["median_s"] + cell[path][part]["median_s"]
+
+    cell["pick"] = {part: fl.train_path(n_batch, shape, dx) for part, dx in STEPS.items()}
+    cell["faster"] = {
+        part: "materialized" if step_s("materialized", part) < step_s("fold", part) else "fold"
+        for part in STEPS
+    }
+    cell["pick_is_faster"] = {part: cell["pick"][part] == cell["faster"][part] for part in STEPS}
     return cell
 
 
@@ -123,7 +174,7 @@ def main(argv=None) -> int:
     p.add_argument("--repeats", type=int, default=20)
     p.add_argument("--out", default=str(ROOT / "BENCH_train.json"))
     p.add_argument("--shape", type=parse_shape, action="append",
-                   help="m1,n1,m2,n2 (repeatable; default: the three built-in shapes)")
+                   help="m1,n1,m2,n2 (repeatable; default: the five built-in shapes)")
     p.add_argument("--batches", default=",".join(map(str, BATCHES)))
     args = p.parse_args(argv)
     if args.repeats < 2:
@@ -137,19 +188,34 @@ def main(argv=None) -> int:
         for n_batch in batches:
             cell = measure(dims, n_batch, args.repeats, rng)
             cells.append(cell)
-            for kind in ("kron", "dense"):
+            for path in PATHS:
                 row = "  ".join(
-                    f"{part} {cell[kind][part]['median_s'] * 1e3:8.3f} ms" for part in PARTS
+                    f"{part} {cell[path][part]['median_s'] * 1e3:8.3f} ms" for part in PARTS
                 )
-                print(f"{str(tuple(dims)):<18} N={n_batch:<4} {kind:<5} {row}")
+                print(f"{str(tuple(dims)):<18} N={n_batch:<4} {path:<12} {row}")
+            print(f"{'':<18} {'':<6} pick " + "  ".join(
+                f"{part} {cell['pick'][part]} ({'ok' if cell['pick_is_faster'][part] else 'WRONG'})"
+                for part in STEPS
+            ))
 
+    wrong = [
+        {"shape": c["shape"], "batch": c["batch"], "step": part, "pick": c["pick"][part],
+         "fold_step_s": c["fold"]["forward"]["median_s"] + c["fold"][part]["median_s"],
+         "materialized_step_s": (c["materialized"]["forward"]["median_s"]
+                                 + c["materialized"][part]["median_s"])}
+        for c in cells for part in STEPS if not c["pick_is_faster"][part]
+    ]
+    steps = len(cells) * len(STEPS)
+    print(f"rule picked the faster training path in {steps - len(wrong)} of {steps} steps")
     result = {
-        "benchmark": "one training step per layer: factored layer vs dense twin",
+        "benchmark": "one training step per layer: fold and materialized paths vs dense twin",
         "rank": RANK,
         "repeats": args.repeats,
         "seed": SEED,
         "environment": environment(),
         "cells": cells,
+        "rule_right": steps - len(wrong),
+        "rule_wrong": wrong,
     }
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2)

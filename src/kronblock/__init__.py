@@ -20,12 +20,15 @@ from .factor import (
     KronFactor,
     KronGradient,
     KronShape,
+    MaterializedCache,
     backward,
     backward_params,
     count_params,
     forward,
     load_factor,
     materialize,
+    materialized_backward,
+    materialized_forward,
     random_factor,
     reconstruct_from_blockwise,
     save_factor,
@@ -42,17 +45,20 @@ from .flops import (
     kron_layer_report,
     kron_update_flops,
     two_layer_dense_report,
+    train_path,
     two_layer_kron_report,
 )
 from .linalg import (
     fold_input,
     fold_mid,
     fold_output,
+    fold_tiles,
     hadamard,
     kron,
     unfold_input,
     unfold_mid,
     unfold_output,
+    unfold_tiles,
 )
 from .network import (
     LayerSpec,
@@ -67,6 +73,7 @@ from .network import (
     net_forward,
     net_predict,
     save_network,
+    train_paths,
 )
 from .patterns import (
     OverRegularizedError,

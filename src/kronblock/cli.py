@@ -58,6 +58,7 @@ from .network import (
     eval_paths,
     kron_spec,
     save_network,
+    train_paths,
 )
 from .patterns import (
     OverRegularizedError,
@@ -125,6 +126,12 @@ def _nonnegative_int(value, path: str) -> int:
 def _boolean(value, path: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"{path}: must be a boolean, got {value!r}")
+    return value
+
+
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: must be a string, got {value!r}")
     return value
 
 
@@ -261,12 +268,13 @@ def build_dataset(ds_cfg: dict, seed: int) -> tuple[Dataset, Dataset | None]:
         return ds, None
     if kind == "mnist":
         _check_keys(ds_cfg, {"kind", "dir", "limit"}, "dataset")
-        paths = find_mnist(ds_cfg.get("dir") or default_data_dir())
+        data_dir = ds_cfg.get("dir")
+        if data_dir is not None:
+            _string(data_dir, "dataset.dir")
+        data_dir = data_dir or default_data_dir()
+        paths = find_mnist(data_dir)
         if paths is None:
-            raise ConfigError(
-                f"dataset.dir: MNIST files not found under "
-                f"{ds_cfg.get('dir') or default_data_dir()}"
-            )
+            raise ConfigError(f"dataset.dir: MNIST files not found under {data_dir}")
         try:
             train = load_idx(paths["train_images"], paths["train_labels"])
             test = load_idx(paths["test_images"], paths["test_labels"])
@@ -281,17 +289,31 @@ def build_dataset(ds_cfg: dict, seed: int) -> tuple[Dataset, Dataset | None]:
         _check_keys(
             ds_cfg, {"kind", "images", "labels", "test_images", "test_labels"}, "dataset"
         )
+        keys = ("images", "labels")
+        if "test_images" in ds_cfg:
+            keys += ("test_images", "test_labels")
+        files = {key: _string(_require(ds_cfg, key, "dataset"), f"dataset.{key}") for key in keys}
         try:
-            train = load_idx(
-                _require(ds_cfg, "images", "dataset"), _require(ds_cfg, "labels", "dataset")
-            )
+            train = load_idx(files["images"], files["labels"])
             test = None
-            if "test_images" in ds_cfg:
-                test = load_idx(ds_cfg["test_images"], _require(ds_cfg, "test_labels", "dataset"))
+            if "test_images" in files:
+                test = load_idx(files["test_images"], files["test_labels"])
         except (OSError, ValueError) as exc:
             raise ConfigError(f"dataset: {exc}") from exc
         return train, test
     raise ConfigError(f"dataset.kind: unknown kind {kind!r}")
+
+
+def _check_teacher_dims(ds_cfg: dict, in_dim: int, out_dim: int) -> None:
+    """A teacher dataset's ``n`` and ``m`` must be the model's input and output
+    widths (labels index the outputs; targets are compared with them)."""
+    if ds_cfg.get("kind") != "teacher":
+        return
+    for key, width, what in (("n", in_dim, "input"), ("m", out_dim, "output")):
+        if ds_cfg[key] != width:
+            raise ConfigError(
+                f"dataset.{key}: {ds_cfg[key]} does not match the model's {what} width {width}"
+            )
 
 
 _TRAIN_KEYS = {
@@ -335,10 +357,20 @@ def _dump_json(path: str, obj) -> None:
         fh.write("\n")
 
 
-def _run_info(net: Network, eval_ds: Dataset) -> dict:
-    """Wall clock plus the inference path of each layer at the row count of
-    the set the run evaluates on (``network.eval_paths``)."""
-    return {"timestamp": time.time(), "eval_paths": eval_paths(net, eval_ds.n)}
+def _run_info(net: Network, eval_ds: Dataset, paths: list) -> dict:
+    """Wall clock, the training path of each layer (``paths``, from
+    ``network.train_paths``), and its inference path at the row count of the
+    set the run evaluates on (``network.eval_paths``)."""
+    return {
+        "timestamp": time.time(),
+        "train_paths": paths,
+        "eval_paths": eval_paths(net, eval_ds.n),
+    }
+
+
+def _batch_rows(tcfg: TrainConfig, ds: Dataset) -> int:
+    # rows of a full training batch (the last batch of an epoch may be smaller)
+    return min(tcfg.batch_size, ds.n)
 
 
 def write_run_outputs(
@@ -378,8 +410,9 @@ def cmd_train(args) -> int:
     tcfg = build_train_config(_section(cfg, "train"), seed)
     train_section = cfg["train"]
     method = args.method
+    net = build_model(_section(cfg, "model"), seed, force_dense=method != "kron")
+    _check_teacher_dims(cfg["dataset"], net.in_dim, net.out_dim)
     if method == "kron":
-        net = build_model(_section(cfg, "model"), seed)
         try:
             net, records = train_kron(net, train_ds, tcfg, eval_data=eval_ds)
         except ValueError as exc:
@@ -389,7 +422,6 @@ def cmd_train(args) -> int:
         block = _parse_block(_require(train_section, "block", "train"), "train.block")
         target = _number(train_section.get("target_rate", 0.5), "train.target_rate")
         rounds = _positive_int(train_section.get("rounds", 1), "train.rounds")
-        net = build_model(_section(cfg, "model"), seed, force_dense=True)
         try:
             if method == "group-lasso":
                 net, records = train_group_lasso(net, train_ds, tcfg, block, eval_data=eval_ds)
@@ -413,7 +445,10 @@ def cmd_train(args) -> int:
         "backward_flops": final.backward_flops,
         "seed": seed,
     }
-    run_info = _run_info(net, eval_ds if eval_ds is not None else train_ds)
+    run_info = _run_info(
+        net, eval_ds if eval_ds is not None else train_ds,
+        train_paths(net, _batch_rows(tcfg, train_ds)),
+    )
     write_run_outputs(args.out, args.config, records, summary, run_info)
     save_network(os.path.join(args.out, "checkpoint.kbn"), net)
     print(json.dumps(summary, sort_keys=True))
@@ -447,6 +482,7 @@ def cmd_select_pattern(args) -> int:
         n = _positive_int(_require(layer, "n", path), f"{path}.n")
         layer_dims.append((m, n))
         activations.append(layer.get("activation", "identity"))
+    _check_teacher_dims(cfg["dataset"], layer_dims[0][1], layer_dims[-1][0])
     patterns_cfg = _require(select_cfg, "patterns", "select")
     if not isinstance(patterns_cfg, list) or len(patterns_cfg) < 2:
         raise ConfigError("select.patterns: need at least 2 patterns")
@@ -510,7 +546,10 @@ def cmd_select_pattern(args) -> int:
         **eval_section,
     }
     _dump_json(os.path.join(args.out, "summary.json"), summary)
-    run_info = _run_info(result.net, eval_ds if eval_ds is not None else train_ds)
+    run_info = _run_info(
+        result.net, eval_ds if eval_ds is not None else train_ds,
+        [train_paths(net, _batch_rows(tcfg, train_ds)) for net in pset.nets],
+    )
     _dump_json(os.path.join(args.out, "run_info.json"), run_info)
     save_network(os.path.join(args.out, "checkpoint.kbn"), result.net)
     print(json.dumps(summary, sort_keys=True))
@@ -548,6 +587,11 @@ def cmd_shape_opt(args) -> int:
     return 0
 
 
+# The audit draws batch x width random inputs and runs one training step on
+# them; exact counts need no more rows than this.
+FLOP_AUDIT_MAX_BATCH = 4096
+
+
 def flop_audit_case(section: dict):
     """Validate a ``flops`` config section and build its audit case: the
     analytic report, the instrumented tag prefix (``<prefix>_forward`` and
@@ -559,6 +603,8 @@ def flop_audit_case(section: dict):
     )
     kind = _require(section, "kind", "flops")
     nb = _positive_int(section.get("batch", 1), "flops.batch")
+    if nb > FLOP_AUDIT_MAX_BATCH:
+        raise ConfigError(f"flops.batch: must be at most {FLOP_AUDIT_MAX_BATCH}, got {nb}")
     rng = np.random.default_rng(_nonnegative_int(section.get("seed", 0), "flops.seed"))
 
     if kind == "dense":

@@ -3,15 +3,23 @@
 A layer's weight is represented as ``sum_i kron(S * A_i, B_i)`` where the
 mask ``S`` and the ``A_i`` are ``m1 x n1``, the ``B_i`` are ``m2 x n2``, and
 entry ``S[i1, j1]`` gates exactly tile ``(i1, j1)`` of the materialized
-``m x n`` weight. Training never materializes the weight: ``forward`` runs
-through the fold maps of :mod:`kronblock.linalg`, and ``backward`` reuses the
-forward intermediates (they are cached, never recomputed). Every multiply,
-add and subtract runs through the counted ops of :mod:`kronblock.linalg`, so
-``flops.instrumented_count`` counts this code. ``backward_params``
-is ``backward`` without the input gradient, which training skips for the
-first layer of a network. Inference (``network.net_predict``) may instead
-build the weight with ``materialize`` and run one GEMM, when the cost model
-counts that as no dearer.
+``m x n`` weight. A layer trains on one of two paths, which
+``flops.train_path`` picks from its shape and batch size:
+
+* the *fold* path (``forward``, ``backward``, ``backward_params``) never
+  builds the weight: it runs through the fold maps of
+  :mod:`kronblock.linalg`, and the backward reuses the cached forward
+  intermediates;
+* the *materialized* path (``materialized_forward``,
+  ``materialized_backward``) builds the weight with ``materialize``, runs
+  ``O = X W.T``, and projects ``dW = dO.T X`` onto the factors.
+
+``backward_params`` is ``backward`` without the input gradient, which
+training skips for the first layer of a network; ``materialized_backward``
+takes the choice as ``with_dx``. Inference (``network.net_predict``) runs
+``materialized_forward`` or ``forward`` by ``flops.forward_path``. Every
+multiply, add and subtract runs through the counted ops of
+:mod:`kronblock.linalg`, so ``flops.instrumented_count`` counts this code.
 """
 
 from __future__ import annotations
@@ -27,12 +35,13 @@ from .linalg import (
     fold_input,
     fold_mid,
     fold_output,
+    fold_tiles,
     hadamard,
-    kron,
     matmul,
     unfold_input,
     unfold_mid,
     unfold_output,
+    unfold_tiles,
 )
 
 _FACTOR_MAGIC = b"KBF1"
@@ -129,13 +138,41 @@ def _plus(acc: np.ndarray | None, term: np.ndarray) -> np.ndarray:
     return term if acc is None else add(acc, term)
 
 
+def _masked_a_columns(factor: KronFactor) -> np.ndarray:
+    # (m1*n1, r): column i is S * A_i flattened row-major
+    return np.stack([hadamard(factor.s, a_i).ravel() for a_i in factor.a], axis=1)
+
+
+def _b_rows(factor: KronFactor) -> np.ndarray:
+    # (r, m2*n2): row i is B_i flattened row-major
+    return np.stack([b_i.ravel() for b_i in factor.b])
+
+
+def _build(shape: KronShape, masked_a: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
+    # one GEMM puts tile (i1, j1) of W, sum_i (S*A_i)[i1, j1] * B_i, in row i1*n1 + j1
+    return unfold_tiles(matmul(masked_a, b_rows), shape.n1, shape.n2)
+
+
 def materialize(factor: KronFactor) -> np.ndarray:
-    """Expand to the dense m x n weight: sum_i kron(S * A_i, B_i), the flops
+    """Expand to the dense m x n weight sum_i kron(S * A_i, B_i): the r
+    products S * A_i, then one GEMM of the stacked ``(m1*n1, r)`` S * A_i with
+    the stacked ``(r, m2*n2)`` B_i, then one tile transpose; the flops
     ``flops.materialized_forward_flops`` counts before its GEMM."""
-    out = None
-    for a_i, b_i in zip(factor.a, factor.b):
-        out = _plus(out, kron(hadamard(factor.s, a_i), b_i))
-    return out
+    return _build(factor.shape, _masked_a_columns(factor), _b_rows(factor))
+
+
+def _layer_input(factor: KronFactor, x) -> np.ndarray:
+    x = as_matrix(x, "x")
+    if x.shape[1] != factor.shape.n:
+        raise ValueError(f"input has {x.shape[1]} features, layer expects {factor.shape.n}")
+    return x
+
+
+def _output_grad(factor: KronFactor, batch: int, d_out) -> np.ndarray:
+    d_out = as_matrix(d_out, "d_out")
+    if d_out.shape != (batch, factor.shape.m):
+        raise ValueError(f"d_out must be {(batch, factor.shape.m)}, got {d_out.shape}")
+    return d_out
 
 
 @dataclass
@@ -153,12 +190,9 @@ def forward(factor: KronFactor, x: np.ndarray) -> tuple[np.ndarray, KronForwardC
     """Efficient forward pass: O = X @ materialize(factor).T, computed via the
     fold maps without materializing the weight. Returns (O, cache)."""
     sh = factor.shape
-    x = as_matrix(x, "x")
-    if x.shape[1] != sh.n:
-        raise ValueError(f"input has {x.shape[1]} features, layer expects {sh.n}")
-    nbatch = x.shape[0]
+    x = _layer_input(factor, x)
     xf = fold_input(x, sh.n1, sh.n2)
-    cache = KronForwardCache(batch=nbatch, x_folded=xf)
+    cache = KronForwardCache(batch=x.shape[0], x_folded=xf)
     acc = None
     for a_i, b_i in zip(factor.a, factor.b):
         mid = fold_mid(matmul(b_i, xf), sh.n1)
@@ -184,9 +218,7 @@ def _backward(
     factor: KronFactor, cache: KronForwardCache, d_out: np.ndarray, with_dx: bool
 ) -> KronGradient:
     sh = factor.shape
-    d_out = as_matrix(d_out, "d_out")
-    if d_out.shape != (cache.batch, sh.m):
-        raise ValueError(f"d_out must be {(cache.batch, sh.m)}, got {d_out.shape}")
+    d_out = _output_grad(factor, cache.batch, d_out)
     if len(cache.mids) != sh.r:
         raise ValueError("cache does not match factor rank")
     d_of = unfold_output(d_out, sh.m2)
@@ -225,6 +257,60 @@ def backward_params(
     GEMMs ``B_i.T @ d_mid``, their r - 1 adds and ``unfold_input``. For the
     first layer of a network, whose input gradient nothing reads."""
     return _backward(factor, cache, d_out, with_dx=False)
+
+
+@dataclass
+class MaterializedCache:
+    """Forward intermediates of the materialized path: the layer input, the
+    built weight W and the stacked ``(m1*n1, r)`` S * A_i."""
+
+    x: np.ndarray
+    w: np.ndarray
+    masked_a: np.ndarray
+
+    @property
+    def batch(self) -> int:
+        return self.x.shape[0]
+
+
+def materialized_forward(
+    factor: KronFactor, x: np.ndarray
+) -> tuple[np.ndarray, MaterializedCache]:
+    """O = X @ W.T on the built weight W = ``materialize(factor)``: the same
+    output as ``forward`` up to rounding. Returns (O, cache)."""
+    x = _layer_input(factor, x)
+    masked_a = _masked_a_columns(factor)
+    w = _build(factor.shape, masked_a, _b_rows(factor))
+    return matmul(x, w.T), MaterializedCache(x, w, masked_a)
+
+
+def materialized_backward(
+    factor: KronFactor, cache: MaterializedCache, d_out: np.ndarray, with_dx: bool
+) -> KronGradient:
+    """The gradients of ``backward`` (``d_x`` only when ``with_dx``) through
+    the built weight. With T = fold_tiles(dO.T @ X), the ``(m1*n1, m2*n2)``
+    tile-major weight gradient, and G_i the gradient w.r.t. S*A_i:
+      [vec G_i]   = T @ [vec B_i]
+      [vec dB_i]  = [vec S*A_i].T @ T
+      dS = sum_i G_i * A_i,   dA_i = G_i * S,   dX = dO @ W
+    """
+    sh = factor.shape
+    d_out = _output_grad(factor, cache.batch, d_out)
+    t = fold_tiles(matmul(d_out.T, cache.x), sh.m2, sh.n2)
+    g = matmul(t, _b_rows(factor).T)
+    d_b = matmul(cache.masked_a.T, t)
+    d_a: list[np.ndarray] = []
+    d_s = None
+    for i in range(sh.r):
+        g_i = g[:, i].reshape(sh.m1, sh.n1)
+        d_a.append(hadamard(g_i, factor.s))
+        d_s = _plus(d_s, hadamard(g_i, factor.a[i]))
+    return KronGradient(
+        d_s,
+        d_a,
+        [row.reshape(sh.m2, sh.n2) for row in d_b],
+        matmul(d_out, cache.w) if with_dx else None,
+    )
 
 
 def reconstruct_from_blockwise(w: np.ndarray, block: tuple[int, int]) -> KronFactor:

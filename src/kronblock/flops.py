@@ -13,7 +13,11 @@ Two independent routes are kept deliberately separate and compared in tests:
   network from a tag's inputs.
 
 For the cost model a layer is its dimensions: a ``KronShape``, or ``(m, n)``
-for a dense layer, paired with its activation.
+for a dense layer, paired with its activation. A factored layer has pieces
+for both training paths of :mod:`kronblock.factor`, fold and materialized;
+``train_path`` picks the one whose forward plus backward costs fewer flops
+(materialized on a tie), and every report counts the picked path, as
+``network.net_forward`` runs it.
 
 Convention notes (required to reproduce the exact totals):
   * the loss is ||O - Y||_F^2 whatever loss trains the model; it costs
@@ -26,7 +30,7 @@ Convention notes (required to reproduce the exact totals):
   * the input gradient is counted for every layer but the first, as
     ``network.net_backward_params`` computes it (training never reads the
     gradient w.r.t. the network input),
-  * comparisons, reshapes and folds cost nothing,
+  * comparisons, reshapes, folds, stacks and tile transposes cost nothing,
   * parameter updates are one flop per trainable A/B parameter for factored
     layers (r*(m1*n1 + m2*n2)) and m*n for a dense layer.
 """
@@ -112,6 +116,54 @@ def _kron_backward_pieces(n_batch: int, s: KronShape, with_dx: bool) -> dict[str
     return pieces
 
 
+def _materialized_forward_pieces(n_batch: int, s: KronShape) -> dict[str, int]:
+    return {
+        "mask_products": s.r * s.m1 * s.n1,
+        "weight_build": s.m * s.n * (2 * s.r - 1),
+        "weight_matmul": n_batch * s.m * (2 * s.n - 1),
+    }
+
+
+def _materialized_backward_pieces(n_batch: int, s: KronShape, with_dx: bool) -> dict[str, int]:
+    ss, tt = s.m1 * s.n1, s.m2 * s.n2
+    pieces = {
+        "weight_grad": s.m * s.n * (2 * n_batch - 1),
+        "grad_mask_products": s.r * ss * (2 * tt - 1),
+        "s_grad": s.r * ss + (s.r - 1) * ss,
+        "a_grad": s.r * ss,
+        "b_grad": s.r * tt * (2 * ss - 1),
+    }
+    if with_dx:
+        pieces["input_grad"] = n_batch * s.n * (2 * s.m - 1)
+    return pieces
+
+
+def _kron_path_pieces(n_batch: int, s: KronShape, with_dx: bool) -> dict[str, tuple]:
+    """Per training path, the forward and backward pieces of a factored layer."""
+    return {
+        "fold": (
+            _kron_forward_pieces(n_batch, s),
+            _kron_backward_pieces(n_batch, s, with_dx),
+        ),
+        "materialized": (
+            _materialized_forward_pieces(n_batch, s),
+            _materialized_backward_pieces(n_batch, s, with_dx),
+        ),
+    }
+
+
+def train_path(n_batch: int, s: KronShape, with_dx: bool) -> str:
+    """Training path of a factored layer at this batch size, with or without
+    the input gradient: ``"materialized"`` when building W, ``X @ W.T`` and
+    the backward through W cost no more flops than the fold path's forward
+    plus backward, ``"fold"`` otherwise."""
+    steps = {
+        path: sum(fwd.values()) + sum(bwd.values())
+        for path, (fwd, bwd) in _kron_path_pieces(n_batch, s, with_dx).items()
+    }
+    return "materialized" if steps["materialized"] <= steps["fold"] else "fold"
+
+
 def dense_update_flops(m: int, n: int) -> int:
     return m * n
 
@@ -126,13 +178,13 @@ def _dims(layer) -> tuple[int, int]:
 
 
 def _layer_pieces(n_batch: int, layer, with_dx: bool):
-    """Forward pieces, backward pieces and update flops of one layer."""
+    """Forward pieces, backward pieces and update flops of one layer, on the
+    ``train_path`` of a factored layer."""
     if isinstance(layer, KronShape):
-        return (
-            _kron_forward_pieces(n_batch, layer),
-            _kron_backward_pieces(n_batch, layer, with_dx),
-            kron_update_flops(layer),
-        )
+        fwd, bwd = _kron_path_pieces(n_batch, layer, with_dx)[
+            train_path(n_batch, layer, with_dx)
+        ]
+        return fwd, bwd, kron_update_flops(layer)
     m, n = layer
     return (
         _dense_forward_pieces(n_batch, m, n),
@@ -236,39 +288,36 @@ def dense_backward_flops(n_batch: int, m: int, n: int) -> int:
 
 
 def kron_forward_matmul_flops(n_batch: int, s: KronShape) -> int:
-    """Flops to produce the layer output (loss excluded):
+    """Flops to produce the layer output on the fold path (loss excluded):
     r(N*m1*m2*(2n1-1) + m1*n1 + N*n1*m2*(2n2-1)) + (r-1)*N*m."""
     return sum(_kron_forward_pieces(n_batch, s).values())
 
 
 def kron_forward_flops(n_batch: int, s: KronShape) -> int:
-    """Factored layer forward incl. squared loss."""
+    """Factored layer forward incl. squared loss, on its ``train_path``."""
     return kron_layer_report(n_batch, s).forward
 
 
 def kron_backward_flops(n_batch: int, s: KronShape) -> int:
-    """Factored layer backward (single-layer model, no input gradient):
-    Nm + r*m1n1*(2Nm2-1) + r*m1n1 + (r-1)*m1n1 + r*m1n1
-    + r*N*m2*n1*(2m1-1) + r*m2n2*(2Nn1-1)."""
+    """Factored layer backward (single-layer model, no input gradient) on its
+    ``train_path``. Fold: Nm + r*m1n1*(2Nm2-1) + r*m1n1 + (r-1)*m1n1 + r*m1n1
+    + r*N*m2*n1*(2m1-1) + r*m2n2*(2Nn1-1). Materialized: Nm + mn(2N-1)
+    + r*m1n1*(2m2n2-1) + r*m1n1 + (r-1)*m1n1 + r*m1n1 + r*m2n2*(2m1n1-1)."""
     return kron_layer_report(n_batch, s).backward
 
 
 def materialized_forward_flops(n_batch: int, s: KronShape) -> int:
     """Flops to produce the layer output by building W and one GEMM:
-    r*m1*n1 (S * A_i) + r*m*n (Kronecker products) + (r-1)*m*n (rank sum)
-    + N*m*(2n-1) (X @ W.T)."""
-    return (
-        s.r * s.m1 * s.n1
-        + s.r * s.m * s.n
-        + (s.r - 1) * s.m * s.n
-        + n_batch * s.m * (2 * s.n - 1)
-    )
+    r*m1*n1 (S * A_i) + m*n*(2r-1) (the GEMM of the stacked S * A_i with the
+    stacked B_i) + N*m*(2n-1) (X @ W.T)."""
+    return sum(_materialized_forward_pieces(n_batch, s).values())
 
 
 def forward_path(n_batch: int, s: KronShape) -> str:
     """Inference path of a factored layer at this batch size: ``"materialized"``
     when building W plus one GEMM costs no more flops than the fold path,
-    ``"fold"`` otherwise. Training always takes the fold path."""
+    ``"fold"`` otherwise. Training picks by the whole step instead, with
+    ``train_path``."""
     if materialized_forward_flops(n_batch, s) <= kron_forward_matmul_flops(n_batch, s):
         return "materialized"
     return "fold"

@@ -12,7 +12,10 @@ Index conventions, normative for the whole package:
 * ``fold_mid``    maps ``(m2, N*n1) -> (N*m2, n1)`` with
   ``out[s*m2 + i2, j1] = v[i2, s*n1 + j1]``,
 * ``fold_output`` maps ``(N*m2, m1) -> (N, m1*m2)`` with
-  ``out[s, i1*m2 + i2] = v[s*m2 + i2, i1]``.
+  ``out[s, i1*m2 + i2] = v[s*m2 + i2, i1]``,
+* ``fold_tiles``  maps ``(m1*m2, n1*n2) -> (m1*n1, m2*n2)`` with
+  ``out[i1*n1 + j1, i2*n2 + j2] = w[i1*m2 + i2, j1*n2 + j2]``: row
+  ``(i1, j1)`` is tile ``(i1, j1)`` of ``w``, flattened row-major.
 
 Every fold has an exact inverse (``unfold_*``); the pairs are bijections and
 round-trip bit-exactly.
@@ -190,6 +193,22 @@ def unfold_output(o: np.ndarray, m2: int) -> np.ndarray:
     m1 = o.shape[1] // m2
     return np.ascontiguousarray(
         o.reshape(nbatch, m1, m2).transpose(0, 2, 1).reshape(nbatch * m2, m1)
+    )
+
+
+def fold_tiles(w: np.ndarray, m2: int, n2: int) -> np.ndarray:
+    v = tile_view(as_matrix(w, "w"), m2, n2)
+    m1, _, n1, _ = v.shape
+    return np.ascontiguousarray(v.transpose(0, 2, 1, 3).reshape(m1 * n1, m2 * n2))
+
+
+def unfold_tiles(t: np.ndarray, n1: int, n2: int) -> np.ndarray:
+    t = as_matrix(t, "tiles")
+    _check_divisible(t.shape[0], n1, "unfold_tiles rows")
+    _check_divisible(t.shape[1], n2, "unfold_tiles columns")
+    m1, m2 = t.shape[0] // n1, t.shape[1] // n2
+    return np.ascontiguousarray(
+        t.reshape(m1, n1, m2, n2).transpose(0, 2, 1, 3).reshape(m1 * m2, n1 * n2)
     )
 
 

@@ -11,10 +11,12 @@ learning-rate scale is batch-size invariant.
 
 Training runs ``net_forward`` then ``net_backward_params``, which skips the
 gradient w.r.t. the network input (the trainers never read it);
-``net_backward`` also returns that gradient. The arithmetic the cost model
-counts (layer products, relu, the squared loss) runs through the counted ops
-of :mod:`kronblock.linalg`; ``flops.instrumented_count`` counts one such
-training step.
+``net_backward`` also returns that gradient. Each factored layer trains on
+the fold or the materialized path of :mod:`kronblock.factor`, whichever
+``flops.train_path`` counts as no dearer for its shape and batch size. The
+arithmetic the cost model counts (layer products, relu, the squared loss)
+runs through the counted ops of :mod:`kronblock.linalg`;
+``flops.instrumented_count`` counts one such training step.
 """
 
 from __future__ import annotations
@@ -189,7 +191,8 @@ def loss_and_seed(o: np.ndarray, target, loss_kind: str) -> tuple[float, np.ndar
 class LayerCache:
     x_in: np.ndarray
     pre: np.ndarray
-    fcache: kf.KronForwardCache | None = None
+    # a factored layer's forward cache; its kind names the path the layer took
+    fcache: kf.KronForwardCache | kf.MaterializedCache | None = None
 
 
 @dataclass
@@ -215,19 +218,37 @@ def _activate(layer: Layer, pre: np.ndarray) -> np.ndarray:
     return relu(pre) if layer.spec.activation == "relu" else pre
 
 
+def _layer_forward(layer: Layer, path: str, x: np.ndarray):
+    """Pre-activation output of one layer on ``path`` (``"fold"``,
+    ``"materialized"`` or ``"dense"``) and its factored forward cache (None
+    for a dense layer)."""
+    if path == "fold":
+        return kf.forward(layer.factor, x)
+    if path == "materialized":
+        return kf.materialized_forward(layer.factor, x)
+    return matmul(x, layer.w.T), None
+
+
+def train_paths(net: Network, n_batch: int) -> list[str]:
+    """Per layer, the path ``net_forward`` takes for ``n_batch`` rows:
+    ``"dense"`` for a dense layer, else ``flops.train_path`` of its shape, with
+    the input gradient for every layer but the first."""
+    return [
+        fl.train_path(n_batch, layer.spec.shape, with_dx=idx > 0)
+        if layer.spec.kind == "kron" else "dense"
+        for idx, layer in enumerate(net.layers)
+    ]
+
+
 def net_forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, NetCache]:
-    """Training forward: every factored layer takes the fold path, and the
+    """Training forward: each layer takes its path of ``train_paths``, and the
     cache holds what ``net_backward``/``net_backward_params`` reuse."""
     x = _net_input(net, x)
     cache = NetCache()
     cur = x
-    for layer in net.layers:
-        if layer.spec.kind == "kron":
-            pre, fcache = kf.forward(layer.factor, cur)
-            cache.layers.append(LayerCache(cur, pre, fcache))
-        else:
-            pre = matmul(cur, layer.w.T)
-            cache.layers.append(LayerCache(cur, pre))
+    for layer, path in zip(net.layers, train_paths(net, x.shape[0])):
+        pre, fcache = _layer_forward(layer, path, cur)
+        cache.layers.append(LayerCache(cur, pre, fcache))
         cur = _activate(layer, pre)
     cache.output = cur
     return cur, cache
@@ -243,20 +264,13 @@ def eval_paths(net: Network, n_batch: int) -> list[str]:
 
 
 def net_predict(net: Network, x: np.ndarray) -> np.ndarray:
-    """Inference forward: the output of ``net_forward`` without a cache. A
-    factored layer on the ``"materialized"`` path of ``eval_paths`` runs one
-    GEMM on its materialized weight (rebuilt on every call); on ``"fold"`` it
-    runs ``factor.forward``."""
+    """Inference forward: the output of ``net_forward`` without a cache, each
+    layer on its path of ``eval_paths`` (a materialized weight is rebuilt on
+    every call)."""
     x = _net_input(net, x)
     cur = x
     for layer, path in zip(net.layers, eval_paths(net, x.shape[0])):
-        if path == "fold":
-            pre, _ = kf.forward(layer.factor, cur)
-        elif path == "materialized":
-            pre = matmul(cur, kf.materialize(layer.factor).T)
-        else:
-            pre = matmul(cur, layer.w.T)
-        cur = _activate(layer, pre)
+        cur = _activate(layer, _layer_forward(layer, path, cur)[0])
     return cur
 
 
@@ -270,7 +284,9 @@ def _backward(net: Network, cache: NetCache, target, loss_kind: str, first_dx: b
         lc = cache.layers[idx]
         d_pre = mask_mul(d_act, lc.pre) if layer.spec.activation == "relu" else d_act
         with_dx = first_dx or idx > 0
-        if layer.spec.kind == "kron":
+        if isinstance(lc.fcache, kf.MaterializedCache):
+            grads[idx] = kf.materialized_backward(layer.factor, lc.fcache, d_pre, with_dx)
+        elif layer.spec.kind == "kron":
             layer_backward = kf.backward if with_dx else kf.backward_params
             grads[idx] = layer_backward(layer.factor, lc.fcache, d_pre)
         else:

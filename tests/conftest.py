@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from kronblock import KronShape, random_factor
+from kronblock.flops import train_path
 from kronblock.network import ACTIVATIONS, build_network, dense_spec, kron_spec
 
 
@@ -78,3 +79,13 @@ def random_mixed_net(r, seed):
             specs.append(dense_spec(int(r.integers(1, 13)), d_in, act))
         d_in = specs[-1].out_dim
     return build_network(specs, seed=seed)
+
+
+def layer_forward_identity(n_batch, s, c_forward, with_dx):
+    """A factored layer's forward flops (no activation, no loss) as the exact
+    identity of its training path: on the fold path r*(C + |S|) + (r-1)*N*m in
+    the report's leading forward aggregate C (C1 or C2); on the materialized
+    path r*|S| (S * A_i) + m*n*(2r-1) (building W) + N*m*(2n-1) (X @ W.T)."""
+    if train_path(n_batch, s, with_dx) == "fold":
+        return s.r * (c_forward + s.m1 * s.n1) + (s.r - 1) * n_batch * s.m
+    return s.r * s.m1 * s.n1 + s.m * s.n * (2 * s.r - 1) + n_batch * s.m * (2 * s.n - 1)

@@ -27,12 +27,19 @@ from kronblock.flops import (
     kron_forward_flops,
     kron_layer_report,
     kron_update_flops,
+    train_path,
     two_layer_dense_report,
     two_layer_kron_report,
 )
 from kronblock.network import build_network, dense_spec, kron_spec, net_backward, net_forward
 
-from conftest import finite_diff, random_dense_factor, random_shape, rel_err
+from conftest import (
+    finite_diff,
+    layer_forward_identity,
+    random_dense_factor,
+    random_shape,
+    rel_err,
+)
 
 
 def report(criterion, ok, detail=""):
@@ -145,7 +152,7 @@ def test_criterion_3_blockwise_reconstruction():
 
 def test_criterion_4_flop_exactness():
     rng = np.random.default_rng(404)
-    checks = 0
+    checks = materialized = 0
     for _ in range(50):
         n_batch = int(rng.integers(1, 5))
         m, n = int(rng.integers(1, 33)), int(rng.integers(1, 33))
@@ -199,14 +206,19 @@ def test_criterion_4_flop_exactness():
         assert (
             instrumented_count("two_layer_kron_backward", f1=f1, f2=f2, x=xt, y=yt) == rep.backward
         )
-        # C1..C4 breakdown constants obey the exact forward identity / closed forms
+        # C1..C4 breakdown constants obey the exact forward identity / closed
+        # forms; C1/C2 enter the identity of a layer on the fold path, and a
+        # layer on the materialized path obeys that path's closed form
         c1, c2 = rep.constants["C1"], rep.constants["C2"]
         fwd_identity = (
-            s1.r * (c1 + s1.m1 * s1.n1) + (s1.r - 1) * n_batch * s1.m + n_batch * s1.m
-            + s2.r * (c2 + s2.m1 * s2.n1) + (s2.r - 1) * n_batch * s2.m
+            layer_forward_identity(n_batch, s1, c1, with_dx=False) + n_batch * s1.m
+            + layer_forward_identity(n_batch, s2, c2, with_dx=True)
             + 3 * n_batch * s2.m - 1
         )
         assert rep.forward == fwd_identity
+        materialized += [train_path(n_batch, s1, False), train_path(n_batch, s2, True)].count(
+            "materialized"
+        )
         assert rep.constants["C3"] == s2.r * n_batch * s2.n1 * (4 * s2.m - s2.m2) + (
             2 * s2.r * n_batch * s2.n * s2.m2
         )
@@ -214,7 +226,11 @@ def test_criterion_4_flop_exactness():
             2 * s1.r * n_batch * s1.n * s1.m2
         )
         checks += 8
-    report(4, True, f"{checks} instrumented-vs-analytic equalities, exact integers")
+    report(
+        4, True,
+        f"{checks} instrumented-vs-analytic equalities, exact integers; "
+        f"{materialized} of 100 two-layer factored layers on the materialized path",
+    )
 
 
 def test_criterion_5_paper_arithmetic():

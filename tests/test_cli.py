@@ -5,7 +5,7 @@ import pytest
 
 from kronblock import KronShape
 from kronblock.cli import main
-from kronblock.flops import forward_path
+from kronblock.flops import forward_path, train_path
 
 
 def write_config(path, cfg):
@@ -235,6 +235,80 @@ def test_run_info_records_eval_paths(tmp_path):
         out = tmp_path / method
         assert main(["train", "--config", cfg, "--method", method, "--out", str(out)]) == 0
         assert json.loads((out / "run_info.json").read_text())["eval_paths"] == paths
+
+
+def test_run_info_records_train_paths(tmp_path):
+    # at the training batch of 32 rows the cost model puts (4,8,2,2) r=2 on the
+    # materialized path; the dense baselines report "dense"
+    cfg = write_config(tmp_path / "c.json", teacher_train_config())
+    assert train_path(32, KronShape(4, 8, 2, 2, 2), with_dx=False) == "materialized"
+    for method, paths in (("kron", ["materialized"]), ("prune", ["dense"])):
+        out = tmp_path / method
+        assert main(["train", "--config", cfg, "--method", method, "--out", str(out)]) == 0
+        assert json.loads((out / "run_info.json").read_text())["train_paths"] == paths
+    # select-pattern: one list per pattern, at the 32-row training batch
+    path = write_config(tmp_path / "s.json", select_config())
+    out = tmp_path / "sel"
+    assert main(["select-pattern", "--config", path, "--out", str(out)]) == 0
+    want = [[train_path(32, KronShape(16 // b, 32 // b, b, b, 2), with_dx=False)]
+            for b in (2, 4, 8)]
+    assert json.loads((out / "run_info.json").read_text())["train_paths"] == want
+
+
+@pytest.mark.parametrize(
+    "command,key,value,width",
+    [
+        ("train", "m", 10, "output width 8"),  # labels beyond the outputs
+        ("train", "m", 4, "output width 8"),
+        ("train", "n", 8, "input width 16"),
+        ("select-pattern", "m", 8, "output width 16"),
+    ],
+)
+def test_teacher_dims_must_match_model(tmp_path, capsys, command, key, value, width):
+    cfg = teacher_train_config() if command == "train" else select_config()
+    cfg["dataset"][key] = value
+    path = write_config(tmp_path / "c.json", cfg)
+    argv = [command, "--config", path, "--out", str(tmp_path / "x")]
+    if command == "train":
+        argv += ["--method", "kron"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: dataset.{key}: {value} does not match the model's {width}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "dataset,field",
+    [
+        ({"kind": "idx", "images": 5, "labels": "labels.idx"}, "images"),
+        ({"kind": "idx", "images": "images.idx", "labels": ["labels.idx"]}, "labels"),
+        ({"kind": "idx", "images": "images.idx", "labels": "labels.idx", "test_images": 0,
+          "test_labels": "t.idx"}, "test_images"),
+        ({"kind": "mnist", "dir": 5}, "dir"),
+    ],
+)
+def test_dataset_paths_must_be_strings(tmp_path, capsys, dataset, field):
+    # an integer path would open that file descriptor of the process
+    cfg = teacher_train_config()
+    cfg["dataset"] = dataset
+    path = write_config(tmp_path / "c.json", cfg)
+    assert main(["train", "--config", path, "--method", "kron", "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: dataset.{field}: must be a string, got ")
+    assert err.count("\n") == 1
+
+
+def test_flop_audit_batch_is_capped(tmp_path, capsys):
+    from kronblock.cli import FLOP_AUDIT_MAX_BATCH
+
+    for batch, code in ((10**12, 1), (FLOP_AUDIT_MAX_BATCH + 1, 1), (FLOP_AUDIT_MAX_BATCH, 0)):
+        path = write_config(tmp_path / "f.json",
+                            {"flops": {"kind": "dense", "m": 2, "n": 3, "batch": batch}})
+        assert main(["flops", "--config", path]) == code
+    assert capsys.readouterr().err == "".join(
+        f"error: flops.batch: must be at most {FLOP_AUDIT_MAX_BATCH}, got {batch}\n"
+        for batch in (10**12, FLOP_AUDIT_MAX_BATCH + 1)
+    )
 
 
 def test_divergence_exit_code(tmp_path):

@@ -142,6 +142,62 @@ def test_backward_matches_finite_differences(rng):
     assert rel_err(g.d_x, finite_diff(loss, x)) <= 1e-6
 
 
+def _rel(got, want):
+    return float(np.linalg.norm(got - want)) / max(float(np.linalg.norm(want)), 1e-300)
+
+
+@given(seed=st.integers(0, 2**31), with_dx=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_materialized_path_matches_fold_path(seed, with_dx):
+    # random shapes up to 32 x 32 with r up to 4: the materialized forward and
+    # backward give the fold path's output and gradients within 1e-12 relative
+    r = np.random.default_rng(seed)
+    f = random_dense_factor(random_shape(r, max_dim=32), r)
+    x = r.standard_normal((int(r.integers(1, 9)), f.shape.n))
+    d_out = r.standard_normal((x.shape[0], f.shape.m))
+    out, cache = kb.forward(f, x)
+    got_out, got_cache = kb.materialized_forward(f, x)
+    assert _rel(got_out, out) <= 1e-12
+    want = (kb.backward if with_dx else kb.backward_params)(f, cache, d_out)
+    got = kb.materialized_backward(f, got_cache, d_out, with_dx)
+    assert _rel(got.d_s, want.d_s) <= 1e-12
+    for name in ("d_a", "d_b"):
+        for g, w in zip(getattr(got, name), getattr(want, name), strict=True):
+            assert g.shape == w.shape and _rel(g, w) <= 1e-12
+    if with_dx:
+        assert _rel(got.d_x, want.d_x) <= 1e-12
+    else:
+        assert got.d_x is None
+
+
+def test_materialized_backward_matches_finite_differences(rng):
+    f = random_dense_factor(KronShape(2, 3, 2, 2, 2), rng)
+    x = rng.standard_normal((3, 6))
+    y = rng.standard_normal((3, 4))
+
+    def loss():
+        o, _ = kb.materialized_forward(f, x)
+        d = o - y
+        return float(np.sum(d * d))
+
+    o, cache = kb.materialized_forward(f, x)
+    g = kb.materialized_backward(f, cache, 2.0 * (o - y), with_dx=True)
+    assert rel_err(g.d_s, finite_diff(loss, f.s)) <= 1e-6
+    for i in range(2):
+        assert rel_err(g.d_a[i], finite_diff(loss, f.a[i])) <= 1e-6
+        assert rel_err(g.d_b[i], finite_diff(loss, f.b[i])) <= 1e-6
+    assert rel_err(g.d_x, finite_diff(loss, x)) <= 1e-6
+
+
+def test_materialized_path_shape_mismatch(rng):
+    f = random_dense_factor(KronShape(2, 2, 2, 2, 1), rng)
+    with pytest.raises(ValueError, match="features"):
+        kb.materialized_forward(f, np.ones((3, 5)))
+    _, cache = kb.materialized_forward(f, np.ones((3, 4)))
+    with pytest.raises(ValueError, match="d_out"):
+        kb.materialized_backward(f, cache, np.ones((2, 4)), with_dx=False)
+
+
 def test_zeroing_one_mask_entry_zeroes_exactly_that_tile(rng):
     f = random_dense_factor(KronShape(2, 3, 2, 2, 2), rng)
     w_before = kb.materialize(f)

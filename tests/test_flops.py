@@ -24,12 +24,13 @@ from kronblock.flops import (
     kron_layer_report,
     kron_update_flops,
     materialized_forward_flops,
+    train_path,
     two_layer_dense_report,
     two_layer_kron_report,
 )
 from kronblock.linalg import counting
 
-from conftest import random_dense_factor, random_mixed_net, random_shape
+from conftest import layer_forward_identity, random_dense_factor, random_mixed_net, random_shape
 
 
 def test_dense_forward_closed_form():
@@ -93,12 +94,20 @@ def test_kron_backward_matches_counter(rng):
 
 
 def test_kron_backward_leading_term():
+    # each training path's backward against its leading term; the report
+    # counts the path train_path picks (here the materialized one)
     sh = KronShape(3, 4, 2, 5, 2)
     n = 200_000
-    bound = n * sh.m + n * sh.r * (
+    fold = n * sh.m + sum(fl._kron_backward_pieces(n, sh, False).values())
+    fold_bound = n * sh.m + n * sh.r * (
         4 * sh.m1 * sh.m2 * sh.n1 - sh.m2 * sh.n1 + 2 * sh.m2 * sh.n1 * sh.n2
     )
-    assert abs(kron_backward_flops(n, sh) / bound - 1.0) < 1e-3
+    materialized = n * sh.m + sum(fl._materialized_backward_pieces(n, sh, False).values())
+    materialized_bound = n * sh.m + 2 * n * sh.m * sh.n
+    assert abs(fold / fold_bound - 1.0) < 1e-3
+    assert abs(materialized / materialized_bound - 1.0) < 1e-3
+    assert train_path(n, sh, False) == "materialized"
+    assert kron_backward_flops(n, sh) == materialized
 
 
 def test_two_layer_all_dims_one():
@@ -116,26 +125,29 @@ def test_two_layer_dense_exact_total():
     assert rep.forward == 2 * n * m1 * m2 + 2 * n * m2 * m3 + 2 * n * m3 - 1
 
 
-def test_two_layer_constants_identity(rng):
-    # exact forward = r1*(C1 + |S1|) + (r1-1)N*m2 + N*m2 + r2*(C2 + |S2|) + (r2-1)N*m3 + 3N*m3 - 1
-    n = 3
-    s1 = KronShape(2, 3, 3, 2, 2)
-    s2 = KronShape(2, 2, 3, 3, 3)
-    rep = two_layer_kron_report(n, s1, s2)
-    c1, c2 = rep.constants["C1"], rep.constants["C2"]
-    expected = (
-        s1.r * (c1 + s1.m1 * s1.n1)
-        + (s1.r - 1) * n * s1.m
-        + n * s1.m
-        + s2.r * (c2 + s2.m1 * s2.n1)
-        + (s2.r - 1) * n * s2.m
-        + 3 * n * s2.m
-        - 1
-    )
-    assert rep.forward == expected
-    # C3/C4 are the leading backward aggregates (per-layer, rank included)
-    assert rep.constants["C3"] == s2.r * n * s2.n1 * (4 * s2.m - s2.m2) + 2 * s2.r * n * s2.n * s2.m2
-    assert rep.constants["C4"] == s1.r * n * s1.n1 * (4 * s1.m - s1.m2) + 2 * s1.r * n * s1.n * s1.m2
+def test_two_layer_constants_identity():
+    # exact forward = F1 + N*m2 + F2 + 3N*m3 - 1, where a layer on the fold
+    # path has F = r*(C + |S|) + (r-1)N*m and one on the materialized path
+    # r*|S| + m*n*(2r-1) + N*m*(2n-1); the cases cover both paths and a mix
+    for n, s1, s2, paths in (
+        (3, KronShape(2, 3, 3, 2, 2), KronShape(2, 2, 3, 3, 3), ("materialized", "materialized")),
+        (3, KronShape(8, 4, 2, 8, 2), KronShape(4, 8, 2, 2, 2), ("fold", "fold")),
+        (16, KronShape(8, 4, 2, 8, 2), KronShape(4, 8, 2, 2, 2), ("fold", "materialized")),
+    ):
+        assert (train_path(n, s1, False), train_path(n, s2, True)) == paths
+        rep = two_layer_kron_report(n, s1, s2)
+        c1, c2 = rep.constants["C1"], rep.constants["C2"]
+        expected = (
+            layer_forward_identity(n, s1, c1, with_dx=False)
+            + n * s1.m
+            + layer_forward_identity(n, s2, c2, with_dx=True)
+            + 3 * n * s2.m
+            - 1
+        )
+        assert rep.forward == expected
+        # C3/C4 are the fold path's leading backward aggregates (per-layer, rank included)
+        assert rep.constants["C3"] == s2.r * n * s2.n1 * (4 * s2.m - s2.m2) + 2 * s2.r * n * s2.n * s2.m2
+        assert rep.constants["C4"] == s1.r * n * s1.n1 * (4 * s1.m - s1.m2) + 2 * s1.r * n * s1.n * s1.m2
 
 
 def test_two_layer_dim_mismatch():
@@ -176,15 +188,25 @@ def test_instrumented_equals_analytic_single_layer(seed):
 @given(seed=st.integers(0, 2**31))
 @settings(max_examples=15, deadline=None)
 def test_formulas_monotone_in_each_dimension(seed):
+    # each training path's forward and backward grow with every dimension and
+    # the batch, and so does the step the cost model counts (the cheaper
+    # path's forward plus backward). The counted forward or backward alone
+    # need not: a larger dimension can move the layer to the other path.
     r = np.random.default_rng(seed)
     base = random_shape(r, max_dim=12)
     n = int(r.integers(1, 5))
-    for field in ("m1", "n1", "m2", "n2"):
-        grown = KronShape(**{**base.__dict__, field: getattr(base, field) + 1})
-        assert kron_forward_flops(n, grown) >= kron_forward_flops(n, base)
-        assert kron_backward_flops(n, grown) >= kron_backward_flops(n, base)
-    assert kron_forward_flops(n + 1, base) >= kron_forward_flops(n, base)
-    assert kron_backward_flops(n + 1, base) >= kron_backward_flops(n, base)
+    grown = [(n, KronShape(**{**base.__dict__, f: getattr(base, f) + 1}))
+             for f in ("m1", "n1", "m2", "n2")] + [(n + 1, base)]
+    for n_grown, shape in grown:
+        for with_dx in (False, True):
+            before = fl._kron_path_pieces(n, base, with_dx)
+            after = fl._kron_path_pieces(n_grown, shape, with_dx)
+            for path in ("fold", "materialized"):
+                for part in (0, 1):  # forward, backward
+                    assert sum(after[path][part].values()) >= sum(before[path][part].values())
+        step = kron_layer_report(n_grown, shape)
+        step_before = kron_layer_report(n, base)
+        assert step.forward + step.backward >= step_before.forward + step_before.backward
     assert dense_forward_flops(n + 1, base.m, base.n) >= dense_forward_flops(n, base.m, base.n)
 
 
@@ -223,6 +245,28 @@ def test_counted_walk_matches_network_flops(seed):
     assert fl.counted_step(net, x, y) == (
         network_forward_flops(net, n), network_backward_flops(net, n)
     )
+
+
+@pytest.mark.parametrize(
+    "layers,n_batch,paths",
+    [
+        # the paper's 784 -> 10 layer at its benchmark batch
+        ([(KronShape(5, 392, 2, 2, 2), "identity")], 64, ["materialized"]),
+        # fold first layer, materialized second layer with its input gradient
+        ([(KronShape(8, 4, 2, 8, 2), "relu"), (KronShape(4, 8, 2, 2, 2), "identity")], 16,
+         ["fold", "materialized"]),
+    ],
+)
+def test_counted_step_on_materialized_path(layers, n_batch, paths):
+    net = kb.build_network([kb.kron_spec(shape, act) for shape, act in layers], seed=1)
+    assert kb.train_paths(net, n_batch) == paths
+    rng = np.random.default_rng(n_batch)
+    x = rng.standard_normal((n_batch, net.in_dim))
+    y = rng.standard_normal((n_batch, net.out_dim))
+    rep = fl.layers_report(n_batch, layers)
+    assert fl.counted_step(net, x, y) == (rep.forward, rep.backward)
+    weight_builds = [k for k in rep.breakdown if k.endswith("weight_build")]
+    assert len(weight_builds) == paths.count("materialized")
 
 
 def test_network_flops_match_two_layer_reports():
@@ -509,32 +553,28 @@ def test_bench_train_script_writes_schema(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(out_path.read_text())
-    assert set(result) == {"benchmark", "rank", "repeats", "seed", "environment", "cells"}
+    assert set(result) == {"benchmark", "rank", "repeats", "seed", "environment", "cells",
+                           "rule_right", "rule_wrong"}
     assert {"blas", "blas_version", "blas_threads"} <= set(result["environment"])
     assert [c["batch"] for c in result["cells"]] == [1, 64]
-    shape = KronShape(8, 16, 2, 2, 2)
+    paths = ("fold", "materialized")
+    steps = ("backward", "backward_dx")
     for cell in result["cells"]:
-        assert set(cell) == {"shape", "r", "m", "n", "batch", "kron", "dense"}
+        assert set(cell) == {"shape", "r", "m", "n", "batch", *paths, "dense", "update",
+                             "pick", "faster", "pick_is_faster"}
         assert cell["shape"] == [8, 16, 2, 2] and cell["r"] == 2
-        n = cell["batch"]
-        want = {
-            "kron": {
-                "forward": fl.kron_forward_matmul_flops(n, shape),
-                "backward_dx": sum(fl._kron_backward_pieces(n, shape, True).values()),
-                "backward": sum(fl._kron_backward_pieces(n, shape, False).values()),
-                "update": kron_update_flops(shape),
-            },
-            "dense": {
-                "forward": n * 16 * (2 * 32 - 1),
-                "backward_dx": 16 * 32 * (2 * n - 1) + n * 32 * (2 * 16 - 1),
-                "backward": 16 * 32 * (2 * n - 1),
-                "update": 16 * 32,
-            },
-        }
-        for kind, parts in want.items():
-            assert list(cell[kind]) == list(parts)
-            for part, flops in parts.items():
-                row = cell[kind][part]
-                assert set(row) == {"flops", "median_s", "iqr_s", "gflops"}
-                assert row["flops"] == flops
-                assert row["median_s"] >= 0.0 and row["iqr_s"] >= 0.0
+        rows = [cell[path][part] for path in (*paths, "dense")
+                for part in ("forward", "backward_dx", "backward")]
+        assert set(cell["update"]) == {"kron", "dense"}
+        for row in rows + list(cell["update"].values()):
+            assert set(row) == {"flops", "median_s", "iqr_s", "gflops"}
+            assert isinstance(row["flops"], int) and row["flops"] > 0
+            assert row["median_s"] >= 0.0 and row["iqr_s"] >= 0.0
+        for key in ("pick", "faster", "pick_is_faster"):
+            assert set(cell[key]) == set(steps)
+        for step, with_dx in zip(steps, (False, True)):
+            assert cell["pick"][step] == train_path(cell["batch"], KronShape(8, 16, 2, 2, 2),
+                                                    with_dx)
+            assert cell["faster"][step] in paths
+            assert cell["pick_is_faster"][step] == (cell["pick"][step] == cell["faster"][step])
+    assert result["rule_right"] + len(result["rule_wrong"]) == 2 * len(steps)

@@ -7,11 +7,13 @@ from kronblock import (
     fold_input,
     fold_mid,
     fold_output,
+    fold_tiles,
     hadamard,
     kron,
     unfold_input,
     unfold_mid,
     unfold_output,
+    unfold_tiles,
 )
 
 dims = st.integers(min_value=1, max_value=6)
@@ -109,6 +111,18 @@ def test_fold_mid_roundtrip(n, m2, n1, seed):
 def test_fold_output_roundtrip(n, m1, m2, seed):
     v = np.random.default_rng(seed).standard_normal((n * m2, m1))
     assert np.array_equal(unfold_output(fold_output(v, m2), m2), v)
+
+
+@given(m1=dims, n1=dims, m2=dims, n2=dims, seed=st.integers(0, 2**31))
+@settings(max_examples=40, deadline=None)
+def test_fold_tiles_roundtrip_and_index_formula(m1, n1, m2, n2, seed):
+    # out[i1*n1 + j1, i2*n2 + j2] == w[i1*m2 + i2, j1*n2 + j2]
+    w = np.random.default_rng(seed).standard_normal((m1 * m2, n1 * n2))
+    t = fold_tiles(w, m2, n2)
+    assert t.shape == (m1 * n1, m2 * n2)
+    i1, j1, i2, j2 = np.meshgrid(range(m1), range(n1), range(m2), range(n2), indexing="ij")
+    assert np.array_equal(t[i1 * n1 + j1, i2 * n2 + j2], w[i1 * m2 + i2, j1 * n2 + j2])
+    assert np.array_equal(unfold_tiles(t, n1, n2), w)
 
 
 def test_three_sample_batch_roundtrips(rng):

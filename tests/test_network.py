@@ -21,6 +21,7 @@ from kronblock.network import (
     save_network,
     softmax,
     softmax_cross_entropy,
+    train_paths,
 )
 
 from conftest import finite_diff, random_mixed_net, rel_err
@@ -166,11 +167,50 @@ def test_training_backward_matches_net_backward(seed):
     for layer, lc in zip(net.layers, cache.layers):
         if layer.spec.kind == "kron":
             d_out = r.standard_normal(lc.pre.shape)
-            want = kb.backward(layer.factor, lc.fcache, d_out)
-            got = kb.backward_params(layer.factor, lc.fcache, d_out)
+            if isinstance(lc.fcache, kb.MaterializedCache):
+                want = kb.materialized_backward(layer.factor, lc.fcache, d_out, with_dx=True)
+                got = kb.materialized_backward(layer.factor, lc.fcache, d_out, with_dx=False)
+            else:
+                want = kb.backward(layer.factor, lc.fcache, d_out)
+                got = kb.backward_params(layer.factor, lc.fcache, d_out)
             assert got.d_x is None
             for a, b in zip(_net_grads([got]), _net_grads([want]), strict=True):
                 assert np.array_equal(a, b)
+
+
+@given(seed=st.integers(0, 2**31))
+@settings(max_examples=40, deadline=None)
+def test_training_paths_agree_on_mixed_nets(seed):
+    # mixed dense/kron nets of 1-3 layers: the step train_paths picks gives the
+    # output, loss and every gradient of an all-fold and an all-materialized
+    # step within 1e-12 relative
+    from kronblock import flops as fl
+
+    r = np.random.default_rng(seed)
+    net = random_mixed_net(r, seed)
+    n = int(r.integers(1, 6))
+    x = r.standard_normal((n, net.in_dim))
+    target = r.standard_normal((n, net.out_dim))
+    picked = train_paths(net, n)
+    out, cache = net_forward(net, x)
+    loss, grads, dx = net_backward(net, cache, target, "squared_frobenius")
+    for lc, path in zip(cache.layers, picked):
+        want_cache = {"materialized": kb.MaterializedCache, "fold": kb.factor.KronForwardCache}
+        assert isinstance(lc.fcache, want_cache.get(path, type(None)))
+    train_path = fl.train_path
+    for forced in ("fold", "materialized"):
+        fl.train_path = lambda *_args, forced=forced, **_kw: forced
+        try:
+            assert train_paths(net, n) == [p if p == "dense" else forced for p in picked]
+            f_out, f_cache = net_forward(net, x)
+            f_loss, f_grads, f_dx = net_backward(net, f_cache, target, "squared_frobenius")
+        finally:
+            fl.train_path = train_path
+        assert abs(f_loss - loss) <= 1e-12 * abs(loss)
+        for got, want in [(f_out, out), (f_dx, dx)] + list(
+            zip(_net_grads(f_grads), _net_grads(grads), strict=True)
+        ):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_relu_dead_unit_blocks_gradient(rng):

@@ -396,34 +396,47 @@ def test_benchmark_tracer_installs_and_traces_eval(monkeypatch):
 
 
 def test_training_skips_first_layer_input_gradient(monkeypatch):
-    # a factored layer's input gradient ends in unfold_input; training never
-    # asks for the gradient w.r.t. the network input, so only the second layer
-    # of a two-layer net computes one, once per step
+    # training never asks for the gradient w.r.t. the network input, so on
+    # either training path only the second layer of a two-layer net computes
+    # one, once per step: on the fold path a factored layer's input gradient
+    # ends in unfold_input, on the materialized path materialized_backward
+    # computes it when with_dx is set
     from kronblock import factor as kf
+    from kronblock.network import train_paths
     from kronblock.patterns import SelectConfig, build_pattern_set, select_pattern
 
     calls = []
-    unfold_input = kf.unfold_input
+    unfold_input, materialized_backward = kf.unfold_input, kf.materialized_backward
 
-    def spy(*args):
-        calls.append(1)
+    def spy_fold(*args):
+        calls.append("fold")
         return unfold_input(*args)
 
-    monkeypatch.setattr(kf, "unfold_input", spy)
+    def spy_materialized(factor, cache, d_out, with_dx):
+        if with_dx:
+            calls.append("materialized")
+        return materialized_backward(factor, cache, d_out, with_dx)
+
+    monkeypatch.setattr(kf, "unfold_input", spy_fold)
+    monkeypatch.setattr(kf, "materialized_backward", spy_materialized)
     ds, _ = make_teacher_dataset(4, 8, (2, 2), 0.5, 40, seed=1, classification=True)
     cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=0.05, seed=4)
     steps = cfg.epochs * 3  # 40 rows in batches of 16
 
-    train_kron(build_network([kron_spec(KronShape(2, 4, 2, 2, 2))], seed=2), ds, cfg)
-    assert calls == []
+    for path, first, second in (
+        ("materialized", KronShape(2, 4, 2, 2, 2), KronShape(2, 2, 2, 2, 2)),
+        ("fold", KronShape(2, 2, 2, 4, 1), KronShape(2, 2, 2, 2, 1)),
+    ):
+        two = build_network([kron_spec(first, "relu"), kron_spec(second)], seed=2)
+        assert train_paths(two, 16) == train_paths(two, 8) == [path, path]
+        calls.clear()
+        train_kron(build_network([kron_spec(first)], seed=2), ds, cfg)
+        assert calls == []
+        train_kron(two, ds, cfg)
+        assert calls == [path] * steps
+
+    calls.clear()
     pset = build_pattern_set([(4, 8)], [[(2, 2)], [(2, 4)]], rank=2, seed=3)
     select_pattern(pset, ds, SelectConfig(
         train=cfg, increment_period_epochs=1, max_epochs=2, finetune_epochs=1))
     assert calls == []
-
-    two = build_network(
-        [kron_spec(KronShape(2, 4, 2, 2, 2), "relu"), kron_spec(KronShape(2, 2, 2, 2, 2))],
-        seed=2,
-    )
-    train_kron(two, ds, cfg)
-    assert len(calls) == steps
