@@ -23,6 +23,8 @@ import os
 import shutil
 import sys
 import time
+from dataclasses import MISSING, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -73,8 +75,7 @@ from .train import (
     MetricRecord,
     TrainConfig,
     TrainingDivergedError,
-    dense_tile_sparsity,
-    net_mask_sparsity,
+    eval_metrics,
     prune_blocks,
     train_group_lasso,
     train_kron,
@@ -136,9 +137,11 @@ def _string(value, path: str) -> str:
 
 
 def _number(value, path: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{path}: must be a number, got {value!r}")
-    return float(value)
+    # NaN, infinities and integers too large for a float are not numbers here
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:
+            return float(value)
+    raise ConfigError(f"{path}: must be a number, got {value!r}")
 
 
 def load_config(path: str) -> dict:
@@ -201,6 +204,13 @@ def _model_layers(model_cfg: dict, model_keys: set[str], layer_keys: set[str]):
         yield path, layer
 
 
+def _activation(layer: dict, path: str) -> str:
+    activation = layer.get("activation", "identity")
+    if activation not in ACTIVATIONS:
+        raise ConfigError(f"{path}.activation: unknown activation {activation!r}")
+    return activation
+
+
 def build_model(model_cfg: dict, seed: int, force_dense: bool = False) -> Network:
     specs = []
     for path, layer in _model_layers(
@@ -208,9 +218,7 @@ def build_model(model_cfg: dict, seed: int, force_dense: bool = False) -> Networ
         {"kind", "activation", "shape", "rank", "m", "n", "block"},
     ):
         kind = _require(layer, "kind", path)
-        activation = layer.get("activation", "identity")
-        if activation not in ACTIVATIONS:
-            raise ConfigError(f"{path}.activation: unknown activation {activation!r}")
+        activation = _activation(layer, path)
         if kind == "kron":
             shape = _layer_shape(layer, path)
             if force_dense:
@@ -316,34 +324,39 @@ def _check_teacher_dims(ds_cfg: dict, in_dim: int, out_dim: int) -> None:
             )
 
 
-_TRAIN_KEYS = {
-    "epochs", "batch_size", "learning_rate", "momentum", "lambda", "epsilon_zero",
-    "loss", "shuffle", "block", "target_rate", "rounds",
-}
+# Config keys of dataclass fields whose key is not the field name.
+CONFIG_KEYS = {"lam": "lambda", "eps_zero": "epsilon_zero"}
+# JSON type check per field annotation; the int fields are all counts.
+_JSON_TYPES = {int: _nonnegative_int, float: _number, bool: _boolean, str: _string}
+
+
+def _dataclass_section(cls, section: dict, name: str, extra: set[str], **fixed):
+    """``cls(**fixed, ...)``, every other field read from config section ``name``
+    under its key (``CONFIG_KEYS``, else the field name). The caller parses the
+    ``extra`` keys, which are not fields; defaults and ranges are ``cls``'s own."""
+    keys = {CONFIG_KEYS.get(f.name, f.name): f for f in fields(cls) if f.name not in fixed}
+    _check_keys(section, set(keys) | extra, name)
+    types = get_type_hints(cls)
+    values = dict(fixed)
+    for key, f in keys.items():
+        if key in section:
+            values[f.name] = _JSON_TYPES[types[f.name]](section[key], f"{name}.{key}")
+        elif f.default is MISSING:
+            raise ConfigError(f"{name}.{key}: required field is missing")
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def build_train_config(train_cfg: dict, seed: int) -> TrainConfig:
-    _check_keys(train_cfg, _TRAIN_KEYS, "train")
-    try:
-        return TrainConfig(
-            epochs=_positive_int(_require(train_cfg, "epochs", "train"), "train.epochs"),
-            batch_size=_positive_int(
-                _require(train_cfg, "batch_size", "train"), "train.batch_size"
-            ),
-            learning_rate=_number(
-                _require(train_cfg, "learning_rate", "train"), "train.learning_rate"
-            ),
-            momentum=_number(train_cfg.get("momentum", 0.9), "train.momentum"),
-            lam=_number(train_cfg.get("lambda", 0.0), "train.lambda"),
-            eps_zero=_number(train_cfg.get("epsilon_zero", 1e-6), "train.epsilon_zero"),
-            seed=seed,
-            loss=train_cfg.get("loss", "softmax_cross_entropy"),
-            shuffle=_boolean(train_cfg.get("shuffle", True), "train.shuffle"),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"train: {exc}") from exc
+    return _dataclass_section(
+        TrainConfig, train_cfg, "train", {"block", "target_rate", "rounds"}, seed=seed
+    )
+
+
+def build_select_config(select_cfg: dict, tcfg: TrainConfig) -> SelectConfig:
+    return _dataclass_section(SelectConfig, select_cfg, "select", {"patterns", "rank"}, train=tcfg)
 
 
 # ---------------------------------------------------------------------------
@@ -407,31 +420,26 @@ def cmd_train(args) -> int:
     _check_keys(cfg, {"seed", "dataset", "model", "train"}, "config")
     seed = _config_seed(args, cfg)
     train_ds, eval_ds = build_dataset(_section(cfg, "dataset"), seed)
-    tcfg = build_train_config(_section(cfg, "train"), seed)
-    train_section = cfg["train"]
+    train_section = _section(cfg, "train")
+    tcfg = build_train_config(train_section, seed)
     method = args.method
     net = build_model(_section(cfg, "model"), seed, force_dense=method != "kron")
     _check_teacher_dims(cfg["dataset"], net.in_dim, net.out_dim)
-    if method == "kron":
-        try:
-            net, records = train_kron(net, train_ds, tcfg, eval_data=eval_ds)
-        except ValueError as exc:
-            raise ConfigError(f"train: {exc}") from exc
-        sparsity = net_mask_sparsity(net, tcfg.eps_zero)
-    else:
+    if method != "kron":
         block = _parse_block(_require(train_section, "block", "train"), "train.block")
         target = _number(train_section.get("target_rate", 0.5), "train.target_rate")
         rounds = _positive_int(train_section.get("rounds", 1), "train.rounds")
-        try:
-            if method == "group-lasso":
-                net, records = train_group_lasso(net, train_ds, tcfg, block, eval_data=eval_ds)
-            else:
-                net, records = prune_blocks(
-                    net, train_ds, tcfg, block, target, rounds, eval_data=eval_ds
-                )
-        except ValueError as exc:
-            raise ConfigError(f"train: {exc}") from exc
-        sparsity = dense_tile_sparsity(net, block, tcfg.eps_zero)
+    try:
+        if method == "kron":
+            net, records = train_kron(net, train_ds, tcfg, eval_data=eval_ds)
+        elif method == "group-lasso":
+            net, records = train_group_lasso(net, train_ds, tcfg, block, eval_data=eval_ds)
+        else:
+            net, records = prune_blocks(
+                net, train_ds, tcfg, block, target, rounds, eval_data=eval_ds
+            )
+    except ValueError as exc:
+        raise ConfigError(f"train: {exc}") from exc
     final = records[-1]
     summary = {
         "method": method,
@@ -439,7 +447,7 @@ def cmd_train(args) -> int:
         "accuracy": final.accuracy,
         "eval_loss": final.eval_loss,
         "train_loss": final.train_loss,
-        "sparsity_rate": sparsity,
+        "sparsity_rate": final.sparsity_rate,
         "trainable_params": final.trainable_params,
         "forward_flops": final.forward_flops,
         "backward_flops": final.backward_flops,
@@ -455,13 +463,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-_SELECT_KEYS = {
-    "patterns", "rank", "lambda1_init", "lambda2_init", "lambda_increment",
-    "increment_period_epochs", "max_epochs", "epsilon_group_rel",
-    "finetune_epochs", "keep_l1_in_finetune",
-}
-
-
 def cmd_select_pattern(args) -> int:
     cfg = load_config(args.config)
     _check_keys(cfg, {"seed", "dataset", "model", "train", "select"}, "config")
@@ -469,7 +470,7 @@ def cmd_select_pattern(args) -> int:
     train_ds, eval_ds = build_dataset(_section(cfg, "dataset"), seed)
     tcfg = build_train_config(_section(cfg, "train"), seed)
     select_cfg = _section(cfg, "select")
-    _check_keys(select_cfg, _SELECT_KEYS, "select")
+    scfg = build_select_config(select_cfg, tcfg)
 
     layer_dims = []
     activations = []
@@ -481,7 +482,7 @@ def cmd_select_pattern(args) -> int:
         m = _positive_int(_require(layer, "m", path), f"{path}.m")
         n = _positive_int(_require(layer, "n", path), f"{path}.n")
         layer_dims.append((m, n))
-        activations.append(layer.get("activation", "identity"))
+        activations.append(_activation(layer, path))
     _check_teacher_dims(cfg["dataset"], layer_dims[0][1], layer_dims[-1][0])
     patterns_cfg = _require(select_cfg, "patterns", "select")
     if not isinstance(patterns_cfg, list) or len(patterns_cfg) < 2:
@@ -496,29 +497,6 @@ def cmd_select_pattern(args) -> int:
     rank = _positive_int(select_cfg.get("rank", 1), "select.rank")
     try:
         pset = build_pattern_set(layer_dims, blocks_per_pattern, rank, activations, seed)
-        scfg = SelectConfig(
-            train=tcfg,
-            lambda1_init=_number(select_cfg.get("lambda1_init", 0.01), "select.lambda1_init"),
-            lambda2_init=_number(select_cfg.get("lambda2_init", 0.01), "select.lambda2_init"),
-            lambda_increment=_number(
-                select_cfg.get("lambda_increment", 0.002), "select.lambda_increment"
-            ),
-            increment_period_epochs=_positive_int(
-                select_cfg.get("increment_period_epochs", 5), "select.increment_period_epochs"
-            ),
-            max_epochs=_positive_int(select_cfg.get("max_epochs", 50), "select.max_epochs"),
-            epsilon_group_rel=_number(
-                select_cfg.get("epsilon_group_rel", 1e-3), "select.epsilon_group_rel"
-            ),
-            finetune_epochs=_nonnegative_int(
-                select_cfg.get("finetune_epochs", 5), "select.finetune_epochs"
-            ),
-            keep_l1_in_finetune=_boolean(
-                select_cfg.get("keep_l1_in_finetune", True), "select.keep_l1_in_finetune"
-            ),
-        )
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"select: {exc}") from exc
     result = select_pattern(pset, train_ds, scfg)
@@ -529,8 +507,6 @@ def cmd_select_pattern(args) -> int:
             fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
     eval_section = {}
     if eval_ds is not None:
-        from .train import eval_metrics
-
         eval_loss, accuracy = eval_metrics(result.net, eval_ds, tcfg.loss)
         eval_section = {"eval_loss": eval_loss, "accuracy": accuracy}
 
@@ -557,7 +533,14 @@ def cmd_select_pattern(args) -> int:
 
 
 def cmd_shape_opt(args) -> int:
-    r_grid = tuple(int(v) for v in args.r_grid.split(",")) if args.r_grid else (1,)
+    _positive_int(args.m, "--m")
+    _positive_int(args.n, "--n")
+    try:
+        r_grid = tuple(int(v) for v in args.r_grid.split(",")) if args.r_grid else (1,)
+    except ValueError as exc:
+        raise ConfigError(
+            f"--r-grid: expected comma-separated integers, got {args.r_grid!r}"
+        ) from exc
     if any(r < 1 for r in r_grid):
         raise ConfigError("--r-grid: ranks must be positive")
     result = optimal_shape(args.m, args.n)
@@ -659,26 +642,39 @@ def cmd_flops(args) -> int:
 
 
 def _load_matrix(path: str) -> np.ndarray:
+    """The real matrix in ``path``: ``.npy``, ``.idx``, else whitespace-separated text."""
     if path.endswith(".npy"):
-        return np.asarray(np.load(path), dtype=np.float64)
-    if path.endswith(".idx"):
-        return np.asarray(read_idx(path), dtype=np.float64)
-    return np.loadtxt(path, ndmin=2, dtype=np.float64)
+        arr = np.load(path)
+    elif path.endswith(".idx"):
+        arr = read_idx(path)
+    else:
+        return np.loadtxt(path, ndmin=2, dtype=np.float64)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"expected a real array, got dtype {arr.dtype}")
+    return np.asarray(arr, dtype=np.float64)
 
 
 def cmd_decompose(args) -> int:
     try:
         m2, n2 = (int(v) for v in args.block.lower().split("x"))
-    except ValueError as exc:
-        raise ConfigError(f"--block: expected M2xN2, got {args.block!r}") from exc
+    except ValueError:
+        m2 = n2 = 0
+    if m2 < 1 or n2 < 1:
+        raise ConfigError(f"--block: expected M2xN2 with positive integers, got {args.block!r}")
     if not os.path.exists(args.infile):
         raise ConfigError(f"--in: file not found: {args.infile}")
-    w = _load_matrix(args.infile)
+    try:
+        w = _load_matrix(args.infile)
+    except (OSError, EOFError, ValueError) as exc:
+        raise ConfigError(f"--in: {exc}") from exc
     try:
         factor = reconstruct_from_blockwise(w, (m2, n2))
     except ValueError as exc:
         raise ConfigError(f"decompose: {exc}") from exc
-    save_factor(args.out, factor)
+    try:
+        save_factor(args.out, factor)
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from exc
     roundtrip = materialize(factor)
     report = {
         "rank": factor.shape.r,

@@ -12,7 +12,7 @@ group norm is still above threshold; that winner is then fine-tuned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -218,16 +218,11 @@ def select_pattern(pset: PatternSet, data: Dataset, cfg: SelectConfig) -> Select
     final_norms = [_group_norm(net) for net in pset.nets]
     finetune_metrics: list[MetricRecord] = []
     if cfg.finetune_epochs > 0:
-        ft_cfg = TrainConfig(
+        ft_cfg = replace(
+            tcfg,
             epochs=cfg.finetune_epochs,
-            batch_size=tcfg.batch_size,
-            learning_rate=tcfg.learning_rate,
-            momentum=tcfg.momentum,
             lam=lam2 if cfg.keep_l1_in_finetune else 0.0,
-            eps_zero=tcfg.eps_zero,
             seed=tcfg.seed + stop_epoch,
-            loss=tcfg.loss,
-            shuffle=tcfg.shuffle,
         )
         _, finetune_metrics = train_kron(pset.nets[winner], data, ft_cfg)
     return SelectionResult(

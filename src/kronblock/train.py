@@ -265,6 +265,16 @@ def group_lasso_prox(w: np.ndarray, block: tuple[int, int], t: float) -> None:
     tile_view(w, m2, n2)[:] *= scale[:, None, :, None]
 
 
+def _check_dense_tiling(net: Network, block: tuple[int, int], trainer: str) -> None:
+    """The dense baselines need an all-dense net that ``block`` tiles."""
+    m2, n2 = block
+    for layer in net.layers:
+        if layer.spec.kind != "dense":
+            raise ValueError(f"{trainer} expects an all-dense network")
+        if layer.spec.m % m2 != 0 or layer.spec.n % n2 != 0:
+            raise ValueError(f"block {block} does not divide layer {layer.spec.m}x{layer.spec.n}")
+
+
 def train_group_lasso(
     net: Network,
     data: Dataset,
@@ -274,12 +284,7 @@ def train_group_lasso(
 ) -> tuple[Network, list[MetricRecord]]:
     """Dense-net baseline: momentum SGD plus a per-step proximal block
     soft-threshold driving whole tiles to exact zero."""
-    m2, n2 = block
-    for layer in net.layers:
-        if layer.spec.kind != "dense":
-            raise ValueError("train_group_lasso expects an all-dense network")
-        if layer.spec.m % m2 != 0 or layer.spec.n % n2 != 0:
-            raise ValueError(f"block {block} does not divide layer {layer.spec.m}x{layer.spec.n}")
+    _check_dense_tiling(net, block, "train_group_lasso")
     vel = init_velocities(net)
     eval_ds = eval_data if eval_data is not None else data
     t = cfg.learning_rate * cfg.lam
@@ -321,12 +326,8 @@ def prune_blocks(
         raise ValueError("target_rate must be in [0, 1)")
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    _check_dense_tiling(net, block, "prune_blocks")
     m2, n2 = block
-    for layer in net.layers:
-        if layer.spec.kind != "dense":
-            raise ValueError("prune_blocks expects an all-dense network")
-        if layer.spec.m % m2 != 0 or layer.spec.n % n2 != 0:
-            raise ValueError(f"block {block} does not divide layer {layer.spec.m}x{layer.spec.n}")
 
     masks = [np.ones((l.spec.m // m2, l.spec.n // n2), dtype=bool) for l in net.layers]
     vel = init_velocities(net)

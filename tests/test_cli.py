@@ -1,10 +1,19 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kronblock import KronShape
-from kronblock.cli import main
+from kronblock import KronShape, SelectConfig, TrainConfig
+from kronblock.cli import (
+    CONFIG_KEYS,
+    ConfigError,
+    build_select_config,
+    build_train_config,
+    main,
+)
 from kronblock.flops import forward_path, train_path
 
 
@@ -193,6 +202,82 @@ def test_config_scalar_field_rejected(tmp_path, capsys, path, value, expected):
     assert capsys.readouterr().err == f"error: {path}: must be {expected}, got {value!r}\n"
 
 
+# Every key of the train/select sections, valid; the dataclasses own the
+# defaults, ranges and field names, the CLI only the keys that are not fields.
+FULL_SECTIONS = {
+    "train": {
+        "epochs": 2, "batch_size": 8, "learning_rate": 0.5, "momentum": 0.5, "lambda": 0.25,
+        "epsilon_zero": 1e-3, "loss": "squared_frobenius", "shuffle": False,
+        "block": [2, 2], "target_rate": 0.5, "rounds": 1,
+    },
+    "select": {
+        "lambda1_init": 0.5, "lambda2_init": 0.25, "lambda_increment": 0.125,
+        "increment_period_epochs": 2, "max_epochs": 4, "epsilon_group_rel": 0.5,
+        "finetune_epochs": 0, "keep_l1_in_finetune": False,
+        "patterns": [[[2, 2]], [[4, 4]]], "rank": 2,
+    },
+}
+SECTION_SCHEMA = {
+    # section: (dataclass, fields the caller fixes, keys that are not fields)
+    "train": (TrainConfig, {"seed"}, {"block", "target_rate", "rounds"}),
+    "select": (SelectConfig, {"train"}, {"patterns", "rank"}),
+}
+
+
+def build_section(name, section):
+    if name == "train":
+        return build_train_config(section, seed=7)
+    return build_select_config(section, TrainConfig(epochs=1, batch_size=1, learning_rate=0.1))
+
+
+@pytest.mark.parametrize("name", ["train", "select"])
+def test_section_keys_are_the_dataclass_fields(name):
+    cls, fixed, extra = SECTION_SCHEMA[name]
+    keys = {CONFIG_KEYS.get(f.name, f.name) for f in fields(cls) if f.name not in fixed}
+    section = FULL_SECTIONS[name]
+    assert keys | extra == set(section)
+    cfg = build_section(name, section)
+    for f in fields(cls):
+        key = CONFIG_KEYS.get(f.name, f.name)
+        if key in section:
+            assert getattr(cfg, f.name) == section[key]
+    # a field name that is not a key (aliased or fixed by the caller) is unknown
+    for field_name in {f.name for f in fields(cls)} - keys:
+        with pytest.raises(ConfigError, match=rf"^{name}\.{field_name}: unknown field$"):
+            build_section(name, {**section, field_name: 1})
+
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.just(10**400), st.floats(), st.text(max_size=6)
+)
+
+
+@pytest.mark.parametrize("name", ["train", "select"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_section_builder_fuzz(name, data):
+    # arbitrary JSON scalars in the fields, some fields left out: the builder
+    # returns a config holding the given values, or ends in one ConfigError
+    # line naming the section; never another exception
+    cls, _, extra = SECTION_SCHEMA[name]
+    keys = sorted(set(FULL_SECTIONS[name]) - extra)
+    overrides = data.draw(st.dictionaries(st.sampled_from(keys), JSON_SCALARS, max_size=2))
+    section = {**FULL_SECTIONS[name], **overrides}
+    for key in data.draw(st.sets(st.sampled_from(keys), max_size=2)):
+        del section[key]
+    try:
+        cfg = build_section(name, section)
+    except ConfigError as exc:
+        message = str(exc)
+        assert message.startswith((f"{name}.", f"{name}:")) and "\n" not in message
+    else:
+        assert isinstance(cfg, cls)
+        for f in fields(cls):
+            key = CONFIG_KEYS.get(f.name, f.name)
+            if key in section:
+                assert getattr(cfg, f.name) == section[key]
+
+
 @pytest.mark.parametrize(
     "command,section,value,message",
     [
@@ -370,6 +455,17 @@ def test_select_pattern_defaults_match_schedule(tmp_path):
     assert summary["lambda1_final"] == pytest.approx(0.01 + 0.002 * increments)
 
 
+@pytest.mark.parametrize("command", ["train", "select-pattern"])
+def test_unknown_activation_names_the_layer(tmp_path, capsys, command):
+    cfg = teacher_train_config() if command == "train" else select_config()
+    cfg["model"]["layers"][0]["activation"] = "tanh"
+    path = write_config(tmp_path / "c.json", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == (
+        "error: model.layers[0].activation: unknown activation 'tanh'\n"
+    )
+
+
 def test_select_rejects_single_pattern(tmp_path):
     cfg = select_config()
     cfg["select"]["patterns"] = [[[2, 2]]]
@@ -386,6 +482,21 @@ def test_shape_opt_examples(capsys):
     assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["objective"] == 3
     assert main(["shape-opt", "--m", "6", "--n", "10"]) == 0
     assert "optimum" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--m", "4", "--n", "4", "--r-grid", "1,x"],
+         "--r-grid: expected comma-separated integers, got '1,x'"),
+        (["--m", "4", "--n", "4", "--r-grid", "0,2"], "--r-grid: ranks must be positive"),
+        (["--m", "0", "--n", "4"], "--m: must be a positive integer, got 0"),
+        (["--m", "4", "--n", "-3"], "--n: must be a positive integer, got -3"),
+    ],
+)
+def test_shape_opt_bad_args(capsys, argv, message):
+    assert main(["shape-opt", *argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_flops_command_exact_equality(tmp_path, capsys):
@@ -420,10 +531,28 @@ def test_decompose_roundtrip(tmp_path, capsys):
     assert np.array_equal(materialize(load_factor(out)), w)
 
 
-def test_decompose_bad_block_arg(tmp_path):
+def test_decompose_bad_block_arg(tmp_path, capsys):
+    # a bad --block, an unreadable --in or an unwritable --out ends with exit
+    # code 1 and one line naming the flag, never a traceback
     np.save(tmp_path / "w.npy", np.ones((4, 4)))
-    assert main(["decompose", "--in", str(tmp_path / "w.npy"), "--block", "4by4",
-                 "--out", str(tmp_path / "f.kbf")]) == 1
+    (tmp_path / "garbage.npy").write_bytes(b"\x00\x01 not an array")
+    np.save(tmp_path / "pickled.npy", np.array([{"a": 1}], dtype=object), allow_pickle=True)
+    np.save(tmp_path / "complex.npy", np.ones((4, 4)) * 1j)
+    good, out = str(tmp_path / "w.npy"), str(tmp_path / "f.kbf")
+    cases = [
+        (good, "4by4", out, "--block: expected M2xN2 with positive integers, got '4by4'"),
+        (good, "0x2", out, "--block: expected M2xN2 with positive integers, got '0x2'"),
+        (good, "2x-1", out, "--block: expected M2xN2 with positive integers, got '2x-1'"),
+        (str(tmp_path / "garbage.npy"), "2x2", out, "--in: "),
+        (str(tmp_path / "pickled.npy"), "2x2", out, "--in: "),
+        (str(tmp_path / "complex.npy"), "2x2", out,
+         "--in: expected a real array, got dtype complex128"),
+        (good, "2x2", str(tmp_path / "missing" / "f.kbf"), "--out: "),
+    ]
+    for infile, block, outfile, message in cases:
+        assert main(["decompose", "--in", infile, "--block", block, "--out", outfile]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
 
 
 def test_mnist_dataset_kind_end_to_end(tmp_path, monkeypatch):

@@ -216,6 +216,27 @@ def test_group_lasso_requires_dense_net(rng):
         train_group_lasso(net, ds, cfg, (2, 2))
 
 
+@pytest.mark.parametrize(
+    "trainer,name",
+    [
+        (lambda net, ds, cfg, block: train_group_lasso(net, ds, cfg, block), "train_group_lasso"),
+        (lambda net, ds, cfg, block: prune_blocks(net, ds, cfg, block, 0.5, 1), "prune_blocks"),
+    ],
+    ids=["group_lasso", "prune"],
+)
+def test_dense_baselines_check_net_and_block(trainer, name):
+    # both dense baselines reject a factored layer and a block that does not
+    # tile a layer, with the same messages
+    ds, _ = make_teacher_dataset(4, 8, (2, 2), 0.5, 16, seed=1, classification=True)
+    cfg = TrainConfig(epochs=1, batch_size=8, learning_rate=0.1)
+    kron_net = build_network([kron_spec(KronShape(2, 4, 2, 2, 1))], seed=0)
+    with pytest.raises(ValueError, match=rf"^{name} expects an all-dense network$"):
+        trainer(kron_net, ds, cfg, (2, 2))
+    dense_net = build_network([dense_spec(4, 8)], seed=0)
+    with pytest.raises(ValueError, match=r"^block \(3, 2\) does not divide layer 4x8$"):
+        trainer(dense_net, ds, cfg, (3, 2))
+
+
 def test_prune_zero_target_keeps_everything():
     ds, _ = make_teacher_dataset(4, 8, (2, 2), 0.5, 32, seed=1, classification=True)
     net = build_network([dense_spec(4, 8)], seed=2)
