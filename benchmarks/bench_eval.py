@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the two inference paths of a factored layer against the rule that picks one.
 
-For each shape (all at rank 2) and batch size this times the fold path
+For each shape (rank 2 unless given) and batch size this times the fold path
 (``factor.forward``) and the materialized path
 (``factor.materialized_forward``: building W, then ``x @ W.T``) over repeated
 runs, and records each path's median and
@@ -12,7 +12,7 @@ on one thread unless OPENBLAS_NUM_THREADS is set; the environment (Python,
 numpy, BLAS name, version and thread count) goes into the same file.
 
 Run: python benchmarks/bench_eval.py [--repeats 20] [--out BENCH_eval.json]
-     [--shape 8,16,2,2 ...] [--batches 1,64,512,2048]
+     [--shape 8,16,2,2[,r] ...] [--batches 1,64,512,2048]
 """
 
 from __future__ import annotations
@@ -43,14 +43,17 @@ from kronblock.flops import (  # noqa: E402
 )
 
 RANK = 2
-SHAPES = (
-    (5, 392, 2, 2),
-    (5, 49, 2, 16),
-    (2, 49, 5, 16),
-    (8, 16, 2, 2),
-    (64, 64, 16, 16),
-    (32, 32, 32, 32),
-    (1, 64, 16, 16),
+SHAPES = tuple(
+    KronShape(*dims, RANK)
+    for dims in (
+        (5, 392, 2, 2),
+        (5, 49, 2, 16),
+        (2, 49, 5, 16),
+        (8, 16, 2, 2),
+        (64, 64, 16, 16),
+        (32, 32, 32, 32),
+        (1, 64, 16, 16),
+    )
 )
 BATCHES = (1, 64, 512, 2048)
 SEED = 0
@@ -76,8 +79,11 @@ def path_row(flops: int, times: list[float]) -> dict:
     }
 
 
-def measure(dims: tuple, n_batch: int, repeats: int, rng) -> dict:
-    shape = KronShape(*dims, RANK)
+def shape_dims(shape: KronShape) -> list[int]:
+    return [shape.m1, shape.n1, shape.m2, shape.n2]
+
+
+def measure(shape: KronShape, n_batch: int, repeats: int, rng) -> dict:
     fac = random_factor(shape, rng)
     x = rng.standard_normal((n_batch, shape.n))
     fold = path_row(
@@ -91,8 +97,8 @@ def measure(dims: tuple, n_batch: int, repeats: int, rng) -> dict:
     pick = forward_path(n_batch, shape)
     faster = "materialized" if mat["median_s"] < fold["median_s"] else "fold"
     return {
-        "shape": list(dims),
-        "r": RANK,
+        "shape": shape_dims(shape),
+        "r": shape.r,
         "m": shape.m,
         "n": shape.n,
         "batch": n_batch,
@@ -104,11 +110,12 @@ def measure(dims: tuple, n_batch: int, repeats: int, rng) -> dict:
     }
 
 
-def parse_shape(text: str) -> tuple:
+def parse_shape(text: str) -> KronShape:
+    """``m1,n1,m2,n2`` at rank ``RANK``, or ``m1,n1,m2,n2,r``."""
     dims = tuple(int(v) for v in text.split(","))
-    if len(dims) != 4 or min(dims) < 1:
-        raise argparse.ArgumentTypeError(f"shape must be m1,n1,m2,n2, got {text!r}")
-    return dims
+    if len(dims) not in (4, 5) or min(dims) < 1:
+        raise argparse.ArgumentTypeError(f"shape must be m1,n1,m2,n2[,r], got {text!r}")
+    return KronShape(*dims[:4], dims[4] if len(dims) == 5 else RANK)
 
 
 def main(argv=None) -> int:
@@ -116,7 +123,7 @@ def main(argv=None) -> int:
     p.add_argument("--repeats", type=int, default=20)
     p.add_argument("--out", default=str(ROOT / "BENCH_eval.json"))
     p.add_argument("--shape", type=parse_shape, action="append",
-                   help="m1,n1,m2,n2 (repeatable; default: the seven built-in shapes)")
+                   help="m1,n1,m2,n2[,r] (repeatable; default: the seven built-in shapes)")
     p.add_argument("--batches", default=",".join(map(str, BATCHES)))
     args = p.parse_args(argv)
     if args.repeats < 2:
@@ -126,12 +133,13 @@ def main(argv=None) -> int:
 
     rng = np.random.default_rng(SEED)
     cells = []
-    for dims in shapes:
+    for shape in shapes:
         for n_batch in batches:
-            cell = measure(dims, n_batch, args.repeats, rng)
+            cell = measure(shape, n_batch, args.repeats, rng)
             cells.append(cell)
             fold, mat = cell["fold"], cell["materialized"]
-            print(f"{str(tuple(dims)):<18} N={n_batch:<5} fold {fold['median_s'] * 1e3:9.3f} ms "
+            label = str(tuple(cell["shape"]))
+            print(f"{label:<18} N={n_batch:<5} fold {fold['median_s'] * 1e3:9.3f} ms "
                   f"{fold['gflops']:6.2f} GF/s  materialized {mat['median_s'] * 1e3:9.3f} ms "
                   f"{mat['gflops']:6.2f} GF/s  pick {cell['pick']:<12} "
                   f"{'ok' if cell['pick_is_faster'] else 'WRONG'}")

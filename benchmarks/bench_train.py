@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time one training step of a factored layer on both paths, and of the dense layer of the same size.
 
-For each shape (all at rank 2) and batch size this times the parts of a
+For each shape and batch size this times the parts of a
 training step on the two training paths of the factored layer and on its
 dense ``m x n`` twin:
 
@@ -27,7 +27,11 @@ runs on one thread unless OPENBLAS_NUM_THREADS is set; the environment
 (Python, numpy, BLAS name, version and thread count) goes into the same file.
 
 Run: python benchmarks/bench_train.py [--repeats 20] [--out BENCH_train.json]
-     [--shape 5,392,2,2 ...] [--batches 1,64,512]
+     [--shape 5,392,2,2[,r] ...] [--batches 1,64,512]
+
+A ``--shape`` without a fifth element, and each default shape but the three
+16x32 layers of acceptance criterion 7 (rank 4), is at rank 2, the file's
+``rank``; every cell records its own ``r``.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ import sys
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from bench_eval import parse_shape, path_row, time_path  # noqa: E402
+from bench_eval import RANK, parse_shape, path_row, shape_dims, time_path  # noqa: E402
 from bench_flops import ROOT, environment  # noqa: E402  (puts src/ on sys.path)
 
 import numpy as np  # noqa: E402
@@ -63,8 +67,14 @@ from kronblock.network import (  # noqa: E402
 )
 from kronblock.train import TrainConfig, init_velocities, sgd_step  # noqa: E402
 
-RANK = 2
-SHAPES = ((5, 392, 2, 2), (5, 49, 2, 16), (64, 64, 16, 16), (1, 64, 16, 16), (32, 32, 32, 32))
+SHAPES = tuple(
+    KronShape(*dims, RANK)
+    for dims in ((5, 392, 2, 2), (5, 49, 2, 16), (64, 64, 16, 16), (1, 64, 16, 16),
+                 (32, 32, 32, 32))
+) + tuple(
+    # the 16x32 teacher layer of acceptance criterion 7, at its three block sizes
+    KronShape(*dims, 4) for dims in ((8, 16, 2, 2), (4, 8, 4, 4), (2, 4, 8, 8))
+)
 BATCHES = (1, 64, 512)
 SEED = 0
 PATHS = ("fold", "materialized", "dense")
@@ -129,15 +139,14 @@ def dense_parts(w, x, d_out, repeats: int) -> dict:
     }
 
 
-def measure(dims: tuple, n_batch: int, repeats: int, rng) -> dict:
-    shape = KronShape(*dims, RANK)
+def measure(shape: KronShape, n_batch: int, repeats: int, rng) -> dict:
     x = rng.standard_normal((n_batch, shape.n))
     d_out = rng.standard_normal((n_batch, shape.m))
     fac = random_factor(shape, rng)
     w = rng.standard_normal((shape.m, shape.n)) / np.sqrt(shape.n)
     times = kron_parts(fac, x, d_out, repeats)
     times["dense"] = dense_parts(w, x, d_out, repeats)
-    cell = {"shape": list(dims), "r": RANK, "m": shape.m, "n": shape.n, "batch": n_batch}
+    cell = {"shape": shape_dims(shape), "r": shape.r, "m": shape.m, "n": shape.n, "batch": n_batch}
     for path in PATHS:
         flops = flops_by_part(n_batch, shape, path)
         cell[path] = {part: path_row(flops[part], times[path][part]) for part in PARTS}
@@ -174,7 +183,7 @@ def main(argv=None) -> int:
     p.add_argument("--repeats", type=int, default=20)
     p.add_argument("--out", default=str(ROOT / "BENCH_train.json"))
     p.add_argument("--shape", type=parse_shape, action="append",
-                   help="m1,n1,m2,n2 (repeatable; default: the five built-in shapes)")
+                   help="m1,n1,m2,n2[,r] (repeatable; default: the eight built-in shapes)")
     p.add_argument("--batches", default=",".join(map(str, BATCHES)))
     args = p.parse_args(argv)
     if args.repeats < 2:
@@ -184,15 +193,16 @@ def main(argv=None) -> int:
 
     rng = np.random.default_rng(SEED)
     cells = []
-    for dims in shapes:
+    for shape in shapes:
         for n_batch in batches:
-            cell = measure(dims, n_batch, args.repeats, rng)
+            cell = measure(shape, n_batch, args.repeats, rng)
             cells.append(cell)
+            label = str((*cell["shape"], shape.r))
             for path in PATHS:
                 row = "  ".join(
                     f"{part} {cell[path][part]['median_s'] * 1e3:8.3f} ms" for part in PARTS
                 )
-                print(f"{str(tuple(dims)):<18} N={n_batch:<4} {path:<12} {row}")
+                print(f"{label:<18} N={n_batch:<4} {path:<12} {row}")
             print(f"{'':<18} {'':<6} pick " + "  ".join(
                 f"{part} {cell['pick'][part]} ({'ok' if cell['pick_is_faster'][part] else 'WRONG'})"
                 for part in STEPS

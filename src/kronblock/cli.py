@@ -167,14 +167,28 @@ def _parse_block(value, path: str) -> tuple[int, int]:
     return int(value[0]), int(value[1])
 
 
+def _bounded_rank(shape: KronShape, path: str) -> KronShape:
+    """``shape`` if its rank is at most ``shape.full_rank``, the rank beyond
+    which more terms add no expressive power; ``path`` names the rank field."""
+    if shape.r > shape.full_rank:
+        dims = [shape.m1, shape.n1, shape.m2, shape.n2]
+        raise ConfigError(
+            f"{path}: must be at most the full rank {shape.full_rank} of shape {dims}, "
+            f"got {shape.r}"
+        )
+    return shape
+
+
 def _parse_shape(section: dict, key: str, rank_key: str, path: str) -> KronShape:
     """``section[key]`` as ``[m1, n1, m2, n2]`` with the rank
-    ``section[rank_key]`` (default 1); ``path`` names the section."""
+    ``section[rank_key]`` (default 1, at most the full rank); ``path`` names
+    the section."""
     sh = _require(section, key, path)
     if not isinstance(sh, list) or len(sh) != 4:
         raise ConfigError(f"{path}.{key}: must be [m1, n1, m2, n2]")
     rank = _positive_int(section.get(rank_key, 1), f"{path}.{rank_key}")
-    return KronShape(*(_positive_int(v, f"{path}.{key}") for v in sh), rank)
+    shape = KronShape(*(_positive_int(v, f"{path}.{key}") for v in sh), rank)
+    return _bounded_rank(shape, f"{path}.{rank_key}")
 
 
 def _layer_shape(layer: dict, path: str) -> KronShape:
@@ -186,7 +200,7 @@ def _layer_shape(layer: dict, path: str) -> KronShape:
     m2, n2 = _parse_block(_require(layer, "block", path), f"{path}.block")
     if m % m2 != 0 or n % n2 != 0:
         raise ConfigError(f"{path}.block: ({m2},{n2}) does not divide {m}x{n}")
-    return KronShape(m // m2, n // n2, m2, n2, rank)
+    return _bounded_rank(KronShape(m // m2, n // n2, m2, n2, rank), f"{path}.rank")
 
 
 def _model_layers(model_cfg: dict, model_keys: set[str], layer_keys: set[str]):
@@ -495,6 +509,10 @@ def cmd_select_pattern(args) -> int:
             [_parse_block(b, f"select.patterns[{k}][{i}]") for i, b in enumerate(blocks)]
         )
     rank = _positive_int(select_cfg.get("rank", 1), "select.rank")
+    for blocks in blocks_per_pattern:
+        for (m, n), (m2, n2) in zip(layer_dims, blocks):
+            if m % m2 == 0 and n % n2 == 0:  # build_pattern_set names a misfit block
+                _bounded_rank(KronShape(m // m2, n // n2, m2, n2, rank), "select.rank")
     try:
         pset = build_pattern_set(layer_dims, blocks_per_pattern, rank, activations, seed)
     except ValueError as exc:

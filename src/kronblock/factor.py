@@ -7,9 +7,12 @@ entry ``S[i1, j1]`` gates exactly tile ``(i1, j1)`` of the materialized
 ``flops.train_path`` picks from its shape and batch size:
 
 * the *fold* path (``forward``, ``backward``, ``backward_params``) never
-  builds the weight: it runs through the fold maps of
-  :mod:`kronblock.linalg`, and the backward reuses the cached forward
-  intermediates;
+  builds the weight. It stacks the r rank terms, so the forward is two
+  GEMMs whatever r is: ``[B_1; ...; B_r] @ X.reshape(N*n1, n2).T`` (a view
+  of X, never a folded copy), one block transpose to the stacked mids, their
+  product with ``[S*A_1 ... S*A_r].T`` over ``K = r*n1``, and
+  ``fold_output``. The backward reuses the cached input, stacked mids and
+  stacked ``S*A_i`` in three GEMMs, four with the input gradient;
 * the *materialized* path (``materialized_forward``,
   ``materialized_backward``) builds the weight with ``materialize``, runs
   ``O = X W.T``, and projects ``dW = dO.T X`` onto the factors.
@@ -25,21 +28,17 @@ multiply, add and subtract runs through the counted ops of
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (
     add,
     as_matrix,
-    fold_input,
-    fold_mid,
     fold_output,
     fold_tiles,
     hadamard,
     matmul,
-    unfold_input,
-    unfold_mid,
     unfold_output,
     unfold_tiles,
 )
@@ -148,6 +147,11 @@ def _b_rows(factor: KronFactor) -> np.ndarray:
     return np.stack([b_i.ravel() for b_i in factor.b])
 
 
+def _b_stack(factor: KronFactor) -> np.ndarray:
+    # (r*m2, n2): [B_1; ...; B_r], the same memory as ``_b_rows``
+    return _b_rows(factor).reshape(factor.shape.r * factor.shape.m2, factor.shape.n2)
+
+
 def _build(shape: KronShape, masked_a: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
     # one GEMM puts tile (i1, j1) of W, sum_i (S*A_i)[i1, j1] * B_i, in row i1*n1 + j1
     return unfold_tiles(matmul(masked_a, b_rows), shape.n1, shape.n2)
@@ -175,32 +179,45 @@ def _output_grad(factor: KronFactor, batch: int, d_out) -> np.ndarray:
     return d_out
 
 
+def _swap_blocks(v: np.ndarray, m2: int, n1: int) -> np.ndarray:
+    # (p*m2, q*n1) -> (q*m2, p*n1): row (a, i2) column (b, j1) moves to row
+    # (b, i2) column (a, j1), one copy in runs of n1. With (p, q) = (r, N) it
+    # turns [B_i] @ X.T into the stacked mids, with (N, r) back
+    p, q = v.shape[0] // m2, v.shape[1] // n1
+    return np.ascontiguousarray(
+        v.reshape(p, m2, q, n1).transpose(2, 1, 0, 3)
+    ).reshape(q * m2, p * n1)
+
+
 @dataclass
 class KronForwardCache:
-    """Forward intermediates the backward pass reuses (never recomputed):
-    the folded input, each folded mid product B_i @ fold(X), and each S*A_i."""
+    """Forward intermediates the backward pass reuses (never recomputed): the
+    layer input X itself (not a copy), the ``(N*m2, r*n1)`` stacked mids,
+    whose column block i is mid_i, and the ``(m1, r*n1)`` stacked
+    [S*A_1 ... S*A_r]."""
 
     batch: int
-    x_folded: np.ndarray
-    mids: list[np.ndarray] = field(default_factory=list)
-    masked_a: list[np.ndarray] = field(default_factory=list)
+    x: np.ndarray
+    mids: np.ndarray
+    masked_a: np.ndarray
 
 
 def forward(factor: KronFactor, x: np.ndarray) -> tuple[np.ndarray, KronForwardCache]:
-    """Efficient forward pass: O = X @ materialize(factor).T, computed via the
-    fold maps without materializing the weight. Returns (O, cache)."""
+    """Efficient forward pass: O = X @ materialize(factor).T without
+    materializing the weight, in two GEMMs over all r terms at once:
+      Y = [B_1; ...; B_r] @ X.reshape(N*n1, n2).T     (r*m2, N*n1)
+      M = swap(Y)                                      (N*m2, r*n1)
+      O = fold_output(M @ [S*A_1 ... S*A_r].T)
+    Returns (O, cache)."""
     sh = factor.shape
     x = _layer_input(factor, x)
-    xf = fold_input(x, sh.n1, sh.n2)
-    cache = KronForwardCache(batch=x.shape[0], x_folded=xf)
-    acc = None
-    for a_i, b_i in zip(factor.a, factor.b):
-        mid = fold_mid(matmul(b_i, xf), sh.n1)
-        sa = hadamard(factor.s, a_i)
-        cache.mids.append(mid)
-        cache.masked_a.append(sa)
-        acc = _plus(acc, matmul(mid, sa.T))
-    return fold_output(acc, sh.m2), cache
+    nb = x.shape[0]
+    y = matmul(_b_stack(factor), x.reshape(nb * sh.n1, sh.n2).T)
+    mids = _swap_blocks(y, sh.m2, sh.n1)
+    del y  # the output GEMM can reuse its memory
+    masked_a = np.concatenate([hadamard(factor.s, a_i) for a_i in factor.a], axis=1)
+    out = fold_output(matmul(mids, masked_a.T), sh.m2)
+    return out, KronForwardCache(nb, x, mids, masked_a)
 
 
 @dataclass
@@ -218,33 +235,39 @@ def _backward(
     factor: KronFactor, cache: KronForwardCache, d_out: np.ndarray, with_dx: bool
 ) -> KronGradient:
     sh = factor.shape
-    d_out = _output_grad(factor, cache.batch, d_out)
-    if len(cache.mids) != sh.r:
+    nb = cache.batch
+    d_out = _output_grad(factor, nb, d_out)
+    if cache.mids.shape[1] != sh.r * sh.n1:
         raise ValueError("cache does not match factor rank")
     d_of = unfold_output(d_out, sh.m2)
+    g = matmul(d_of.T, cache.mids)
+    d_mid = _swap_blocks(matmul(d_of, cache.masked_a), sh.m2, sh.n1)
+    d_b = matmul(d_mid, cache.x.reshape(nb * sh.n1, sh.n2))
     d_a: list[np.ndarray] = []
-    d_b: list[np.ndarray] = []
-    d_s = d_xf = None
+    d_s = None
     for i in range(sh.r):
-        g = matmul(d_of.T, cache.mids[i])
-        d_a.append(hadamard(g, factor.s))
-        d_mid = unfold_mid(matmul(d_of, cache.masked_a[i]), sh.m2)
-        d_b.append(matmul(d_mid, cache.x_folded.T))
-        d_s = _plus(d_s, hadamard(g, factor.a[i]))
-        if with_dx:
-            d_xf = _plus(d_xf, matmul(factor.b[i].T, d_mid))
-    return KronGradient(d_s, d_a, d_b, unfold_input(d_xf, sh.n1) if with_dx else None)
+        g_i = g[:, i * sh.n1 : (i + 1) * sh.n1]
+        d_a.append(hadamard(g_i, factor.s))
+        d_s = _plus(d_s, hadamard(g_i, factor.a[i]))
+    return KronGradient(
+        d_s,
+        d_a,
+        list(d_b.reshape(sh.r, sh.m2, sh.n2)),
+        matmul(d_mid.T, _b_stack(factor)).reshape(nb, sh.n) if with_dx else None,
+    )
 
 
 def backward(factor: KronFactor, cache: KronForwardCache, d_out: np.ndarray) -> KronGradient:
     """Exact closed-form backward pass.
 
     ``d_out`` is the loss gradient w.r.t. the layer output in N x m layout.
-    Per term i, with G_i the gradient w.r.t. S*A_i:
-      G_i   = unfold_out(dO).T @ mid_i
-      dS    = sum_i G_i * A_i,   dA_i = G_i * S
-      dB_i  = unfold_mid(unfold_out(dO) @ (S*A_i)) @ fold(X).T
-      dX    = unfold_in(sum_i B_i.T @ unfold_mid(...))
+    With M the cached stacked mids, D = unfold_out(dO) and G = [G_1 ... G_r]
+    the gradients w.r.t. the S*A_i, four GEMMs over all r terms:
+      G       = D.T @ M                               (m1, r*n1)
+      dMid    = swap(D @ [S*A_1 ... S*A_r])           (r*m2, N*n1)
+      [dB_i]  = dMid @ X.reshape(N*n1, n2)            (dB_i stacked by rows)
+      dX      = (dMid.T @ [B_1; ...; B_r]).reshape(N, n)
+    and dS = sum_i G_i * A_i, dA_i = G_i * S.
     """
     return _backward(factor, cache, d_out, with_dx=True)
 
@@ -253,9 +276,9 @@ def backward_params(
     factor: KronFactor, cache: KronForwardCache, d_out: np.ndarray
 ) -> KronGradient:
     """``backward`` without the input gradient (``d_x`` is ``None``): the same
-    dS, dA_i and dB_i from the same operations in the same order, minus the r
-    GEMMs ``B_i.T @ d_mid``, their r - 1 adds and ``unfold_input``. For the
-    first layer of a network, whose input gradient nothing reads."""
+    dS, dA_i and dB_i from the same operations in the same order, minus the
+    one GEMM ``dMid.T @ [B_1; ...; B_r]``. For the first layer of a network,
+    whose input gradient nothing reads."""
     return _backward(factor, cache, d_out, with_dx=False)
 
 

@@ -85,6 +85,8 @@ def _dense_forward_pieces(n_batch: int, m: int, n: int) -> dict[str, int]:
 
 
 def _kron_forward_pieces(n_batch: int, s: KronShape) -> dict[str, int]:
+    # per-term pieces of the rank-stacked GEMMs: b_matmul is the one GEMM of
+    # [B_1; ...; B_r] with X, a_matmul + rank_sum the one over K = r*n1
     return {
         "b_matmul": s.r * n_batch * s.n1 * s.m2 * (2 * s.n2 - 1),
         "mask_products": s.r * s.m1 * s.n1,

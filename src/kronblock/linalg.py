@@ -18,7 +18,12 @@ Index conventions, normative for the whole package:
   ``(i1, j1)`` is tile ``(i1, j1)`` of ``w``, flattened row-major.
 
 Every fold has an exact inverse (``unfold_*``); the pairs are bijections and
-round-trip bit-exactly.
+round-trip bit-exactly. The factored layer of :mod:`kronblock.factor` uses
+``fold_output``/``unfold_output`` on its fold path and
+``fold_tiles``/``unfold_tiles`` on its materialized path. Its fold path reads
+the input through the view ``x.reshape(N*n1, n2)``, so ``fold_input``,
+``fold_mid`` and their inverses are exported maps that training no longer
+calls.
 
 The layer forward/backward, the losses and ``factor.materialize`` do every
 multiply, add and subtract the cost model counts through the *counted ops*

@@ -396,6 +396,61 @@ def test_flop_audit_batch_is_capped(tmp_path, capsys):
     )
 
 
+def _rank_case(command, field, rank):
+    # a config of ``command`` whose ``field`` holds ``rank``
+    if command == "flops":
+        section = {"kind": "kron", "shape": [4, 8, 2, 2], "rank": 1}
+        if field != "rank":
+            section = {"kind": "two_layer_kron", "shape1": [4, 8, 2, 2], "rank1": 1,
+                       "shape2": [2, 2, 2, 4], "rank2": 1}
+        section[field] = rank
+        return {"flops": section}
+    if command == "select-pattern":
+        cfg = select_config()
+        cfg["select"]["rank"] = rank
+        return cfg
+    cfg = teacher_train_config()
+    if field == "shape":
+        cfg["model"]["layers"][0] = {"kind": "kron", "shape": [4, 8, 2, 2]}
+    cfg["model"]["layers"][0]["rank"] = rank
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "command,field,where,shape,full",
+    [
+        ("train", "block", "model.layers[0].rank", [4, 8, 2, 2], 4),
+        ("train", "shape", "model.layers[0].rank", [4, 8, 2, 2], 4),
+        ("select-pattern", "rank", "select.rank", [8, 16, 2, 2], 4),
+        ("flops", "rank", "flops.rank", [4, 8, 2, 2], 4),
+        ("flops", "rank1", "flops.rank1", [4, 8, 2, 2], 4),
+        ("flops", "rank2", "flops.rank2", [2, 2, 2, 4], 4),
+    ],
+)
+def test_rank_above_full_rank_rejected(tmp_path, capsys, command, field, where, shape, full):
+    # more terms than min(m1*n1, m2*n2) add nothing; a huge rank used to end in
+    # an OverflowError traceback from the factor init
+    argv = [command, "--config", ""]
+    if command != "flops":
+        argv += ["--out", str(tmp_path / "x")]
+    if command == "train":
+        argv += ["--method", "kron"]
+    for rank in (full + 1, 10**400):
+        argv[2] = write_config(tmp_path / "c.json", _rank_case(command, field, rank))
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {where}: must be at most the full rank {full} of shape {shape}, "
+            f"got {rank}\n"
+        )
+
+
+def test_rank_at_full_rank_accepted(tmp_path, capsys):
+    for field in ("rank", "rank1", "rank2"):
+        path = write_config(tmp_path / "f.json", _rank_case("flops", field, 4))
+        assert main(["flops", "--config", path]) == 0
+        assert json.loads(capsys.readouterr().out)["equal"] is True
+
+
 def test_divergence_exit_code(tmp_path):
     cfg = teacher_train_config()
     cfg["dataset"]["classification"] = False

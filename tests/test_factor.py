@@ -7,6 +7,16 @@ from hypothesis import strategies as st
 
 import kronblock as kb
 from kronblock import KronFactor, KronShape
+from kronblock.flops import kron_forward_matmul_flops
+from kronblock.linalg import (
+    counting,
+    fold_input,
+    fold_mid,
+    fold_output,
+    unfold_input,
+    unfold_mid,
+    unfold_output,
+)
 
 from conftest import finite_diff, random_dense_factor, random_shape, rel_err
 
@@ -168,6 +178,67 @@ def test_materialized_path_matches_fold_path(seed, with_dx):
         assert _rel(got.d_x, want.d_x) <= 1e-12
     else:
         assert got.d_x is None
+
+
+def _per_rank_loop(f, x, d_out):
+    # the fold path term by term: per rank term i one thin GEMM pair through
+    # the folded input and the folded mid_i, summed over i; the stacked path
+    # must give the same output and gradients
+    sh = f.shape
+    xf = fold_input(x, sh.n1, sh.n2)
+    d_of = unfold_output(d_out, sh.m2)
+    out = np.zeros((x.shape[0] * sh.m2, sh.m1))
+    d_s, d_xf, d_a, d_b = np.zeros_like(f.s), np.zeros_like(xf), [], []
+    for a_i, b_i in zip(f.a, f.b):
+        masked = f.s * a_i
+        mid = fold_mid(b_i @ xf, sh.n1)
+        out += mid @ masked.T
+        g = d_of.T @ mid
+        d_a.append(g * f.s)
+        d_s += g * a_i
+        d_mid = unfold_mid(d_of @ masked, sh.m2)
+        d_b.append(d_mid @ xf.T)
+        d_xf += b_i.T @ d_mid
+    return fold_output(out, sh.m2), d_s, d_a, d_b, unfold_input(d_xf, sh.n1)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_fold_path_matches_per_rank_loop(seed):
+    r = np.random.default_rng(seed)
+    f = random_dense_factor(random_shape(r, max_dim=32, max_r=4), r)
+    for rows in (1, 3, 17):
+        x = r.standard_normal((rows, f.shape.n))
+        d_out = r.standard_normal((rows, f.shape.m))
+        want_out, want_s, want_a, want_b, want_x = _per_rank_loop(f, x, d_out)
+        out, cache = kb.forward(f, x)
+        got = kb.backward(f, cache, d_out)
+        assert _rel(out, want_out) <= 1e-12
+        assert _rel(got.d_s, want_s) <= 1e-12
+        assert _rel(got.d_x, want_x) <= 1e-12
+        for g, w in zip(got.d_a + got.d_b, want_a + want_b, strict=True):
+            assert g.shape == w.shape and _rel(g, w) <= 1e-12
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_fold_path_is_rank_stacked(rng, r):
+    # whatever the rank, the forward is two GEMMs, the backward three without
+    # the input gradient and four with it, and X is cached without a copy
+    f = random_dense_factor(KronShape(3, 4, 2, 5, r), rng)
+    x = rng.standard_normal((6, f.shape.n))
+    d_out = rng.standard_normal((6, f.shape.m))
+
+    def matmuls(ops):
+        return [name for name, _ in ops].count("matmul")
+
+    with counting() as ops:
+        _, cache = kb.forward(f, x)
+    assert matmuls(ops) == 2
+    assert sum(flops for _, flops in ops) == kron_forward_matmul_flops(6, f.shape)
+    assert np.shares_memory(cache.x, x)
+    for backward, want in ((kb.backward_params, 3), (kb.backward, 4)):
+        with counting() as ops:
+            backward(f, cache, d_out)
+        assert matmuls(ops) == want
 
 
 def test_materialized_backward_matches_finite_differences(rng):

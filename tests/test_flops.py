@@ -547,8 +547,8 @@ def test_bench_train_script_writes_schema(tmp_path):
     script = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "bench_train.py")
     out_path = tmp_path / "BENCH_train.json"
     proc = subprocess.run(
-        [sys.executable, script, "--repeats", "2", "--shape", "8,16,2,2", "--batches", "1,64",
-         "--out", str(out_path)],
+        [sys.executable, script, "--repeats", "2", "--shape", "8,16,2,2", "--shape", "2,4,8,8,4",
+         "--batches", "1,64", "--out", str(out_path)],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -556,13 +556,16 @@ def test_bench_train_script_writes_schema(tmp_path):
     assert set(result) == {"benchmark", "rank", "repeats", "seed", "environment", "cells",
                            "rule_right", "rule_wrong"}
     assert {"blas", "blas_version", "blas_threads"} <= set(result["environment"])
-    assert [c["batch"] for c in result["cells"]] == [1, 64]
+    # a four-element shape is at the default rank 2, a fifth element sets it
+    shapes = [KronShape(8, 16, 2, 2, 2)] * 2 + [KronShape(2, 4, 8, 8, 4)] * 2
+    assert [c["batch"] for c in result["cells"]] == [1, 64, 1, 64]
     paths = ("fold", "materialized")
     steps = ("backward", "backward_dx")
-    for cell in result["cells"]:
+    for cell, shape in zip(result["cells"], shapes, strict=True):
         assert set(cell) == {"shape", "r", "m", "n", "batch", *paths, "dense", "update",
                              "pick", "faster", "pick_is_faster"}
-        assert cell["shape"] == [8, 16, 2, 2] and cell["r"] == 2
+        assert cell["shape"] == [shape.m1, shape.n1, shape.m2, shape.n2]
+        assert cell["r"] == shape.r
         rows = [cell[path][part] for path in (*paths, "dense")
                 for part in ("forward", "backward_dx", "backward")]
         assert set(cell["update"]) == {"kron", "dense"}
@@ -573,8 +576,7 @@ def test_bench_train_script_writes_schema(tmp_path):
         for key in ("pick", "faster", "pick_is_faster"):
             assert set(cell[key]) == set(steps)
         for step, with_dx in zip(steps, (False, True)):
-            assert cell["pick"][step] == train_path(cell["batch"], KronShape(8, 16, 2, 2, 2),
-                                                    with_dx)
+            assert cell["pick"][step] == train_path(cell["batch"], shape, with_dx)
             assert cell["faster"][step] in paths
             assert cell["pick_is_faster"][step] == (cell["pick"][step] == cell["faster"][step])
-    assert result["rule_right"] + len(result["rule_wrong"]) == 2 * len(steps)
+    assert result["rule_right"] + len(result["rule_wrong"]) == 4 * len(steps)

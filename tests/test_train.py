@@ -419,26 +419,27 @@ def test_benchmark_tracer_installs_and_traces_eval(monkeypatch):
 def test_training_skips_first_layer_input_gradient(monkeypatch):
     # training never asks for the gradient w.r.t. the network input, so on
     # either training path only the second layer of a two-layer net computes
-    # one, once per step: on the fold path a factored layer's input gradient
-    # ends in unfold_input, on the materialized path materialized_backward
-    # computes it when with_dx is set
+    # one, once per step: on either path the layer backward computes it when
+    # with_dx is set (the fold path's backward and backward_params share
+    # _backward)
     from kronblock import factor as kf
     from kronblock.network import train_paths
     from kronblock.patterns import SelectConfig, build_pattern_set, select_pattern
 
     calls = []
-    unfold_input, materialized_backward = kf.unfold_input, kf.materialized_backward
+    fold_backward, materialized_backward = kf._backward, kf.materialized_backward
 
-    def spy_fold(*args):
-        calls.append("fold")
-        return unfold_input(*args)
+    def spy_fold(factor, cache, d_out, with_dx):
+        if with_dx:
+            calls.append("fold")
+        return fold_backward(factor, cache, d_out, with_dx)
 
     def spy_materialized(factor, cache, d_out, with_dx):
         if with_dx:
             calls.append("materialized")
         return materialized_backward(factor, cache, d_out, with_dx)
 
-    monkeypatch.setattr(kf, "unfold_input", spy_fold)
+    monkeypatch.setattr(kf, "_backward", spy_fold)
     monkeypatch.setattr(kf, "materialized_backward", spy_materialized)
     ds, _ = make_teacher_dataset(4, 8, (2, 2), 0.5, 40, seed=1, classification=True)
     cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=0.05, seed=4)
