@@ -13,8 +13,9 @@ dense ``m x n`` twin:
 * ``backward``: the backward without it (``factor.backward_params``,
   ``factor.materialized_backward(..., with_dx=False)``, or ``dO.T @ x``), as
   the first layer runs it in training;
-* ``update``: one ``train.sgd_step`` on a one-layer net (momentum, no prox),
-  for the factored layer (the same on both paths) and for the dense one.
+* ``update``: one ``train.sgd_step`` on a one-layer net (momentum, no prox):
+  one momentum update of the factored layer's flat S, A, B buffer (the same
+  on both paths), or of the dense twin's ``w``.
 
 Each part records the median and interquartile range of repeated runs, its
 flops by the cost model of ``kronblock.flops`` and the achieved GFLOP/s (the

@@ -3,7 +3,11 @@
 A layer's weight is represented as ``sum_i kron(S * A_i, B_i)`` where the
 mask ``S`` and the ``A_i`` are ``m1 x n1``, the ``B_i`` are ``m2 x n2``, and
 entry ``S[i1, j1]`` gates exactly tile ``(i1, j1)`` of the materialized
-``m x n`` weight. A layer trains on one of two paths, which
+``m x n`` weight. The factors are stored stacked: ``A`` is one ``(r, m1, n1)``
+array and ``B`` one ``(r, m2, n2)`` array, and S, A and B are views into one
+flat buffer per layer, as are the three gradients, so one momentum-SGD update
+steps a whole layer. Every product ``S * A_i`` comes from one broadcast
+product over the stack. A layer trains on one of two paths, which
 ``flops.train_path`` picks from its shape and batch size:
 
 * the *fold* path (``forward``, ``backward``, ``backward_params``) never
@@ -28,7 +32,7 @@ multiply, add and subtract runs through the counted ops of
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +43,7 @@ from .linalg import (
     fold_tiles,
     hadamard,
     matmul,
+    tile_view,
     unfold_output,
     unfold_tiles,
 )
@@ -91,35 +96,53 @@ def count_params(shape: KronShape) -> int:
     return s + shape.r * (s + shape.m2 * shape.n2)
 
 
+def _pack(s: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """One contiguous buffer holding the float64 arrays ``s``, ``a`` and ``b``
+    flattened row-major in that order, and the three views into it in their
+    shapes."""
+    flat = np.concatenate((s.ravel(), a.ravel(), b.ravel()))
+    i, j = s.size, s.size + a.size
+    return flat, flat[:i].reshape(s.shape), flat[i:j].reshape(a.shape), flat[j:].reshape(b.shape)
+
+
 @dataclass
 class KronFactor:
-    """Trainable state of one factored layer: mask S and factor lists A, B."""
+    """Trainable state of one factored layer: the mask S (m1 x n1) and the
+    stacked factors A (r, m1, n1) and B (r, m2, n2), so ``a[i]`` is A_i and
+    ``for a_i in a`` walks the rank terms.
+
+    S, A and B are views into ``flat``, one contiguous float64 buffer holding
+    S, A_1..A_r, B_1..B_r in the order of the ``.kbf`` payload; an update of
+    ``flat`` steps every parameter of the layer. The constructor takes the A_i
+    and B_i as lists or stacked arrays and copies everything into a fresh
+    buffer.
+    """
 
     shape: KronShape
     s: np.ndarray
-    a: list[np.ndarray]
-    b: list[np.ndarray]
+    a: np.ndarray
+    b: np.ndarray
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         sh = self.shape
-        self.s = as_matrix(self.s, "S")
-        self.a = [as_matrix(x, "A_i") for x in self.a]
-        self.b = [as_matrix(x, "B_i") for x in self.b]
-        if self.s.shape != (sh.m1, sh.n1):
-            raise ValueError(f"S must be {sh.m1}x{sh.n1}, got {self.s.shape}")
-        if len(self.a) != sh.r or len(self.b) != sh.r:
-            raise ValueError(f"need {sh.r} A and B factors, got {len(self.a)}/{len(self.b)}")
-        for x in self.a:
+        s = as_matrix(self.s, "S")
+        a = [as_matrix(x, "A_i") for x in self.a]
+        b = [as_matrix(x, "B_i") for x in self.b]
+        if s.shape != (sh.m1, sh.n1):
+            raise ValueError(f"S must be {sh.m1}x{sh.n1}, got {s.shape}")
+        if len(a) != sh.r or len(b) != sh.r:
+            raise ValueError(f"need {sh.r} A and B factors, got {len(a)}/{len(b)}")
+        for x in a:
             if x.shape != (sh.m1, sh.n1):
                 raise ValueError(f"A_i must be {sh.m1}x{sh.n1}, got {x.shape}")
-        for x in self.b:
+        for x in b:
             if x.shape != (sh.m2, sh.n2):
                 raise ValueError(f"B_i must be {sh.m2}x{sh.n2}, got {x.shape}")
+        self.flat, self.s, self.a, self.b = _pack(s, np.asarray(a), np.asarray(b))
 
     def copy(self) -> "KronFactor":
-        return KronFactor(
-            self.shape, self.s.copy(), [x.copy() for x in self.a], [x.copy() for x in self.b]
-        )
+        return KronFactor(self.shape, self.s, self.a, self.b)
 
 
 def random_factor(shape: KronShape, rng: np.random.Generator) -> KronFactor:
@@ -127,42 +150,29 @@ def random_factor(shape: KronShape, rng: np.random.Generator) -> KronFactor:
     uniform(-c, c) with c = sqrt(6/(n+m)) * (m1*n1*r)**-0.25 so the
     materialized weight starts with fan-scaled variance."""
     c = np.sqrt(6.0 / (shape.n + shape.m)) * (shape.m1 * shape.n1 * shape.r) ** -0.25
-    a = [rng.uniform(-c, c, size=(shape.m1, shape.n1)) for _ in range(shape.r)]
-    b = [rng.uniform(-c, c, size=(shape.m2, shape.n2)) for _ in range(shape.r)]
+    a = rng.uniform(-c, c, size=(shape.r, shape.m1, shape.n1))
+    b = rng.uniform(-c, c, size=(shape.r, shape.m2, shape.n2))
     return KronFactor(shape, np.ones((shape.m1, shape.n1)), a, b)
 
 
-def _plus(acc: np.ndarray | None, term: np.ndarray) -> np.ndarray:
-    # a sum over rank terms starts from the first term (``acc`` None): r - 1 adds
-    return term if acc is None else add(acc, term)
-
-
-def _masked_a_columns(factor: KronFactor) -> np.ndarray:
-    # (m1*n1, r): column i is S * A_i flattened row-major
-    return np.stack([hadamard(factor.s, a_i).ravel() for a_i in factor.a], axis=1)
-
-
-def _b_rows(factor: KronFactor) -> np.ndarray:
-    # (r, m2*n2): row i is B_i flattened row-major
-    return np.stack([b_i.ravel() for b_i in factor.b])
-
-
-def _b_stack(factor: KronFactor) -> np.ndarray:
-    # (r*m2, n2): [B_1; ...; B_r], the same memory as ``_b_rows``
-    return _b_rows(factor).reshape(factor.shape.r * factor.shape.m2, factor.shape.n2)
-
-
-def _build(shape: KronShape, masked_a: np.ndarray, b_rows: np.ndarray) -> np.ndarray:
-    # one GEMM puts tile (i1, j1) of W, sum_i (S*A_i)[i1, j1] * B_i, in row i1*n1 + j1
-    return unfold_tiles(matmul(masked_a, b_rows), shape.n1, shape.n2)
+def _weight(factor: KronFactor) -> tuple[np.ndarray, np.ndarray]:
+    # W and its (m1*n1, r) GEMM operand, whose column i is S * A_i flattened:
+    # the copy keeps that operand C-contiguous, as its GEMM's bits depend on
+    # the layout. One GEMM with the (r, m2*n2) B_i rows then puts tile
+    # (i1, j1) of W, sum_i (S*A_i)[i1, j1] * B_i, in row i1*n1 + j1
+    sh = factor.shape
+    masked_a = np.ascontiguousarray(hadamard(factor.a, factor.s).reshape(sh.r, -1).T)
+    tiles = matmul(masked_a, factor.b.reshape(sh.r, -1))
+    return unfold_tiles(tiles, sh.n1, sh.n2), masked_a
 
 
 def materialize(factor: KronFactor) -> np.ndarray:
     """Expand to the dense m x n weight sum_i kron(S * A_i, B_i): the r
-    products S * A_i, then one GEMM of the stacked ``(m1*n1, r)`` S * A_i with
-    the stacked ``(r, m2*n2)`` B_i, then one tile transpose; the flops
-    ``flops.materialized_forward_flops`` counts before its GEMM."""
-    return _build(factor.shape, _masked_a_columns(factor), _b_rows(factor))
+    products S * A_i in one broadcast product, then one GEMM of the
+    ``(m1*n1, r)`` S * A_i columns with the ``(r, m2*n2)`` B_i rows, then one
+    tile transpose; the flops ``flops.materialized_forward_flops`` counts
+    before its GEMM."""
+    return _weight(factor)[0]
 
 
 def _layer_input(factor: KronFactor, x) -> np.ndarray:
@@ -212,10 +222,10 @@ def forward(factor: KronFactor, x: np.ndarray) -> tuple[np.ndarray, KronForwardC
     sh = factor.shape
     x = _layer_input(factor, x)
     nb = x.shape[0]
-    y = matmul(_b_stack(factor), x.reshape(nb * sh.n1, sh.n2).T)
+    y = matmul(factor.b.reshape(sh.r * sh.m2, sh.n2), x.reshape(nb * sh.n1, sh.n2).T)
     mids = _swap_blocks(y, sh.m2, sh.n1)
     del y  # the output GEMM can reuse its memory
-    masked_a = np.concatenate([hadamard(factor.s, a_i) for a_i in factor.a], axis=1)
+    masked_a = hadamard(factor.a, factor.s).transpose(1, 0, 2).reshape(sh.m1, sh.r * sh.n1)
     out = fold_output(matmul(mids, masked_a.T), sh.m2)
     return out, KronForwardCache(nb, x, mids, masked_a)
 
@@ -223,12 +233,32 @@ def forward(factor: KronFactor, x: np.ndarray) -> tuple[np.ndarray, KronForwardC
 @dataclass
 class KronGradient:
     """Gradients for one factored layer plus the input gradient for backprop
-    (``None`` from ``backward_params``, which does not compute it)."""
+    (``None`` from ``backward_params``, which does not compute it). dS, the
+    stacked dA (r, m1, n1) and dB (r, m2, n2) are views into ``flat``, laid
+    out as ``KronFactor.flat``."""
 
     d_s: np.ndarray
-    d_a: list[np.ndarray]
-    d_b: list[np.ndarray]
+    d_a: np.ndarray
+    d_b: np.ndarray
     d_x: np.ndarray | None = None
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.flat, self.d_s, self.d_a, self.d_b = _pack(
+            *(np.asarray(x, dtype=np.float64) for x in (self.d_s, self.d_a, self.d_b))
+        )
+
+
+def _gradient(factor: KronFactor, g: np.ndarray, d_b: np.ndarray, d_x) -> KronGradient:
+    # g: (r, m1, n1), G_i the gradient w.r.t. S * A_i, copied contiguous for
+    # the two products. dA_i = G_i * S in one broadcast product; dS = sum_i
+    # G_i * A_i, its terms added in rank order
+    g = np.ascontiguousarray(g)
+    terms = hadamard(g, factor.a)
+    d_s = terms[0]
+    for term in terms[1:]:
+        d_s = add(d_s, term)
+    return KronGradient(d_s, hadamard(g, factor.s), d_b.reshape(factor.b.shape), d_x)
 
 
 def _backward(
@@ -243,18 +273,10 @@ def _backward(
     g = matmul(d_of.T, cache.mids)
     d_mid = _swap_blocks(matmul(d_of, cache.masked_a), sh.m2, sh.n1)
     d_b = matmul(d_mid, cache.x.reshape(nb * sh.n1, sh.n2))
-    d_a: list[np.ndarray] = []
-    d_s = None
-    for i in range(sh.r):
-        g_i = g[:, i * sh.n1 : (i + 1) * sh.n1]
-        d_a.append(hadamard(g_i, factor.s))
-        d_s = _plus(d_s, hadamard(g_i, factor.a[i]))
-    return KronGradient(
-        d_s,
-        d_a,
-        list(d_b.reshape(sh.r, sh.m2, sh.n2)),
-        matmul(d_mid.T, _b_stack(factor)).reshape(nb, sh.n) if with_dx else None,
-    )
+    d_x = None
+    if with_dx:
+        d_x = matmul(d_mid.T, factor.b.reshape(sh.r * sh.m2, sh.n2)).reshape(nb, sh.n)
+    return _gradient(factor, g.reshape(sh.m1, sh.r, sh.n1).transpose(1, 0, 2), d_b, d_x)
 
 
 def backward(factor: KronFactor, cache: KronForwardCache, d_out: np.ndarray) -> KronGradient:
@@ -302,8 +324,7 @@ def materialized_forward(
     """O = X @ W.T on the built weight W = ``materialize(factor)``: the same
     output as ``forward`` up to rounding. Returns (O, cache)."""
     x = _layer_input(factor, x)
-    masked_a = _masked_a_columns(factor)
-    w = _build(factor.shape, masked_a, _b_rows(factor))
+    w, masked_a = _weight(factor)
     return matmul(x, w.T), MaterializedCache(x, w, masked_a)
 
 
@@ -320,20 +341,10 @@ def materialized_backward(
     sh = factor.shape
     d_out = _output_grad(factor, cache.batch, d_out)
     t = fold_tiles(matmul(d_out.T, cache.x), sh.m2, sh.n2)
-    g = matmul(t, _b_rows(factor).T)
+    g = matmul(t, factor.b.reshape(sh.r, -1).T)
     d_b = matmul(cache.masked_a.T, t)
-    d_a: list[np.ndarray] = []
-    d_s = None
-    for i in range(sh.r):
-        g_i = g[:, i].reshape(sh.m1, sh.n1)
-        d_a.append(hadamard(g_i, factor.s))
-        d_s = _plus(d_s, hadamard(g_i, factor.a[i]))
-    return KronGradient(
-        d_s,
-        d_a,
-        [row.reshape(sh.m2, sh.n2) for row in d_b],
-        matmul(d_out, cache.w) if with_dx else None,
-    )
+    d_x = matmul(d_out, cache.w) if with_dx else None
+    return _gradient(factor, g.T.reshape(sh.r, sh.m1, sh.n1), d_b, d_x)
 
 
 def reconstruct_from_blockwise(w: np.ndarray, block: tuple[int, int]) -> KronFactor:
@@ -351,26 +362,23 @@ def reconstruct_from_blockwise(w: np.ndarray, block: tuple[int, int]) -> KronFac
     if m % m2 != 0 or n % n2 != 0:
         raise ValueError(f"block {block} does not divide matrix {w.shape}")
     m1, n1 = m // m2, n // n2
-    s = np.zeros((m1, n1))
-    a: list[np.ndarray] = []
-    b: list[np.ndarray] = []
-    for i1 in range(m1):
-        for j1 in range(n1):
-            tile = w[i1 * m2 : (i1 + 1) * m2, j1 * n2 : (j1 + 1) * n2]
-            if np.any(tile != 0.0):
-                s[i1, j1] = 1.0
-                one_hot = np.zeros((m1, n1))
-                one_hot[i1, j1] = 1.0
-                a.append(one_hot)
-                b.append(tile.copy())
-    if not a:
+    tiles = tile_view(w, m2, n2).transpose(0, 2, 1, 3).reshape(m1 * n1, m2, n2)
+    nonzero = np.flatnonzero(np.any(tiles != 0.0, axis=(1, 2)))
+    if not nonzero.size:
         return KronFactor(
             KronShape(m1, n1, m2, n2, 1),
             np.zeros((m1, n1)),
-            [np.zeros((m1, n1))],
-            [np.zeros((m2, n2))],
+            np.zeros((1, m1, n1)),
+            np.zeros((1, m2, n2)),
         )
-    return KronFactor(KronShape(m1, n1, m2, n2, len(a)), s, a, b)
+    r = nonzero.size
+    s = np.zeros(m1 * n1)
+    s[nonzero] = 1.0
+    a = np.zeros((r, m1 * n1))
+    a[np.arange(r), nonzero] = 1.0
+    return KronFactor(
+        KronShape(m1, n1, m2, n2, r), s.reshape(m1, n1), a.reshape(r, m1, n1), tiles[nonzero]
+    )
 
 
 def sparsity_rate(factor: KronFactor, eps_zero: float = 1e-6) -> float:
@@ -383,7 +391,7 @@ def sparsity_rate(factor: KronFactor, eps_zero: float = 1e-6) -> float:
 
 # ---------------------------------------------------------------------------
 # serialization: b"KBF1", 5 little-endian int64 (m1, n1, m2, n2, r), then
-# S, A_1..A_r, B_1..B_r as row-major little-endian float64.
+# S, A_1..A_r, B_1..B_r as row-major little-endian float64: ``KronFactor.flat``.
 # ---------------------------------------------------------------------------
 
 
@@ -391,11 +399,7 @@ def write_factor(fh, factor: KronFactor) -> None:
     sh = factor.shape
     fh.write(_FACTOR_MAGIC)
     fh.write(struct.pack("<5q", sh.m1, sh.n1, sh.m2, sh.n2, sh.r))
-    fh.write(factor.s.astype("<f8").tobytes())
-    for x in factor.a:
-        fh.write(x.astype("<f8").tobytes())
-    for x in factor.b:
-        fh.write(x.astype("<f8").tobytes())
+    fh.write(factor.flat.astype("<f8").tobytes())
 
 
 def read_exact(fh, size: int, what: str) -> bytes:
@@ -425,20 +429,13 @@ def read_factor(fh) -> KronFactor:
     header = read_exact(fh, 40, "factor header (m1, n1, m2, n2, r)")
     m1, n1, m2, n2, r = (int(d) for d in struct.unpack("<5q", header))
     shape = KronShape(m1, n1, m2, n2, r)
-    check_payload(
-        fh,
-        8 * ((1 + r) * m1 * n1 + r * m2 * n2),
-        f"factor dims (m1, n1, m2, n2, r) = {(m1, n1, m2, n2, r)}",
+    size = 8 * ((1 + r) * m1 * n1 + r * m2 * n2)
+    check_payload(fh, size, f"factor dims (m1, n1, m2, n2, r) = {(m1, n1, m2, n2, r)}")
+    flat = np.frombuffer(read_exact(fh, size, "factor payload"), dtype="<f8")
+    i, j = m1 * n1, (1 + r) * m1 * n1
+    return KronFactor(
+        shape, flat[:i].reshape(m1, n1), flat[i:j].reshape(r, m1, n1), flat[j:].reshape(r, m2, n2)
     )
-
-    def _arr(rows, cols):
-        raw = read_exact(fh, 8 * rows * cols, "factor payload")
-        return np.frombuffer(raw, dtype="<f8").reshape(rows, cols).astype(np.float64)
-
-    s = _arr(m1, n1)
-    a = [_arr(m1, n1) for _ in range(r)]
-    b = [_arr(m2, n2) for _ in range(r)]
-    return KronFactor(shape, s, a, b)
 
 
 def save_factor(path, factor: KronFactor) -> None:

@@ -37,6 +37,7 @@ Convention notes (required to reproduce the exact totals):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .factor import KronFactor, KronShape
@@ -154,11 +155,13 @@ def _kron_path_pieces(n_batch: int, s: KronShape, with_dx: bool) -> dict[str, tu
     }
 
 
+@functools.lru_cache(maxsize=1024)
 def train_path(n_batch: int, s: KronShape, with_dx: bool) -> str:
     """Training path of a factored layer at this batch size, with or without
     the input gradient: ``"materialized"`` when building W, ``X @ W.T`` and
     the backward through W cost no more flops than the fold path's forward
-    plus backward, ``"fold"`` otherwise."""
+    plus backward, ``"fold"`` otherwise. Memoized: every training step asks
+    again for the same few (batch, shape) pairs."""
     steps = {
         path: sum(fwd.values()) + sum(bwd.values())
         for path, (fwd, bwd) in _kron_path_pieces(n_batch, s, with_dx).items()
@@ -315,11 +318,12 @@ def materialized_forward_flops(n_batch: int, s: KronShape) -> int:
     return sum(_materialized_forward_pieces(n_batch, s).values())
 
 
+@functools.lru_cache(maxsize=1024)
 def forward_path(n_batch: int, s: KronShape) -> str:
     """Inference path of a factored layer at this batch size: ``"materialized"``
     when building W plus one GEMM costs no more flops than the fold path,
     ``"fold"`` otherwise. Training picks by the whole step instead, with
-    ``train_path``."""
+    ``train_path``. Memoized, as ``train_path`` is."""
     if materialized_forward_flops(n_batch, s) <= kron_forward_matmul_flops(n_batch, s):
         return "materialized"
     return "fold"

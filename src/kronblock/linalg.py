@@ -92,10 +92,12 @@ def kron(a, b) -> np.ndarray:
 
 @_counted(lambda a, b: np.size(a))
 def hadamard(a, b) -> np.ndarray:
-    """Element-wise product; raises on shape mismatch."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape != b.shape:
+    """Element-wise product of two arrays of one shape, or of a stack of
+    matrices ``a`` with one matrix ``b`` that multiplies each of them; raises
+    on any other shapes. Either way it costs one flop per entry of ``a``."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape and not (a.ndim == 3 and a.shape[1:] == b.shape):
         raise ValueError(f"hadamard shape mismatch: {a.shape} vs {b.shape}")
     return a * b
 
@@ -201,10 +203,19 @@ def unfold_output(o: np.ndarray, m2: int) -> np.ndarray:
     )
 
 
+def _swap_runs(v: np.ndarray) -> np.ndarray:
+    # (p, q, s, k) -> (p, s, q, k), C-contiguous. Each run of k contiguous
+    # values moves as one k*8-byte element, so the copy's inner loop runs over
+    # q runs rather than k values: much faster for narrow tiles
+    p, q, s, k = v.shape
+    runs = v.view(np.dtype((np.void, 8 * k)))
+    return np.ascontiguousarray(runs.transpose(0, 2, 1, 3)).view(np.float64).reshape(p, s, q, k)
+
+
 def fold_tiles(w: np.ndarray, m2: int, n2: int) -> np.ndarray:
     v = tile_view(as_matrix(w, "w"), m2, n2)
     m1, _, n1, _ = v.shape
-    return np.ascontiguousarray(v.transpose(0, 2, 1, 3).reshape(m1 * n1, m2 * n2))
+    return _swap_runs(v).reshape(m1 * n1, m2 * n2)
 
 
 def unfold_tiles(t: np.ndarray, n1: int, n2: int) -> np.ndarray:
@@ -212,9 +223,7 @@ def unfold_tiles(t: np.ndarray, n1: int, n2: int) -> np.ndarray:
     _check_divisible(t.shape[0], n1, "unfold_tiles rows")
     _check_divisible(t.shape[1], n2, "unfold_tiles columns")
     m1, m2 = t.shape[0] // n1, t.shape[1] // n2
-    return np.ascontiguousarray(
-        t.reshape(m1, n1, m2, n2).transpose(0, 2, 1, 3).reshape(m1 * m2, n1 * n2)
-    )
+    return _swap_runs(t.reshape(m1, n1, m2, n2)).reshape(m1 * m2, n1 * n2)
 
 
 def tile_view(w: np.ndarray, m2: int, n2: int) -> np.ndarray:

@@ -161,15 +161,17 @@ def softmax(o: np.ndarray) -> np.ndarray:
 
 
 def softmax_cross_entropy(o: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross entropy over the batch; seed (softmax(O) - onehot)/N."""
+    """Mean cross entropy over the batch; seed (softmax(O) - onehot)/N. The
+    loss and the seed share one exp of the shifted logits."""
     labels = np.asarray(labels)
     nbatch = o.shape[0]
     if labels.shape != (nbatch,):
         raise ValueError(f"labels must have shape ({nbatch},), got {labels.shape}")
     z = o - o.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.sum(np.exp(z), axis=1))
-    loss = float(np.mean(logsumexp - z[np.arange(nbatch), labels]))
-    seed = softmax(o)
+    e = np.exp(z)
+    total = e.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(total[:, 0]) - z[np.arange(nbatch), labels]))
+    seed = e / total
     seed[np.arange(nbatch), labels] -= 1.0
     return loss, seed / nbatch
 

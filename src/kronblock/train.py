@@ -175,47 +175,30 @@ def collect_metrics(
 # ---------------------------------------------------------------------------
 
 
-def init_velocities(net: Network) -> list:
-    vel = []
-    for layer in net.layers:
-        if layer.spec.kind == "kron":
-            f = layer.factor
-            vel.append(
-                {
-                    "s": np.zeros_like(f.s),
-                    "a": [np.zeros_like(x) for x in f.a],
-                    "b": [np.zeros_like(x) for x in f.b],
-                }
-            )
-        else:
-            vel.append({"w": np.zeros_like(layer.w)})
-    return vel
+def init_velocities(net: Network) -> list[np.ndarray]:
+    """One zero momentum buffer per layer, shaped as the array ``sgd_step``
+    updates: a factored layer's ``factor.flat`` or a dense layer's ``w``."""
+    return [
+        np.zeros_like(layer.factor.flat if layer.spec.kind == "kron" else layer.w)
+        for layer in net.layers
+    ]
 
 
 def sgd_step(net: Network, grads: list, vel: list, cfg: TrainConfig, prox_l1: bool = True) -> None:
-    """One momentum-SGD step over every trainable matrix; factored-layer masks
-    get the L1 proximal soft-threshold (step size lr*lam) after their
-    gradient step when prox_l1 and lam > 0."""
+    """One momentum-SGD step per layer, on all its parameters at once (a
+    factored layer's flat S, A, B buffer, or a dense ``w``); factored-layer
+    masks then get the L1 proximal soft-threshold (step size lr*lam) when
+    prox_l1 and lam > 0."""
     lr, mu = cfg.learning_rate, cfg.momentum
     for layer, g, v in zip(net.layers, grads, vel):
-        if layer.spec.kind == "kron":
-            f = layer.factor
-            v["s"] *= mu
-            v["s"] += g.d_s
-            f.s -= lr * v["s"]
-            if prox_l1 and cfg.lam > 0:
-                f.s[:] = soft_threshold(f.s, lr * cfg.lam)
-            for i in range(layer.spec.shape.r):
-                v["a"][i] *= mu
-                v["a"][i] += g.d_a[i]
-                f.a[i] -= lr * v["a"][i]
-                v["b"][i] *= mu
-                v["b"][i] += g.d_b[i]
-                f.b[i] -= lr * v["b"][i]
-        else:
-            v["w"] *= mu
-            v["w"] += g.d_w
-            layer.w -= lr * v["w"]
+        kron = layer.spec.kind == "kron"
+        params, grad = (layer.factor.flat, g.flat) if kron else (layer.w, g.d_w)
+        v *= mu
+        v += grad
+        params -= lr * v
+        if kron and prox_l1 and cfg.lam > 0:
+            s = layer.factor.s
+            s[:] = soft_threshold(s, lr * cfg.lam)
 
 
 def _epoch_pass(net, data, cfg, epoch, vel, prox_l1=True, grad_hook=None, post_step=None):
@@ -361,7 +344,7 @@ def prune_blocks(
             flat = mask.ravel()
             flat[doomed] = False
             tile_view(layer.w, m2, n2)[:] *= mask[:, None, :, None]
-            tile_view(v["w"], m2, n2)[:] *= mask[:, None, :, None]
+            tile_view(v, m2, n2)[:] *= mask[:, None, :, None]
 
     run_phase(cfg.epochs)
     for k in range(1, rounds + 1):

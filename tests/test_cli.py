@@ -639,3 +639,95 @@ def test_mnist_dataset_kind_end_to_end(tmp_path, monkeypatch):
     summary = read_summary(out)
     assert summary["trainable_params"] == 5888
     assert summary["epochs"] == 2
+
+
+# ---------------------------------------------------------------------------
+# golden outputs: sha256 of the files of fixed-seed CLI runs. They pin the
+# training and selection arithmetic to the last bit, so a refactor that
+# reorders one floating-point operation fails here. Each run's eval set is at
+# most 128 rows: larger (5,392,2,2)-sized GEMMs differ in the last bits
+# between BLAS thread counts, and these digests must not.
+# ---------------------------------------------------------------------------
+
+
+def fold_train_config():
+    """``teacher_train_config`` on a 32x32 teacher with (8, 8) tiles at rank 2,
+    whose 32-row training batches run the fold path."""
+    cfg = teacher_train_config()
+    cfg["dataset"].update(m=32, n=32, block=[8, 8])
+    cfg["model"]["layers"][0].update(m=32, n=32, block=[8, 8])
+    cfg["train"]["block"] = [8, 8]
+    return cfg
+
+
+GOLDEN = {
+    # run name: (CLI command and options, config, {output file: sha256})
+    "kron": (["train", "--method", "kron"], teacher_train_config, {
+        "metrics.ndjson": "e445bfae8d76514c9a1965de3a70db1ee3bb4dfe2b6ee8cda648cb9e13db3353",
+        "checkpoint.kbn": "c040b2ce5fad7e56479b602e3dc12855d406ef34c1f62d9b5c92975a68f18ea6",
+    }),
+    "group-lasso": (["train", "--method", "group-lasso"], teacher_train_config, {
+        "metrics.ndjson": "c80c10b6f257b2fb9e7ac0a3213ef40c70775c1b2672eebdd12c98a099cc5352",
+        "checkpoint.kbn": "3d73fbca816fefe3907e2ac136cf233fe9f31e49cd2bd56e23f03ee3bbcce695",
+    }),
+    "prune": (["train", "--method", "prune"], teacher_train_config, {
+        "metrics.ndjson": "468c10be93fd27e39b29b0daa7096f766275488691e24a25dbd4759adf786e4a",
+        "checkpoint.kbn": "9d4f1e3ccb166a9dfc412431e110eec16153aafe8591d2eb6685d8294a7ee29e",
+    }),
+    "kron-fold": (["train", "--method", "kron"], fold_train_config, {
+        "metrics.ndjson": "ae41a44cd4edf7b0c694f62cfdfeefda99a4a63e20903f3de03ed8e29610eaa8",
+        "checkpoint.kbn": "56a53c56eedb4d1ecc30c5d1837cdf6be692b8287769b0baef7e15b3f2cb7de9",
+    }),
+    "select": (["select-pattern"], select_config, {
+        "selection.ndjson": "055618aa9c55a33d5628ecc81a879210a5485c9eb719171eaf22b653d1a27083",
+        "checkpoint.kbn": "2759f304d418be2c85e6d2cb89004a010529041cadb8b3e46ca057491994f9b4",
+    }),
+}
+
+
+def golden_argv(name, tmp_path):
+    command, build, _ = GOLDEN[name]
+    path = write_config(tmp_path / f"{name}.json", build())
+    return [command[0], "--config", path, *command[1:], "--out", str(tmp_path / name)]
+
+
+def golden_digests(name, tmp_path):
+    import hashlib
+
+    return {
+        file: hashlib.sha256((tmp_path / name / file).read_bytes()).hexdigest()
+        for file in GOLDEN[name][2]
+    }
+
+
+def test_golden_runs_take_their_paths(tmp_path):
+    # the teacher config trains on the materialized path, its override on fold
+    for name, path in (("kron", "materialized"), ("kron-fold", "fold")):
+        assert main(golden_argv(name, tmp_path)) == 0
+        assert json.loads((tmp_path / name / "run_info.json").read_text())["train_paths"] == [path]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_outputs(tmp_path, name):
+    assert main(golden_argv(name, tmp_path)) == 0
+    assert golden_digests(name, tmp_path) == GOLDEN[name][2]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_golden_outputs_across_blas_threads(tmp_path, threads):
+    # every golden run in a fresh process with its BLAS thread count fixed
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    runs = [golden_argv(name, tmp_path) for name in sorted(GOLDEN)]
+    code = ("import json, sys\nfrom kronblock.cli import main\n"
+            "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    for name in sorted(GOLDEN):
+        assert golden_digests(name, tmp_path) == GOLDEN[name][2], name

@@ -215,7 +215,7 @@ def test_fold_path_matches_per_rank_loop(seed):
         assert _rel(out, want_out) <= 1e-12
         assert _rel(got.d_s, want_s) <= 1e-12
         assert _rel(got.d_x, want_x) <= 1e-12
-        for g, w in zip(got.d_a + got.d_b, want_a + want_b, strict=True):
+        for g, w in zip([*got.d_a, *got.d_b], [*want_a, *want_b], strict=True):
             assert g.shape == w.shape and _rel(g, w) <= 1e-12
 
 
@@ -332,7 +332,7 @@ def test_reconstruct_normal_form_is_a_fixed_point(rng):
     g = kb.reconstruct_from_blockwise(kb.materialize(f), (2, 4))
     assert g.shape == f.shape
     assert np.array_equal(g.s, f.s)
-    for x, y in zip(f.a + f.b, g.a + g.b):
+    for x, y in zip([*f.a, *f.b], [*g.a, *g.b], strict=True):
         assert np.array_equal(x, y)
 
 
@@ -372,7 +372,7 @@ def test_factor_serialization_roundtrip(rng):
     g = read_factor(buf)
     assert g.shape == f.shape
     assert np.array_equal(g.s, f.s)
-    for x, y in zip(f.a + f.b, g.a + g.b):
+    for x, y in zip([*f.a, *f.b], [*g.a, *g.b], strict=True):
         assert np.array_equal(x, y)
 
 
@@ -424,3 +424,65 @@ def test_factor_file_trailing_bytes(tmp_path, rng):
 def test_factor_validation(rng):
     with pytest.raises(ValueError):
         KronFactor(KronShape(2, 2, 2, 2, 2), np.ones((2, 2)), [np.ones((2, 2))], [np.ones((2, 2))])
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_stacked_factor_storage(r):
+    # A and B are (r, m1, n1) / (r, m2, n2) stacks, and S, A, B are views of
+    # one flat buffer in S, A_1..A_r, B_1..B_r order; list input, stacked
+    # input and copy() all give that layout
+    rng = np.random.default_rng(r)
+    shape = KronShape(3, 4, 2, 5, r)
+    s = rng.standard_normal((3, 4))
+    a = [rng.standard_normal((3, 4)) for _ in range(r)]
+    b = [rng.standard_normal((2, 5)) for _ in range(r)]
+    want = np.concatenate([s.ravel(), *(x.ravel() for x in a), *(x.ravel() for x in b)])
+    from_lists = KronFactor(shape, s, a, b)
+    from_stacks = KronFactor(shape, s, np.stack(a), np.stack(b))
+    copied = from_lists.copy()
+    for f in (from_lists, from_stacks, copied):
+        assert f.a.shape == (r, 3, 4) and f.b.shape == (r, 2, 5)
+        assert f.flat.shape == (kb.count_params(shape),) and f.flat.flags.c_contiguous
+        assert np.array_equal(f.flat, want)
+        for view in (f.s, f.a, f.b):
+            assert np.shares_memory(view, f.flat)
+        assert [x.shape for x in f.a] == [(3, 4)] * r
+        assert all(np.array_equal(f.a[i], a[i]) and np.array_equal(f.b[i], b[i]) for i in range(r))
+    # the constructor copies: no two factors share parameters
+    assert not np.shares_memory(copied.flat, from_lists.flat)
+    assert not np.shares_memory(from_lists.s, s)
+    f = from_lists
+    f.a[0] += 1.0
+    assert f.flat[12] == want[12] + 1.0
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_gradients_share_one_buffer(r):
+    # on both training paths dS, dA, dB are views of one flat gradient laid
+    # out as the factor's flat parameters
+    rng = np.random.default_rng(10 + r)
+    f = random_dense_factor(KronShape(2, 3, 4, 2, r), rng)
+    x = rng.standard_normal((5, f.shape.n))
+    d_out = rng.standard_normal((5, f.shape.m))
+    fold = kb.backward_params(f, kb.forward(f, x)[1], d_out)
+    built = kb.materialized_backward(f, kb.materialized_forward(f, x)[1], d_out, False)
+    for g in (fold, built):
+        assert g.d_a.shape == f.a.shape and g.d_b.shape == f.b.shape
+        assert g.flat.shape == f.flat.shape and g.flat.flags.c_contiguous
+        for view in (g.d_s, g.d_a, g.d_b):
+            assert np.shares_memory(view, g.flat)
+        want = np.concatenate([g.d_s.ravel(), g.d_a.ravel(), g.d_b.ravel()])
+        assert np.array_equal(g.flat, want)
+
+
+def test_factor_file_payload_order(tmp_path):
+    # the .kbf payload is S, A_1..A_r, B_1..B_r, each row-major float64
+    rng = np.random.default_rng(4)
+    shape = KronShape(2, 3, 3, 2, 3)
+    s = rng.standard_normal((2, 3))
+    a = [rng.standard_normal((2, 3)) for _ in range(3)]
+    b = [rng.standard_normal((3, 2)) for _ in range(3)]
+    path = tmp_path / "f.kbf"
+    kb.save_factor(path, KronFactor(shape, s, a, b))
+    payload = path.read_bytes()[4 + 40:]
+    assert payload == b"".join(x.astype("<f8").tobytes() for x in [s, *a, *b])

@@ -73,6 +73,22 @@ def test_hadamard_entrywise():
 def test_hadamard_shape_mismatch():
     with pytest.raises(ValueError):
         hadamard(np.ones((2, 2)), np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        hadamard(np.ones((3, 2, 2)), np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        hadamard(np.ones((2, 2)), np.ones((3, 2, 2)))
+
+
+def test_hadamard_stack_matches_and_counts_per_matrix_products(rng):
+    # a (r, p, q) stack times one (p, q) matrix: the r products S * A_i of a
+    # factored layer, bit for bit, counted as the r*p*q flops of r calls
+    from kronblock.linalg import counting
+
+    s, a = rng.standard_normal((3, 5)), rng.standard_normal((4, 3, 5))
+    with counting() as ops:
+        out = hadamard(a, s)
+    assert ops == [("hadamard", 4 * 3 * 5)]
+    assert np.array_equal(out, np.stack([hadamard(s, a_i) for a_i in a]))
 
 
 def test_fold_input_single_sample_column():

@@ -77,7 +77,7 @@ def test_zero_lambdas_match_independent_train_kron_runs():
         got = net.layers[0].factor
         want = ref.layers[0].factor
         assert np.array_equal(got.s, want.s)
-        for x, y in zip(got.a + got.b, want.a + want.b):
+        for x, y in zip([*got.a, *got.b], [*want.a, *want.b], strict=True):
             assert np.array_equal(x, y)
 
 

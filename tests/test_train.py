@@ -15,8 +15,23 @@ from kronblock import (
     train_group_lasso,
     train_kron,
 )
-from kronblock.network import build_network, dense_spec, kron_spec, net_backward, net_forward
-from kronblock.train import dense_tile_sparsity, eval_metrics, net_mask_sparsity, soft_threshold
+from kronblock.network import (
+    build_network,
+    dense_spec,
+    kron_spec,
+    net_backward,
+    net_backward_params,
+    net_forward,
+    train_paths,
+)
+from kronblock.train import (
+    dense_tile_sparsity,
+    eval_metrics,
+    init_velocities,
+    net_mask_sparsity,
+    sgd_step,
+    soft_threshold,
+)
 from kronblock.data import batches
 
 
@@ -105,8 +120,66 @@ def test_lambda_zero_matches_plain_sgd(rng):
 
     trained = net.layers[0].factor
     assert np.array_equal(trained.s, f.s)
-    for x, y in zip(trained.a + trained.b, f.a + f.b):
+    for x, y in zip([*trained.a, *trained.b], [*f.a, *f.b], strict=True):
         assert np.array_equal(x, y)
+
+
+def _per_array_sgd(net, grads, vel, cfg):
+    # momentum SGD on every matrix on its own, the mask prox right after the
+    # mask's step: the update sgd_step must reproduce bit for bit
+    lr, mu = cfg.learning_rate, cfg.momentum
+    for layer, g, v in zip(net.layers, grads, vel):
+        if layer.spec.kind == "dense":
+            v["w"] = mu * v["w"] + g.d_w
+            layer.w -= lr * v["w"]
+            continue
+        f = layer.factor
+        v["s"] = mu * v["s"] + g.d_s
+        f.s -= lr * v["s"]
+        if cfg.lam > 0:
+            f.s[:] = soft_threshold(f.s, lr * cfg.lam)
+        for i in range(f.shape.r):
+            v["a"][i] = mu * v["a"][i] + g.d_a[i]
+            f.a[i] -= lr * v["a"][i]
+            v["b"][i] = mu * v["b"][i] + g.d_b[i]
+            f.b[i] -= lr * v["b"][i]
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 3.0])
+@pytest.mark.parametrize(
+    "path,tiling,batch", [("fold", (8, 8, 4, 4), 4), ("materialized", (2, 4, 2, 2), 8)]
+)
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_sgd_step_matches_per_array_reference(r, path, tiling, batch, lam):
+    # one flat update per layer (a factored layer, then a dense one) equals
+    # the per-array update, on either training path and with the L1 prox
+    shape = KronShape(*tiling, r)
+    net = build_network([kron_spec(shape, "relu"), dense_spec(3, shape.m)], seed=r)
+    assert train_paths(net, batch) == [path, "dense"]
+    ref = net.copy()
+    cfg = TrainConfig(epochs=1, batch_size=batch, learning_rate=0.1, momentum=0.9, lam=lam)
+    vel = init_velocities(net)
+    f, w = ref.layers[0].factor, ref.layers[1].w
+    ref_vel = [
+        {"s": np.zeros_like(f.s), "a": [np.zeros_like(x) for x in f.a],
+         "b": [np.zeros_like(x) for x in f.b]},
+        {"w": np.zeros_like(w)},
+    ]
+    rng = np.random.default_rng(r)
+    for _ in range(4):
+        x = rng.standard_normal((batch, shape.n))
+        labels = rng.integers(0, 3, batch)
+        _, grads = net_backward_params(net, net_forward(net, x)[1], labels, cfg.loss)
+        sgd_step(net, grads, vel, cfg)
+        _, grads = net_backward_params(ref, net_forward(ref, x)[1], labels, cfg.loss)
+        _per_array_sgd(ref, grads, ref_vel, cfg)
+        got = net.layers[0].factor
+        assert np.array_equal(got.s, f.s)
+        for x_got, x_ref in zip([*got.a, *got.b], [*f.a, *f.b], strict=True):
+            assert np.array_equal(x_got, x_ref)
+        assert np.array_equal(net.layers[1].w, w)
+    if lam == 3.0:
+        assert np.any(f.s == 0.0)
 
 
 def test_huge_lambda_kills_mask_in_one_epoch():
