@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import shutil
@@ -706,7 +707,10 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process: parsing leaves it
+    unchanged, so every ``main`` call shares it."""
     parser = argparse.ArgumentParser(
         prog="kronblock",
         description="Block-wise sparse training via masked Kronecker factorization.",

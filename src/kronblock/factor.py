@@ -24,7 +24,8 @@ product over the stack. A layer trains on one of two paths, which
 ``backward_params`` is ``backward`` without the input gradient, which
 training skips for the first layer of a network; ``materialized_backward``
 takes the choice as ``with_dx``. Inference (``network.net_predict``) runs
-``materialized_forward`` or ``forward`` by ``flops.forward_path``. Every
+``forward`` or ``materialize`` and its own weight product, by
+``flops.forward_path``. Every
 multiply, add and subtract runs through the counted ops of
 :mod:`kronblock.linalg`, so ``flops.instrumented_count`` counts this code.
 """
@@ -250,9 +251,9 @@ class KronGradient:
 
 
 def _gradient(factor: KronFactor, g: np.ndarray, d_b: np.ndarray, d_x) -> KronGradient:
-    # g: (r, m1, n1), G_i the gradient w.r.t. S * A_i, copied contiguous for
-    # the two products. dA_i = G_i * S in one broadcast product; dS = sum_i
-    # G_i * A_i, its terms added in rank order
+    # g: (r, m1, n1), G_i the gradient w.r.t. S * A_i, made contiguous for
+    # the two products (a copy on the fold path only). dA_i = G_i * S in one
+    # broadcast product; dS = sum_i G_i * A_i, its terms added in rank order
     g = np.ascontiguousarray(g)
     terms = hadamard(g, factor.a)
     d_s = terms[0]
@@ -334,17 +335,17 @@ def materialized_backward(
     """The gradients of ``backward`` (``d_x`` only when ``with_dx``) through
     the built weight. With T = fold_tiles(dO.T @ X), the ``(m1*n1, m2*n2)``
     tile-major weight gradient, and G_i the gradient w.r.t. S*A_i:
-      [vec G_i]   = T @ [vec B_i]
+      [vec G_i].T = [vec B_i].T @ T.T     (the G_i as C-contiguous rows)
       [vec dB_i]  = [vec S*A_i].T @ T
       dS = sum_i G_i * A_i,   dA_i = G_i * S,   dX = dO @ W
     """
     sh = factor.shape
     d_out = _output_grad(factor, cache.batch, d_out)
     t = fold_tiles(matmul(d_out.T, cache.x), sh.m2, sh.n2)
-    g = matmul(t, factor.b.reshape(sh.r, -1).T)
+    g = matmul(factor.b.reshape(sh.r, -1), t.T)
     d_b = matmul(cache.masked_a.T, t)
     d_x = matmul(d_out, cache.w) if with_dx else None
-    return _gradient(factor, g.T.reshape(sh.r, sh.m1, sh.n1), d_b, d_x)
+    return _gradient(factor, g.reshape(sh.r, sh.m1, sh.n1), d_b, d_x)
 
 
 def reconstruct_from_blockwise(w: np.ndarray, block: tuple[int, int]) -> KronFactor:

@@ -160,17 +160,30 @@ def softmax(o: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def softmax_cross_entropy(o: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean cross entropy over the batch; seed (softmax(O) - onehot)/N. The
-    loss and the seed share one exp of the shifted logits."""
+def _cross_entropy(o: np.ndarray, labels) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean cross entropy over the batch, the exp of the max-shifted logits
+    and their row sums: the loss ``evaluate`` reads and what
+    ``softmax_cross_entropy`` builds its seed from. The row max
+    reduces a transposed contiguous copy, one vectorized pass per class
+    rather than one call per row (a max is exact in any order), and the mean
+    is the sum over the batch divided by its size, as ``np.mean`` computes
+    it."""
     labels = np.asarray(labels)
     nbatch = o.shape[0]
     if labels.shape != (nbatch,):
         raise ValueError(f"labels must have shape ({nbatch},), got {labels.shape}")
-    z = o - o.max(axis=1, keepdims=True)
+    z = o - np.ascontiguousarray(o.T).max(axis=0)[:, None]
     e = np.exp(z)
     total = e.sum(axis=1, keepdims=True)
-    loss = float(np.mean(np.log(total[:, 0]) - z[np.arange(nbatch), labels]))
+    loss = float(np.add.reduce(np.log(total[:, 0]) - z[np.arange(nbatch), labels]) / nbatch)
+    return loss, e, total
+
+
+def softmax_cross_entropy(o: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean cross entropy over the batch; seed (softmax(O) - onehot)/N. The
+    loss and the seed share one exp of the shifted logits."""
+    loss, e, total = _cross_entropy(o, labels)
+    nbatch = o.shape[0]
     seed = e / total
     seed[np.arange(nbatch), labels] -= 1.0
     return loss, seed / nbatch
@@ -265,14 +278,38 @@ def eval_paths(net: Network, n_batch: int) -> list[str]:
     ]
 
 
+# OpenBLAS lays a GEMM's output on 16-wide kernel tiles: a weight with fewer
+# rows leaves part of each tile idle in ``X @ W.T``, while swapped the batch
+# fills them. At 16 rows the swap stops paying (``thin_products`` in
+# BENCH_eval.json)
+THIN_WEIGHT_ROWS = 16
+
+
+def predict_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``X @ W.T`` as inference computes it. A weight with fewer than
+    ``THIN_WEIGHT_ROWS`` rows multiplies in the batch-vectorized orientation
+    ``(W @ X.T).T``, made C-contiguous: the same bits as ``X @ W.T`` (a test
+    checks 1 to 15 rows at the paper's and the benchmark's widths and batch
+    sizes, under 1 and 2 BLAS threads) at BLAS speed. Training keeps
+    ``X @ W.T``, where its batches are too small for the swap to pay for its
+    copy."""
+    if w.shape[0] < THIN_WEIGHT_ROWS:
+        return np.ascontiguousarray(matmul(w, x.T).T)
+    return matmul(x, w.T)
+
+
 def net_predict(net: Network, x: np.ndarray) -> np.ndarray:
     """Inference forward: the output of ``net_forward`` without a cache, each
     layer on its path of ``eval_paths`` (a materialized weight is rebuilt on
-    every call)."""
-    x = _net_input(net, x)
-    cur = x
-    for layer, path in zip(net.layers, eval_paths(net, x.shape[0])):
-        cur = _activate(layer, _layer_forward(layer, path, cur)[0])
+    every call) and each weight product by ``predict_product``."""
+    cur = _net_input(net, x)
+    for layer, path in zip(net.layers, eval_paths(net, cur.shape[0])):
+        if path == "fold":
+            pre = kf.forward(layer.factor, cur)[0]
+        else:
+            w = kf.materialize(layer.factor) if path == "materialized" else layer.w
+            pre = predict_product(cur, w)
+        cur = _activate(layer, pre)
     return cur
 
 
@@ -320,15 +357,16 @@ def net_backward_params(
 def evaluate(net: Network, x: np.ndarray, labels, loss_kind: str = "softmax_cross_entropy") -> dict:
     """Classification metrics: loss plus argmax accuracy (ties break to the
     lowest class index). Squared loss evaluates against one-hot targets. The
-    outputs come from ``net_predict``."""
+    outputs come from ``net_predict``; the loss is the one the training
+    losses return, without their gradient seed."""
     out = net_predict(net, x)
     labels = np.asarray(labels)
     if loss_kind == "squared_frobenius":
         onehot = np.zeros_like(out)
         onehot[np.arange(out.shape[0]), labels] = 1.0
-        loss, _ = squared_frobenius(out, onehot)
+        loss = sq_sum(sub(out, onehot))
     else:
-        loss, _ = softmax_cross_entropy(out, labels)
+        loss = _cross_entropy(out, labels)[0]
     accuracy = float(np.mean(np.argmax(out, axis=1) == labels))
     return {"loss": loss, "accuracy": accuracy}
 

@@ -10,6 +10,7 @@ from kronblock import KronShape, SelectConfig, TrainConfig
 from kronblock.cli import (
     CONFIG_KEYS,
     ConfigError,
+    build_parser,
     build_select_config,
     build_train_config,
     main,
@@ -568,6 +569,35 @@ def test_flops_command_exact_equality(tmp_path, capsys):
         assert payload["equal"] is True
         if section["kind"] == "two_layer_kron":
             assert set(payload["analytic"]["constants"]) == {"C1", "C2", "C3", "C4"}
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
+    # flops, a shape-opt call argparse rejects, flops again: the cached parser
+    # gives each call the output and exit code a freshly built parser gives
+    path = write_config(tmp_path / "f.json", {"flops": {
+        "kind": "kron", "batch": 2, "shape": [2, 3, 2, 2], "rank": 2}})
+    calls = (["flops", "--config", path], ["shape-opt", "--m", "x", "--n", "4"],
+             ["flops", "--config", path])
+
+    def run_calls():
+        results = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    assert build_parser() is build_parser()
+    cached = run_calls()
+    monkeypatch.setattr("kronblock.cli.build_parser", build_parser.__wrapped__)
+    fresh = run_calls()
+    assert [code for code, _, _ in cached] == [0, 2, 0]
+    assert "argument --m: invalid int value: 'x'" in cached[1][2]
+    assert cached[0] == cached[2]
+    assert cached == fresh
 
 
 def test_decompose_roundtrip(tmp_path, capsys):

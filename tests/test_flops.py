@@ -29,6 +29,7 @@ from kronblock.flops import (
     two_layer_kron_report,
 )
 from kronblock.linalg import counting
+from kronblock.network import THIN_WEIGHT_ROWS
 
 from conftest import layer_forward_identity, random_dense_factor, random_mixed_net, random_shape
 
@@ -524,7 +525,8 @@ def test_bench_eval_script_writes_schema(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(out_path.read_text())
     assert set(result) == {"benchmark", "rank", "repeats", "seed", "environment", "cells",
-                           "rule_right", "rule_wrong"}
+                           "rule_right", "rule_wrong", "thin_weight_rows", "thin_products",
+                           "thin_rule_right", "thin_rule_wrong", "evaluate"}
     assert {"blas", "blas_version", "blas_threads"} <= set(result["environment"])
     assert [c["batch"] for c in result["cells"]] == [1, 64]
     for cell in result["cells"]:
@@ -540,6 +542,34 @@ def test_bench_eval_script_writes_schema(tmp_path):
             assert cell[path]["median_s"] >= 0.0 and cell[path]["iqr_s"] >= 0.0
         assert cell["pick_is_faster"] == (cell["pick"] == cell["faster"])
     assert result["rule_right"] + len(result["rule_wrong"]) == 2
+    # the thin-weight products: both orientations at every batch, each side of
+    # the orientation rule
+    assert result["thin_weight_rows"] == THIN_WEIGHT_ROWS
+    thin = result["thin_products"]
+    assert {c["batch"] for c in thin} == {1, 64}
+    assert min(c["m"] for c in thin) < THIN_WEIGHT_ROWS <= max(c["m"] for c in thin)
+    for cell in thin:
+        assert set(cell) == {"m", "n", "batch", "direct", "swapped", "swap_speedup", "pick",
+                             "faster", "pick_is_faster"}
+        flops = cell["batch"] * cell["m"] * (2 * cell["n"] - 1)
+        for side in ("direct", "swapped"):
+            assert set(cell[side]) == {"flops", "median_s", "iqr_s", "gflops"}
+            assert cell[side]["flops"] == flops
+            assert cell[side]["median_s"] >= 0.0 and cell[side]["iqr_s"] >= 0.0
+        assert cell["pick"] == ("swapped" if cell["m"] < THIN_WEIGHT_ROWS else "direct")
+        assert cell["swap_speedup"] == cell["direct"]["median_s"] / cell["swapped"]["median_s"]
+        assert cell["faster"] in ("direct", "swapped")
+        assert cell["pick_is_faster"] == (cell["pick"] == cell["faster"])
+    assert result["thin_rule_right"] + len(result["thin_rule_wrong"]) == len(thin)
+    # a whole evaluate call of each benchmark net, factored and dense
+    assert [(c["net"], c["batch"]) for c in result["evaluate"]] == [
+        ("linear784", 1), ("linear784", 64), ("wide1024", 1), ("wide1024", 64)]
+    for cell in result["evaluate"]:
+        assert set(cell) == {"net", "batch", "paths", "kron", "dense"}
+        assert set(cell["paths"]) <= {"fold", "materialized"}
+        for kind in ("kron", "dense"):
+            assert set(cell[kind]) == {"median_s", "iqr_s", "samples_per_s"}
+            assert cell[kind]["median_s"] >= 0.0 and cell[kind]["iqr_s"] >= 0.0
 
 
 def test_bench_train_script_writes_schema(tmp_path):

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +26,7 @@ from kronblock.network import (
     save_network,
     softmax,
     softmax_cross_entropy,
+    squared_frobenius,
     train_paths,
 )
 
@@ -290,6 +296,123 @@ def test_net_predict_matches_net_forward(specs, rows, paths):
     got = net_predict(net, x)
     assert got.shape == want.shape
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+# The thin products net_predict can take: weights of 1 to 15 rows at the
+# widths of the paper's and the benchmark's layers, at the batch sizes of a
+# single sample, an odd remainder, training and the two eval sets
+THIN_PRODUCT_CHECK = """
+import json, sys
+import numpy as np
+from kronblock.linalg import matmul
+from kronblock.network import THIN_WEIGHT_ROWS, predict_product
+
+rows, widths, batches = json.loads(sys.argv[1])
+rng = np.random.default_rng(0)
+failed = []
+for n in widths:
+    for nb in batches:
+        x = rng.standard_normal((nb, n))
+        for m in rows:
+            assert m < THIN_WEIGHT_ROWS
+            w = rng.standard_normal((m, n))
+            got = predict_product(x, w)
+            if not (got.flags.c_contiguous and got.tobytes() == matmul(x, w.T).tobytes()):
+                failed.append(f"W {m}x{n}, X {nb}x{n}")
+print("\\n".join(failed))
+sys.exit(1 if failed else 0)
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_thin_weight_product_orientations_bit_identical(threads):
+    # predict_product swaps a thin weight's product to (W @ X.T).T; in a fresh
+    # process at each BLAS thread count, it must give the bits of X @ W.T
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    cases = [list(range(1, 16)), [256, 784, 1024], [1, 7, 64, 512, 2048]]
+    proc = subprocess.run([sys.executable, "-c", THIN_PRODUCT_CHECK, json.dumps(cases)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, f"orientations differ at {proc.stdout.strip()} {proc.stderr}"
+
+
+# (specs, batch sizes): fold, materialized and dense layers, thin and not, at
+# one sample and the benchmark's eval sizes, where every layer's train path is
+# its eval path, so net_forward's output is net_predict's to the bit
+EVALUATE_CASES = [
+    ([kron_spec(KronShape(5, 392, 2, 2, 2), "softmax_output")], (1, 2048)),
+    ([kron_spec(KronShape(8, 16, 2, 2, 1), "relu"), dense_spec(10, 16, "softmax_output")],
+     (1, 512)),
+    ([dense_spec(24, 32, "relu"), kron_spec(KronShape(3, 6, 2, 4, 2))], (1, 512)),
+    ([kron_spec(KronShape(1, 16, 4, 1, 2), "relu"), dense_spec(3, 4, "identity")], (1, 2048)),
+    ([dense_spec(10, 784, "softmax_output")], (1, 2048)),
+]
+
+
+@pytest.mark.parametrize("loss", LOSSES)
+@pytest.mark.parametrize("case", range(len(EVALUATE_CASES)))
+def test_evaluate_matches_training_losses(case, loss):
+    specs, batches = EVALUATE_CASES[case]
+    net = build_network(specs, seed=case)
+    rng = np.random.default_rng(case)
+    for nb in batches:
+        assert train_paths(net, nb) == eval_paths(net, nb)
+        x = rng.standard_normal((nb, net.in_dim))
+        labels = rng.integers(0, net.out_dim, size=nb)
+        out, _ = net_forward(net, x)
+        if loss == "squared_frobenius":
+            onehot = np.zeros_like(out)
+            onehot[np.arange(nb), labels] = 1.0
+            want_loss, _ = squared_frobenius(out, onehot)
+        else:
+            want_loss, _ = softmax_cross_entropy(out, labels)
+        accuracy = float(np.mean(np.argmax(out, axis=1) == labels))
+        assert evaluate(net, x, labels, loss) == {"loss": want_loss, "accuracy": accuracy}
+
+
+def _reference_softmax_cross_entropy(o, labels):
+    # softmax_cross_entropy as it was written before the shared loss helper:
+    # a row-wise max and np.mean
+    nbatch = o.shape[0]
+    z = o - o.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(total[:, 0]) - z[np.arange(nbatch), labels]))
+    seed = e / total
+    seed[np.arange(nbatch), labels] -= 1.0
+    return loss, seed / nbatch
+
+
+@pytest.mark.parametrize("rows,classes", [(1, 1), (1, 10), (7, 3), (64, 10), (512, 16),
+                                          (2048, 10)])
+def test_softmax_cross_entropy_matches_reference_bits(rows, classes):
+    rng = np.random.default_rng(rows * classes)
+    o = rng.standard_normal((rows, classes)) * 5.0
+    labels = rng.integers(0, classes, size=rows)
+    if classes >= 3:
+        # +0.0 and -0.0 tying for a row's max, in either order, and huge logits
+        o[0, :3] = (0.0, -0.0, -1.0)
+        o[-1, :3] = (-0.0, 0.0, -700.0)
+        o[rows // 2, :] = -0.0
+        o[rows // 3, :2] = (700.0, -700.0)
+    loss, seed = softmax_cross_entropy(o, labels)
+    want_loss, want_seed = _reference_softmax_cross_entropy(o, labels)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert seed.tobytes() == want_seed.tobytes()
+
+
+@pytest.mark.parametrize("x,message", [
+    (np.zeros(6), "x must be 2-D"),
+    (np.zeros((2, 3, 2)), "x must be 2-D"),
+    (np.zeros((2, 5)), "input has 5 features, network expects 6"),
+])
+def test_net_predict_checks_its_input(x, message):
+    net = build_network([dense_spec(4, 6)], seed=0)
+    with pytest.raises(ValueError, match=message):
+        net_predict(net, x)
+    with pytest.raises(ValueError, match=message):
+        evaluate(net, x, np.zeros(2, dtype=np.int64))
 
 
 def test_network_dim_chaining_validated():
