@@ -2,10 +2,10 @@
 """Time the two inference paths of a factored layer against the rule that picks one.
 
 For each shape (rank 2 unless given) and batch size this times the fold path
-(``factor.forward``) and the materialized path
-(``factor.materialized_forward``: building W, then ``x @ W.T``) over repeated
-runs, and records each path's median and
-interquartile range, its analytic flops and achieved GFLOP/s, the path that
+(``factor.forward``) and the materialized path (``network.layer_forward`` on
+``"materialized"``: building W, then ``x @ W.T``) over repeated runs, and
+records each path's median and interquartile range, its analytic flops and
+achieved GFLOP/s, the path that
 ``flops.forward_path`` picks and whether that pick was the faster one
 measured. Cells where it was not are listed under ``rule_wrong``.
 
@@ -45,12 +45,7 @@ from bench_flops import ROOT, environment  # noqa: E402  (puts src/ on sys.path)
 
 import numpy as np  # noqa: E402
 
-from kronblock.factor import (  # noqa: E402
-    KronShape,
-    forward,
-    materialized_forward,
-    random_factor,
-)
+from kronblock.factor import KronShape, forward, random_factor  # noqa: E402
 from kronblock.flops import (  # noqa: E402
     forward_path,
     kron_forward_matmul_flops,
@@ -59,11 +54,13 @@ from kronblock.flops import (  # noqa: E402
 from kronblock.linalg import matmul  # noqa: E402
 from kronblock.network import (  # noqa: E402
     THIN_WEIGHT_ROWS,
+    Layer,
     build_network,
     dense_spec,
     eval_paths,
     evaluate,
     kron_spec,
+    layer_forward,
 )
 
 RANK = 2
@@ -122,6 +119,7 @@ def shape_dims(shape: KronShape) -> list[int]:
 
 def measure(shape: KronShape, n_batch: int, repeats: int, rng) -> dict:
     fac = random_factor(shape, rng)
+    layer = Layer(kron_spec(shape), factor=fac)
     x = rng.standard_normal((n_batch, shape.n))
     fold = path_row(
         kron_forward_matmul_flops(n_batch, shape),
@@ -129,7 +127,7 @@ def measure(shape: KronShape, n_batch: int, repeats: int, rng) -> dict:
     )
     mat = path_row(
         materialized_forward_flops(n_batch, shape),
-        time_path(lambda: materialized_forward(fac, x), repeats),
+        time_path(lambda: layer_forward(layer, "materialized", x), repeats),
     )
     pick = forward_path(n_batch, shape)
     faster = "materialized" if mat["median_s"] < fold["median_s"] else "fold"

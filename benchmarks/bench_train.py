@@ -3,16 +3,18 @@
 
 For each shape and batch size this times the parts of a
 training step on the two training paths of the factored layer and on its
-dense ``m x n`` twin:
+dense ``m x n`` twin, each through the code that trains,
+``network.layer_forward`` and ``network.layer_backward``:
 
-* ``forward``: ``factor.forward`` (fold), ``factor.materialized_forward``
-  (materialized), or ``x @ W.T`` (dense);
-* ``backward_dx``: the backward with the input gradient (``factor.backward``,
-  ``factor.materialized_backward(..., with_dx=True)``, or ``dO.T @ x`` and
-  ``dO @ W``), as every layer after the first runs it;
-* ``backward``: the backward without it (``factor.backward_params``,
-  ``factor.materialized_backward(..., with_dx=False)``, or ``dO.T @ x``), as
-  the first layer runs it in training;
+* ``forward``: ``factor.forward`` (fold), or ``x @ W.T`` on the weight W
+  that ``factor.build_weight`` builds (materialized) or on the twin's own
+  (dense);
+* ``backward_dx``: the backward with the input gradient, as every layer
+  after the first runs it: ``factor.backward`` (fold), or ``dO.T @ x`` and
+  ``dO @ W``, projected onto the factors by ``factor.weight_gradient`` on
+  the materialized path;
+* ``backward``: the same without the input gradient (``factor.backward_params``
+  on the fold path), as the first layer runs it in training;
 * ``update``: one ``train.sgd_step`` on a one-layer net (momentum, no prox):
   one momentum update of the factored layer's flat S, A, B buffer (the same
   on both paths), or of the dense twin's ``w``.
@@ -50,21 +52,14 @@ from bench_flops import ROOT, environment  # noqa: E402  (puts src/ on sys.path)
 import numpy as np  # noqa: E402
 
 from kronblock import flops as fl  # noqa: E402
-from kronblock.factor import (  # noqa: E402
-    KronShape,
-    backward,
-    backward_params,
-    forward,
-    materialized_backward,
-    materialized_forward,
-    random_factor,
-)
+from kronblock.factor import KronShape, random_factor  # noqa: E402
 from kronblock.network import (  # noqa: E402
-    DenseGradient,
     Layer,
     Network,
     dense_spec,
     kron_spec,
+    layer_backward,
+    layer_forward,
 )
 from kronblock.train import TrainConfig, init_velocities, sgd_step  # noqa: E402
 
@@ -111,60 +106,37 @@ def time_update(layer: Layer, grad, repeats: int) -> list[float]:
     return time_path(lambda: sgd_step(net, [grad], vel, UPDATE_CFG), repeats)
 
 
-def kron_parts(fac, x, d_out, repeats: int) -> dict:
-    _, cache = forward(fac, x)
-    _, mcache = materialized_forward(fac, x)
+def parts(layer: Layer, path: str, x, d_out, repeats: int) -> dict:
+    """Times of each part of ``layer``'s training step on ``path``."""
+    _, cache = layer_forward(layer, path, x)
     return {
-        "fold": {
-            "forward": time_path(lambda: forward(fac, x), repeats),
-            "backward_dx": time_path(lambda: backward(fac, cache, d_out), repeats),
-            "backward": time_path(lambda: backward_params(fac, cache, d_out), repeats),
-        },
-        "materialized": {
-            "forward": time_path(lambda: materialized_forward(fac, x), repeats),
-            "backward_dx": time_path(
-                lambda: materialized_backward(fac, mcache, d_out, True), repeats
-            ),
-            "backward": time_path(
-                lambda: materialized_backward(fac, mcache, d_out, False), repeats
-            ),
-        },
-    }
-
-
-def dense_parts(w, x, d_out, repeats: int) -> dict:
-    return {
-        "forward": time_path(lambda: x @ w.T, repeats),
-        "backward_dx": time_path(lambda: (d_out.T @ x, d_out @ w), repeats),
-        "backward": time_path(lambda: d_out.T @ x, repeats),
+        "forward": time_path(lambda: layer_forward(layer, path, x), repeats),
+        "backward_dx": time_path(lambda: layer_backward(layer, x, cache, d_out, True), repeats),
+        "backward": time_path(lambda: layer_backward(layer, x, cache, d_out, False), repeats),
     }
 
 
 def measure(shape: KronShape, n_batch: int, repeats: int, rng) -> dict:
     x = rng.standard_normal((n_batch, shape.n))
     d_out = rng.standard_normal((n_batch, shape.m))
-    fac = random_factor(shape, rng)
-    w = rng.standard_normal((shape.m, shape.n)) / np.sqrt(shape.n)
-    times = kron_parts(fac, x, d_out, repeats)
-    times["dense"] = dense_parts(w, x, d_out, repeats)
+    kron = Layer(kron_spec(shape), factor=random_factor(shape, rng))
+    dense = Layer(dense_spec(shape.m, shape.n),
+                  w=rng.standard_normal((shape.m, shape.n)) / np.sqrt(shape.n))
+    layers = {"fold": kron, "materialized": kron, "dense": dense}
+    times = {path: parts(layers[path], path, x, d_out, repeats) for path in PATHS}
     cell = {"shape": shape_dims(shape), "r": shape.r, "m": shape.m, "n": shape.n, "batch": n_batch}
     for path in PATHS:
         flops = flops_by_part(n_batch, shape, path)
         cell[path] = {part: path_row(flops[part], times[path][part]) for part in PARTS}
-    kron_grad = backward_params(fac, forward(fac, x)[1], d_out)
+
+    def update_row(flops, path):
+        layer = layers[path]
+        grad = layer_backward(layer, x, layer_forward(layer, path, x)[1], d_out, False)
+        return path_row(flops, time_update(layer.copy(), grad, repeats))
+
     cell["update"] = {
-        "kron": path_row(
-            fl.kron_update_flops(shape),
-            time_update(Layer(kron_spec(shape), factor=fac.copy()), kron_grad, repeats),
-        ),
-        "dense": path_row(
-            fl.dense_update_flops(shape.m, shape.n),
-            time_update(
-                Layer(dense_spec(shape.m, shape.n), w=w.copy()),
-                DenseGradient(d_w=d_out.T @ x),
-                repeats,
-            ),
-        ),
+        "kron": update_row(fl.kron_update_flops(shape), "fold"),
+        "dense": update_row(fl.dense_update_flops(shape.m, shape.n), "dense"),
     }
 
     def step_s(path, part):

@@ -20,15 +20,12 @@ from .factor import (
     KronFactor,
     KronGradient,
     KronShape,
-    MaterializedCache,
     backward,
     backward_params,
     count_params,
     forward,
     load_factor,
     materialize,
-    materialized_backward,
-    materialized_forward,
     random_factor,
     reconstruct_from_blockwise,
     save_factor,

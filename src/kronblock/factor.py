@@ -17,17 +17,17 @@ product over the stack. A layer trains on one of two paths, which
   product with ``[S*A_1 ... S*A_r].T`` over ``K = r*n1``, and
   ``fold_output``. The backward reuses the cached input, stacked mids and
   stacked ``S*A_i`` in three GEMMs, four with the input gradient;
-* the *materialized* path (``materialized_forward``,
-  ``materialized_backward``) builds the weight with ``materialize``, runs
-  ``O = X W.T``, and projects ``dW = dO.T X`` onto the factors.
+* the *materialized* path builds the weight with ``build_weight`` and
+  trains as the dense layer on it (``network.layer_forward`` and
+  ``network.layer_backward``); ``weight_gradient`` then projects that dense
+  layer's ``dW = dO.T X`` onto S, the A_i and the B_i.
 
 ``backward_params`` is ``backward`` without the input gradient, which
-training skips for the first layer of a network; ``materialized_backward``
-takes the choice as ``with_dx``. Inference (``network.net_predict``) runs
-``forward`` or ``materialize`` and its own weight product, by
-``flops.forward_path``. Every
-multiply, add and subtract runs through the counted ops of
-:mod:`kronblock.linalg`, so ``flops.instrumented_count`` counts this code.
+training skips for the first layer of a network. Inference
+(``network.net_predict``) runs ``forward`` or ``materialize`` and its own
+weight product, by ``flops.forward_path``. Every multiply, add and subtract
+runs through the counted ops of :mod:`kronblock.linalg`, so
+``flops.instrumented_count`` counts this code.
 """
 
 from __future__ import annotations
@@ -156,11 +156,12 @@ def random_factor(shape: KronShape, rng: np.random.Generator) -> KronFactor:
     return KronFactor(shape, np.ones((shape.m1, shape.n1)), a, b)
 
 
-def _weight(factor: KronFactor) -> tuple[np.ndarray, np.ndarray]:
-    # W and its (m1*n1, r) GEMM operand, whose column i is S * A_i flattened:
-    # the copy keeps that operand C-contiguous, as its GEMM's bits depend on
-    # the layout. One GEMM with the (r, m2*n2) B_i rows then puts tile
-    # (i1, j1) of W, sum_i (S*A_i)[i1, j1] * B_i, in row i1*n1 + j1
+def build_weight(factor: KronFactor) -> tuple[np.ndarray, np.ndarray]:
+    """The dense m x n weight W and the ``(m1*n1, r)`` stacked S * A_i that
+    ``weight_gradient`` reuses, whose column i is S * A_i flattened."""
+    # the copy keeps the S * A_i operand C-contiguous, as its GEMM's bits
+    # depend on the layout. One GEMM with the (r, m2*n2) B_i rows then puts
+    # tile (i1, j1) of W, sum_i (S*A_i)[i1, j1] * B_i, in row i1*n1 + j1
     sh = factor.shape
     masked_a = np.ascontiguousarray(hadamard(factor.a, factor.s).reshape(sh.r, -1).T)
     tiles = matmul(masked_a, factor.b.reshape(sh.r, -1))
@@ -173,7 +174,7 @@ def materialize(factor: KronFactor) -> np.ndarray:
     ``(m1*n1, r)`` S * A_i columns with the ``(r, m2*n2)`` B_i rows, then one
     tile transpose; the flops ``flops.materialized_forward_flops`` counts
     before its GEMM."""
-    return _weight(factor)[0]
+    return build_weight(factor)[0]
 
 
 def _layer_input(factor: KronFactor, x) -> np.ndarray:
@@ -305,46 +306,22 @@ def backward_params(
     return _backward(factor, cache, d_out, with_dx=False)
 
 
-@dataclass
-class MaterializedCache:
-    """Forward intermediates of the materialized path: the layer input, the
-    built weight W and the stacked ``(m1*n1, r)`` S * A_i."""
-
-    x: np.ndarray
-    w: np.ndarray
-    masked_a: np.ndarray
-
-    @property
-    def batch(self) -> int:
-        return self.x.shape[0]
-
-
-def materialized_forward(
-    factor: KronFactor, x: np.ndarray
-) -> tuple[np.ndarray, MaterializedCache]:
-    """O = X @ W.T on the built weight W = ``materialize(factor)``: the same
-    output as ``forward`` up to rounding. Returns (O, cache)."""
-    x = _layer_input(factor, x)
-    w, masked_a = _weight(factor)
-    return matmul(x, w.T), MaterializedCache(x, w, masked_a)
-
-
-def materialized_backward(
-    factor: KronFactor, cache: MaterializedCache, d_out: np.ndarray, with_dx: bool
+def weight_gradient(
+    factor: KronFactor, masked_a: np.ndarray, d_w: np.ndarray, d_x
 ) -> KronGradient:
-    """The gradients of ``backward`` (``d_x`` only when ``with_dx``) through
-    the built weight. With T = fold_tiles(dO.T @ X), the ``(m1*n1, m2*n2)``
-    tile-major weight gradient, and G_i the gradient w.r.t. S*A_i:
+    """The gradients of ``backward`` from the dense weight gradient
+    ``d_w = dO.T @ X`` of the materialized path, with ``masked_a`` the stacked
+    S * A_i of ``build_weight`` and ``d_x`` passed through. With
+    T = fold_tiles(d_w), the ``(m1*n1, m2*n2)`` tile-major weight gradient,
+    and G_i the gradient w.r.t. S*A_i:
       [vec G_i].T = [vec B_i].T @ T.T     (the G_i as C-contiguous rows)
       [vec dB_i]  = [vec S*A_i].T @ T
-      dS = sum_i G_i * A_i,   dA_i = G_i * S,   dX = dO @ W
+      dS = sum_i G_i * A_i,   dA_i = G_i * S
     """
     sh = factor.shape
-    d_out = _output_grad(factor, cache.batch, d_out)
-    t = fold_tiles(matmul(d_out.T, cache.x), sh.m2, sh.n2)
+    t = fold_tiles(d_w, sh.m2, sh.n2)
     g = matmul(factor.b.reshape(sh.r, -1), t.T)
-    d_b = matmul(cache.masked_a.T, t)
-    d_x = matmul(d_out, cache.w) if with_dx else None
+    d_b = matmul(masked_a.T, t)
     return _gradient(factor, g.reshape(sh.r, sh.m1, sh.n1), d_b, d_x)
 
 

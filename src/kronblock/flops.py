@@ -120,25 +120,24 @@ def _kron_backward_pieces(n_batch: int, s: KronShape, with_dx: bool) -> dict[str
 
 
 def _materialized_forward_pieces(n_batch: int, s: KronShape) -> dict[str, int]:
+    # building W, then the dense layer's forward on it
     return {
         "mask_products": s.r * s.m1 * s.n1,
         "weight_build": s.m * s.n * (2 * s.r - 1),
-        "weight_matmul": n_batch * s.m * (2 * s.n - 1),
+        "weight_matmul": _dense_forward_pieces(n_batch, s.m, s.n)["matmul"],
     }
 
 
 def _materialized_backward_pieces(n_batch: int, s: KronShape, with_dx: bool) -> dict[str, int]:
+    # the dense layer's backward on W, then factor.weight_gradient
     ss, tt = s.m1 * s.n1, s.m2 * s.n2
-    pieces = {
-        "weight_grad": s.m * s.n * (2 * n_batch - 1),
+    return {
+        **_dense_backward_pieces(n_batch, s.m, s.n, with_dx),
         "grad_mask_products": s.r * ss * (2 * tt - 1),
         "s_grad": s.r * ss + (s.r - 1) * ss,
         "a_grad": s.r * ss,
         "b_grad": s.r * tt * (2 * ss - 1),
     }
-    if with_dx:
-        pieces["input_grad"] = n_batch * s.n * (2 * s.m - 1)
-    return pieces
 
 
 def _kron_path_pieces(n_batch: int, s: KronShape, with_dx: bool) -> dict[str, tuple]:

@@ -11,10 +11,14 @@ learning-rate scale is batch-size invariant.
 
 Training runs ``net_forward`` then ``net_backward_params``, which skips the
 gradient w.r.t. the network input (the trainers never read it);
-``net_backward`` also returns that gradient. Each factored layer trains on
-the fold or the materialized path of :mod:`kronblock.factor`, whichever
-``flops.train_path`` counts as no dearer for its shape and batch size. The
-arithmetic the cost model counts (layer products, relu, the squared loss)
+``net_backward`` also returns that gradient. Each layer runs through
+``layer_forward`` and ``layer_backward`` on one of three paths: a factored
+layer on the fold path of :mod:`kronblock.factor` or on the materialized
+path, whichever ``flops.train_path`` counts as no dearer for its shape and
+batch size, and a dense layer on the dense path. A materialized layer is the
+dense layer on the weight ``factor.build_weight`` builds, with
+``factor.weight_gradient`` projecting its weight gradient onto the factors.
+The arithmetic the cost model counts (layer products, relu, the squared loss)
 runs through the counted ops of :mod:`kronblock.linalg`;
 ``flops.instrumented_count`` counts one such training step.
 """
@@ -88,10 +92,6 @@ class Layer:
             self.w = as_matrix(self.w, "w")
             if self.w.shape != (self.spec.m, self.spec.n):
                 raise ValueError(f"dense weight must be {(self.spec.m, self.spec.n)}")
-
-    def weight_matrix(self) -> np.ndarray:
-        """Dense view of the layer weight (materializes factored layers)."""
-        return kf.materialize(self.factor) if self.spec.kind == "kron" else self.w.copy()
 
     def copy(self) -> "Layer":
         if self.spec.kind == "kron":
@@ -206,8 +206,9 @@ def loss_and_seed(o: np.ndarray, target, loss_kind: str) -> tuple[float, np.ndar
 class LayerCache:
     x_in: np.ndarray
     pre: np.ndarray
-    # a factored layer's forward cache; its kind names the path the layer took
-    fcache: kf.KronForwardCache | kf.MaterializedCache | None = None
+    # what layer_backward reuses: the fold path's KronForwardCache, or the
+    # (W, stacked S * A_i) pair of ``X @ W.T``, with None for a dense layer
+    fcache: kf.KronForwardCache | tuple
 
 
 @dataclass
@@ -233,15 +234,35 @@ def _activate(layer: Layer, pre: np.ndarray) -> np.ndarray:
     return relu(pre) if layer.spec.activation == "relu" else pre
 
 
-def _layer_forward(layer: Layer, path: str, x: np.ndarray):
+def layer_forward(layer: Layer, path: str, x: np.ndarray):
     """Pre-activation output of one layer on ``path`` (``"fold"``,
-    ``"materialized"`` or ``"dense"``) and its factored forward cache (None
-    for a dense layer)."""
+    ``"materialized"`` or ``"dense"``) and the cache ``layer_backward``
+    reuses: the ``factor.forward`` cache on the fold path, else the weight W
+    of ``X @ W.T`` and the stacked S * A_i of ``factor.build_weight`` (None
+    for a dense layer, whose W is its own)."""
     if path == "fold":
         return kf.forward(layer.factor, x)
-    if path == "materialized":
-        return kf.materialized_forward(layer.factor, x)
-    return matmul(x, layer.w.T), None
+    w, masked_a = kf.build_weight(layer.factor) if path == "materialized" else (layer.w, None)
+    return matmul(x, w.T), (w, masked_a)
+
+
+def layer_backward(layer: Layer, x: np.ndarray, cache, d_out: np.ndarray, with_dx: bool):
+    """Gradients of one layer from its input ``x``, the cache of
+    ``layer_forward`` and the gradient ``d_out`` w.r.t. its output; the input
+    gradient ``d_x`` only when ``with_dx``. The fold path runs
+    ``factor.backward`` or ``factor.backward_params``. The dense and the
+    materialized path run the dense layer's ``dW = dO.T @ X`` and
+    ``dX = dO @ W``, and a factored layer projects dW onto its factors with
+    ``factor.weight_gradient``."""
+    if isinstance(cache, kf.KronForwardCache):
+        backward = kf.backward if with_dx else kf.backward_params
+        return backward(layer.factor, cache, d_out)
+    w, masked_a = cache
+    d_w = matmul(d_out.T, x)
+    d_x = matmul(d_out, w) if with_dx else None
+    if masked_a is None:
+        return DenseGradient(d_w, d_x)
+    return kf.weight_gradient(layer.factor, masked_a, d_w, d_x)
 
 
 def train_paths(net: Network, n_batch: int) -> list[str]:
@@ -262,7 +283,7 @@ def net_forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, NetCache]:
     cache = NetCache()
     cur = x
     for layer, path in zip(net.layers, train_paths(net, x.shape[0])):
-        pre, fcache = _layer_forward(layer, path, cur)
+        pre, fcache = layer_forward(layer, path, cur)
         cache.layers.append(LayerCache(cur, pre, fcache))
         cur = _activate(layer, pre)
     cache.output = cur
@@ -319,19 +340,9 @@ def _backward(net: Network, cache: NetCache, target, loss_kind: str, first_dx: b
     loss, d_act = loss_and_seed(cache.output, target, loss_kind)
     grads: list = [None] * len(net.layers)
     for idx in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[idx]
-        lc = cache.layers[idx]
+        layer, lc = net.layers[idx], cache.layers[idx]
         d_pre = mask_mul(d_act, lc.pre) if layer.spec.activation == "relu" else d_act
-        with_dx = first_dx or idx > 0
-        if isinstance(lc.fcache, kf.MaterializedCache):
-            grads[idx] = kf.materialized_backward(layer.factor, lc.fcache, d_pre, with_dx)
-        elif layer.spec.kind == "kron":
-            layer_backward = kf.backward if with_dx else kf.backward_params
-            grads[idx] = layer_backward(layer.factor, lc.fcache, d_pre)
-        else:
-            grads[idx] = DenseGradient(
-                d_w=matmul(d_pre.T, lc.x_in), d_x=matmul(d_pre, layer.w) if with_dx else None
-            )
+        grads[idx] = layer_backward(layer, lc.x_in, lc.fcache, d_pre, first_dx or idx > 0)
         d_act = grads[idx].d_x
     return loss, grads, d_act
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, batches
-from .linalg import tile_norms, tile_view
+from .linalg import sq_sum, sub, tile_norms, tile_view
 # loss_and_seed and squared_frobenius are unused here, but the benchmark's
 # tracer (perfbench/spans.py) wraps them under this module's name.
 from .network import (  # noqa: F401
@@ -115,8 +115,7 @@ def eval_metrics(net: Network, ds: Dataset, loss_kind: str) -> tuple[float, floa
         result = evaluate(net, ds.x, ds.labels, loss_kind)
         return result["loss"], result["accuracy"]
     out = net_predict(net, ds.x)
-    diff = out - ds.y
-    loss = float(np.sum(diff * diff))
+    loss = sq_sum(sub(out, ds.y))
     accuracy = float(np.mean(np.argmax(out, axis=1) == np.argmax(ds.y, axis=1)))
     return loss, accuracy
 

@@ -17,6 +17,7 @@ from kronblock.linalg import (
     unfold_mid,
     unfold_output,
 )
+from kronblock.network import Layer, kron_spec, layer_backward, layer_forward
 
 from conftest import finite_diff, random_dense_factor, random_shape, rel_err
 
@@ -156,6 +157,13 @@ def _rel(got, want):
     return float(np.linalg.norm(got - want)) / max(float(np.linalg.norm(want)), 1e-300)
 
 
+def materialized_step(f, x, d_out, with_dx):
+    # the layer of factor f on the materialized path: output and gradients
+    layer = Layer(kron_spec(f.shape), factor=f)
+    out, cache = layer_forward(layer, "materialized", x)
+    return out, layer_backward(layer, x, cache, d_out, with_dx)
+
+
 @given(seed=st.integers(0, 2**31), with_dx=st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_materialized_path_matches_fold_path(seed, with_dx):
@@ -166,10 +174,9 @@ def test_materialized_path_matches_fold_path(seed, with_dx):
     x = r.standard_normal((int(r.integers(1, 9)), f.shape.n))
     d_out = r.standard_normal((x.shape[0], f.shape.m))
     out, cache = kb.forward(f, x)
-    got_out, got_cache = kb.materialized_forward(f, x)
+    got_out, got = materialized_step(f, x, d_out, with_dx)
     assert _rel(got_out, out) <= 1e-12
     want = (kb.backward if with_dx else kb.backward_params)(f, cache, d_out)
-    got = kb.materialized_backward(f, got_cache, d_out, with_dx)
     assert _rel(got.d_s, want.d_s) <= 1e-12
     for name in ("d_a", "d_b"):
         for g, w in zip(getattr(got, name), getattr(want, name), strict=True):
@@ -246,27 +253,19 @@ def test_materialized_backward_matches_finite_differences(rng):
     x = rng.standard_normal((3, 6))
     y = rng.standard_normal((3, 4))
 
+    layer = Layer(kron_spec(f.shape), factor=f)
+
     def loss():
-        o, _ = kb.materialized_forward(f, x)
-        d = o - y
+        d = layer_forward(layer, "materialized", x)[0] - y
         return float(np.sum(d * d))
 
-    o, cache = kb.materialized_forward(f, x)
-    g = kb.materialized_backward(f, cache, 2.0 * (o - y), with_dx=True)
+    o, cache = layer_forward(layer, "materialized", x)
+    g = layer_backward(layer, x, cache, 2.0 * (o - y), with_dx=True)
     assert rel_err(g.d_s, finite_diff(loss, f.s)) <= 1e-6
     for i in range(2):
         assert rel_err(g.d_a[i], finite_diff(loss, f.a[i])) <= 1e-6
         assert rel_err(g.d_b[i], finite_diff(loss, f.b[i])) <= 1e-6
     assert rel_err(g.d_x, finite_diff(loss, x)) <= 1e-6
-
-
-def test_materialized_path_shape_mismatch(rng):
-    f = random_dense_factor(KronShape(2, 2, 2, 2, 1), rng)
-    with pytest.raises(ValueError, match="features"):
-        kb.materialized_forward(f, np.ones((3, 5)))
-    _, cache = kb.materialized_forward(f, np.ones((3, 4)))
-    with pytest.raises(ValueError, match="d_out"):
-        kb.materialized_backward(f, cache, np.ones((2, 4)), with_dx=False)
 
 
 def test_zeroing_one_mask_entry_zeroes_exactly_that_tile(rng):
@@ -465,7 +464,7 @@ def test_gradients_share_one_buffer(r):
     x = rng.standard_normal((5, f.shape.n))
     d_out = rng.standard_normal((5, f.shape.m))
     fold = kb.backward_params(f, kb.forward(f, x)[1], d_out)
-    built = kb.materialized_backward(f, kb.materialized_forward(f, x)[1], d_out, False)
+    built = materialized_step(f, x, d_out, False)[1]
     for g in (fold, built):
         assert g.d_a.shape == f.a.shape and g.d_b.shape == f.b.shape
         assert g.flat.shape == f.flat.shape and g.flat.flags.c_contiguous

@@ -18,6 +18,7 @@ from kronblock.network import (
     eval_paths,
     evaluate,
     kron_spec,
+    layer_backward,
     load_network,
     net_backward,
     net_backward_params,
@@ -63,7 +64,10 @@ def test_two_layer_zero_weights_relu(rng):
 
 def densified(net):
     layers = [
-        Layer(dense_spec(l.spec.out_dim, l.spec.in_dim, l.spec.activation), w=l.weight_matrix())
+        Layer(
+            dense_spec(l.spec.out_dim, l.spec.in_dim, l.spec.activation),
+            w=kb.materialize(l.factor) if l.spec.kind == "kron" else l.w,
+        )
         for l in net.layers
     ]
     return kb.Network(layers)
@@ -79,17 +83,25 @@ def test_kron_net_matches_densified_net(rng):
 
 
 def test_kron_vs_dense_shared_gradients(rng):
-    # loss and input gradient agree between the factored net and its dense twin
+    # a factored net on the materialized path is its dense twin plus the
+    # projection of each weight gradient onto the factors: the output, loss
+    # and every input gradient are the twin's bit for bit, and each factored
+    # gradient is weight_gradient of the twin's d_w
     net = two_layer_net(rng)
+    assert train_paths(net, 4) == ["materialized", "materialized"]
     dnet = densified(net)
     x = rng.standard_normal((4, net.in_dim))
     y = rng.standard_normal((4, net.out_dim))
-    _, c1 = net_forward(net, x)
-    _, c2 = net_forward(dnet, x)
-    l1, _, dx1 = net_backward(net, c1, y, "squared_frobenius")
-    l2, _, dx2 = net_backward(dnet, c2, y, "squared_frobenius")
-    assert abs(l1 - l2) <= 1e-8
-    assert np.max(np.abs(dx1 - dx2)) <= 1e-8
+    out1, c1 = net_forward(net, x)
+    out2, c2 = net_forward(dnet, x)
+    l1, g1, dx1 = net_backward(net, c1, y, "squared_frobenius")
+    l2, g2, dx2 = net_backward(dnet, c2, y, "squared_frobenius")
+    assert np.array_equal(out1, out2) and l1 == l2 and np.array_equal(dx1, dx2)
+    for layer, lc, got, twin in zip(net.layers, c1.layers, g1, g2, strict=True):
+        want = kb.factor.weight_gradient(layer.factor, lc.fcache[1], twin.d_w, twin.d_x)
+        assert np.array_equal(got.d_x, twin.d_x)
+        for a, b in zip(_net_grads([got]), _net_grads([want]), strict=True):
+            assert np.array_equal(a, b)
 
 
 def test_perfect_fit_zero_gradients(rng):
@@ -171,17 +183,12 @@ def test_training_backward_matches_net_backward(seed):
         for a, b in zip(_net_grads(got), _net_grads(want), strict=True):
             assert np.array_equal(a, b)
     for layer, lc in zip(net.layers, cache.layers):
-        if layer.spec.kind == "kron":
-            d_out = r.standard_normal(lc.pre.shape)
-            if isinstance(lc.fcache, kb.MaterializedCache):
-                want = kb.materialized_backward(layer.factor, lc.fcache, d_out, with_dx=True)
-                got = kb.materialized_backward(layer.factor, lc.fcache, d_out, with_dx=False)
-            else:
-                want = kb.backward(layer.factor, lc.fcache, d_out)
-                got = kb.backward_params(layer.factor, lc.fcache, d_out)
-            assert got.d_x is None
-            for a, b in zip(_net_grads([got]), _net_grads([want]), strict=True):
-                assert np.array_equal(a, b)
+        d_out = r.standard_normal(lc.pre.shape)
+        want = layer_backward(layer, lc.x_in, lc.fcache, d_out, with_dx=True)
+        got = layer_backward(layer, lc.x_in, lc.fcache, d_out, with_dx=False)
+        assert got.d_x is None
+        for a, b in zip(_net_grads([got]), _net_grads([want]), strict=True):
+            assert np.array_equal(a, b)
 
 
 @given(seed=st.integers(0, 2**31))
@@ -200,9 +207,16 @@ def test_training_paths_agree_on_mixed_nets(seed):
     picked = train_paths(net, n)
     out, cache = net_forward(net, x)
     loss, grads, dx = net_backward(net, cache, target, "squared_frobenius")
-    for lc, path in zip(cache.layers, picked):
-        want_cache = {"materialized": kb.MaterializedCache, "fold": kb.factor.KronForwardCache}
-        assert isinstance(lc.fcache, want_cache.get(path, type(None)))
+    for layer, lc, path in zip(net.layers, cache.layers, picked):
+        # the fold path caches its intermediates; the weight product caches
+        # its weight and, for a factored layer, the stacked S * A_i
+        if path == "fold":
+            assert isinstance(lc.fcache, kb.factor.KronForwardCache)
+        elif path == "materialized":
+            w, masked_a = lc.fcache
+            assert np.array_equal(w, kb.materialize(layer.factor)) and masked_a is not None
+        else:
+            assert lc.fcache[0] is layer.w and lc.fcache[1] is None
     train_path = fl.train_path
     for forced in ("fold", "materialized"):
         fl.train_path = lambda *_args, forced=forced, **_kw: forced

@@ -492,28 +492,28 @@ def test_benchmark_tracer_installs_and_traces_eval(monkeypatch):
 def test_training_skips_first_layer_input_gradient(monkeypatch):
     # training never asks for the gradient w.r.t. the network input, so on
     # either training path only the second layer of a two-layer net computes
-    # one, once per step: on either path the layer backward computes it when
-    # with_dx is set (the fold path's backward and backward_params share
-    # _backward)
+    # one, once per step: the fold path's backward and backward_params share
+    # _backward, and the materialized path hands its input gradient to
+    # weight_gradient
     from kronblock import factor as kf
     from kronblock.network import train_paths
     from kronblock.patterns import SelectConfig, build_pattern_set, select_pattern
 
     calls = []
-    fold_backward, materialized_backward = kf._backward, kf.materialized_backward
+    fold_backward, weight_gradient = kf._backward, kf.weight_gradient
 
     def spy_fold(factor, cache, d_out, with_dx):
         if with_dx:
             calls.append("fold")
         return fold_backward(factor, cache, d_out, with_dx)
 
-    def spy_materialized(factor, cache, d_out, with_dx):
-        if with_dx:
+    def spy_materialized(factor, masked_a, d_w, d_x):
+        if d_x is not None:
             calls.append("materialized")
-        return materialized_backward(factor, cache, d_out, with_dx)
+        return weight_gradient(factor, masked_a, d_w, d_x)
 
     monkeypatch.setattr(kf, "_backward", spy_fold)
-    monkeypatch.setattr(kf, "materialized_backward", spy_materialized)
+    monkeypatch.setattr(kf, "weight_gradient", spy_materialized)
     ds, _ = make_teacher_dataset(4, 8, (2, 2), 0.5, 40, seed=1, classification=True)
     cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=0.05, seed=4)
     steps = cfg.epochs * 3  # 40 rows in batches of 16
