@@ -29,8 +29,28 @@ they agree; steps where they do not are listed under ``rule_wrong``. BLAS
 runs on one thread unless OPENBLAS_NUM_THREADS is set; the environment
 (Python, numpy, BLAS name, version and thread count) goes into the same file.
 
+Two more sections time whole operations:
+
+* ``tile_ops``: the tile-wise products of the dense baselines on a 10x784
+  (2,2), a 1024x1024 (16,16) and a 16x1024 (16,16) matrix:
+  ``train.group_lasso_prox``, the prune gradient mask as ``prune_blocks``
+  runs it (whole rows times its kept ``linalg.tile_rows`` factor), and
+  ``factor.build_weight`` at (5,392,2,2) r=2;
+* ``epochs``: one epoch of ``train_kron``, ``train_group_lasso`` and
+  ``select_pattern`` (its joint phase over every pattern, no fine-tune), and
+  one round of ``prune_blocks`` (two epochs: train, prune, fine-tune), on the
+  data, nets and configs of the benchmark workloads of
+  ``perfbench/workloads.py``. Each records the seconds per epoch, samples per
+  second and ``flops_per_epoch``, the cost model's flops of the epoch's
+  training steps (forward, backward and update of every batch and pattern
+  net); the per-epoch evaluation and the proximal steps are timed but not
+  counted.
+
+Both record the median and interquartile range of repeated runs.
+
 Run: python benchmarks/bench_train.py [--repeats 20] [--out BENCH_train.json]
      [--shape 5,392,2,2[,r] ...] [--batches 1,64,512]
+     [--epoch-repeats 5] [--workloads linear784,wide1024]
 
 A ``--shape`` without a fifth element, and each default shape but the three
 16x32 layers of acceptance criterion 7 (rank 4), is at rank 2, the file's
@@ -43,16 +63,21 @@ import argparse
 import json
 import os
 import sys
+import tempfile
+from dataclasses import replace
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from bench_eval import RANK, parse_shape, path_row, shape_dims, time_path  # noqa: E402
+from bench_eval import RANK, parse_shape, path_row, shape_dims, time_path, timing  # noqa: E402
 from bench_flops import ROOT, environment  # noqa: E402  (puts src/ on sys.path)
+
+sys.path.insert(0, str(ROOT))
 
 import numpy as np  # noqa: E402
 
 from kronblock import flops as fl  # noqa: E402
-from kronblock.factor import KronShape, random_factor  # noqa: E402
+from kronblock.factor import KronShape, build_weight, random_factor  # noqa: E402
+from kronblock.linalg import row_view, tile_rows  # noqa: E402
 from kronblock.network import (  # noqa: E402
     Layer,
     Network,
@@ -60,8 +85,21 @@ from kronblock.network import (  # noqa: E402
     kron_spec,
     layer_backward,
     layer_forward,
+    network_backward_flops,
+    network_forward_flops,
+    network_update_flops,
 )
-from kronblock.train import TrainConfig, init_velocities, sgd_step  # noqa: E402
+from kronblock.patterns import PatternSet, select_pattern  # noqa: E402
+from kronblock.train import (  # noqa: E402
+    TrainConfig,
+    group_lasso_prox,
+    init_velocities,
+    prune_blocks,
+    sgd_step,
+    train_group_lasso,
+    train_kron,
+)
+from perfbench.workloads import WORKLOADS, State  # noqa: E402
 
 SHAPES = tuple(
     KronShape(*dims, RANK)
@@ -80,6 +118,14 @@ STEPS = {"backward": False, "backward_dx": True}
 # lr small enough that repeated steps keep the weights finite; lam 0, so the
 # update is the momentum step alone (the cost model's update)
 UPDATE_CFG = TrainConfig(epochs=1, batch_size=1, learning_rate=1e-6)
+# (m, n, block) of the tile-wise products: the linear784 dense twin and the
+# two layers of the wide1024 one
+TILE_MATRICES = ((10, 784, (2, 2)), (1024, 1024, (16, 16)), (16, 1024, (16, 16)))
+# the prox threshold lr * lam of linear784: repeated calls shrink a tile by
+# about 1e-4 each, so the timed weights stay far from subnormal numbers
+PROX_T = 1e-4
+BUILD_SHAPE = KronShape(5, 392, 2, 2, 2)
+EPOCH_TRAINERS = ("train_kron", "group_lasso", "prune", "select")
 
 
 def flops_by_part(n_batch: int, shape: KronShape, path: str) -> dict:
@@ -151,6 +197,85 @@ def measure(shape: KronShape, n_batch: int, repeats: int, rng) -> dict:
     return cell
 
 
+def tile_ops(repeats: int, rng) -> dict:
+    """Times of the dense baselines' tile-wise products and of ``build_weight``."""
+    cells = []
+    for m, n, (m2, n2) in TILE_MATRICES:
+        w = rng.standard_normal((m, n))
+        d_w = rng.standard_normal((m, n))
+        # about half the tiles pruned
+        keep = tile_rows((rng.random((m // m2, n // n2)) < 0.5).astype(np.float64), n2)
+
+        def prune_grad_mask():
+            row_view(d_w, m2)[:] *= keep
+
+        cells.append({
+            "m": m, "n": n, "block": [m2, n2],
+            "group_lasso_prox": timing(
+                time_path(lambda: group_lasso_prox(w, (m2, n2), PROX_T), repeats)),
+            "prune_grad_mask": timing(time_path(prune_grad_mask, repeats)),
+        })
+    factor = random_factor(BUILD_SHAPE, rng)
+    build = {"shape": shape_dims(BUILD_SHAPE), "r": BUILD_SHAPE.r,
+             **timing(time_path(lambda: build_weight(factor), repeats))}
+    return {"matrices": cells, "build_weight": build}
+
+
+def step_flops(nets, n_samples: int, batch: int) -> int:
+    """Cost-model flops of one epoch of training steps of each net in ``nets``
+    over ``n_samples`` rows: forward, backward and update per batch."""
+    sizes = [batch] * (n_samples // batch) + ([n_samples % batch] if n_samples % batch else [])
+    return sum(
+        network_forward_flops(net, b) + network_backward_flops(net, b) + network_update_flops(net)
+        for net in nets for b in sizes
+    )
+
+
+def epoch_runs(st: State) -> dict:
+    """Per trainer: (the call, epochs it trains, samples per epoch, flops per
+    epoch) for one workload's state, as the benchmark's phases run them,
+    except that ``select_pattern`` runs one joint epoch and no fine-tune."""
+    wl = st.wl
+    select_cfg = replace(st.select_cfg, max_epochs=1, finetune_epochs=0)
+
+    def select():
+        nets = [net.copy() for net in st.pattern_set.nets]
+        return select_pattern(PatternSet(st.pattern_set.shapes, nets), st.select_data, select_cfg)
+
+    n = st.train.n
+    dense = step_flops([st.dense_net], n, wl.batch)
+    return {
+        "train_kron": (lambda: train_kron(st.kron_net.copy(), st.train, st.kron_cfg, st.test),
+                       wl.epochs, n, step_flops([st.kron_net], n, wl.batch)),
+        "group_lasso": (lambda: train_group_lasso(st.dense_net.copy(), st.train, st.dense_cfg,
+                                                  wl.block, st.test), wl.epochs, n, dense),
+        # one round: train, prune, fine-tune
+        "prune": (lambda: prune_blocks(st.dense_net.copy(), st.train, st.dense_cfg, wl.block,
+                                       0.5, 1, st.test), 2 * wl.epochs, n, dense),
+        "select": (select, 1, st.select_data.n,
+                   step_flops(st.pattern_set.nets, st.select_data.n, select_cfg.train.batch_size)),
+    }
+
+
+def epochs(workloads: list[str], repeats: int) -> list[dict]:
+    """One epoch of each trainer and of ``select_pattern`` per workload."""
+    cells = []
+    with tempfile.TemporaryDirectory() as workdir:
+        for name in workloads:
+            st = State(WORKLOADS[name], SEED, workdir)
+            for trainer, (run, n_epochs, samples, flops) in epoch_runs(st).items():
+                t = timing([s / n_epochs for s in time_path(run, repeats)])
+                cells.append({
+                    "workload": name, "trainer": trainer, "epochs": n_epochs,
+                    "samples_per_epoch": samples, "flops_per_epoch": flops, **t,
+                    "samples_per_s": samples / t["median_s"],
+                    "gflops": flops / t["median_s"] / 1e9,
+                })
+                print(f"{name:<10} {trainer:<12} {t['median_s'] * 1e3:9.2f} ms/epoch "
+                      f"{samples / t['median_s']:10.0f} samples/s")
+    return cells
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--repeats", type=int, default=20)
@@ -158,9 +283,15 @@ def main(argv=None) -> int:
     p.add_argument("--shape", type=parse_shape, action="append",
                    help="m1,n1,m2,n2[,r] (repeatable; default: the eight built-in shapes)")
     p.add_argument("--batches", default=",".join(map(str, BATCHES)))
+    p.add_argument("--epoch-repeats", type=int, default=5)
+    p.add_argument("--workloads", default=",".join(WORKLOADS),
+                   help="comma-separated benchmark workloads of the epoch timings")
     args = p.parse_args(argv)
-    if args.repeats < 2:
-        p.error("--repeats must be at least 2")
+    if args.repeats < 2 or args.epoch_repeats < 2:
+        p.error("--repeats and --epoch-repeats must be at least 2")
+    workloads = args.workloads.split(",")
+    if not set(workloads) <= set(WORKLOADS):
+        p.error(f"--workloads: choose from {', '.join(WORKLOADS)}")
     shapes = args.shape or SHAPES
     batches = [int(v) for v in args.batches.split(",")]
 
@@ -190,6 +321,12 @@ def main(argv=None) -> int:
     ]
     steps = len(cells) * len(STEPS)
     print(f"rule picked the faster training path in {steps - len(wrong)} of {steps} steps")
+    tiles = tile_ops(args.repeats, rng)
+    for cell in tiles["matrices"]:
+        print(f"{cell['m']}x{cell['n']} {tuple(cell['block'])}: prox "
+              f"{cell['group_lasso_prox']['median_s'] * 1e6:8.1f} us, mask "
+              f"{cell['prune_grad_mask']['median_s'] * 1e6:8.1f} us")
+    print(f"build_weight {tiles['build_weight']['median_s'] * 1e6:8.1f} us")
     result = {
         "benchmark": "one training step per layer: fold and materialized paths vs dense twin",
         "rank": RANK,
@@ -199,6 +336,9 @@ def main(argv=None) -> int:
         "cells": cells,
         "rule_right": steps - len(wrong),
         "rule_wrong": wrong,
+        "tile_ops": tiles,
+        "epoch_repeats": args.epoch_repeats,
+        "epochs": epochs(workloads, args.epoch_repeats),
     }
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2)

@@ -48,7 +48,7 @@ from .factor import (
 )
 from .flops import (
     dense_layer_report,
-    instrumented_count,
+    instrumented_counts,
     kron_layer_report,
     two_layer_dense_report,
     two_layer_kron_report,
@@ -138,9 +138,10 @@ def _string(value, path: str) -> str:
 
 
 def _number(value, path: str) -> float:
-    # NaN, infinities and integers too large for a float are not numbers here
+    # NaN, infinities and integers that a float cannot hold exactly are not
+    # numbers here
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if abs(value) <= sys.float_info.max:
+        if abs(value) <= sys.float_info.max and float(value) == value:
             return float(value)
     raise ConfigError(f"{path}: must be a number, got {value!r}")
 
@@ -647,8 +648,7 @@ def cmd_flops(args) -> int:
     cfg = load_config(args.config)
     _check_keys(cfg, {"flops"}, "config")
     report, prefix, inputs = flop_audit_case(_section(cfg, "flops"))
-    inst_fwd = instrumented_count(f"{prefix}_forward", **inputs)
-    inst_bwd = instrumented_count(f"{prefix}_backward", **inputs)
+    inst_fwd, inst_bwd = instrumented_counts(prefix, **inputs)
     payload = {
         "analytic": report.to_dict(),
         "instrumented": {"forward": inst_fwd, "backward": inst_bwd},

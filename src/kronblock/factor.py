@@ -159,21 +159,23 @@ def random_factor(shape: KronShape, rng: np.random.Generator) -> KronFactor:
 def build_weight(factor: KronFactor) -> tuple[np.ndarray, np.ndarray]:
     """The dense m x n weight W and the ``(m1*n1, r)`` stacked S * A_i that
     ``weight_gradient`` reuses, whose column i is S * A_i flattened."""
-    # the copy keeps the S * A_i operand C-contiguous, as its GEMM's bits
-    # depend on the layout. One GEMM with the (r, m2*n2) B_i rows then puts
-    # tile (i1, j1) of W, sum_i (S*A_i)[i1, j1] * B_i, in row i1*n1 + j1
+    # the products go straight into the C-contiguous operand, through its
+    # transposed (r, m1, n1) view: the GEMM's bits depend on that layout. The
+    # GEMM with the (r, m2*n2) B_i rows then puts tile (i1, j1) of W,
+    # sum_i (S*A_i)[i1, j1] * B_i, in row i1*n1 + j1
     sh = factor.shape
-    masked_a = np.ascontiguousarray(hadamard(factor.a, factor.s).reshape(sh.r, -1).T)
+    masked_a = np.empty((sh.m1 * sh.n1, sh.r))
+    hadamard(factor.a, factor.s, masked_a.T.reshape(factor.a.shape))
     tiles = matmul(masked_a, factor.b.reshape(sh.r, -1))
     return unfold_tiles(tiles, sh.n1, sh.n2), masked_a
 
 
 def materialize(factor: KronFactor) -> np.ndarray:
     """Expand to the dense m x n weight sum_i kron(S * A_i, B_i): the r
-    products S * A_i in one broadcast product, then one GEMM of the
-    ``(m1*n1, r)`` S * A_i columns with the ``(r, m2*n2)`` B_i rows, then one
-    tile transpose; the flops ``flops.materialized_forward_flops`` counts
-    before its GEMM."""
+    products S * A_i in one broadcast product, written straight into the
+    ``(m1*n1, r)`` S * A_i columns, then one GEMM of those columns with the
+    ``(r, m2*n2)`` B_i rows, then one tile transpose; the flops
+    ``flops.materialized_forward_flops`` counts before its GEMM."""
     return build_weight(factor)[0]
 
 

@@ -25,6 +25,13 @@ the input through the view ``x.reshape(N*n1, n2)``, so ``fold_input``,
 ``fold_mid`` and their inverses are exported maps that training no longer
 calls.
 
+A tile-wise product, such as the group-LASSO scale or a prune mask of
+:mod:`kronblock.train`, multiplies ``row_view(w, m2)``, the ``(m1, m2, n)``
+rows of tiles, by ``tile_rows(scale, n2)``, the ``(m1, n1)`` per-tile factor
+repeated over each tile's n2 columns. Its inner loops then run along whole
+matrix rows, not over runs of n2 entries of ``tile_view``, and every entry
+gets the same product.
+
 The layer forward/backward, the losses and ``factor.materialize`` do every
 multiply, add and subtract the cost model counts through the *counted ops*
 below. An op's flops follow from its operand shapes: one per scalar
@@ -63,11 +70,11 @@ def _counted(flops):
 
     def wrap(op):
         @functools.wraps(op)
-        def counted(*args):
+        def counted(*args, **kwargs):
             tally = _TALLY.get()
             if tally is not None:
-                tally.append((op.__name__, flops(*args)))
-            return op(*args)
+                tally.append((op.__name__, flops(*args, **kwargs)))
+            return op(*args, **kwargs)
 
         return counted
 
@@ -90,16 +97,20 @@ def kron(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-@_counted(lambda a, b: np.size(a))
-def hadamard(a, b) -> np.ndarray:
+@_counted(lambda a, b, out=None: np.size(a))
+def hadamard(a, b, out: np.ndarray | None = None) -> np.ndarray:
     """Element-wise product of two arrays of one shape, or of a stack of
     matrices ``a`` with one matrix ``b`` that multiplies each of them; raises
-    on any other shapes. Either way it costs one flop per entry of ``a``."""
+    on any other shapes. Either way it costs one flop per entry of ``a``.
+    With ``out``, a float64 array (or view) of ``a``'s shape, the product is
+    written into it and ``out`` is returned."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape and not (a.ndim == 3 and a.shape[1:] == b.shape):
         raise ValueError(f"hadamard shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
+    if out is not None and out.shape != a.shape:
+        raise ValueError(f"hadamard out shape {out.shape}, expected {a.shape}")
+    return np.multiply(a, b, out=out)
 
 
 @_counted(lambda a, b: a.shape[0] * b.shape[1] * (2 * a.shape[1] - 1))
@@ -232,6 +243,24 @@ def tile_view(w: np.ndarray, m2: int, n2: int) -> np.ndarray:
     _check_divisible(m, m2, "tile_view rows")
     _check_divisible(n, n2, "tile_view columns")
     return w.reshape(m // m2, m2, n // n2, n2)
+
+
+def row_view(w: np.ndarray, m2: int) -> np.ndarray:
+    """View a (m1*m2, n) matrix as (m1, m2, n) without copying: ``[i1]`` is
+    the row of tiles i1, ``m2`` whole matrix rows."""
+    m, n = w.shape
+    _check_divisible(m, m2, "row_view rows")
+    return w.reshape(m // m2, m2, n)
+
+
+def tile_rows(scale: np.ndarray, n2: int) -> np.ndarray:
+    """The (m1, n1) per-tile factor ``scale`` repeated over each tile's n2
+    columns and shaped (m1, 1, n1*n2), so ``row_view(w, m2) * tile_rows(scale,
+    n2)`` multiplies tile (i1, j1) of w by ``scale[i1, j1]``: the products of
+    ``scale`` broadcast over ``tile_view(w, m2, n2)``, with inner loops that
+    run along whole matrix rows instead of n2 entries."""
+    m1, n1 = scale.shape
+    return np.repeat(scale, n2, axis=1).reshape(m1, 1, n1 * n2)
 
 
 def tile_norms(w: np.ndarray, m2: int, n2: int) -> np.ndarray:

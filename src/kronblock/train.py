@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, batches
-from .linalg import sq_sum, sub, tile_norms, tile_view
+from .linalg import row_view, sq_sum, sub, tile_norms, tile_rows
 # loss_and_seed and squared_frobenius are unused here, but the benchmark's
 # tracer (perfbench/spans.py) wraps them under this module's name.
 from .network import (  # noqa: F401
@@ -239,12 +239,12 @@ def train_kron(
 def group_lasso_prox(w: np.ndarray, block: tuple[int, int], t: float) -> None:
     """In-place block soft-threshold: each m2 x n2 tile is scaled by
     max(1 - t/||tile||_F, 0); tiles at or below the threshold become exact
-    zeros."""
+    zeros. The scale runs along whole rows (``linalg.tile_rows``)."""
     m2, n2 = block
     norms = tile_norms(w, m2, n2)
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(norms > t, 1.0 - t / norms, 0.0)
-    tile_view(w, m2, n2)[:] *= scale[:, None, :, None]
+    row_view(w, m2)[:] *= tile_rows(scale, n2)
 
 
 def _check_dense_tiling(net: Network, block: tuple[int, int], trainer: str) -> None:
@@ -312,14 +312,17 @@ def prune_blocks(
     m2, n2 = block
 
     masks = [np.ones((l.spec.m // m2, l.spec.n // n2), dtype=bool) for l in net.layers]
+    # each mask as the 0.0/1.0 factor of a whole-row product (linalg.tile_rows),
+    # rebuilt only when prune_to changes the mask
+    keep = [tile_rows(mask.astype(np.float64), n2) for mask in masks]
     vel = init_velocities(net)
     eval_ds = eval_data if eval_data is not None else data
     records: list[MetricRecord] = []
     epoch = 0
 
     def mask_grads(grads):
-        for g, mask in zip(grads, masks):
-            tile_view(g.d_w, m2, n2)[:] *= mask[:, None, :, None]
+        for g, k in zip(grads, keep):
+            row_view(g.d_w, m2)[:] *= k
 
     def run_phase(n_epochs):
         nonlocal epoch
@@ -334,7 +337,7 @@ def prune_blocks(
             )
 
     def prune_to(quota_fraction):
-        for layer, mask, v in zip(net.layers, masks, vel):
+        for i, (layer, mask, v) in enumerate(zip(net.layers, masks, vel)):
             n_tiles = mask.size
             quota = int(round(n_tiles * quota_fraction))
             norms = tile_norms(layer.w, m2, n2).ravel()
@@ -342,8 +345,9 @@ def prune_blocks(
             doomed = order[:quota]
             flat = mask.ravel()
             flat[doomed] = False
-            tile_view(layer.w, m2, n2)[:] *= mask[:, None, :, None]
-            tile_view(v, m2, n2)[:] *= mask[:, None, :, None]
+            keep[i] = tile_rows(mask.astype(np.float64), n2)
+            row_view(layer.w, m2)[:] *= keep[i]
+            row_view(v, m2)[:] *= keep[i]
 
     run_phase(cfg.epochs)
     for k in range(1, rounds + 1):

@@ -181,6 +181,7 @@ def test_dataset_number_field_rejected(tmp_path, capsys, field, value):
         ("train.learning_rate", "0.1", "a number"),
         ("train.momentum", None, "a number"),
         ("select.lambda1_init", "x", "a number"),
+        ("train.epsilon_zero", 2**53 + 1, "a number"),
     ],
 )
 def test_config_scalar_field_rejected(tmp_path, capsys, path, value, expected):

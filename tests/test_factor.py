@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import kronblock as kb
 from kronblock import KronFactor, KronShape
+from kronblock.factor import build_weight
 from kronblock.flops import kron_forward_matmul_flops
 from kronblock.linalg import (
     counting,
@@ -55,6 +56,18 @@ def test_materialize_zero_mask(rng):
     f = random_dense_factor(KronShape(2, 3, 2, 2, 2), rng)
     f.s[:] = 0.0
     assert np.array_equal(kb.materialize(f), np.zeros((4, 6)))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+@pytest.mark.parametrize("dims", [(5, 392, 2, 2), (3, 4, 2, 5), (1, 6, 4, 4)])
+def test_build_weight_operand_is_contiguous_masked_columns(dims, r, rng):
+    # the (m1*n1, r) S * A_i operand is written in place with the bits and the
+    # C-contiguous layout of the transposed copy of the broadcast product
+    f = random_dense_factor(KronShape(*dims, r), rng)
+    _, masked_a = build_weight(f)
+    expected = np.ascontiguousarray(kb.hadamard(f.a, f.s).reshape(r, -1).T)
+    assert masked_a.shape == expected.shape and masked_a.flags.c_contiguous
+    assert np.array_equal(masked_a.view(np.uint64), expected.view(np.uint64))
 
 
 def test_materialize_matches_definitional_sum(rng):

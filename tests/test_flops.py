@@ -572,19 +572,20 @@ def test_bench_eval_script_writes_schema(tmp_path):
             assert cell[kind]["median_s"] >= 0.0 and cell[kind]["iqr_s"] >= 0.0
 
 
-def test_bench_train_script_writes_schema(tmp_path):
+def test_bench_train_script_writes_schema(tmp_path, monkeypatch):
     # schema only: timings are noisy, so no bound is placed on them
     script = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "bench_train.py")
     out_path = tmp_path / "BENCH_train.json"
     proc = subprocess.run(
         [sys.executable, script, "--repeats", "2", "--shape", "8,16,2,2", "--shape", "2,4,8,8,4",
-         "--batches", "1,64", "--out", str(out_path)],
+         "--batches", "1,64", "--epoch-repeats", "2", "--workloads", "linear784",
+         "--out", str(out_path)],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(out_path.read_text())
     assert set(result) == {"benchmark", "rank", "repeats", "seed", "environment", "cells",
-                           "rule_right", "rule_wrong"}
+                           "rule_right", "rule_wrong", "tile_ops", "epoch_repeats", "epochs"}
     assert {"blas", "blas_version", "blas_threads"} <= set(result["environment"])
     # a four-element shape is at the default rank 2, a fifth element sets it
     shapes = [KronShape(8, 16, 2, 2, 2)] * 2 + [KronShape(2, 4, 8, 8, 4)] * 2
@@ -610,3 +611,41 @@ def test_bench_train_script_writes_schema(tmp_path):
             assert cell["faster"][step] in paths
             assert cell["pick_is_faster"][step] == (cell["pick"][step] == cell["faster"][step])
     assert result["rule_right"] + len(result["rule_wrong"]) == 4 * len(steps)
+    # the tile-wise products of the dense baselines, and build_weight
+    timing = {"median_s", "iqr_s"}
+    tiles = result["tile_ops"]
+    assert [(c["m"], c["n"], c["block"]) for c in tiles["matrices"]] == [
+        (10, 784, [2, 2]), (1024, 1024, [16, 16]), (16, 1024, [16, 16])]
+    for cell in tiles["matrices"]:
+        for op in ("group_lasso_prox", "prune_grad_mask"):
+            assert set(cell[op]) == timing
+            assert cell[op]["median_s"] >= 0.0 and cell[op]["iqr_s"] >= 0.0
+    assert set(tiles["build_weight"]) == {"shape", "r", *timing}
+    assert tiles["build_weight"]["shape"] == [5, 392, 2, 2] and tiles["build_weight"]["r"] == 2
+    # one epoch of each trainer and of select_pattern, with its analytic flops
+    assert result["epoch_repeats"] == 2
+    cells = result["epochs"]
+    assert [(c["workload"], c["trainer"]) for c in cells] == [
+        ("linear784", t) for t in ("train_kron", "group_lasso", "prune", "select")]
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), ".."))
+    from perfbench.workloads import WORKLOADS
+
+    wl = WORKLOADS["linear784"]
+    assert wl.n_train % wl.batch == 0
+    steps_per_epoch = wl.n_train // wl.batch
+    dense_step = fl.layers_report(wl.batch, [((10, 784), "softmax_output")])
+    kron_step = fl.layers_report(wl.batch, [(KronShape(5, 392, 2, 2, 2), "softmax_output")])
+    for cell in cells:
+        assert set(cell) == {"workload", "trainer", "epochs", "samples_per_epoch",
+                             "flops_per_epoch", "median_s", "iqr_s", "samples_per_s", "gflops"}
+        assert cell["epochs"] == (2 if cell["trainer"] == "prune" else 1)
+        assert cell["samples_per_epoch"] == (
+            wl.select_samples if cell["trainer"] == "select" else wl.n_train)
+        assert cell["median_s"] > 0.0 and cell["iqr_s"] >= 0.0
+        assert cell["samples_per_s"] == cell["samples_per_epoch"] / cell["median_s"]
+    by_trainer = {c["trainer"]: c for c in cells}
+    assert by_trainer["train_kron"]["flops_per_epoch"] == steps_per_epoch * (
+        kron_step.forward + kron_step.backward + kron_step.update)
+    for trainer in ("group_lasso", "prune"):
+        assert by_trainer[trainer]["flops_per_epoch"] == steps_per_epoch * (
+            dense_step.forward + dense_step.backward + dense_step.update)

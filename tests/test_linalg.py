@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kronblock import (
     fold_input,
@@ -15,6 +16,7 @@ from kronblock import (
     unfold_output,
     unfold_tiles,
 )
+from kronblock.linalg import counting, row_view, tile_rows, tile_view
 
 dims = st.integers(min_value=1, max_value=6)
 
@@ -89,6 +91,55 @@ def test_hadamard_stack_matches_and_counts_per_matrix_products(rng):
         out = hadamard(a, s)
     assert ops == [("hadamard", 4 * 3 * 5)]
     assert np.array_equal(out, np.stack([hadamard(s, a_i) for a_i in a]))
+
+
+def test_hadamard_out_fills_out_and_counts_a_size(rng):
+    # the product lands in ``out``, a plain array or a strided view, which is
+    # returned; the count is that of the same product without ``out``
+    s, a = rng.standard_normal((3, 5)), rng.standard_normal((4, 3, 5))
+    out = np.empty((4, 3, 5))
+    columns = np.empty((15, 4))
+    with counting() as ops:
+        assert hadamard(a, s, out) is out
+        hadamard(a, s, out=columns.T.reshape(4, 3, 5))
+    assert ops == [("hadamard", a.size)] * 2
+    assert np.array_equal(out, hadamard(a, s))
+    assert np.array_equal(columns, hadamard(a, s).reshape(4, 15).T)
+    with pytest.raises(ValueError, match="out shape"):
+        hadamard(a, s, np.empty((4, 15)))
+
+
+SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan)
+
+
+@given(m1=dims, m2=dims, n1=dims, n2=dims, data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_tile_rows_product_matches_tile_view_broadcast_bit_for_bit(m1, m2, n1, n2, data):
+    # whole rows of w times the repeated per-tile factor give the bits of the
+    # factor broadcast over tile_view, for float scales (with zeros), bool
+    # masks and bool masks as 0.0/1.0, on weights holding +-0, +-inf and NaN
+    values = st.one_of(st.floats(-1e300, 1e300), st.sampled_from(SPECIAL))
+    w = data.draw(arrays(np.float64, (m1 * m2, n1 * n2), elements=values))
+    scale = data.draw(arrays(np.float64, (m1, n1),
+                             elements=st.one_of(st.floats(0.0, 1.0), st.just(0.0))))
+    mask = data.draw(arrays(np.bool_, (m1, n1)))
+    for factor, rows in ((scale, tile_rows(scale, n2)), (mask, tile_rows(mask, n2)),
+                         (mask, tile_rows(mask.astype(np.float64), n2))):
+        assert rows.shape == (m1, 1, n1 * n2)
+        broadcast, rowwise = w.copy(), w.copy()
+        with np.errstate(invalid="ignore"):  # inf * 0
+            tile_view(broadcast, m2, n2)[:] *= factor[:, None, :, None]
+            row_view(rowwise, m2)[:] *= rows
+        assert np.array_equal(broadcast.view(np.uint64), rowwise.view(np.uint64))
+
+
+def test_row_view_is_a_view_of_tile_rows():
+    w = np.arange(24.0).reshape(4, 6)
+    rows = row_view(w, 2)
+    assert rows.shape == (2, 2, 6) and np.shares_memory(rows, w)
+    assert np.array_equal(rows[1], w[2:4])
+    with pytest.raises(ValueError, match="row_view rows"):
+        row_view(w, 3)
 
 
 def test_fold_input_single_sample_column():

@@ -24,6 +24,8 @@ from kronblock.network import (
     net_forward,
     train_paths,
 )
+from kronblock import train as train_mod
+from kronblock.linalg import tile_norms, tile_view
 from kronblock.train import (
     dense_tile_sparsity,
     eval_metrics,
@@ -365,6 +367,94 @@ def test_prune_accuracy_parity_with_kron():
     knet, krecs = train_kron(knet, tr, kcfg, eval_data=te)
     assert abs(krecs[-1].sparsity_rate - precs[-1].sparsity_rate) <= 0.15
     assert abs(krecs[-1].accuracy - precs[-1].accuracy) <= 0.05
+
+
+# Reference forms of the dense baselines' tile-wise products: each per-tile
+# factor broadcast over the (m1, m2, n1, n2) tile view. The trainers multiply
+# whole rows by linalg.tile_rows instead, and must keep these bits.
+
+
+def reference_group_lasso_prox(w, block, t):
+    m2, n2 = block
+    norms = tile_norms(w, m2, n2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(norms > t, 1.0 - t / norms, 0.0)
+    tile_view(w, m2, n2)[:] *= scale[:, None, :, None]
+
+
+def reference_prune_blocks(net, data, cfg, block, target_rate, rounds, eval_data):
+    m2, n2 = block
+    masks = [np.ones((l.spec.m // m2, l.spec.n // n2), dtype=bool) for l in net.layers]
+    vel = init_velocities(net)
+    records = []
+
+    def mask_grads(grads):
+        for g, mask in zip(grads, masks):
+            tile_view(g.d_w, m2, n2)[:] *= mask[:, None, :, None]
+
+    def run_phase():
+        for _ in range(cfg.epochs):
+            epoch = len(records) + 1
+            loss = train_mod._epoch_pass(net, data, cfg, epoch, vel, grad_hook=mask_grads)
+            sparsity = dense_tile_sparsity(net, block, cfg.eps_zero)
+            records.append(
+                train_mod.collect_metrics(net, eval_data, cfg, epoch, loss, sparsity=sparsity)
+            )
+
+    run_phase()
+    for k in range(1, rounds + 1):
+        for layer, mask, v in zip(net.layers, masks, vel):
+            norms = tile_norms(layer.w, m2, n2).ravel()
+            order = np.lexsort((np.arange(mask.size), norms))
+            mask.ravel()[order[: int(round(mask.size * target_rate * k / rounds))]] = False
+            tile_view(layer.w, m2, n2)[:] *= mask[:, None, :, None]
+            tile_view(v, m2, n2)[:] *= mask[:, None, :, None]
+        run_phase()
+    return net, records
+
+
+BASELINE_NETS = {
+    # (layers, block, group-LASSO lambda that zeroes some tiles but not all):
+    # a (2,2) one-layer net of the paper's thin shape, and a two-layer relu
+    # net tiled (4,4)
+    "thin": ([dense_spec(10, 96, "softmax_output")], (2, 2), 0.3),
+    "two_layer": ([dense_spec(32, 48, "relu"), dense_spec(8, 32, "softmax_output")], (4, 4), 0.6),
+}
+
+
+def baseline_task(name):
+    specs, block, _ = BASELINE_NETS[name]
+    m, n = specs[-1].m, specs[0].n
+    ds, _ = make_teacher_dataset(m, n, block, 0.5, 160, seed=3, classification=True)
+    tr, te = kb.train_test_split(ds, 0.2, seed=3)
+    return build_network(specs, seed=5), tr, te, block
+
+
+def assert_same_run(run, reference):
+    (net, records), (ref_net, ref_records) = run, reference
+    for layer, ref in zip(net.layers, ref_net.layers, strict=True):
+        assert layer.w.tobytes() == ref.w.tobytes()
+    assert [r.to_dict() for r in records] == [r.to_dict() for r in ref_records]
+
+
+@pytest.mark.parametrize("name", sorted(BASELINE_NETS))
+def test_group_lasso_matches_broadcast_reference_bit_for_bit(name, monkeypatch):
+    net, tr, te, block = baseline_task(name)
+    lam = BASELINE_NETS[name][2]
+    cfg = TrainConfig(epochs=3, batch_size=32, learning_rate=0.1, lam=lam, seed=4)
+    run = train_group_lasso(net.copy(), tr, cfg, block, eval_data=te)
+    assert 0.0 < run[1][-1].sparsity_rate < 1.0  # the prox zeroed some tiles
+    monkeypatch.setattr(train_mod, "group_lasso_prox", reference_group_lasso_prox)
+    assert_same_run(run, train_group_lasso(net.copy(), tr, cfg, block, eval_data=te))
+
+
+@pytest.mark.parametrize("name", sorted(BASELINE_NETS))
+def test_prune_matches_broadcast_reference_bit_for_bit(name):
+    net, tr, te, block = baseline_task(name)
+    cfg = TrainConfig(epochs=2, batch_size=32, learning_rate=0.1, seed=4)
+    run = prune_blocks(net.copy(), tr, cfg, block, 0.5, 2, eval_data=te)
+    assert run[1][-1].sparsity_rate == 0.5
+    assert_same_run(run, reference_prune_blocks(net.copy(), tr, cfg, block, 0.5, 2, te))
 
 
 def test_determinism_bit_identical_metrics():
