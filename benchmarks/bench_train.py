@@ -36,21 +36,20 @@ Two more sections time whole operations:
   ``train.group_lasso_prox``, the prune gradient mask as ``prune_blocks``
   runs it (whole rows times its kept ``linalg.tile_rows`` factor), and
   ``factor.build_weight`` at (5,392,2,2) r=2;
-* ``epochs``: one epoch of ``train_kron``, ``train_group_lasso`` and
-  ``select_pattern`` (its joint phase over every pattern, no fine-tune), and
-  one round of ``prune_blocks`` (two epochs: train, prune, fine-tune), on the
-  data, nets and configs of the benchmark workloads of
-  ``perfbench/workloads.py``. Each records the seconds per epoch, samples per
-  second and ``flops_per_epoch``, the cost model's flops of the epoch's
-  training steps (forward, backward and update of every batch and pattern
-  net); the per-epoch evaluation and the proximal steps are timed but not
-  counted.
+* ``epochs``: the ``kron_train``, ``group_lasso`` and ``prune`` phases of
+  every benchmark workload of ``perfbench/workloads.py`` (``prune_blocks``
+  runs one round: two epochs, train and fine-tune), each divided by the
+  epochs it trains, and one epoch of ``select_pattern``'s joint phase over
+  every pattern, no fine-tune, on the same state. Each records the seconds
+  per epoch, samples per second and ``flops_per_epoch``, the cost model's
+  flops of the epoch's training steps (forward, backward and update of every
+  batch and pattern net); the per-epoch evaluation and the proximal steps
+  are timed but not counted.
 
 Both record the median and interquartile range of repeated runs.
 
 Run: python benchmarks/bench_train.py [--repeats 20] [--out BENCH_train.json]
      [--shape 5,392,2,2[,r] ...] [--batches 1,64,512]
-     [--epoch-repeats 5] [--workloads linear784,wide1024]
 
 A ``--shape`` without a fifth element, and each default shape but the three
 16x32 layers of acceptance criterion 7 (rank 4), is at rank 2, the file's
@@ -90,16 +89,14 @@ from kronblock.network import (  # noqa: E402
     network_update_flops,
 )
 from kronblock.patterns import PatternSet, select_pattern  # noqa: E402
-from kronblock.train import (  # noqa: E402
-    TrainConfig,
-    group_lasso_prox,
-    init_velocities,
-    prune_blocks,
-    sgd_step,
-    train_group_lasso,
-    train_kron,
+from kronblock.train import TrainConfig, group_lasso_prox, init_velocities, sgd_step  # noqa: E402
+from perfbench.workloads import (  # noqa: E402
+    WORKLOADS,
+    State,
+    phase_group_lasso,
+    phase_kron_train,
+    phase_prune,
 )
-from perfbench.workloads import WORKLOADS, State  # noqa: E402
 
 SHAPES = tuple(
     KronShape(*dims, RANK)
@@ -125,7 +122,6 @@ TILE_MATRICES = ((10, 784, (2, 2)), (1024, 1024, (16, 16)), (16, 1024, (16, 16))
 # about 1e-4 each, so the timed weights stay far from subnormal numbers
 PROX_T = 1e-4
 BUILD_SHAPE = KronShape(5, 392, 2, 2, 2)
-EPOCH_TRAINERS = ("train_kron", "group_lasso", "prune", "select")
 
 
 def flops_by_part(n_batch: int, shape: KronShape, path: str) -> dict:
@@ -231,40 +227,41 @@ def step_flops(nets, n_samples: int, batch: int) -> int:
     )
 
 
+def select_one_epoch(st: State) -> int:
+    """``select_pattern``'s joint phase for one epoch, without fine-tune, on
+    a copy of the workload's pattern nets; returns the samples it trained on."""
+    cfg = replace(st.select_cfg, max_epochs=1, finetune_epochs=0)
+    nets = [net.copy() for net in st.pattern_set.nets]
+    select_pattern(PatternSet(st.pattern_set.shapes, nets), st.select_data, cfg)
+    return st.select_data.n
+
+
 def epoch_runs(st: State) -> dict:
-    """Per trainer: (the call, epochs it trains, samples per epoch, flops per
-    epoch) for one workload's state, as the benchmark's phases run them,
-    except that ``select_pattern`` runs one joint epoch and no fine-tune."""
-    wl = st.wl
-    select_cfg = replace(st.select_cfg, max_epochs=1, finetune_epochs=0)
-
-    def select():
-        nets = [net.copy() for net in st.pattern_set.nets]
-        return select_pattern(PatternSet(st.pattern_set.shapes, nets), st.select_data, select_cfg)
-
-    n = st.train.n
-    dense = step_flops([st.dense_net], n, wl.batch)
+    """Per trainer: (a call returning the samples it trained on, samples per
+    epoch, flops per epoch) for one workload's state."""
+    n, batch = st.train.n, st.wl.batch
+    dense = step_flops([st.dense_net], n, batch)
+    n_select = st.select_data.n
     return {
-        "train_kron": (lambda: train_kron(st.kron_net.copy(), st.train, st.kron_cfg, st.test),
-                       wl.epochs, n, step_flops([st.kron_net], n, wl.batch)),
-        "group_lasso": (lambda: train_group_lasso(st.dense_net.copy(), st.train, st.dense_cfg,
-                                                  wl.block, st.test), wl.epochs, n, dense),
-        # one round: train, prune, fine-tune
-        "prune": (lambda: prune_blocks(st.dense_net.copy(), st.train, st.dense_cfg, wl.block,
-                                       0.5, 1, st.test), 2 * wl.epochs, n, dense),
-        "select": (select, 1, st.select_data.n,
-                   step_flops(st.pattern_set.nets, st.select_data.n, select_cfg.train.batch_size)),
+        "train_kron": (lambda: phase_kron_train(st)[0], n, step_flops([st.kron_net], n, batch)),
+        "group_lasso": (lambda: phase_group_lasso(st)[0], n, dense),
+        "prune": (lambda: phase_prune(st)[0], n, dense),
+        "select": (lambda: select_one_epoch(st), n_select,
+                   step_flops(st.pattern_set.nets, n_select, st.select_cfg.train.batch_size)),
     }
 
 
-def epochs(workloads: list[str], repeats: int) -> list[dict]:
-    """One epoch of each trainer and of ``select_pattern`` per workload."""
+def epochs(repeats: int) -> list[dict]:
+    """Per benchmark workload, the time of one epoch of each trainer."""
     cells = []
     with tempfile.TemporaryDirectory() as workdir:
-        for name in workloads:
-            st = State(WORKLOADS[name], SEED, workdir)
-            for trainer, (run, n_epochs, samples, flops) in epoch_runs(st).items():
-                t = timing([s / n_epochs for s in time_path(run, repeats)])
+        for name, wl in WORKLOADS.items():
+            st = State(wl, SEED, workdir)
+            for trainer, (run, samples, flops) in epoch_runs(st).items():
+                trained = []
+                times = time_path(lambda: trained.append(run()), repeats)
+                n_epochs = trained[0] // samples
+                t = timing([s / n_epochs for s in times])
                 cells.append({
                     "workload": name, "trainer": trainer, "epochs": n_epochs,
                     "samples_per_epoch": samples, "flops_per_epoch": flops, **t,
@@ -283,15 +280,9 @@ def main(argv=None) -> int:
     p.add_argument("--shape", type=parse_shape, action="append",
                    help="m1,n1,m2,n2[,r] (repeatable; default: the eight built-in shapes)")
     p.add_argument("--batches", default=",".join(map(str, BATCHES)))
-    p.add_argument("--epoch-repeats", type=int, default=5)
-    p.add_argument("--workloads", default=",".join(WORKLOADS),
-                   help="comma-separated benchmark workloads of the epoch timings")
     args = p.parse_args(argv)
-    if args.repeats < 2 or args.epoch_repeats < 2:
-        p.error("--repeats and --epoch-repeats must be at least 2")
-    workloads = args.workloads.split(",")
-    if not set(workloads) <= set(WORKLOADS):
-        p.error(f"--workloads: choose from {', '.join(WORKLOADS)}")
+    if args.repeats < 2:
+        p.error("--repeats must be at least 2")
     shapes = args.shape or SHAPES
     batches = [int(v) for v in args.batches.split(",")]
 
@@ -337,8 +328,7 @@ def main(argv=None) -> int:
         "rule_right": steps - len(wrong),
         "rule_wrong": wrong,
         "tile_ops": tiles,
-        "epoch_repeats": args.epoch_repeats,
-        "epochs": epochs(workloads, args.epoch_repeats),
+        "epochs": epochs(args.repeats),
     }
     with open(args.out, "w") as fh:
         json.dump(result, fh, indent=2)

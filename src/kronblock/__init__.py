@@ -37,7 +37,6 @@ from .flops import (
     dense_forward_flops,
     dense_layer_report,
     instrumented_count,
-    instrumented_counts,
     kron_backward_flops,
     kron_forward_flops,
     kron_layer_report,

@@ -48,7 +48,7 @@ from .factor import (
 )
 from .flops import (
     dense_layer_report,
-    instrumented_counts,
+    instrumented_count,
     kron_layer_report,
     two_layer_dense_report,
     two_layer_kron_report,
@@ -648,7 +648,8 @@ def cmd_flops(args) -> int:
     cfg = load_config(args.config)
     _check_keys(cfg, {"flops"}, "config")
     report, prefix, inputs = flop_audit_case(_section(cfg, "flops"))
-    inst_fwd, inst_bwd = instrumented_counts(prefix, **inputs)
+    inst_fwd = instrumented_count(f"{prefix}_forward", **inputs)
+    inst_bwd = instrumented_count(f"{prefix}_backward", **inputs)
     payload = {
         "analytic": report.to_dict(),
         "instrumented": {"forward": inst_fwd, "backward": inst_bwd},

@@ -9,9 +9,8 @@ Two independent routes are kept deliberately separate and compared in tests:
   of a ``network.Network`` (``net_forward``, then ``net_backward_params``
   with the squared loss) inside ``linalg.counting()``, where every multiply,
   add and subtract goes through a counted op of :mod:`kronblock.linalg`. It
-  holds no formula or walk of its own; ``instrumented_counts`` builds the
-  network from a tag prefix's inputs and returns both phases' counts, and
-  ``instrumented_count`` returns one of them.
+  holds no formula or walk of its own; ``instrumented_count`` builds the
+  network from a tag's inputs.
 
 For the cost model a layer is its dimensions: a ``KronShape``, or ``(m, n)``
 for a dense layer, paired with its activation. A factored layer has pieces
@@ -358,19 +357,22 @@ def counted_step(net, x, y) -> tuple[int, int]:
     return sum(flops for _, flops in ops[:split]), sum(flops for _, flops in ops[split:])
 
 
-def instrumented_counts(prefix: str, **inputs) -> tuple[int, int]:
-    """Build the model of a tag prefix (``dense``, ``kron``,
-    ``two_layer_dense`` or ``two_layer_kron``) from its inputs and return the
-    forward and backward flops of one ``counted_step`` on it.
+def instrumented_count(tag: str, **inputs) -> int:
+    """Run ``counted_step`` on the tagged model and return the exact number of
+    scalar multiply/add/subtract operations of the tag's phase.
 
-    The inputs are ``x``, ``y`` and the weights: ``w``, ``factor``,
-    ``w1``/``w2`` or ``f1``/``f2`` (a dense matrix or a ``KronFactor`` each).
-    The two-layer models put a relu after the first layer.
+    Tags (``TAGS``): dense_forward, dense_backward, kron_forward,
+    kron_backward, two_layer_dense_forward, two_layer_dense_backward,
+    two_layer_kron_forward, two_layer_kron_backward. The inputs are ``x``,
+    ``y`` and the weights: ``w``, ``factor``, ``w1``/``w2`` or ``f1``/``f2``
+    (a dense matrix or a ``KronFactor`` each). The two-layer models put a
+    relu after the first layer.
     """
     from . import network
 
-    if prefix not in _TAG_WEIGHTS:
-        raise ValueError(f"unknown model prefix {prefix!r}; known: {sorted(_TAG_WEIGHTS)}")
+    if tag not in TAGS:
+        raise ValueError(f"unknown computation tag {tag!r}; known: {sorted(TAGS)}")
+    prefix, _, phase = tag.rpartition("_")
     keys = _TAG_WEIGHTS[prefix]
     layers = []
     for idx, key in enumerate(keys):
@@ -379,20 +381,5 @@ def instrumented_counts(prefix: str, **inputs) -> tuple[int, int]:
             layers.append(network.Layer(network.kron_spec(weight.shape, activation), factor=weight))
         else:
             layers.append(network.Layer(network.dense_spec(*weight.shape, activation), w=weight))
-    return counted_step(network.Network(layers), inputs["x"], inputs["y"])
-
-
-def instrumented_count(tag: str, **inputs) -> int:
-    """The exact number of scalar multiply/add/subtract operations of the
-    tag's phase: one of the two counts of ``instrumented_counts`` for the
-    tag's prefix, with its inputs.
-
-    Tags (``TAGS``): dense_forward, dense_backward, kron_forward,
-    kron_backward, two_layer_dense_forward, two_layer_dense_backward,
-    two_layer_kron_forward, two_layer_kron_backward.
-    """
-    if tag not in TAGS:
-        raise ValueError(f"unknown computation tag {tag!r}; known: {sorted(TAGS)}")
-    prefix, _, phase = tag.rpartition("_")
-    forward, backward = instrumented_counts(prefix, **inputs)
+    forward, backward = counted_step(network.Network(layers), inputs["x"], inputs["y"])
     return forward if phase == "forward" else backward

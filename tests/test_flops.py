@@ -578,14 +578,13 @@ def test_bench_train_script_writes_schema(tmp_path, monkeypatch):
     out_path = tmp_path / "BENCH_train.json"
     proc = subprocess.run(
         [sys.executable, script, "--repeats", "2", "--shape", "8,16,2,2", "--shape", "2,4,8,8,4",
-         "--batches", "1,64", "--epoch-repeats", "2", "--workloads", "linear784",
-         "--out", str(out_path)],
+         "--batches", "1,64", "--out", str(out_path)],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(out_path.read_text())
     assert set(result) == {"benchmark", "rank", "repeats", "seed", "environment", "cells",
-                           "rule_right", "rule_wrong", "tile_ops", "epoch_repeats", "epochs"}
+                           "rule_right", "rule_wrong", "tile_ops", "epochs"}
     assert {"blas", "blas_version", "blas_threads"} <= set(result["environment"])
     # a four-element shape is at the default rank 2, a fifth element sets it
     shapes = [KronShape(8, 16, 2, 2, 2)] * 2 + [KronShape(2, 4, 8, 8, 4)] * 2
@@ -622,30 +621,31 @@ def test_bench_train_script_writes_schema(tmp_path, monkeypatch):
             assert cell[op]["median_s"] >= 0.0 and cell[op]["iqr_s"] >= 0.0
     assert set(tiles["build_weight"]) == {"shape", "r", *timing}
     assert tiles["build_weight"]["shape"] == [5, 392, 2, 2] and tiles["build_weight"]["r"] == 2
-    # one epoch of each trainer and of select_pattern, with its analytic flops
-    assert result["epoch_repeats"] == 2
-    cells = result["epochs"]
-    assert [(c["workload"], c["trainer"]) for c in cells] == [
-        ("linear784", t) for t in ("train_kron", "group_lasso", "prune", "select")]
+    # one epoch of each trainer and of select_pattern per benchmark workload,
+    # with its analytic flops
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), ".."))
     from perfbench.workloads import WORKLOADS
 
-    wl = WORKLOADS["linear784"]
-    assert wl.n_train % wl.batch == 0
-    steps_per_epoch = wl.n_train // wl.batch
-    dense_step = fl.layers_report(wl.batch, [((10, 784), "softmax_output")])
-    kron_step = fl.layers_report(wl.batch, [(KronShape(5, 392, 2, 2, 2), "softmax_output")])
+    trainers = ("train_kron", "group_lasso", "prune", "select")
+    cells = result["epochs"]
+    assert [(c["workload"], c["trainer"]) for c in cells] == [
+        (name, t) for name in WORKLOADS for t in trainers]
     for cell in cells:
+        wl = WORKLOADS[cell["workload"]]
         assert set(cell) == {"workload", "trainer", "epochs", "samples_per_epoch",
                              "flops_per_epoch", "median_s", "iqr_s", "samples_per_s", "gflops"}
-        assert cell["epochs"] == (2 if cell["trainer"] == "prune" else 1)
+        assert cell["epochs"] == (2 * wl.epochs if cell["trainer"] == "prune" else
+                                  1 if cell["trainer"] == "select" else wl.epochs)
         assert cell["samples_per_epoch"] == (
             wl.select_samples if cell["trainer"] == "select" else wl.n_train)
         assert cell["median_s"] > 0.0 and cell["iqr_s"] >= 0.0
         assert cell["samples_per_s"] == cell["samples_per_epoch"] / cell["median_s"]
-    by_trainer = {c["trainer"]: c for c in cells}
-    assert by_trainer["train_kron"]["flops_per_epoch"] == steps_per_epoch * (
-        kron_step.forward + kron_step.backward + kron_step.update)
-    for trainer in ("group_lasso", "prune"):
-        assert by_trainer[trainer]["flops_per_epoch"] == steps_per_epoch * (
-            dense_step.forward + dense_step.backward + dense_step.update)
+        if cell["trainer"] == "select":
+            continue
+        assert wl.n_train % wl.batch == 0
+        layers = list(wl.kron_layers)
+        if cell["trainer"] != "train_kron":
+            layers = [((s.m, s.n), act) for s, act in layers]
+        step = fl.layers_report(wl.batch, layers)
+        assert cell["flops_per_epoch"] == wl.n_train // wl.batch * (
+            step.forward + step.backward + step.update)
