@@ -1,8 +1,12 @@
 """kronblock: training block-wise sparse weight matrices via masked Kronecker
 factorization, with exact closed-form kernels, an exact flop cost model,
 proximal baselines, a parameter-minimizing shape optimizer, and one-shot
-block-size selection."""
+block-size selection.
 
+Importing kronblock sets glibc's heap thresholds for the whole process (see
+``kronblock.heap``)."""
+
+from . import heap  # noqa: F401  first, so the policy holds for every allocation
 from .data import (
     Dataset,
     IdxBadMagicError,

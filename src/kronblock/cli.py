@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import functools
 import json
 import os
+import platform
 import shutil
 import sys
 import time
@@ -29,6 +31,7 @@ from typing import get_type_hints
 
 import numpy as np
 
+from . import heap
 from .data import (
     Dataset,
     default_data_dir,
@@ -386,12 +389,52 @@ def _dump_json(path: str, obj) -> None:
         fh.write("\n")
 
 
+def _blas_threads() -> int | None:
+    """The thread count the loaded OpenBLAS reports; None where it cannot be
+    asked (no ``/proc/self/maps``, or no OpenBLAS among the loaded libraries)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            fn = getattr(handle, sym, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = (), ctypes.c_int
+                return int(fn())
+    return None
+
+
+def run_environment() -> dict:
+    """What the bits and speed of a run may depend on: the Python, numpy and
+    BLAS versions, the BLAS thread count and the heap policy."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_threads": _blas_threads(),
+        "heap_policy": dict(heap.POLICY),
+    }
+
+
 def _run_info(net: Network, eval_ds: Dataset, paths: list) -> dict:
-    """Wall clock, the training path of each layer (``paths``, from
-    ``network.train_paths``), and its inference path at the row count of the
-    set the run evaluates on (``network.eval_paths``)."""
+    """Wall clock, the run's environment, the training path of each layer
+    (``paths``, from ``network.train_paths``), and its inference path at the
+    row count of the set the run evaluates on (``network.eval_paths``)."""
     return {
         "timestamp": time.time(),
+        "environment": run_environment(),
         "train_paths": paths,
         "eval_paths": eval_paths(net, eval_ds.n),
     }

@@ -7,14 +7,24 @@ IDX files are big-endian: 2 zero bytes, a dtype code (0x08 unsigned byte,
 payload. MNIST images use magic 0x00000803 (ubyte, 3-D), labels 0x00000801
 (ubyte, 1-D). ``write_idx`` writes float64 arrays in the float64 container,
 so round trips are lossless.
+
+A subset (``Dataset.subset``, ``train_test_split``, the CLI's MNIST
+``limit``) shares the validated arrays of the dataset it came from and holds
+only a row index into them; indices compose, so a subset of a subset is one
+index into the original arrays. ``batches`` gathers each batch straight from
+the shared arrays. ``x``, ``labels`` and ``y`` of a subset are gathered once,
+on first use, and kept read-only. Sharing keeps the parent's arrays alive:
+with MNIST ``limit``, the full training array stays in memory for the whole
+run, so the peak is lower than with a copy but the steady state is the full
+array.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,53 +55,81 @@ class IdxCountMismatchError(IdxFormatError):
     """Image and label files declare different item counts."""
 
 
-@dataclass
 class Dataset:
-    """Feature matrix plus either integer class labels or regression targets."""
+    """Feature matrix plus either integer class labels or regression targets.
 
-    x: np.ndarray
-    labels: np.ndarray | None = None
-    y: np.ndarray | None = None
-    class_count: int | None = None
+    The constructor validates its arrays (without copying ones that are
+    already contiguous of the right dtype). A subset shares them and keeps a
+    row index (``_rows``; None for all rows), so it is not checked again: its
+    rows come from arrays that already passed the checks. Writes to the
+    shared arrays show in the batches of every subset.
+    """
 
-    def __post_init__(self):
-        self.x = np.ascontiguousarray(self.x, dtype=np.float64)
-        if self.x.ndim != 2 or self.x.shape[0] < 1:
+    def __init__(self, x, labels=None, y=None, class_count=None):
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        if x.ndim != 2 or x.shape[0] < 1:
             raise ValueError("features must be a non-empty 2-D array")
-        if not np.all(np.isfinite(self.x)):
+        if not np.all(np.isfinite(x)):
             raise ValueError("features must be finite")
-        if self.labels is None and self.y is None:
+        if labels is None and y is None:
             raise ValueError("dataset needs labels or targets")
-        if self.labels is not None:
-            self.labels = np.ascontiguousarray(self.labels, dtype=np.int64)
-            if self.labels.shape != (self.x.shape[0],):
+        if labels is not None:
+            labels = np.ascontiguousarray(labels, dtype=np.int64)
+            if labels.shape != (x.shape[0],):
                 raise ValueError("labels must be one integer per row")
-            if self.class_count is None:
-                self.class_count = int(self.labels.max()) + 1
-            if self.labels.min() < 0 or self.labels.max() >= self.class_count:
+            if class_count is None:
+                class_count = int(labels.max()) + 1
+            if labels.min() < 0 or labels.max() >= class_count:
                 raise ValueError("labels out of range")
-        if self.y is not None:
-            self.y = np.ascontiguousarray(self.y, dtype=np.float64)
-            if self.y.ndim != 2 or self.y.shape[0] != self.x.shape[0]:
+        if y is not None:
+            y = np.ascontiguousarray(y, dtype=np.float64)
+            if y.ndim != 2 or y.shape[0] != x.shape[0]:
                 raise ValueError("targets must be 2-D with one row per sample")
-            if not np.all(np.isfinite(self.y)):
+            if not np.all(np.isfinite(y)):
                 raise ValueError("targets must be finite")
+        self._x, self._labels, self._y = x, labels, y
+        self.class_count = class_count
+        self._rows = None
+        self._gathered = {}
+
+    def _gather(self, name: str) -> np.ndarray | None:
+        """The shared array ``name`` at this dataset's rows, gathered on
+        first use and cached read-only."""
+        shared = getattr(self, name)
+        if self._rows is None or shared is None:
+            return shared
+        if name not in self._gathered:
+            gathered = shared[self._rows]
+            gathered.flags.writeable = False
+            self._gathered[name] = gathered
+        return self._gathered[name]
+
+    @property
+    def x(self) -> np.ndarray:
+        return self._gather("_x")
+
+    @property
+    def labels(self) -> np.ndarray | None:
+        return self._gather("_labels")
+
+    @property
+    def y(self) -> np.ndarray | None:
+        return self._gather("_y")
 
     @property
     def n(self) -> int:
-        return self.x.shape[0]
+        return self._x.shape[0] if self._rows is None else self._rows.shape[0]
 
-    @property
-    def target(self) -> np.ndarray:
-        return self.labels if self.labels is not None else self.y
-
-    def subset(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(
-            self.x[idx],
-            None if self.labels is None else self.labels[idx],
-            None if self.y is None else self.y[idx],
-            self.class_count,
-        )
+    def subset(self, idx) -> "Dataset":
+        """The rows ``idx`` (any numpy index of one axis) as a dataset that
+        shares this one's arrays. Out-of-range rows raise IndexError, an
+        empty or non-1-D selection ValueError."""
+        rows = (np.arange(self.n) if self._rows is None else self._rows)[idx]
+        if rows.ndim != 1 or rows.shape[0] < 1:
+            raise ValueError("features must be a non-empty 2-D array")
+        sub = copy.copy(self)
+        sub._rows, sub._gathered = rows, {}
+        return sub
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +298,10 @@ def batches(ds: Dataset, batch_size: int, shuffle: bool = True, seed=0):
         order = rng.permutation(ds.n)
     else:
         order = np.arange(ds.n)
-    target = ds.target
+    # gather from the shared arrays: a subset's batch rows are its index at
+    # the permuted positions
+    rows = order if ds._rows is None else ds._rows[order]
+    x, target = ds._x, ds._labels if ds._labels is not None else ds._y
     for start in range(0, ds.n, batch_size):
-        idx = order[start : start + batch_size]
-        yield ds.x[idx], target[idx]
+        idx = rows[start : start + batch_size]
+        yield x[idx], target[idx]

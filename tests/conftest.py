@@ -1,9 +1,26 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from kronblock import KronShape, random_factor
 from kronblock.flops import train_path
 from kronblock.network import ACTIVATIONS, build_network, dense_spec, kron_spec
+
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+
+def run_fresh(code, *args, threads="1", timeout=300):
+    """Run ``python -c code *args`` in a fresh process that imports kronblock
+    from this checkout, with OpenBLAS fixed at ``threads`` threads; returns
+    the completed process with its text output."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.fixture

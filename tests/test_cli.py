@@ -17,6 +17,8 @@ from kronblock.cli import (
 )
 from kronblock.flops import forward_path, train_path
 
+from conftest import run_fresh
+
 
 def write_config(path, cfg):
     path.write_text(json.dumps(cfg))
@@ -322,6 +324,31 @@ def test_run_info_records_eval_paths(tmp_path):
         out = tmp_path / method
         assert main(["train", "--config", cfg, "--method", method, "--out", str(out)]) == 0
         assert json.loads((out / "run_info.json").read_text())["eval_paths"] == paths
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_run_info_records_environment(tmp_path, threads):
+    # a fresh process with OpenBLAS fixed at a thread count records its
+    # versions, that thread count (None where no OpenBLAS can be asked) and
+    # the heap policy
+    import os
+    import platform
+
+    from kronblock import heap
+
+    argv = ["train", "--config", write_config(tmp_path / "c.json", teacher_train_config()),
+            "--method", "kron", "--out", str(tmp_path / "run")]
+    code = "import json, sys\nfrom kronblock.cli import main\nsys.exit(main(json.loads(sys.argv[1])))"
+    proc = run_fresh(code, json.dumps(argv), threads=threads)
+    assert proc.returncode == 0, proc.stderr
+    env = json.loads((tmp_path / "run" / "run_info.json").read_text())["environment"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__
+    assert env["heap_policy"] == heap.POLICY
+    if "openblas" in str(env["blas"]).lower() and os.path.exists("/proc/self/maps"):
+        assert env["blas_threads"] == int(threads)
+    else:
+        assert env["blas_threads"] is None
 
 
 def test_run_info_records_train_paths(tmp_path):
@@ -747,18 +774,10 @@ def test_golden_outputs(tmp_path, name):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_golden_outputs_across_blas_threads(tmp_path, threads):
     # every golden run in a fresh process with its BLAS thread count fixed
-    import os
-    import subprocess
-    import sys
-
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     runs = [golden_argv(name, tmp_path) for name in sorted(GOLDEN)]
     code = ("import json, sys\nfrom kronblock.cli import main\n"
             "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
-    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = run_fresh(code, json.dumps(runs), threads=threads)
     assert proc.returncode == 0, proc.stderr
     for name in sorted(GOLDEN):
         assert golden_digests(name, tmp_path) == GOLDEN[name][2], name

@@ -229,3 +229,130 @@ def test_dataset_rejects_non_finite_targets(rng):
         y[1, 0] = bad
         with pytest.raises(ValueError, match="targets must be finite"):
             Dataset(x, y=y)
+
+
+# ---------------------------------------------------------------------------
+# shared rows: subsets index their parent's arrays. The copy-based split,
+# subset and batches below are the reference they must match bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def copy_subset(ds, idx):
+    return Dataset(
+        ds.x[idx],
+        None if ds.labels is None else ds.labels[idx],
+        None if ds.y is None else ds.y[idx],
+        ds.class_count,
+    )
+
+
+def copy_split(ds, test_fraction, seed):
+    perm = np.random.default_rng(np.random.SeedSequence((seed, 0xDA7A))).permutation(ds.n)
+    n_test = max(1, int(round(test_fraction * ds.n)))
+    return copy_subset(ds, perm[n_test:]), copy_subset(ds, perm[:n_test])
+
+
+def copy_batches(ds, batch_size, shuffle, seed):
+    if shuffle:
+        order = np.random.default_rng(np.random.SeedSequence(seed)).permutation(ds.n)
+    else:
+        order = np.arange(ds.n)
+    target = ds.labels if ds.labels is not None else ds.y
+    for start in range(0, ds.n, batch_size):
+        idx = order[start : start + batch_size]
+        yield ds.x[idx], target[idx]
+
+
+def assert_same_bits(got, want):
+    if want is None:
+        assert got is None
+        return
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def assert_same_dataset(got, want):
+    assert got.n == want.n and got.class_count == want.class_count
+    for name in ("x", "labels", "y"):
+        assert_same_bits(getattr(got, name), getattr(want, name))
+
+
+def teacher(classification):
+    ds, _ = make_teacher_dataset(6, 10, (2, 2), 0.5, 57, noise_sigma=0.1, seed=3,
+                                 classification=classification)
+    return ds
+
+
+@pytest.mark.parametrize("classification", [True, False])
+def test_split_matches_copies(classification):
+    ds = teacher(classification)
+    for got, want in zip(train_test_split(ds, 0.3, seed=4), copy_split(ds, 0.3, 4)):
+        assert_same_dataset(got, want)
+
+
+def test_nested_subsets_match_copies(rng):
+    ds = teacher(False)
+    mask = rng.random(40) < 0.5
+    mask[0] = True
+    steps = [rng.permutation(ds.n)[:40], mask, np.array([-1, 0, 3, 3, 2]), slice(1, None)]
+    got, want = ds, ds
+    for idx in steps:
+        got, want = got.subset(idx), copy_subset(want, idx)
+        assert_same_dataset(got, want)
+    # one index into the original arrays, however deep
+    assert got._x is ds._x and got._rows.ndim == 1
+
+
+@pytest.mark.parametrize("shuffle", [True, False])
+@pytest.mark.parametrize("classification", [True, False])
+def test_batches_of_subsets_match_copies(shuffle, classification):
+    ds = teacher(classification)
+    tr, _ = train_test_split(ds, 0.3, seed=4)
+    ref_tr, _ = copy_split(ds, 0.3, 4)
+    cases = [(ds, ds), (tr, ref_tr), (tr.subset(np.arange(30)[::-2]), copy_subset(ref_tr, np.arange(30)[::-2]))]
+    for got_ds, want_ds in cases:
+        got = list(batches(got_ds, 4, shuffle, seed=(7, 2)))
+        want = list(copy_batches(want_ds, 4, shuffle, (7, 2)))
+        assert len(got) == len(want)
+        for (xg, tg), (xw, tw) in zip(got, want):
+            assert_same_bits(xg, xw)
+            assert_same_bits(tg, tw)
+
+
+def test_subset_index_errors():
+    ds = teacher(True)
+    tr, _ = train_test_split(ds, 0.3, seed=4)
+    with pytest.raises(IndexError):
+        ds.subset(np.array([ds.n]))
+    with pytest.raises(IndexError):  # in range of the parent, not of the subset
+        tr.subset(np.array([tr.n]))
+    for sub in (ds, tr):
+        with pytest.raises(ValueError, match="non-empty"):
+            sub.subset(np.array([], dtype=np.int64))
+        with pytest.raises(ValueError, match="non-empty"):
+            sub.subset(slice(3, 3))
+
+
+def test_gathered_rows_cached_read_only():
+    for classification, name in ((True, "labels"), (False, "y")):
+        sub = teacher(classification).subset(np.arange(5))
+        for attr in ("x", name):
+            first = getattr(sub, attr)
+            assert getattr(sub, attr) is first and not first.flags.writeable
+            with pytest.raises(ValueError):
+                first[0] = 0
+
+
+def test_split_allocates_no_row_copies():
+    import tracemalloc
+
+    ds = Dataset(np.zeros((4096, 784)), labels=np.arange(4096) % 10)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tr, te = train_test_split(ds, 0.2, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tr.n + te.n == ds.n
+    assert peak - before < 2**20

@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -31,7 +28,7 @@ from kronblock.network import (
     train_paths,
 )
 
-from conftest import finite_diff, random_mixed_net, rel_err
+from conftest import finite_diff, random_mixed_net, rel_err, run_fresh
 
 
 def two_layer_net(rng, loss="squared_frobenius", act="relu", kinds=("kron", "kron")):
@@ -342,12 +339,8 @@ sys.exit(1 if failed else 0)
 def test_thin_weight_product_orientations_bit_identical(threads):
     # predict_product swaps a thin weight's product to (W @ X.T).T; in a fresh
     # process at each BLAS thread count, it must give the bits of X @ W.T
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     cases = [list(range(1, 16)), [256, 784, 1024], [1, 7, 64, 512, 2048]]
-    proc = subprocess.run([sys.executable, "-c", THIN_PRODUCT_CHECK, json.dumps(cases)],
-                          env=env, capture_output=True, text=True, timeout=300)
+    proc = run_fresh(THIN_PRODUCT_CHECK, json.dumps(cases), threads=threads)
     assert proc.returncode == 0, f"orientations differ at {proc.stdout.strip()} {proc.stderr}"
 
 
