@@ -3,7 +3,8 @@
 
 For each shape (rank 2 unless given) and batch size this times the fold path
 (``factor.forward``) and the materialized path (``network.layer_forward`` on
-``"materialized"``: building W, then ``x @ W.T``) over repeated runs, and
+``"materialized"``: building W, then ``network.predict_product``) over
+repeated runs, and
 records each path's median and interquartile range, its analytic flops and
 achieved GFLOP/s, the path that
 ``flops.forward_path`` picks and whether that pick was the faster one
@@ -15,9 +16,10 @@ At the same batch sizes it times two more things:
   ``direct`` (``X @ W.T``) and ``swapped`` (``(W @ X.T).T`` made
   C-contiguous), for weights of 2 to 64 rows at the widths 784 and 1024,
   the two timed in turn. Each cell records the median speedup of the swap,
-  the orientation ``network.predict_product`` picks (swapped below
-  ``network.THIN_WEIGHT_ROWS`` rows) and whether it was the faster one;
-  cells where it was not are listed under ``thin_rule_wrong``;
+  the orientation ``network.product_orientation`` picks (swapped below
+  ``network.THIN_WEIGHT_ROWS`` weight rows from ``network.SWAP_MIN_ROWS``
+  input rows) and whether it was the faster one; cells where it was not are
+  listed under ``thin_rule_wrong``;
 * ``evaluate``: one whole ``network.evaluate`` call (softmax cross entropy)
   on the benchmark's two nets, the paper's 784->10 factored layer and the
   1024->1024->16 ReLU net, each factored and as its dense twin, with the
@@ -61,6 +63,7 @@ from kronblock.network import (  # noqa: E402
     evaluate,
     kron_spec,
     layer_forward,
+    product_orientation,
 )
 
 RANK = 2
@@ -169,7 +172,7 @@ def measure_thin(m: int, n: int, n_batch: int, repeats: int, rng) -> dict:
             lambda: matmul(x, w.T), lambda: np.ascontiguousarray(matmul(w, x.T).T), repeats
         )
     )
-    pick = "swapped" if m < THIN_WEIGHT_ROWS else "direct"
+    pick = product_orientation(m, n_batch)
     faster = "swapped" if swapped["median_s"] < direct["median_s"] else "direct"
     return {
         "m": m,

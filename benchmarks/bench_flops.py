@@ -5,8 +5,8 @@ For each of the five audit configurations of the paper's 784 -> 10 linear
 model (batch 4) and each of its two tags (forward and backward), this times
 ``instrumented_count`` over repeated runs and records the median and the
 interquartile range of the repeats next to the analytic count the counter
-must equal. The environment (Python, numpy, BLAS and its thread count) goes
-into the same file.
+must equal. The environment (Python, numpy, BLAS and its thread count, the
+heap policy and the CPU count) goes into the same file.
 
 Run: python benchmarks/bench_flops.py [--repeats 50] [--out BENCH_flops.json]
 """
@@ -14,10 +14,8 @@ Run: python benchmarks/bench_flops.py [--repeats 50] [--out BENCH_flops.json]
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import os
-import platform
 import statistics
 import sys
 import time
@@ -26,9 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-import numpy as np  # noqa: E402
-
-from kronblock.cli import flop_audit_case  # noqa: E402
+from kronblock.cli import flop_audit_case, run_environment  # noqa: E402
 from kronblock.flops import instrumented_count  # noqa: E402
 
 BATCH = 4
@@ -45,40 +41,10 @@ CONFIGS = (
 )
 
 
-def blas_threads():
-    """The thread count OpenBLAS reports, or None when it cannot be asked."""
-    try:
-        with open("/proc/self/maps") as fh:
-            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for lib in libs:
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for sym in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                    "openblas_get_num_threads"):
-            fn = getattr(handle, sym, None)
-            if fn is not None:
-                fn.restype = ctypes.c_int
-                return int(fn())
-    return None
-
-
 def environment() -> dict:
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (KeyError, TypeError):
-        blas = {}
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas": blas.get("name"),
-        "blas_version": blas.get("version"),
-        "blas_threads": blas_threads(),
-        "nproc": len(os.sched_getaffinity(0)),
-    }
+    """``run_info.json``'s environment (Python, numpy and BLAS versions, the
+    BLAS thread count and the heap policy) plus the CPUs this process may use."""
+    return {**run_environment(), "nproc": len(os.sched_getaffinity(0))}
 
 
 def time_tag(tag: str, inputs: dict, repeats: int) -> tuple[int, list[float]]:

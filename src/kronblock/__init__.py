@@ -55,7 +55,6 @@ from .linalg import (
     fold_output,
     fold_tiles,
     hadamard,
-    kron,
     unfold_input,
     unfold_mid,
     unfold_output,

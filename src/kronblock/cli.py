@@ -163,13 +163,12 @@ def load_config(path: str) -> dict:
 
 
 def _parse_block(value, path: str) -> tuple[int, int]:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, int) and v >= 1 for v in value)
-    ):
-        raise ConfigError(f"{path}: must be [m2, n2] with positive integers")
-    return int(value[0]), int(value[1])
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        try:
+            return _positive_int(value[0], path), _positive_int(value[1], path)
+        except ConfigError:
+            pass
+    raise ConfigError(f"{path}: must be [m2, n2] with positive integers")
 
 
 def _bounded_rank(shape: KronShape, path: str) -> KronShape:

@@ -24,8 +24,8 @@ product over the stack. A layer trains on one of two paths, which
 
 ``backward_params`` is ``backward`` without the input gradient, which
 training skips for the first layer of a network. Inference
-(``network.net_predict``) runs ``forward`` or ``materialize`` and its own
-weight product, by ``flops.forward_path``. Every multiply, add and subtract
+(``network.net_predict``) runs the same ``network.layer_forward`` on the path
+``flops.forward_path`` picks. Every multiply, add and subtract
 runs through the counted ops of :mod:`kronblock.linalg`, so
 ``flops.instrumented_count`` counts this code.
 """

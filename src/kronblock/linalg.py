@@ -4,8 +4,8 @@ reshape maps the factored layers rely on, and tile utilities.
 Index conventions, normative for the whole package:
 
 * matrices are row-major ``float64``,
-* ``kron(a, b)`` places the ``m2 x n2`` tile ``a[i1, j1] * b`` at tile
-  ``(i1, j1)`` of the product, i.e.
+* the Kronecker product ``kron(a, b)`` (``np.kron``) places the
+  ``m2 x n2`` tile ``a[i1, j1] * b`` at tile ``(i1, j1)`` of the product, i.e.
   ``out[i1*m2 + i2, j1*n2 + j2] = a[i1, j1] * b[i2, j2]``,
 * ``fold_input``  maps ``(N, n1*n2) -> (n2, N*n1)`` with
   ``out[j2, s*n1 + j1] = x[s, j1*n2 + j2]``,
@@ -36,11 +36,11 @@ The layer forward/backward, the losses and ``factor.materialize`` do every
 multiply, add and subtract the cost model counts through the *counted ops*
 below. An op's flops follow from its operand shapes: one per scalar
 multiply, add or subtract, so a ``(p, q) @ (q, s)`` matmul costs
-``p*s*(2q-1)``, a sum of squares ``2*size - 1``, a Kronecker product one
-multiply per output entry and every other op ``size`` (the 0/1 relu mask is
-free). Inside a ``counting()`` block each op appends ``(op name, flops)`` to
-the block's list; the list lives in a ``ContextVar``, so all functions here
-stay safe to call from any number of threads.
+``p*s*(2q-1)``, a sum of squares ``2*size - 1`` and every other op
+``size`` (the 0/1 relu mask is free). Inside a ``counting()`` block each op
+appends ``(op name, flops)`` to the block's list; the list lives in a
+``ContextVar``, so all functions here stay safe to call from any number of
+threads.
 """
 
 from __future__ import annotations
@@ -87,14 +87,6 @@ def as_matrix(x, name: str = "matrix") -> np.ndarray:
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={a.ndim}")
     return a
-
-
-@_counted(lambda a, b: np.size(a) * np.size(b))
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the tile convention documented above."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    return np.kron(a, b)
 
 
 @_counted(lambda a, b, out=None: np.size(a))

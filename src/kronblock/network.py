@@ -18,6 +18,9 @@ path, whichever ``flops.train_path`` counts as no dearer for its shape and
 batch size, and a dense layer on the dense path. A materialized layer is the
 dense layer on the weight ``factor.build_weight`` builds, with
 ``factor.weight_gradient`` projecting its weight gradient onto the factors.
+Inference (``net_predict``) runs the same ``layer_forward`` on each layer's
+path of ``eval_paths``, and training and inference multiply a weight in the
+one orientation ``product_orientation`` picks from both row counts.
 The arithmetic the cost model counts (layer products, relu, the squared loss)
 runs through the counted ops of :mod:`kronblock.linalg`;
 ``flops.instrumented_count`` counts one such training step.
@@ -154,12 +157,6 @@ def squared_frobenius(o: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
     return sq_sum(diff), scale(diff, 2.0)
 
 
-def softmax(o: np.ndarray) -> np.ndarray:
-    z = o - o.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _cross_entropy(o: np.ndarray, labels) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean cross entropy over the batch, the exp of the max-shifted logits
     and their row sums: the loss ``evaluate`` reads and what
@@ -234,16 +231,44 @@ def _activate(layer: Layer, pre: np.ndarray) -> np.ndarray:
     return relu(pre) if layer.spec.activation == "relu" else pre
 
 
+# OpenBLAS lays a GEMM's output on 16-wide kernel tiles: a weight with fewer
+# rows leaves part of each tile idle in ``X @ W.T``, while swapped the batch
+# fills them. The swap pays from 512 input rows; at 16 weight rows, or with
+# fewer input rows, its copy costs more than the tiling saves
+# (``thin_products`` in BENCH_eval.json)
+THIN_WEIGHT_ROWS = 16
+SWAP_MIN_ROWS = 512
+
+
+def product_orientation(weight_rows: int, input_rows: int) -> str:
+    """How ``predict_product`` multiplies: ``"swapped"`` for a weight of fewer
+    than ``THIN_WEIGHT_ROWS`` rows and an input of at least ``SWAP_MIN_ROWS``
+    rows, else ``"direct"``."""
+    thin = weight_rows < THIN_WEIGHT_ROWS and input_rows >= SWAP_MIN_ROWS
+    return "swapped" if thin else "direct"
+
+
+def predict_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``X @ W.T`` through the counted ``matmul``, in the orientation of
+    ``product_orientation``. Swapped, it runs as ``(W @ X.T).T`` made
+    C-contiguous, at BLAS speed and with the bits of ``X @ W.T`` wherever a
+    test checks (1 to 15 weight rows at the paper's, the benchmark's and the
+    tests' widths and batch sizes, under 1 and 2 BLAS threads)."""
+    if product_orientation(w.shape[0], x.shape[0]) == "swapped":
+        return np.ascontiguousarray(matmul(w, x.T).T)
+    return matmul(x, w.T)
+
+
 def layer_forward(layer: Layer, path: str, x: np.ndarray):
     """Pre-activation output of one layer on ``path`` (``"fold"``,
     ``"materialized"`` or ``"dense"``) and the cache ``layer_backward``
     reuses: the ``factor.forward`` cache on the fold path, else the weight W
-    of ``X @ W.T`` and the stacked S * A_i of ``factor.build_weight`` (None
-    for a dense layer, whose W is its own)."""
+    of ``predict_product`` and the stacked S * A_i of ``factor.build_weight``
+    (None for a dense layer, whose W is its own)."""
     if path == "fold":
         return kf.forward(layer.factor, x)
     w, masked_a = kf.build_weight(layer.factor) if path == "materialized" else (layer.w, None)
-    return matmul(x, w.T), (w, masked_a)
+    return predict_product(x, w), (w, masked_a)
 
 
 def layer_backward(layer: Layer, x: np.ndarray, cache, d_out: np.ndarray, with_dx: bool):
@@ -299,38 +324,13 @@ def eval_paths(net: Network, n_batch: int) -> list[str]:
     ]
 
 
-# OpenBLAS lays a GEMM's output on 16-wide kernel tiles: a weight with fewer
-# rows leaves part of each tile idle in ``X @ W.T``, while swapped the batch
-# fills them. At 16 rows the swap stops paying (``thin_products`` in
-# BENCH_eval.json)
-THIN_WEIGHT_ROWS = 16
-
-
-def predict_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``X @ W.T`` as inference computes it. A weight with fewer than
-    ``THIN_WEIGHT_ROWS`` rows multiplies in the batch-vectorized orientation
-    ``(W @ X.T).T``, made C-contiguous: the same bits as ``X @ W.T`` (a test
-    checks 1 to 15 rows at the paper's and the benchmark's widths and batch
-    sizes, under 1 and 2 BLAS threads) at BLAS speed. Training keeps
-    ``X @ W.T``, where its batches are too small for the swap to pay for its
-    copy."""
-    if w.shape[0] < THIN_WEIGHT_ROWS:
-        return np.ascontiguousarray(matmul(w, x.T).T)
-    return matmul(x, w.T)
-
-
 def net_predict(net: Network, x: np.ndarray) -> np.ndarray:
-    """Inference forward: the output of ``net_forward`` without a cache, each
-    layer on its path of ``eval_paths`` (a materialized weight is rebuilt on
-    every call) and each weight product by ``predict_product``."""
+    """Inference forward: ``net_forward`` without a cache, each layer run by
+    ``layer_forward`` on its path of ``eval_paths`` (a materialized weight is
+    rebuilt on every call)."""
     cur = _net_input(net, x)
     for layer, path in zip(net.layers, eval_paths(net, cur.shape[0])):
-        if path == "fold":
-            pre = kf.forward(layer.factor, cur)[0]
-        else:
-            w = kf.materialize(layer.factor) if path == "materialized" else layer.w
-            pre = predict_product(cur, w)
-        cur = _activate(layer, pre)
+        cur = _activate(layer, layer_forward(layer, path, cur)[0])
     return cur
 
 

@@ -18,16 +18,15 @@ import numpy as np
 
 from .data import Dataset, batches
 from .factor import KronShape, count_params
-from .network import Network, build_network, kron_spec, net_backward_params, net_forward
+from .network import Network, build_network, kron_spec
 from .shapeopt import divisors
 from .train import (
     MetricRecord,
     TrainConfig,
-    _guard,
     init_velocities,
-    sgd_step,
     soft_threshold,
     train_kron,
+    train_step,
 )
 
 
@@ -164,7 +163,7 @@ def _pattern_prox(net: Network, lr: float, lam1: float, lam2: float) -> None:
         for s in masks:
             s[:] = soft_threshold(s, lr * lam2)
     if lam1 > 0:
-        g = float(np.sqrt(sum(float(np.sum(s * s)) for s in masks)))
+        g = _group_norm(net)
         scale = max(1.0 - lr * lam1 / g, 0.0) if g > 0 else 0.0
         for s in masks:
             s *= scale
@@ -198,10 +197,7 @@ def select_pattern(pset: PatternSet, data: Dataset, cfg: SelectConfig) -> Select
             lam2 += cfg.lambda_increment
         for xb, tb in batches(data, tcfg.batch_size, tcfg.shuffle, seed=(tcfg.seed, epoch)):
             for net, vel in zip(pset.nets, vels):
-                _, cache = net_forward(net, xb)
-                loss, grads = net_backward_params(net, cache, tb, tcfg.loss)
-                _guard(loss)
-                sgd_step(net, grads, vel, tcfg, prox_l1=False)
+                train_step(net, xb, tb, vel, tcfg, prox_l1=False)
                 _pattern_prox(net, tcfg.learning_rate, lam1, lam2)
         norms = [_group_norm(net) for net in pset.nets]
         for k, net in enumerate(pset.nets):

@@ -200,16 +200,25 @@ def sgd_step(net: Network, grads: list, vel: list, cfg: TrainConfig, prox_l1: bo
             s[:] = soft_threshold(s, lr * cfg.lam)
 
 
+def train_step(net, xb, tb, vel, cfg, prox_l1=True, grad_hook=None) -> float:
+    """One momentum-SGD step on the batch ``xb`` with targets ``tb``: the
+    training forward and backward, the divergence guard, ``grad_hook`` on the
+    gradients, then ``sgd_step``. Returns the batch loss. The step's cache
+    and gradients are locals, so they are freed before the caller's next
+    step allocates its own."""
+    _, cache = net_forward(net, xb)
+    loss, grads = net_backward_params(net, cache, tb, cfg.loss)
+    _guard(loss)
+    if grad_hook is not None:
+        grad_hook(grads)
+    sgd_step(net, grads, vel, cfg, prox_l1=prox_l1)
+    return loss
+
+
 def _epoch_pass(net, data, cfg, epoch, vel, prox_l1=True, grad_hook=None, post_step=None):
     losses = []
     for xb, tb in batches(data, cfg.batch_size, cfg.shuffle, seed=(cfg.seed, epoch)):
-        _, cache = net_forward(net, xb)
-        loss, grads = net_backward_params(net, cache, tb, cfg.loss)
-        _guard(loss)
-        losses.append(loss)
-        if grad_hook is not None:
-            grad_hook(grads)
-        sgd_step(net, grads, vel, cfg, prox_l1=prox_l1)
+        losses.append(train_step(net, xb, tb, vel, cfg, prox_l1, grad_hook))
         if post_step is not None:
             post_step()
     return float(np.mean(losses))

@@ -206,6 +206,34 @@ def test_config_scalar_field_rejected(tmp_path, capsys, path, value, expected):
     assert capsys.readouterr().err == f"error: {path}: must be {expected}, got {value!r}\n"
 
 
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        ("dataset.block", [True, 2]),
+        ("model.layers[0].block", [2, True]),
+        ("train.block", [True, 2]),
+        ("select.patterns[0][0]", [2, True]),
+    ],
+)
+def test_block_booleans_rejected(tmp_path, capsys, path, value):
+    # a JSON boolean is not a tile size, although Python's True is the int 1
+    select = path.startswith("select.")
+    cfg = select_config() if select else teacher_train_config()
+    if select:
+        cfg["select"]["patterns"][0][0] = value
+        argv = ["select-pattern"]
+    elif path == "model.layers[0].block":
+        cfg["model"]["layers"][0]["block"] = value
+        argv = ["train", "--method", "kron"]
+    else:
+        section, key = path.split(".")
+        cfg[section][key] = value
+        argv = ["train", "--method", "group-lasso" if section == "train" else "kron"]
+    argv += ["--config", write_config(tmp_path / "c.json", cfg), "--out", str(tmp_path / "x")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}: must be [m2, n2] with positive integers\n"
+
+
 # Every key of the train/select sections, valid; the dataclasses own the
 # defaults, ranges and field names, the CLI only the keys that are not fields.
 FULL_SECTIONS = {

@@ -29,7 +29,7 @@ from kronblock.flops import (
     two_layer_kron_report,
 )
 from kronblock.linalg import counting
-from kronblock.network import THIN_WEIGHT_ROWS
+from kronblock.network import THIN_WEIGHT_ROWS, product_orientation
 
 from conftest import layer_forward_identity, random_dense_factor, random_mixed_net, random_shape
 
@@ -373,20 +373,6 @@ def _loop_elementwise(op):
     return run
 
 
-def _loop_kron(a, b):
-    p, q = a.shape
-    s, t = b.shape
-    out = np.empty((p * s, q * t))
-    flops = 0
-    for i1 in range(p):
-        for j1 in range(q):
-            for i2 in range(s):
-                for j2 in range(t):
-                    out[i1 * s + i2, j1 * t + j2] = a[i1, j1] * b[i2, j2]
-                    flops += 1
-    return out, flops
-
-
 def _loop_sq_sum(a):
     flat = a.ravel()
     total = flat[0] * flat[0]
@@ -413,10 +399,6 @@ def _scale_args(r, p, q, _s):
     return r.standard_normal((p, q)), float(r.standard_normal())
 
 
-def _kron_args(r, p, q, s):
-    return r.standard_normal((p, q)), r.standard_normal((s, p))
-
-
 _OP_REFERENCES = {
     "matmul": (_loop_matmul, _matmul_args),
     "hadamard": (_loop_elementwise(lambda x, y: x * y), _two),
@@ -426,7 +408,6 @@ _OP_REFERENCES = {
     "sq_sum": (_loop_sq_sum, _one),
     "relu": (_loop_elementwise(lambda x: x if x > 0.0 else 0.0), _one),
     "mask_mul": (_loop_elementwise(lambda g, pre: g if pre > 0.0 else 0.0), _two),
-    "kron": (_loop_kron, _kron_args),
 }
 
 
@@ -504,7 +485,7 @@ def test_bench_flops_script_writes_schema(tmp_path):
     assert set(result) == {"benchmark", "batch", "seed", "environment", "rows",
                            "audit_pass_median_s"}
     assert set(result["environment"]) == {"python", "numpy", "blas", "blas_version",
-                                          "blas_threads", "nproc"}
+                                          "blas_threads", "heap_policy", "nproc"}
     assert len(result["rows"]) == 10
     for row in result["rows"]:
         assert set(row) == {"config", "tag", "analytic_flops", "median_s", "iqr_s", "repeats"}
@@ -556,7 +537,7 @@ def test_bench_eval_script_writes_schema(tmp_path):
             assert set(cell[side]) == {"flops", "median_s", "iqr_s", "gflops"}
             assert cell[side]["flops"] == flops
             assert cell[side]["median_s"] >= 0.0 and cell[side]["iqr_s"] >= 0.0
-        assert cell["pick"] == ("swapped" if cell["m"] < THIN_WEIGHT_ROWS else "direct")
+        assert cell["pick"] == product_orientation(cell["m"], cell["batch"])
         assert cell["swap_speedup"] == cell["direct"]["median_s"] / cell["swapped"]["median_s"]
         assert cell["faster"] in ("direct", "swapped")
         assert cell["pick_is_faster"] == (cell["pick"] == cell["faster"])

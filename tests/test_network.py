@@ -21,8 +21,8 @@ from kronblock.network import (
     net_backward_params,
     net_forward,
     net_predict,
+    product_orientation,
     save_network,
-    softmax,
     softmax_cross_entropy,
     squared_frobenius,
     train_paths,
@@ -243,12 +243,16 @@ def test_relu_dead_unit_blocks_gradient(rng):
 
 
 def test_softmax_rows_and_stability():
+    # the seed is (softmax(O) - onehot) / N: at extreme logits it stays
+    # finite, and the softmax rows it gives back sum to one
     logits = np.array([[700.0, -700.0, 0.0], [5.0, 5.0, 5.0]])
-    p = softmax(logits)
-    assert np.all(np.isfinite(p))
-    assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12
-    loss, seed = softmax_cross_entropy(logits, np.array([0, 1]))
+    labels = np.array([0, 1])
+    loss, seed = softmax_cross_entropy(logits, labels)
     assert np.isfinite(loss) and np.all(np.isfinite(seed))
+    p = seed * len(labels)
+    p[np.arange(len(labels)), labels] += 1.0
+    assert np.all(p >= 0.0)
+    assert np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12
 
 
 def test_evaluate_all_correct(rng):
@@ -306,12 +310,30 @@ def test_net_predict_matches_net_forward(specs, rows, paths):
     want, _ = net_forward(net, x)
     got = net_predict(net, x)
     assert got.shape == want.shape
-    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    if train_paths(net, rows) == paths:
+        # every layer runs the one layer_forward on the same path: same bits
+        assert got.tobytes() == want.tobytes()
+    else:
+        # a layer that trains on the other path sums in another order
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-# The thin products net_predict can take: weights of 1 to 15 rows at the
-# widths of the paper's and the benchmark's layers, at the batch sizes of a
-# single sample, an odd remainder, training and the two eval sets
+@pytest.mark.parametrize(
+    "weight_rows,input_rows,orientation",
+    [(15, 511, "direct"), (15, 512, "swapped"), (16, 2048, "direct"), (1, 1, "direct"),
+     (2, 4096, "swapped")],
+)
+def test_product_orientation_rule(weight_rows, input_rows, orientation):
+    # swapped only for a weight under THIN_WEIGHT_ROWS rows and an input of at
+    # least SWAP_MIN_ROWS rows
+    assert product_orientation(weight_rows, input_rows) == orientation
+
+
+# The thin products a layer can take: weights of 1 to 15 rows at the widths of
+# the paper's and the benchmark's layers and of the narrow layers the tests
+# train and evaluate at 512 or more rows, at the batch sizes of a single
+# sample, an odd remainder, training, both sides of SWAP_MIN_ROWS and the
+# eval sets
 THIN_PRODUCT_CHECK = """
 import json, sys
 import numpy as np
@@ -337,9 +359,11 @@ sys.exit(1 if failed else 0)
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_thin_weight_product_orientations_bit_identical(threads):
-    # predict_product swaps a thin weight's product to (W @ X.T).T; in a fresh
-    # process at each BLAS thread count, it must give the bits of X @ W.T
-    cases = [list(range(1, 16)), [256, 784, 1024], [1, 7, 64, 512, 2048]]
+    # predict_product swaps a thin weight's product to (W @ X.T).T from
+    # SWAP_MIN_ROWS input rows; in a fresh process at each BLAS thread count,
+    # it must give the bits of X @ W.T on either side of that bound
+    cases = [list(range(1, 16)), [3, 4, 16, 24, 32, 256, 784, 1024],
+             [1, 7, 64, 511, 512, 768, 2048, 4096]]
     proc = run_fresh(THIN_PRODUCT_CHECK, json.dumps(cases), threads=threads)
     assert proc.returncode == 0, f"orientations differ at {proc.stdout.strip()} {proc.stderr}"
 

@@ -34,7 +34,7 @@ from kronblock.train import (
     sgd_step,
     soft_threshold,
 )
-from kronblock.data import batches
+from kronblock.data import Dataset, batches
 
 
 def teacher_zero_mask(teacher, block):
@@ -625,3 +625,64 @@ def test_training_skips_first_layer_input_gradient(monkeypatch):
     select_pattern(pset, ds, SelectConfig(
         train=cfg, increment_period_epochs=1, max_epochs=2, finetune_epochs=1))
     assert calls == []
+
+
+def test_epoch_pass_holds_one_step_at_a_time():
+    # a step's forward cache and gradients die with train_step, so the next
+    # step's forward does not allocate next to them: over three steps of the
+    # 1024->1024->16 benchmark net at 256 rows, _epoch_pass peaks within
+    # 0.5 MiB of a single train_step (each takes its batch from batches)
+    import tracemalloc
+
+    specs = [kron_spec(KronShape(64, 64, 16, 16, 2), "relu"),
+             kron_spec(KronShape(1, 64, 16, 16, 2), "softmax_output")]
+    net = build_network(specs, seed=0)
+    rng = np.random.default_rng(0)
+    data = Dataset(rng.standard_normal((768, 1024)), labels=rng.integers(0, 16, size=768))
+    cfg = TrainConfig(epochs=1, batch_size=256, learning_rate=0.01, shuffle=False)
+    assert train_paths(net, 256) == ["fold", "materialized"]
+
+    def peak(run):
+        state = net.copy()
+        vel = init_velocities(state)
+        tracemalloc.start()
+        try:
+            run(state, vel)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(lambda state, vel: train_mod.train_step(
+        state, *next(batches(data, cfg.batch_size, False)), vel, cfg))
+    three = peak(lambda state, vel: train_mod._epoch_pass(state, data, cfg, 1, vel))
+    assert three - one <= 0.5 * 2**20, (one / 2**20, three / 2**20)
+
+
+def test_benchmark_tracer_sees_every_training_step(monkeypatch):
+    # train_step looks up net_forward and sgd_step in kronblock.train, where
+    # the benchmark's tracer binds them, so a traced run sees every step of
+    # the trainers and of pattern selection
+    import os
+
+    from kronblock.patterns import SelectConfig, build_pattern_set, select_pattern
+
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), "..", "perfbench"))
+    from spans import Tracer
+
+    ds, _ = make_teacher_dataset(4, 8, (2, 2), 0.5, 40, seed=1, classification=True)
+    cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=0.05, seed=4)
+    pset = build_pattern_set([(4, 8)], [[(2, 2)], [(2, 4)]], rank=1, seed=3)
+    scfg = SelectConfig(train=cfg, max_epochs=2, increment_period_epochs=1, finetune_epochs=1)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        train_mod.train_kron(build_network([kron_spec(KronShape(2, 4, 2, 2, 1))], seed=2), ds, cfg)
+        select_pattern(pset, ds, scfg)
+    finally:
+        tracer.uninstall()
+    # 3 batches per epoch: 2 epochs of train_kron, 2 joint epochs of 2
+    # patterns and 1 fine-tune epoch
+    steps = 3 * (2 + 2 * 2 + 1)
+    totals = tracer.totals()
+    assert totals["network.forward"]["calls"] == steps
+    assert totals["train.sgd_step"]["calls"] == steps
