@@ -17,7 +17,8 @@ dense ``m x n`` twin, each through the code that trains,
   on the fold path), as the first layer runs it in training;
 * ``update``: one ``train.sgd_step`` on a one-layer net (momentum, no prox):
   one momentum update of the factored layer's flat S, A, B buffer (the same
-  on both paths), or of the dense twin's ``w``.
+  on both paths), or of the dense twin's ``w``. ``sgd_step`` consumes its
+  gradient, so an untimed copy restores the gradient before each call.
 
 Each part records the median and interquartile range of repeated runs, its
 flops by the cost model of ``kronblock.flops`` and the achieved GFLOP/s (the
@@ -25,7 +26,10 @@ cost model counts one flop per updated parameter, so the update's rate is a
 lower bound). For the step without and with the input gradient, ``pick`` is
 the path ``flops.train_path`` picks, ``faster`` the path whose measured
 forward plus backward medians are smaller, and ``pick_is_faster`` whether
-they agree; steps where they do not are listed under ``rule_wrong``. BLAS
+they agree; steps where they do not are listed under ``rule_wrong``.
+``step_peak_bytes`` holds, per path and step, the ``tracemalloc`` peak of one
+untimed training step (forward, that backward and ``sgd_step``) after a
+warm-up step: the memory the step allocates beside the layer's state. BLAS
 runs on one thread unless OPENBLAS_NUM_THREADS is set; the environment
 (Python, numpy, BLAS name, version and thread count) goes into the same file.
 
@@ -63,6 +67,8 @@ import json
 import os
 import sys
 import tempfile
+import time
+import tracemalloc
 from dataclasses import replace
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -143,9 +149,39 @@ def flops_by_part(n_batch: int, shape: KronShape, path: str) -> dict:
 
 
 def time_update(layer: Layer, grad, repeats: int) -> list[float]:
+    """Times of ``sgd_step`` after a warm-up call, each on the gradient
+    restored from an untimed copy: the step writes ``lr * v`` into it."""
     net = Network([layer])
     vel = init_velocities(net)
-    return time_path(lambda: sgd_step(net, [grad], vel, UPDATE_CFG), repeats)
+    spent = grad.flat if layer.spec.kind == "kron" else grad.d_w
+    fresh = spent.copy()
+    times = []
+    for _ in range(repeats + 1):
+        spent[:] = fresh
+        t0 = time.perf_counter()
+        sgd_step(net, [grad], vel, UPDATE_CFG)
+        times.append(time.perf_counter() - t0)
+    return times[1:]
+
+
+def step_peak(layer: Layer, path: str, x, d_out, with_dx: bool) -> int:
+    """Traced peak bytes of one training step of a copy of ``layer`` on
+    ``path`` (forward, backward, ``sgd_step``) after a warm-up step."""
+    net = Network([layer.copy()])
+    vel = init_velocities(net)
+
+    def step():
+        _, cache = layer_forward(net.layers[0], path, x)
+        grad = layer_backward(net.layers[0], x, cache, d_out, with_dx)
+        sgd_step(net, [grad], vel, UPDATE_CFG)
+
+    step()
+    tracemalloc.start()
+    try:
+        step()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def parts(layer: Layer, path: str, x, d_out, repeats: int) -> dict:
@@ -179,6 +215,10 @@ def measure(shape: KronShape, n_batch: int, repeats: int, rng) -> dict:
     cell["update"] = {
         "kron": update_row(fl.kron_update_flops(shape), "fold"),
         "dense": update_row(fl.dense_update_flops(shape.m, shape.n), "dense"),
+    }
+    cell["step_peak_bytes"] = {
+        path: {part: step_peak(layers[path], path, x, d_out, dx) for part, dx in STEPS.items()}
+        for path in PATHS
     }
 
     def step_s(path, part):
@@ -297,7 +337,8 @@ def main(argv=None) -> int:
                 row = "  ".join(
                     f"{part} {cell[path][part]['median_s'] * 1e3:8.3f} ms" for part in PARTS
                 )
-                print(f"{label:<18} N={n_batch:<4} {path:<12} {row}")
+                peak = cell["step_peak_bytes"][path]["backward_dx"] / 2**20
+                print(f"{label:<18} N={n_batch:<4} {path:<12} {row}  peak {peak:8.3f} MiB")
             print(f"{'':<18} {'':<6} pick " + "  ".join(
                 f"{part} {cell['pick'][part]} ({'ok' if cell['pick_is_faster'][part] else 'WRONG'})"
                 for part in STEPS

@@ -229,7 +229,9 @@ def _activation(layer: dict, path: str) -> str:
     return activation
 
 
-def build_model(model_cfg: dict, seed: int, force_dense: bool = False) -> Network:
+def model_specs(model_cfg: dict, force_dense: bool = False) -> list:
+    """The checked layer specs of the ``model`` section, before anything is
+    allocated."""
     specs = []
     for path, layer in _model_layers(
         model_cfg, {"layers", "init_seed"},
@@ -249,15 +251,22 @@ def build_model(model_cfg: dict, seed: int, force_dense: bool = False) -> Networ
             specs.append(dense_spec(m, n, activation))
         else:
             raise ConfigError(f"{path}.kind: must be 'kron' or 'dense', got {kind!r}")
+    return specs
+
+
+def build_model(model_cfg: dict, specs: list, seed: int) -> Network:
+    """The network of ``model_specs``; a net too large to allocate is a
+    config error."""
     init_seed = _nonnegative_int(model_cfg.get("init_seed", seed), "model.init_seed")
     try:
         return build_network(specs, seed=init_seed)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(f"model.layers: {exc}") from exc
 
 
 def build_dataset(ds_cfg: dict, seed: int) -> tuple[Dataset, Dataset | None]:
-    """Returns (train, eval-or-None) per the dataset config."""
+    """Returns (train, eval-or-None) per the dataset config; a teacher too
+    large to allocate is a config error."""
     kind = _require(ds_cfg, "kind", "dataset")
     if kind == "teacher":
         _check_keys(
@@ -284,7 +293,7 @@ def build_dataset(ds_cfg: dict, seed: int) -> tuple[Dataset, Dataset | None]:
                 seed=ds_seed,
                 classification=classification,
             )
-        except ValueError as exc:
+        except (ValueError, MemoryError) as exc:
             raise ConfigError(f"dataset: {exc}") from exc
         if test_fraction > 0:
             try:
@@ -481,8 +490,10 @@ def cmd_train(args) -> int:
     train_section = _section(cfg, "train")
     tcfg = build_train_config(train_section, seed)
     method = args.method
-    net = build_model(_section(cfg, "model"), seed, force_dense=method != "kron")
-    _check_teacher_dims(cfg["dataset"], net.in_dim, net.out_dim)
+    model_cfg = _section(cfg, "model")
+    specs = model_specs(model_cfg, force_dense=method != "kron")
+    _check_teacher_dims(cfg["dataset"], specs[0].in_dim, specs[-1].out_dim)
+    net = build_model(model_cfg, specs, seed)
     if method != "kron":
         block = _parse_block(_require(train_section, "block", "train"), "train.block")
         target = _number(train_section.get("target_rate", 0.5), "train.target_rate")
@@ -561,6 +572,8 @@ def cmd_select_pattern(args) -> int:
         pset = build_pattern_set(layer_dims, blocks_per_pattern, rank, activations, seed)
     except ValueError as exc:
         raise ConfigError(f"select: {exc}") from exc
+    except MemoryError as exc:
+        raise ConfigError(f"model.layers: {exc}") from exc
     result = select_pattern(pset, train_ds, scfg)
     os.makedirs(args.out, exist_ok=True)
     shutil.copyfile(args.config, os.path.join(args.out, "config.json"))

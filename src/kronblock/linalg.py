@@ -130,15 +130,20 @@ def sq_sum(a: np.ndarray) -> float:
     return float(np.sum(a * a))
 
 
-@_counted(lambda a: a.size)
-def relu(a: np.ndarray) -> np.ndarray:
-    return np.maximum(a, 0.0)
+@_counted(lambda a, out=None: a.size)
+def relu(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``max(a, 0)``; with ``out`` (``a`` itself for an in-place relu) it is
+    written there and ``out`` is returned."""
+    return np.maximum(a, 0.0, out=out)
 
 
-@_counted(lambda g, pre: g.size)
-def mask_mul(g: np.ndarray, pre: np.ndarray) -> np.ndarray:
-    """``g * relu'(pre)``: the gradient through a relu with input ``pre``."""
-    return g * (pre > 0.0)
+@_counted(lambda g, act, out=None: g.size)
+def mask_mul(g: np.ndarray, act: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``g * relu'(act)``: the gradient through a relu whose input or output
+    is ``act`` (``act > 0`` is the same mask for both, NaN included). With
+    ``out`` (``g`` itself to mask in place) it is written there and ``out``
+    is returned."""
+    return np.multiply(g, act > 0.0, out=out)
 
 
 def _check_divisible(value: int, factor: int, what: str) -> None:

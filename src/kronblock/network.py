@@ -10,8 +10,11 @@ softmax cross-entropy gradient seed is normalized by the batch size so the
 learning-rate scale is batch-size invariant.
 
 Training runs ``net_forward`` then ``net_backward_params``, which skips the
-gradient w.r.t. the network input (the trainers never read it);
-``net_backward`` also returns that gradient. Each layer runs through
+gradient w.r.t. the network input (the trainers never read it) and returns
+no input gradients; ``net_backward`` also returns them. A relu runs in place
+on the fresh pre-activation, so the forward cache holds each layer's input
+and activation (``LayerCache.out``), and the training backward masks each
+relu gradient in place. Each layer runs through
 ``layer_forward`` and ``layer_backward`` on one of three paths: a factored
 layer on the fold path of :mod:`kronblock.factor` or on the materialized
 path, whichever ``flops.train_path`` counts as no dearer for its shape and
@@ -202,7 +205,10 @@ def loss_and_seed(o: np.ndarray, target, loss_kind: str) -> tuple[float, np.ndar
 @dataclass
 class LayerCache:
     x_in: np.ndarray
-    pre: np.ndarray
+    # the layer's activation, which the next layer takes as its x_in; its
+    # ``> 0`` mask is the relu backward's (relu ran in place on the
+    # pre-activation, and ``relu(pre) > 0`` is ``pre > 0``, NaN included)
+    out: np.ndarray
     # what layer_backward reuses: the fold path's KronForwardCache, or the
     # (W, stacked S * A_i) pair of ``X @ W.T``, with None for a dense layer
     fcache: kf.KronForwardCache | tuple
@@ -228,7 +234,9 @@ def _net_input(net: Network, x) -> np.ndarray:
 
 
 def _activate(layer: Layer, pre: np.ndarray) -> np.ndarray:
-    return relu(pre) if layer.spec.activation == "relu" else pre
+    # in place: ``pre`` is the fresh output of ``layer_forward``, which
+    # nothing else holds
+    return relu(pre, out=pre) if layer.spec.activation == "relu" else pre
 
 
 # OpenBLAS lays a GEMM's output on 16-wide kernel tiles: a weight with fewer
@@ -309,8 +317,9 @@ def net_forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, NetCache]:
     cur = x
     for layer, path in zip(net.layers, train_paths(net, x.shape[0])):
         pre, fcache = layer_forward(layer, path, cur)
-        cache.layers.append(LayerCache(cur, pre, fcache))
-        cur = _activate(layer, pre)
+        out = _activate(layer, pre)
+        cache.layers.append(LayerCache(cur, out, fcache))
+        cur = out
     cache.output = cur
     return cur, cache
 
@@ -334,34 +343,41 @@ def net_predict(net: Network, x: np.ndarray) -> np.ndarray:
     return cur
 
 
-def _backward(net: Network, cache: NetCache, target, loss_kind: str, first_dx: bool):
+def _backward(net: Network, cache: NetCache, target, loss_kind: str, keep_dx: bool):
     if cache.output is None or len(cache.layers) != len(net.layers):
         raise ValueError("cache does not match network")
     loss, d_act = loss_and_seed(cache.output, target, loss_kind)
     grads: list = [None] * len(net.layers)
     for idx in range(len(net.layers) - 1, -1, -1):
         layer, lc = net.layers[idx], cache.layers[idx]
-        d_pre = mask_mul(d_act, lc.pre) if layer.spec.activation == "relu" else d_act
-        grads[idx] = layer_backward(layer, lc.x_in, lc.fcache, d_pre, first_dx or idx > 0)
+        if layer.spec.activation == "relu":
+            d_act = mask_mul(d_act, lc.out, out=None if keep_dx else d_act)
+        grads[idx] = layer_backward(layer, lc.x_in, lc.fcache, d_act, keep_dx or idx > 0)
         d_act = grads[idx].d_x
+        if not keep_dx:
+            grads[idx].d_x = None
     return loss, grads, d_act
 
 
 def net_backward(
     net: Network, cache: NetCache, target, loss_kind: str
 ) -> tuple[float, list, np.ndarray]:
-    """Loss value, per-layer gradients, and the gradient w.r.t. the input."""
-    return _backward(net, cache, target, loss_kind, first_dx=True)
+    """Loss value, per-layer gradients, and the gradient w.r.t. the input.
+    Each layer's gradient keeps its input gradient ``d_x``, before the relu
+    mask of the layer below."""
+    return _backward(net, cache, target, loss_kind, keep_dx=True)
 
 
 def net_backward_params(
     net: Network, cache: NetCache, target, loss_kind: str
 ) -> tuple[float, list]:
     """Loss value and per-layer gradients: the training backward. It is
-    ``net_backward`` without the gradient w.r.t. the network input (the first
-    layer's gradient has ``d_x`` None); every other value comes from the same
+    ``net_backward`` without the gradient w.r.t. the network input, and it
+    returns no input gradients: every gradient has ``d_x`` None. Each inner
+    input gradient is masked by the relu below it in place and dropped once
+    the layer below has used it. Every other value comes from the same
     operations in the same order, so the gradients are bit-identical."""
-    loss, grads, _ = _backward(net, cache, target, loss_kind, first_dx=False)
+    loss, grads, _ = _backward(net, cache, target, loss_kind, keep_dx=False)
     return loss, grads
 
 

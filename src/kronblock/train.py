@@ -187,14 +187,17 @@ def sgd_step(net: Network, grads: list, vel: list, cfg: TrainConfig, prox_l1: bo
     """One momentum-SGD step per layer, on all its parameters at once (a
     factored layer's flat S, A, B buffer, or a dense ``w``); factored-layer
     masks then get the L1 proximal soft-threshold (step size lr*lam) when
-    prox_l1 and lam > 0."""
+    prox_l1 and lam > 0.
+
+    It consumes ``grads``: once a gradient is in the momentum, its buffer
+    holds the step ``lr * v``, so the step needs no temporary of its own."""
     lr, mu = cfg.learning_rate, cfg.momentum
     for layer, g, v in zip(net.layers, grads, vel):
         kron = layer.spec.kind == "kron"
         params, grad = (layer.factor.flat, g.flat) if kron else (layer.w, g.d_w)
         v *= mu
         v += grad
-        params -= lr * v
+        params -= np.multiply(v, lr, out=grad)
         if kron and prox_l1 and cfg.lam > 0:
             s = layer.factor.s
             s[:] = soft_threshold(s, lr * cfg.lam)

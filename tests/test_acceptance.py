@@ -31,7 +31,15 @@ from kronblock.flops import (
     two_layer_dense_report,
     two_layer_kron_report,
 )
-from kronblock.network import build_network, dense_spec, kron_spec, net_backward, net_forward
+from kronblock.network import (
+    build_network,
+    dense_spec,
+    kron_spec,
+    layer_forward,
+    net_backward,
+    net_forward,
+    train_paths,
+)
 
 from conftest import (
     finite_diff,
@@ -59,6 +67,17 @@ def test_criterion_1_kron_dense_equivalence():
     ok = worst <= 1e-10
     report(1, ok, f"1000 cases, max abs diff {worst:.3e} (tol 1e-10)")
     assert ok
+
+
+def _pre_activations(net, x):
+    # each layer's pre-activation, run layer by layer on its training path as
+    # net_forward runs it: the training cache holds activations, whose relu
+    # zeros do not tell how near 0 the pre-activation was
+    pres, cur = [], x
+    for layer, path in zip(net.layers, train_paths(net, x.shape[0])):
+        pres.append(layer_forward(layer, path, cur)[0])
+        cur = np.maximum(pres[-1], 0.0) if layer.spec.activation == "relu" else pres[-1]
+    return pres
 
 
 def _fd_config(rng, idx):
@@ -90,8 +109,7 @@ def _fd_config(rng, idx):
     # avoid relu kinks: resample X until every pre-activation is well away from 0
     for _ in range(50):
         x = rng.standard_normal((n_batch, net.in_dim))
-        _, cache = net_forward(net, x)
-        if all(np.min(np.abs(lc.pre)) > 1e-3 for lc in cache.layers):
+        if all(np.min(np.abs(pre)) > 1e-3 for pre in _pre_activations(net, x)):
             break
     if loss == "squared_frobenius":
         target = rng.standard_normal((n_batch, net.out_dim))

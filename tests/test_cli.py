@@ -1,9 +1,12 @@
 import json
+import os
+import pathlib
+import tempfile
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from kronblock import KronShape, SelectConfig, TrainConfig
@@ -451,6 +454,111 @@ def test_flop_audit_batch_is_capped(tmp_path, capsys):
         f"error: flops.batch: must be at most {FLOP_AUDIT_MAX_BATCH}, got {batch}\n"
         for batch in (10**12, FLOP_AUDIT_MAX_BATCH + 1)
     )
+
+
+def _oversized_config(case):
+    # sizes of at least 2**40 values, which numpy refuses to allocate at once
+    cfg = teacher_train_config()
+    if case == "input_width":
+        cfg["model"]["layers"][0]["n"] = 10**12
+    elif case == "hidden_width":
+        cfg["model"]["layers"] = [
+            {"kind": "kron", "m": 2**40, "n": 16, "block": [2, 2], "activation": "relu"},
+            {"kind": "kron", "m": 8, "n": 2**40, "block": [2, 2]},
+        ]
+    else:
+        cfg["dataset"]["n_samples"] = 10**12
+    return cfg
+
+
+OVERSIZED_MESSAGES = {
+    "input_width": "dataset.n: 16 does not match the model's input width 1000000000000\n",
+    "hidden_width": "model.layers: Unable to allocate ",
+    "n_samples": "dataset: Unable to allocate ",
+}
+
+
+@pytest.mark.parametrize("method", ["kron", "group-lasso", "prune"])
+@pytest.mark.parametrize("case", sorted(OVERSIZED_MESSAGES))
+def test_oversized_config_is_a_config_error(tmp_path, capsys, method, case):
+    # a model or teacher too large to allocate ends with exit code 1 and one
+    # line naming the field, not a MemoryError traceback; the teacher's widths
+    # are checked before the model is allocated
+    path = write_config(tmp_path / "c.json", _oversized_config(case))
+    argv = ["train", "--config", path, "--method", method, "--out", str(tmp_path / "x")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {OVERSIZED_MESSAGES[case]}") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_oversized_select_model_is_a_config_error(tmp_path, capsys):
+    cfg = select_config()
+    cfg["model"]["layers"] = [{"kind": "kron", "m": 2**40, "n": 32, "activation": "relu"},
+                              {"kind": "kron", "m": 16, "n": 2**40}]
+    cfg["select"]["patterns"] = [[[2, 2], [2, 2]], [[4, 4], [4, 4]]]
+    path = write_config(tmp_path / "c.json", cfg)
+    assert main(["select-pattern", "--config", path, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: model.layers: Unable to allocate ") and err.count("\n") == 1
+
+
+# Config fields the whole-config fuzz mutates, as key paths into
+# teacher_train_config(); whole sections and the layer list are fields too.
+FUZZ_FIELDS = (
+    ("seed",), ("dataset",), ("model",), ("train",), ("model", "layers"),
+    ("model", "layers", 0),
+    *(("dataset", key) for key in teacher_train_config()["dataset"]),
+    *(("model", "layers", 0, key) for key in teacher_train_config()["model"]["layers"][0]),
+    *(("train", key) for key in teacher_train_config()["train"]),
+    ("train", "target_rate"), ("train", "rounds"), ("model", "init_seed"),
+)
+ABSURD_SIZES = (2**40, 10**12)
+FUZZ_VALUES = st.one_of(
+    st.sampled_from([0, -1, 0.5, 1, 2, 3, 4, 16, *ABSURD_SIZES]),
+    st.sampled_from([None, True, False, "", "x", "relu", "kron", "dense", "teacher",
+                     "mnist", "squared_frobenius", "softmax_cross_entropy"]),
+    st.lists(st.sampled_from([-1, 0, 1, 2, 4, 2**40]), max_size=3),
+    st.dictionaries(st.sampled_from(["a", "kind"]), st.integers(0, 2), max_size=1),
+)
+# fields whose size sets how long an accepted config trains: small values only
+TRAINING_LENGTH = {("train", "epochs"), ("train", "rounds")}
+
+
+def _mutated(mutations):
+    cfg = teacher_train_config()
+    for path, value in mutations:
+        if path in TRAINING_LENGTH and value in ABSURD_SIZES:
+            value = 3
+        try:
+            section = cfg
+            for key in path[:-1]:
+                section = section[key]
+            section[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier mutation replaced a section on the path
+    return cfg
+
+
+@pytest.mark.parametrize("method", ["kron", "group-lasso", "prune"])
+@given(mutations=st.lists(st.tuples(st.sampled_from(FUZZ_FIELDS), FUZZ_VALUES),
+                          min_size=1, max_size=2))
+@example(mutations=[(("model", "layers", 0, "n"), 10**12)])
+@example(mutations=[(("dataset", "n_samples"), 10**12)])
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_whole_config_fuzz(capsys, method, mutations):
+    # one or two fields of a valid config set to JSON values of any type or
+    # an absurd size: the run ends with exit code 0, 1 or 2, and on 1 or 2
+    # with exactly one line on stderr, never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_config(pathlib.Path(tmp) / "c.json", _mutated(mutations))
+        code = main(["train", "--config", path, "--method", method,
+                     "--out", os.path.join(tmp, "out")])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code:
+        assert err.count("\n") == 1 and err.endswith("\n"), err
 
 
 def _rank_case(command, field, rank):

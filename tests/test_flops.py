@@ -566,7 +566,7 @@ def test_bench_train_script_writes_schema(tmp_path, monkeypatch):
     result = json.loads(out_path.read_text())
     assert set(result) == {"benchmark", "rank", "repeats", "seed", "environment", "cells",
                            "rule_right", "rule_wrong", "tile_ops", "epochs"}
-    assert {"blas", "blas_version", "blas_threads"} <= set(result["environment"])
+    assert {"blas", "blas_version", "blas_threads", "heap_policy"} <= set(result["environment"])
     # a four-element shape is at the default rank 2, a fifth element sets it
     shapes = [KronShape(8, 16, 2, 2, 2)] * 2 + [KronShape(2, 4, 8, 8, 4)] * 2
     assert [c["batch"] for c in result["cells"]] == [1, 64, 1, 64]
@@ -574,7 +574,14 @@ def test_bench_train_script_writes_schema(tmp_path, monkeypatch):
     steps = ("backward", "backward_dx")
     for cell, shape in zip(result["cells"], shapes, strict=True):
         assert set(cell) == {"shape", "r", "m", "n", "batch", *paths, "dense", "update",
-                             "pick", "faster", "pick_is_faster"}
+                             "pick", "faster", "pick_is_faster", "step_peak_bytes"}
+        # the traced peak of one step per path, without and with the input
+        # gradient; a step allocates at least its output and its gradients
+        assert set(cell["step_peak_bytes"]) == {*paths, "dense"}
+        for peaks in cell["step_peak_bytes"].values():
+            assert set(peaks) == set(steps)
+            assert all(isinstance(v, int) and v >= 8 * cell["batch"] * cell["m"]
+                       for v in peaks.values())
         assert cell["shape"] == [shape.m1, shape.n1, shape.m2, shape.n2]
         assert cell["r"] == shape.r
         rows = [cell[path][part] for path in (*paths, "dense")
