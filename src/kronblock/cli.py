@@ -26,7 +26,7 @@ import platform
 import shutil
 import sys
 import time
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import get_type_hints
 
 import numpy as np
@@ -76,7 +76,6 @@ from .patterns import (
 from .shapeopt import optimal_shape, shape_report
 from .train import (
     METRIC_FIELDS,
-    MetricRecord,
     TrainConfig,
     TrainingDivergedError,
     eval_metrics,
@@ -310,44 +309,51 @@ def build_dataset(ds_cfg: dict, seed: int) -> tuple[Dataset, Dataset | None]:
         paths = find_mnist(data_dir)
         if paths is None:
             raise ConfigError(f"dataset.dir: MNIST files not found under {data_dir}")
-        try:
-            train = load_idx(paths["train_images"], paths["train_labels"])
-            test = load_idx(paths["test_images"], paths["test_labels"])
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"dataset: {exc}") from exc
-        limit = ds_cfg.get("limit")
-        if limit is not None:
-            limit = _positive_int(limit, "dataset.limit")
-            train = train.subset(np.arange(min(limit, train.n)))
-        return train, test
-    if kind == "idx":
+        pairs = [(paths[f"{part}_images"], paths[f"{part}_labels"]) for part in ("train", "test")]
+    elif kind == "idx":
         _check_keys(
             ds_cfg, {"kind", "images", "labels", "test_images", "test_labels"}, "dataset"
         )
-        keys = ("images", "labels")
-        if "test_images" in ds_cfg:
-            keys += ("test_images", "test_labels")
-        files = {key: _string(_require(ds_cfg, key, "dataset"), f"dataset.{key}") for key in keys}
-        try:
-            train = load_idx(files["images"], files["labels"])
-            test = None
-            if "test_images" in files:
-                test = load_idx(files["test_images"], files["test_labels"])
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"dataset: {exc}") from exc
-        return train, test
-    raise ConfigError(f"dataset.kind: unknown kind {kind!r}")
+        prefixes = ("", "test_") if "test_images" in ds_cfg else ("",)
+        pairs = [[_string(_require(ds_cfg, p + key, "dataset"), f"dataset.{p}{key}")
+                  for key in ("images", "labels")] for p in prefixes]
+    else:
+        raise ConfigError(f"dataset.kind: unknown kind {kind!r}")
+    try:
+        train, *test = [load_idx(*pair) for pair in pairs]
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"dataset: {exc}") from exc
+    limit = ds_cfg.get("limit")
+    if limit is not None:
+        limit = _positive_int(limit, "dataset.limit")
+        train = train.subset(np.arange(min(limit, train.n)))
+    return train, (test[0] if test else None)
 
 
-def _check_teacher_dims(ds_cfg: dict, in_dim: int, out_dim: int) -> None:
-    """A teacher dataset's ``n`` and ``m`` must be the model's input and output
-    widths (labels index the outputs; targets are compared with them)."""
-    if ds_cfg.get("kind") != "teacher":
+def _check_fit(ds_cfg: dict, sets: list, loss: str, in_dim: int, out_dim: int) -> None:
+    """The built ``sets`` fit the model's widths: a teacher's ``n`` and ``m``
+    equal them; an IDX set has as many features, and no label past the
+    outputs (``class_count``, which a subset shares, so no rows are gathered).
+    Cross-entropy takes labels, the squared loss regression targets."""
+    labelled = sets[0].class_count is not None
+    if labelled != (loss == "softmax_cross_entropy"):
+        targets = "class labels" if labelled else "regression targets"
+        raise ConfigError(f"train.loss: {loss} does not fit a dataset of {targets}")
+    if ds_cfg["kind"] == "teacher":
+        for key, width, what in (("n", in_dim, "input"), ("m", out_dim, "output")):
+            if ds_cfg[key] != width:
+                raise ConfigError(
+                    f"dataset.{key}: {ds_cfg[key]} does not match the model's {what} width {width}"
+                )
         return
-    for key, width, what in (("n", in_dim, "input"), ("m", out_dim, "output")):
-        if ds_cfg[key] != width:
+    for ds in sets:
+        if ds.width != in_dim:
             raise ConfigError(
-                f"dataset.{key}: {ds_cfg[key]} does not match the model's {what} width {width}"
+                f"dataset: images have {ds.width} pixels, but the model's input width is {in_dim}"
+            )
+        if ds.class_count > out_dim:
+            raise ConfigError(
+                f"dataset: labels reach {ds.class_count - 1}, past the model's output width {out_dim}"
             )
 
 
@@ -436,38 +442,35 @@ def run_environment() -> dict:
     }
 
 
-def _run_info(net: Network, eval_ds: Dataset, paths: list) -> dict:
-    """Wall clock, the run's environment, the training path of each layer
-    (``paths``, from ``network.train_paths``), and its inference path at the
-    row count of the set the run evaluates on (``network.eval_paths``)."""
-    return {
+def write_run(args, run: RunInputs, net: Network, name: str, records: list, summary: dict,
+              paths: list) -> int:
+    """Write the run directory and print the summary: config.json, the
+    ``records`` as ``<name>.ndjson`` (and metrics.csv), summary.json (with the
+    seed), run_info.json (wall clock, environment, the training ``paths`` and
+    the inference paths at the eval set's rows) and the checkpoint of ``net``."""
+    os.makedirs(args.out, exist_ok=True)
+    shutil.copyfile(args.config, os.path.join(args.out, "config.json"))
+    with open(os.path.join(args.out, f"{name}.ndjson"), "w") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+    if name == "metrics":
+        with open(os.path.join(args.out, "metrics.csv"), "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(METRIC_FIELDS)
+            for rec in records:
+                writer.writerow([repr(getattr(rec, f)) for f in METRIC_FIELDS])
+    summary = {**summary, "seed": run.seed}
+    _dump_json(os.path.join(args.out, "summary.json"), summary)
+    eval_ds = run.eval_ds if run.eval_ds is not None else run.train_ds
+    _dump_json(os.path.join(args.out, "run_info.json"), {
         "timestamp": time.time(),
         "environment": run_environment(),
         "train_paths": paths,
         "eval_paths": eval_paths(net, eval_ds.n),
-    }
-
-
-def _batch_rows(tcfg: TrainConfig, ds: Dataset) -> int:
-    # rows of a full training batch (the last batch of an epoch may be smaller)
-    return min(tcfg.batch_size, ds.n)
-
-
-def write_run_outputs(
-    out_dir: str, config_path: str, records: list[MetricRecord], summary: dict, run_info: dict
-):
-    os.makedirs(out_dir, exist_ok=True)
-    shutil.copyfile(config_path, os.path.join(out_dir, "config.json"))
-    with open(os.path.join(out_dir, "metrics.ndjson"), "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
-    with open(os.path.join(out_dir, "metrics.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRIC_FIELDS)
-        for rec in records:
-            writer.writerow([repr(getattr(rec, f)) for f in METRIC_FIELDS])
-    _dump_json(os.path.join(out_dir, "summary.json"), summary)
-    _dump_json(os.path.join(out_dir, "run_info.json"), run_info)
+    })
+    save_network(os.path.join(args.out, "checkpoint.kbn"), net)
+    print(json.dumps(summary, sort_keys=True))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -482,77 +485,100 @@ def _config_seed(args, cfg: dict) -> int:
     return _nonnegative_int(cfg.get("seed", 0), "seed")
 
 
-def cmd_train(args) -> int:
+@dataclass(frozen=True)
+class RunInputs:
+    """What ``train`` and ``select-pattern`` read alike (``run_inputs``)."""
+
+    cfg: dict
+    seed: int
+    train_ds: Dataset
+    eval_ds: Dataset | None
+    tcfg: TrainConfig
+    block: tuple[int, int] | None
+    target_rate: float
+    rounds: int
+    model: object  # the first value of the command's ``parse_model``
+
+    @property
+    def batch_rows(self) -> int:
+        # rows of a full training batch (the last batch of an epoch may be smaller)
+        return min(self.tcfg.batch_size, self.train_ds.n)
+
+
+def run_inputs(args, sections: set[str], parse_model, block_required: bool = False) -> RunInputs:
+    """The front end of ``train`` and ``select-pattern``: the config (top-level
+    keys seed, dataset, model, train and ``sections``), seed, datasets,
+    ``train`` section, and the model that ``parse_model(model_cfg)`` returns
+    with its input and output widths, which the datasets must fit, before any
+    net is allocated. ``train.block``, ``target_rate`` and ``rounds`` are read
+    under every method, so no bad value passes unread; ``block`` is None when
+    absent and not ``block_required``."""
     cfg = load_config(args.config)
-    _check_keys(cfg, {"seed", "dataset", "model", "train"}, "config")
+    _check_keys(cfg, {"seed", "dataset", "model", "train", *sections}, "config")
     seed = _config_seed(args, cfg)
     train_ds, eval_ds = build_dataset(_section(cfg, "dataset"), seed)
     train_section = _section(cfg, "train")
     tcfg = build_train_config(train_section, seed)
-    method = args.method
-    model_cfg = _section(cfg, "model")
-    specs = model_specs(model_cfg, force_dense=method != "kron")
-    _check_teacher_dims(cfg["dataset"], specs[0].in_dim, specs[-1].out_dim)
-    net = build_model(model_cfg, specs, seed)
-    if method != "kron":
+    block = None
+    if block_required or "block" in train_section:
         block = _parse_block(_require(train_section, "block", "train"), "train.block")
-        target = _number(train_section.get("target_rate", 0.5), "train.target_rate")
-        rounds = _positive_int(train_section.get("rounds", 1), "train.rounds")
+    target = _number(train_section.get("target_rate", 0.5), "train.target_rate")
+    rounds = _positive_int(train_section.get("rounds", 1), "train.rounds")
+    model, in_dim, out_dim = parse_model(_section(cfg, "model"))
+    sets = [ds for ds in (train_ds, eval_ds) if ds is not None]
+    _check_fit(cfg["dataset"], sets, tcfg.loss, in_dim, out_dim)
+    return RunInputs(cfg, seed, train_ds, eval_ds, tcfg, block, target, rounds, model)
+
+
+def cmd_train(args) -> int:
+    method = args.method
+
+    def parse_model(model_cfg: dict):
+        specs = model_specs(model_cfg, force_dense=method != "kron")
+        return specs, specs[0].in_dim, specs[-1].out_dim
+
+    run = run_inputs(args, set(), parse_model, block_required=method != "kron")
+    net = build_model(run.cfg["model"], run.model, run.seed)
     try:
         if method == "kron":
-            net, records = train_kron(net, train_ds, tcfg, eval_data=eval_ds)
+            net, records = train_kron(net, run.train_ds, run.tcfg, eval_data=run.eval_ds)
         elif method == "group-lasso":
-            net, records = train_group_lasso(net, train_ds, tcfg, block, eval_data=eval_ds)
+            net, records = train_group_lasso(
+                net, run.train_ds, run.tcfg, run.block, eval_data=run.eval_ds
+            )
         else:
             net, records = prune_blocks(
-                net, train_ds, tcfg, block, target, rounds, eval_data=eval_ds
+                net, run.train_ds, run.tcfg, run.block, run.target_rate, run.rounds,
+                eval_data=run.eval_ds,
             )
     except ValueError as exc:
         raise ConfigError(f"train: {exc}") from exc
-    final = records[-1]
-    summary = {
-        "method": method,
-        "epochs": final.epoch,
-        "accuracy": final.accuracy,
-        "eval_loss": final.eval_loss,
-        "train_loss": final.train_loss,
-        "sparsity_rate": final.sparsity_rate,
-        "trainable_params": final.trainable_params,
-        "forward_flops": final.forward_flops,
-        "backward_flops": final.backward_flops,
-        "seed": seed,
-    }
-    run_info = _run_info(
-        net, eval_ds if eval_ds is not None else train_ds,
-        train_paths(net, _batch_rows(tcfg, train_ds)),
-    )
-    write_run_outputs(args.out, args.config, records, summary, run_info)
-    save_network(os.path.join(args.out, "checkpoint.kbn"), net)
-    print(json.dumps(summary, sort_keys=True))
-    return 0
+    summary = records[-1].to_dict()
+    summary["epochs"] = summary.pop("epoch")
+    summary["method"] = method
+    paths = train_paths(net, run.batch_rows)
+    return write_run(args, run, net, "metrics", records, summary, paths)
 
 
-def cmd_select_pattern(args) -> int:
-    cfg = load_config(args.config)
-    _check_keys(cfg, {"seed", "dataset", "model", "train", "select"}, "config")
-    seed = _config_seed(args, cfg)
-    train_ds, eval_ds = build_dataset(_section(cfg, "dataset"), seed)
-    tcfg = build_train_config(_section(cfg, "train"), seed)
-    select_cfg = _section(cfg, "select")
-    scfg = build_select_config(select_cfg, tcfg)
-
-    layer_dims = []
-    activations = []
-    for path, layer in _model_layers(
-        _section(cfg, "model"), {"layers"}, {"kind", "activation", "m", "n"}
-    ):
+def _select_layers(model_cfg: dict):
+    """The ``(m, n)`` and activation of each layer of a ``select-pattern``
+    model, with its input and output widths."""
+    layer_dims, activations = [], []
+    for path, layer in _model_layers(model_cfg, {"layers"}, {"kind", "activation", "m", "n"}):
         if layer.get("kind", "kron") != "kron":
             raise ConfigError(f"{path}.kind: pattern selection factorizes every layer")
         m = _positive_int(_require(layer, "m", path), f"{path}.m")
         n = _positive_int(_require(layer, "n", path), f"{path}.n")
         layer_dims.append((m, n))
         activations.append(_activation(layer, path))
-    _check_teacher_dims(cfg["dataset"], layer_dims[0][1], layer_dims[-1][0])
+    return (layer_dims, activations), layer_dims[0][1], layer_dims[-1][0]
+
+
+def cmd_select_pattern(args) -> int:
+    run = run_inputs(args, {"select"}, _select_layers)
+    layer_dims, activations = run.model
+    select_cfg = _section(run.cfg, "select")
+    scfg = build_select_config(select_cfg, run.tcfg)
     patterns_cfg = _require(select_cfg, "patterns", "select")
     if not isinstance(patterns_cfg, list) or len(patterns_cfg) < 2:
         raise ConfigError("select.patterns: need at least 2 patterns")
@@ -569,22 +595,12 @@ def cmd_select_pattern(args) -> int:
             if m % m2 == 0 and n % n2 == 0:  # build_pattern_set names a misfit block
                 _bounded_rank(KronShape(m // m2, n // n2, m2, n2, rank), "select.rank")
     try:
-        pset = build_pattern_set(layer_dims, blocks_per_pattern, rank, activations, seed)
+        pset = build_pattern_set(layer_dims, blocks_per_pattern, rank, activations, run.seed)
     except ValueError as exc:
         raise ConfigError(f"select: {exc}") from exc
     except MemoryError as exc:
         raise ConfigError(f"model.layers: {exc}") from exc
-    result = select_pattern(pset, train_ds, scfg)
-    os.makedirs(args.out, exist_ok=True)
-    shutil.copyfile(args.config, os.path.join(args.out, "config.json"))
-    with open(os.path.join(args.out, "selection.ndjson"), "w") as fh:
-        for rec in result.history:
-            fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
-    eval_section = {}
-    if eval_ds is not None:
-        eval_loss, accuracy = eval_metrics(result.net, eval_ds, tcfg.loss)
-        eval_section = {"eval_loss": eval_loss, "accuracy": accuracy}
-
+    result = select_pattern(pset, run.train_ds, scfg)
     summary = {
         "winner": result.winner,
         "winner_blocks": blocks_per_pattern[result.winner],
@@ -593,18 +609,13 @@ def cmd_select_pattern(args) -> int:
         "lambda2_final": result.lambda2_final,
         "group_norms": result.group_norms,
         "selection_params": selection_param_count(pset.shapes),
-        "seed": seed,
-        **eval_section,
     }
-    _dump_json(os.path.join(args.out, "summary.json"), summary)
-    run_info = _run_info(
-        result.net, eval_ds if eval_ds is not None else train_ds,
-        [train_paths(net, _batch_rows(tcfg, train_ds)) for net in pset.nets],
-    )
-    _dump_json(os.path.join(args.out, "run_info.json"), run_info)
-    save_network(os.path.join(args.out, "checkpoint.kbn"), result.net)
-    print(json.dumps(summary, sort_keys=True))
-    return 0
+    if run.eval_ds is not None:
+        summary["eval_loss"], summary["accuracy"] = eval_metrics(
+            result.net, run.eval_ds, run.tcfg.loss
+        )
+    paths = [train_paths(net, run.batch_rows) for net in pset.nets]
+    return write_run(args, run, result.net, "selection", result.history, summary, paths)
 
 
 def cmd_shape_opt(args) -> int:

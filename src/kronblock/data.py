@@ -117,6 +117,11 @@ class Dataset:
         return self._gather("_y")
 
     @property
+    def width(self) -> int:
+        """Features per row."""
+        return self._x.shape[1]
+
+    @property
     def n(self) -> int:
         return self._x.shape[0] if self._rows is None else self._rows.shape[0]
 
@@ -178,37 +183,34 @@ def write_idx(path, arr: np.ndarray) -> None:
         fh.write(arr.astype(_IDX_DTYPES[code]).tobytes())
 
 
+def _read_mnist_idx(path, magic: int) -> np.ndarray:
+    """The array of IDX file ``path`` (``read_idx``), whose magic must be
+    ``magic``: unsigned bytes in as many dimensions as its low byte says."""
+    arr = read_idx(path)
+    if arr.dtype != np.uint8 or arr.ndim != magic & 0xFF:
+        raise IdxBadMagicError(
+            f"{path}: holds {arr.ndim}-D {arr.dtype}, expected magic {magic:#010x}"
+        )
+    return arr
+
+
 def load_idx(images_path, labels_path) -> Dataset:
     """Load an MNIST-style image/label pair.
 
-    Checks the magic numbers (0x00000803 / 0x00000801) and that each payload
-    ends its file, flattens each image row-major and scales pixels to [0, 1]
-    by /255.
+    Reads both files with ``read_idx`` and checks their magic numbers
+    (0x00000803: 3-D unsigned bytes; 0x00000801: 1-D unsigned bytes) and that
+    there is one label per image; flattens each image row-major and scales
+    pixels to [0, 1] by /255.
     """
-    with open(images_path, "rb") as fh:
-        magic = struct.unpack(">I", _read_exact(fh, 4, images_path))[0]
-        if magic != IDX_IMAGE_MAGIC:
-            raise IdxBadMagicError(
-                f"{images_path}: bad magic {magic:#010x}, expected {IDX_IMAGE_MAGIC:#010x}"
-            )
-        count, rows, cols = struct.unpack(">3I", _read_exact(fh, 12, images_path))
-        raw = _read_payload(fh, count * rows * cols, (count, rows, cols), images_path)
-    images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
-
-    with open(labels_path, "rb") as fh:
-        magic = struct.unpack(">I", _read_exact(fh, 4, labels_path))[0]
-        if magic != IDX_LABEL_MAGIC:
-            raise IdxBadMagicError(
-                f"{labels_path}: bad magic {magic:#010x}, expected {IDX_LABEL_MAGIC:#010x}"
-            )
-        label_count = struct.unpack(">I", _read_exact(fh, 4, labels_path))[0]
-        label_raw = _read_payload(fh, label_count, (label_count,), labels_path)
-    if label_count != count:
+    images = _read_mnist_idx(images_path, IDX_IMAGE_MAGIC)
+    labels = _read_mnist_idx(labels_path, IDX_LABEL_MAGIC)
+    count, rows, cols = images.shape
+    if labels.shape[0] != count:
         raise IdxCountMismatchError(
-            f"{images_path} has {count} images but {labels_path} has {label_count} labels"
+            f"{images_path} has {count} images but {labels_path} has {labels.shape[0]} labels"
         )
-    labels = np.frombuffer(label_raw, dtype=np.uint8).astype(np.int64)
-    return Dataset(images.astype(np.float64) / 255.0, labels=labels)
+    x = images.reshape(count, rows * cols).astype(np.float64) / 255.0
+    return Dataset(x, labels=labels.astype(np.int64))
 
 
 def default_data_dir() -> str:

@@ -12,7 +12,7 @@ group norm is still above threshold; that winner is then fine-tuned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -125,12 +125,7 @@ class SelectionRecord:
     l1_norm: float
 
     def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "k": self.k,
-            "group_norm": self.group_norm,
-            "l1_norm": self.l1_norm,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -209,9 +204,7 @@ def select_pattern(pset: PatternSet, data: Dataset, cfg: SelectConfig) -> Select
             winner, stop_epoch = alive[0], epoch
             break
     if winner is None:
-        norms = [_group_norm(net) for net in pset.nets]
         winner = int(np.argmax(norms))
-    final_norms = [_group_norm(net) for net in pset.nets]
     finetune_metrics: list[MetricRecord] = []
     if cfg.finetune_epochs > 0:
         ft_cfg = replace(
@@ -228,7 +221,7 @@ def select_pattern(pset: PatternSet, data: Dataset, cfg: SelectConfig) -> Select
         net=pset.nets[winner],
         lambda1_final=lam1,
         lambda2_final=lam2,
-        group_norms=final_norms,
+        group_norms=norms,
         finetune_metrics=finetune_metrics,
     )
 

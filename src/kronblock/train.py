@@ -9,7 +9,7 @@ penalties are handled proximally (exact zeros), never by subgradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -70,18 +70,6 @@ class TrainConfig:
             raise ValueError(f"unknown loss {self.loss!r}")
 
 
-METRIC_FIELDS = (
-    "epoch",
-    "train_loss",
-    "eval_loss",
-    "accuracy",
-    "sparsity_rate",
-    "trainable_params",
-    "forward_flops",
-    "backward_flops",
-)
-
-
 @dataclass
 class MetricRecord:
     epoch: int
@@ -94,7 +82,11 @@ class MetricRecord:
     backward_flops: int
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in METRIC_FIELDS}
+        return asdict(self)
+
+
+# the columns of metrics.csv
+METRIC_FIELDS = tuple(f.name for f in fields(MetricRecord))
 
 
 def soft_threshold(x: np.ndarray, t: float) -> np.ndarray:

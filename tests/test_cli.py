@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from kronblock import KronShape, SelectConfig, TrainConfig
+from kronblock import KronShape, SelectConfig, TrainConfig, write_idx
 from kronblock.cli import (
     CONFIG_KEYS,
     ConfigError,
@@ -422,6 +422,95 @@ def test_teacher_dims_must_match_model(tmp_path, capsys, command, key, value, wi
     )
 
 
+def _idx_files(tmp_path, kind):
+    """A 6-image 2x2 IDX pair whose labels reach 9, as a dataset of ``kind``:
+    ``idx`` names the pair, ``mnist`` a directory holding it under the MNIST
+    names, as both the training and the test set."""
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    images = np.arange(24, dtype=np.uint8).reshape(6, 2, 2)
+    labels = np.array([0, 1, 2, 9, 3, 4], dtype=np.uint8)
+    for prefix in ("train", "t10k"):
+        write_idx(data_dir / f"{prefix}-images-idx3-ubyte", images)
+        write_idx(data_dir / f"{prefix}-labels-idx1-ubyte", labels)
+    if kind == "mnist":
+        return {"kind": "mnist", "dir": str(data_dir)}
+    return {"kind": "idx", "images": str(data_dir / "train-images-idx3-ubyte"),
+            "labels": str(data_dir / "train-labels-idx1-ubyte")}
+
+
+WIDTH_CASES = {
+    # model (m, n): the line the run ends with
+    (4, 4): "dataset: labels reach 9, past the model's output width 4",
+    (10, 8): "dataset: images have 4 pixels, but the model's input width is 8",
+}
+
+
+@pytest.mark.parametrize("kind", ["idx", "mnist"])
+@pytest.mark.parametrize("dims", sorted(WIDTH_CASES))
+@pytest.mark.parametrize("command", ["kron", "group-lasso", "select-pattern"])
+def test_dataset_must_fit_model_widths(tmp_path, capsys, kind, dims, command):
+    # an IDX set whose labels reach past the model's outputs, or whose images
+    # are narrower than its input, ends with exit code 1 and one line before
+    # any net is allocated; it used to end in an IndexError or ValueError
+    # traceback from the first training step
+    m, n = dims
+    if command == "select-pattern":
+        cfg = select_config()
+        cfg["model"]["layers"] = [{"kind": "kron", "m": m, "n": n}]
+        cfg["select"]["patterns"] = [[[2, 2]], [[1, 2]]]
+        argv = ["select-pattern"]
+    else:
+        cfg = teacher_train_config()
+        cfg["model"]["layers"] = [{"kind": "kron", "m": m, "n": n, "block": [2, 2]}]
+        argv = ["train", "--method", command]
+    cfg["dataset"] = _idx_files(tmp_path, kind)
+    argv += ["--config", write_config(tmp_path / "c.json", cfg), "--out", str(tmp_path / "x")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {WIDTH_CASES[dims]}\n"
+
+
+@pytest.mark.parametrize("classification,loss,targets", [
+    (True, "squared_frobenius", "class labels"),
+    (False, "softmax_cross_entropy", "regression targets"),
+])
+@pytest.mark.parametrize("command", ["train", "select-pattern"])
+def test_loss_must_fit_dataset_targets(tmp_path, capsys, command, classification, loss, targets):
+    # found by the select-pattern fuzz: the first step raised a ValueError,
+    # a traceback under select-pattern
+    cfg = teacher_train_config() if command == "train" else select_config()
+    cfg["dataset"]["classification"] = classification
+    cfg["train"]["loss"] = loss
+    path = write_config(tmp_path / "c.json", cfg)
+    assert main([command, "--config", path, "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: train.loss: {loss} does not fit a dataset of {targets}\n"
+    )
+
+
+@pytest.mark.parametrize("key,value", [("block", "mnist"), ("target_rate", [1]), ("rounds", -1)])
+@pytest.mark.parametrize("command", ["kron", "select-pattern"])
+def test_method_fields_read_under_every_command(tmp_path, capsys, command, key, value):
+    # train.block, train.target_rate and train.rounds are read under every
+    # method and by select-pattern: a bad value ends with the line prune
+    # prints, never passes unread
+    cfg = teacher_train_config()
+    cfg["train"][key] = value
+    argv = ["--config", write_config(tmp_path / "c.json", cfg), "--out", str(tmp_path / "x")]
+    assert main(["train", "--method", "prune", *argv]) == 1
+    want = capsys.readouterr().err
+    assert want.startswith(f"error: train.{key}: ") and want.count("\n") == 1
+    if command == "select-pattern":
+        cfg = select_config()
+        cfg["train"][key] = value
+        argv = ["select-pattern", "--config", write_config(tmp_path / "s.json", cfg),
+                "--out", str(tmp_path / "x")]
+    else:
+        argv = ["train", "--method", "kron", *argv]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == want
+
+
 @pytest.mark.parametrize(
     "dataset,field",
     [
@@ -525,11 +614,12 @@ FUZZ_VALUES = st.one_of(
 TRAINING_LENGTH = {("train", "epochs"), ("train", "rounds")}
 
 
-def _mutated(mutations):
-    cfg = teacher_train_config()
+def _mutated(mutations, base=teacher_train_config, length=TRAINING_LENGTH, small=3):
+    # ``base()`` with each (path, value) set; an absurd training length is ``small``
+    cfg = base()
     for path, value in mutations:
-        if path in TRAINING_LENGTH and value in ABSURD_SIZES:
-            value = 3
+        if path in length and value in ABSURD_SIZES:
+            value = small
         try:
             section = cfg
             for key in path[:-1]:
@@ -691,6 +781,44 @@ def test_select_rejects_single_pattern(tmp_path):
     cfg["select"]["patterns"] = [[[2, 2]]]
     path = write_config(tmp_path / "s.json", cfg)
     assert main(["select-pattern", "--config", path, "--out", str(tmp_path / "x")]) == 1
+
+
+# Fields of select_config() the select-pattern fuzz mutates: every section,
+# the layer list and the pattern list, and every key a section takes.
+SELECT_FUZZ_FIELDS = (
+    ("seed",), ("dataset",), ("model",), ("train",), ("select",), ("model", "layers"),
+    ("model", "layers", 0), ("select", "patterns"), ("select", "patterns", 0),
+    ("select", "patterns", 0, 0),
+    *(("dataset", key) for key in select_config()["dataset"]),
+    *(("model", "layers", 0, key) for key in select_config()["model"]["layers"][0]),
+    *(("train", key) for key in teacher_train_config()["train"]),
+    *(("select", CONFIG_KEYS.get(f.name, f.name)) for f in fields(SelectConfig)
+      if f.name != "train"),
+    ("dataset", "test_fraction"), ("train", "target_rate"), ("train", "rounds"),
+    ("select", "rank"),
+)
+# select-pattern trains for max_epochs, then finetune_epochs; an absurd
+# length becomes the default increment period, the least max_epochs allowed
+SELECT_LENGTH = {("train", "epochs"), ("select", "max_epochs"), ("select", "finetune_epochs")}
+
+
+@given(mutations=st.lists(st.tuples(st.sampled_from(SELECT_FUZZ_FIELDS), FUZZ_VALUES),
+                          min_size=1, max_size=2))
+@example(mutations=[(("model", "layers", 0, "n"), 2**40)])
+@example(mutations=[(("dataset", "n_samples"), 10**12)])
+@example(mutations=[(("dataset", "classification"), False)])
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_select_pattern_whole_config_fuzz(capsys, mutations):
+    # as test_whole_config_fuzz, for select-pattern
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _mutated(mutations, select_config, SELECT_LENGTH, small=5)
+        path = write_config(pathlib.Path(tmp) / "c.json", cfg)
+        code = main(["select-pattern", "--config", path, "--out", os.path.join(tmp, "out")])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code:
+        assert err.count("\n") == 1 and err.endswith("\n"), err
 
 
 def test_shape_opt_examples(capsys):
