@@ -7,8 +7,10 @@ For each shape (rank 2 unless given) and batch size this times the fold path
 repeated runs, and
 records each path's median and interquartile range, its analytic flops and
 achieved GFLOP/s, the path that
-``flops.forward_path`` picks and whether that pick was the faster one
-measured. Cells where it was not are listed under ``rule_wrong``.
+``flops.train_path`` picks without the input gradient (the one rule that
+``network.eval_paths`` and the first layer of a training step ask) and
+whether that pick was the faster one measured. Cells where it was not are
+listed under ``rule_wrong``.
 
 At the same batch sizes it times two more things:
 
@@ -49,9 +51,9 @@ import numpy as np  # noqa: E402
 
 from kronblock.factor import KronShape, forward, random_factor  # noqa: E402
 from kronblock.flops import (  # noqa: E402
-    forward_path,
     kron_forward_matmul_flops,
     materialized_forward_flops,
+    train_path,
 )
 from kronblock.linalg import matmul  # noqa: E402
 from kronblock.network import (  # noqa: E402
@@ -74,6 +76,7 @@ SHAPES = tuple(
         (5, 49, 2, 16),
         (2, 49, 5, 16),
         (8, 16, 2, 2),
+        (4, 8, 4, 4),
         (64, 64, 16, 16),
         (32, 32, 32, 32),
         (1, 64, 16, 16),
@@ -132,7 +135,7 @@ def measure(shape: KronShape, n_batch: int, repeats: int, rng) -> dict:
         materialized_forward_flops(n_batch, shape),
         time_path(lambda: layer_forward(layer, "materialized", x), repeats),
     )
-    pick = forward_path(n_batch, shape)
+    pick = train_path(n_batch, shape, False)
     faster = "materialized" if mat["median_s"] < fold["median_s"] else "fold"
     return {
         "shape": shape_dims(shape),
@@ -214,7 +217,7 @@ def main(argv=None) -> int:
     p.add_argument("--repeats", type=int, default=20)
     p.add_argument("--out", default=str(ROOT / "BENCH_eval.json"))
     p.add_argument("--shape", type=parse_shape, action="append",
-                   help="m1,n1,m2,n2[,r] (repeatable; default: the seven built-in shapes)")
+                   help="m1,n1,m2,n2[,r] (repeatable; default: the eight built-in shapes)")
     p.add_argument("--batches", default=",".join(map(str, BATCHES)))
     args = p.parse_args(argv)
     if args.repeats < 2:

@@ -131,7 +131,7 @@ class Dataset:
         empty or non-1-D selection ValueError."""
         rows = (np.arange(self.n) if self._rows is None else self._rows)[idx]
         if rows.ndim != 1 or rows.shape[0] < 1:
-            raise ValueError("features must be a non-empty 2-D array")
+            raise ValueError(f"row selection must be a non-empty 1-D index, got {rows.shape}")
         sub = copy.copy(self)
         sub._rows, sub._gathered = rows, {}
         return sub

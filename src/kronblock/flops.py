@@ -17,7 +17,8 @@ for a dense layer, paired with its activation. A factored layer has pieces
 for both training paths of :mod:`kronblock.factor`, fold and materialized;
 ``train_path`` picks the one whose forward plus backward costs fewer flops
 (materialized on a tie), and every report counts the picked path, as
-``network.net_forward`` runs it.
+``network.net_forward`` runs it. Inference takes the same rule's pick
+without the input gradient (``network.eval_paths``).
 
 Convention notes (required to reproduce the exact totals):
   * the loss is ||O - Y||_F^2 whatever loss trains the model; it costs
@@ -315,17 +316,6 @@ def materialized_forward_flops(n_batch: int, s: KronShape) -> int:
     r*m1*n1 (S * A_i) + m*n*(2r-1) (the GEMM of the stacked S * A_i with the
     stacked B_i) + N*m*(2n-1) (X @ W.T)."""
     return sum(_materialized_forward_pieces(n_batch, s).values())
-
-
-@functools.lru_cache(maxsize=1024)
-def forward_path(n_batch: int, s: KronShape) -> str:
-    """Inference path of a factored layer at this batch size: ``"materialized"``
-    when building W plus one GEMM costs no more flops than the fold path,
-    ``"fold"`` otherwise. Training picks by the whole step instead, with
-    ``train_path``. Memoized, as ``train_path`` is."""
-    if materialized_forward_flops(n_batch, s) <= kron_forward_matmul_flops(n_batch, s):
-        return "materialized"
-    return "fold"
 
 
 # ---------------------------------------------------------------------------

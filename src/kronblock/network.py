@@ -22,8 +22,9 @@ batch size, and a dense layer on the dense path. A materialized layer is the
 dense layer on the weight ``factor.build_weight`` builds, with
 ``factor.weight_gradient`` projecting its weight gradient onto the factors.
 Inference (``net_predict``) runs the same ``layer_forward`` on each layer's
-path of ``eval_paths``, and training and inference multiply a weight in the
-one orientation ``product_orientation`` picks from both row counts.
+path of ``eval_paths``, which asks the same ``flops.train_path`` without the
+input gradient, and training and inference multiply a weight in the one
+orientation ``product_orientation`` picks from both row counts.
 The arithmetic the cost model counts (layer products, relu, the squared loss)
 runs through the counted ops of :mod:`kronblock.linalg`;
 ``flops.instrumented_count`` counts one such training step.
@@ -261,7 +262,10 @@ def predict_product(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     ``product_orientation``. Swapped, it runs as ``(W @ X.T).T`` made
     C-contiguous, at BLAS speed and with the bits of ``X @ W.T`` wherever a
     test checks (1 to 15 weight rows at the paper's, the benchmark's and the
-    tests' widths and batch sizes, under 1 and 2 BLAS threads)."""
+    tests' widths and batch sizes, under 1 and 2 BLAS threads). The known
+    exception (scipy-openblas 0.3.31): a weight of 12 to 15 rows at 512 or
+    more input rows, not a multiple of 8, rounds differently. No pinned
+    config reaches that case."""
     if product_orientation(w.shape[0], x.shape[0]) == "swapped":
         return np.ascontiguousarray(matmul(w, x.T).T)
     return matmul(x, w.T)
@@ -326,9 +330,10 @@ def net_forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, NetCache]:
 
 def eval_paths(net: Network, n_batch: int) -> list[str]:
     """Per layer, the path ``net_predict`` takes for ``n_batch`` rows:
-    ``"dense"`` for a dense layer, else ``flops.forward_path`` of its shape."""
+    ``"dense"`` for a dense layer, else ``flops.train_path`` of its shape
+    without the input gradient, the path a first layer trains on."""
     return [
-        fl.forward_path(n_batch, layer.spec.shape) if layer.spec.kind == "kron" else "dense"
+        fl.train_path(n_batch, layer.spec.shape, False) if layer.spec.kind == "kron" else "dense"
         for layer in net.layers
     ]
 

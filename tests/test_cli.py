@@ -18,7 +18,7 @@ from kronblock.cli import (
     build_train_config,
     main,
 )
-from kronblock.flops import forward_path, train_path
+from kronblock.flops import train_path
 
 from conftest import run_fresh
 
@@ -745,7 +745,7 @@ def test_select_pattern_outputs(tmp_path):
     )
     # no held-out set: the eval paths are at the training set's 128 rows
     (m2, n2), = summary["winner_blocks"]
-    want = forward_path(128, KronShape(16 // m2, 32 // n2, m2, n2, 2))
+    want = train_path(128, KronShape(16 // m2, 32 // n2, m2, n2, 2), False)
     assert json.loads((out / "run_info.json").read_text())["eval_paths"] == [want]
     records = [json.loads(l) for l in (out / "selection.ndjson").read_text().splitlines()]
     assert {r["k"] for r in records} == {0, 1, 2}

@@ -17,7 +17,6 @@ from kronblock.flops import (
     dense_backward_flops,
     dense_forward_flops,
     dense_layer_report,
-    forward_path,
     instrumented_count,
     kron_backward_flops,
     kron_forward_flops,
@@ -432,7 +431,7 @@ def _predict_on_path(seed, path):
     rows = None
     while rows is None:
         shape = random_shape(rng, max_dim=32)
-        rows = next((n for n in range(1, 65) if forward_path(n, shape) == path), None)
+        rows = next((n for n in range(1, 65) if train_path(n, shape, False) == path), None)
     net = kb.build_network([kb.kron_spec(shape)], seed=seed)
     x = rng.standard_normal((rows, shape.n))
     with counting() as ops:
@@ -457,19 +456,19 @@ def test_fold_forward_flops_counts_the_path(seed):
 
 
 @pytest.mark.parametrize(
-    "dims,rows,path",
+    "layers,rows,paths",
     [
-        ((5, 392, 2, 2), 2048, "materialized"),  # linear784 eval set
-        ((64, 64, 16, 16), 512, "fold"),  # wide1024 layer 1 eval set
-        ((1, 64, 16, 16), 512, "materialized"),  # wide1024 layer 2 eval set
-        ((5, 392, 2, 2), 1, "fold"),
+        ([(5, 392, 2, 2)], 2048, ["materialized"]),
+        ([(64, 64, 16, 16), (1, 64, 16, 16)], 512, ["fold", "materialized"]),
+        ([(5, 392, 2, 2)], 1, ["fold"]),
     ],
+    ids=["linear784-2048", "wide1024-512", "linear784-1"],
 )
-def test_forward_path_picks(dims, rows, path):
-    shape = KronShape(*dims, 2)
-    assert forward_path(rows, shape) == path
-    cheaper = materialized_forward_flops(rows, shape) <= fl.kron_forward_matmul_flops(rows, shape)
-    assert (path == "materialized") == cheaper
+def test_eval_paths_picks(layers, rows, paths):
+    # evaluation takes train_path's pick without the input gradient, layer by
+    # layer, at the benchmark workloads' eval row counts and at one row
+    net = kb.build_network([kb.kron_spec(KronShape(*dims, 2)) for dims in layers])
+    assert kb.network.eval_paths(net, rows) == paths
 
 
 def test_bench_flops_script_writes_schema(tmp_path):
@@ -515,7 +514,7 @@ def test_bench_eval_script_writes_schema(tmp_path):
                              "faster", "pick_is_faster"}
         assert cell["shape"] == [8, 16, 2, 2] and cell["r"] == 2
         shape = KronShape(8, 16, 2, 2, 2)
-        assert cell["pick"] == forward_path(cell["batch"], shape)
+        assert cell["pick"] == train_path(cell["batch"], shape, False)
         assert cell["fold"]["flops"] == fl.kron_forward_matmul_flops(cell["batch"], shape)
         assert cell["materialized"]["flops"] == materialized_forward_flops(cell["batch"], shape)
         for path in ("fold", "materialized"):

@@ -287,7 +287,7 @@ PREDICT_CASES = [
     ([kron_spec(KronShape(5, 392, 2, 2, 2))], 1, ["fold"]),
     ([kron_spec(KronShape(5, 49, 2, 16, 2), "softmax_output")], 64, ["fold"]),
     (
-        [kron_spec(KronShape(4, 4, 4, 4, 2), "relu"), dense_spec(8, 16, "relu"),
+        [kron_spec(KronShape(4, 2, 4, 8, 2), "relu"), dense_spec(8, 16, "relu"),
          kron_spec(KronShape(3, 2, 2, 4, 2))],
         64,
         ["fold", "dense", "materialized"],
@@ -298,6 +298,8 @@ PREDICT_CASES = [
         33,
         ["dense", "fold", "materialized"],
     ),
+    # the golden select run's (4,4) pattern: materialized from 14 rows
+    ([kron_spec(KronShape(4, 8, 4, 4, 2))], 64, ["materialized"]),
 ]
 
 
