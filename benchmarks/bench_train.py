@@ -23,15 +23,20 @@ dense ``m x n`` twin, each through the code that trains,
 Each part records the median and interquartile range of repeated runs, its
 flops by the cost model of ``kronblock.flops`` and the achieved GFLOP/s (the
 cost model counts one flop per updated parameter, so the update's rate is a
-lower bound). For the step without and with the input gradient, ``pick`` is
-the path ``flops.train_path`` picks, ``faster`` the path whose measured
-forward plus backward medians are smaller, and ``pick_is_faster`` whether
-they agree; steps where they do not are listed under ``rule_wrong``.
+lower bound). The path rule is judged on three steps of the factored
+layer: ``eval``, the forward alone, as ``network.eval_paths`` runs it, and
+``backward`` and ``backward_dx``, the training step without and with the
+input gradient. For each, ``pick`` is the path ``flops.train_path`` picks
+(without the input gradient for ``eval``), ``faster`` the path whose
+measured medians of the step's parts (the forward, plus that backward) sum
+to less, and ``pick_is_faster`` whether they agree; steps where they do not
+are listed under ``rule_wrong``.
 ``step_peak_bytes`` holds, per path and step, the ``tracemalloc`` peak of one
 untimed training step (forward, that backward and ``sgd_step``) after a
 warm-up step: the memory the step allocates beside the layer's state. BLAS
 runs on one thread unless OPENBLAS_NUM_THREADS is set; the environment
-(Python, numpy, BLAS name, version and thread count) goes into the same file.
+(Python, numpy, BLAS name, version and thread count, heap policy and CPU
+count) goes into the same file.
 
 Two more sections time whole operations:
 
@@ -53,11 +58,13 @@ Two more sections time whole operations:
 Both record the median and interquartile range of repeated runs.
 
 Run: python benchmarks/bench_train.py [--repeats 20] [--out BENCH_train.json]
-     [--shape 5,392,2,2[,r] ...] [--batches 1,64,512]
+     [--shape 5,392,2,2[,r] ...] [--batches 1,64,256,512,2048]
 
-A ``--shape`` without a fifth element, and each default shape but the three
-16x32 layers of acceptance criterion 7 (rank 4), is at rank 2, the file's
-``rank``; every cell records its own ``r``.
+The default batches are one row and every row count a benchmark workload
+trains, evaluates or selects on. A ``--shape`` without a fifth element, and
+each default shape but the three 16x32 layers of acceptance criterion 7
+(rank 4), is at rank 2, the file's ``rank``; every cell records its own
+``r``.
 """
 
 from __future__ import annotations
@@ -73,10 +80,8 @@ from dataclasses import replace
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from bench_eval import RANK, parse_shape, path_row, shape_dims, time_path, timing  # noqa: E402
-from bench_flops import ROOT, environment  # noqa: E402  (puts src/ on sys.path)
-
-sys.path.insert(0, str(ROOT))
+# bench_eval puts src/ and the repository root on sys.path
+from bench_eval import ROOT, environment, path_row, time_path, timing  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -104,20 +109,29 @@ from perfbench.workloads import (  # noqa: E402
     phase_prune,
 )
 
+RANK = 2
 SHAPES = tuple(
     KronShape(*dims, RANK)
-    for dims in ((5, 392, 2, 2), (5, 49, 2, 16), (64, 64, 16, 16), (1, 64, 16, 16),
-                 (32, 32, 32, 32))
+    for dims in ((5, 392, 2, 2), (5, 49, 2, 16), (2, 49, 5, 16), (64, 64, 16, 16),
+                 (1, 64, 16, 16), (32, 32, 32, 32), (8, 16, 2, 2), (4, 8, 4, 4))
 ) + tuple(
     # the 16x32 teacher layer of acceptance criterion 7, at its three block sizes
     KronShape(*dims, 4) for dims in ((8, 16, 2, 2), (4, 8, 4, 4), (2, 4, 8, 8))
 )
-BATCHES = (1, 64, 512)
+# one row, and every row count a benchmark workload trains, evaluates or
+# selects on
+BATCHES = tuple(sorted({1, *(n for wl in WORKLOADS.values()
+                             for n in (wl.batch, wl.n_test, wl.select_samples))}))
 SEED = 0
 PATHS = ("fold", "materialized", "dense")
 PARTS = ("forward", "backward_dx", "backward")
 # the two backward parts, each the step of a layer without / with the input gradient
 STEPS = {"backward": False, "backward_dx": True}
+# the steps the path rule is judged on: the parts each runs, and whether it
+# computes the input gradient. Evaluation is the forward alone, on the pick
+# of a step without the input gradient
+JUDGED = {"eval": (("forward",), False),
+          **{part: (("forward", part), dx) for part, dx in STEPS.items()}}
 # lr small enough that repeated steps keep the weights finite; lam 0, so the
 # update is the momentum step alone (the cost model's update)
 UPDATE_CFG = TrainConfig(epochs=1, batch_size=1, learning_rate=1e-6)
@@ -128,6 +142,18 @@ TILE_MATRICES = ((10, 784, (2, 2)), (1024, 1024, (16, 16)), (16, 1024, (16, 16))
 # about 1e-4 each, so the timed weights stay far from subnormal numbers
 PROX_T = 1e-4
 BUILD_SHAPE = KronShape(5, 392, 2, 2, 2)
+
+
+def shape_dims(shape: KronShape) -> list[int]:
+    return [shape.m1, shape.n1, shape.m2, shape.n2]
+
+
+def parse_shape(text: str) -> KronShape:
+    """``m1,n1,m2,n2`` at rank ``RANK``, or ``m1,n1,m2,n2,r``."""
+    dims = tuple(int(v) for v in text.split(","))
+    if len(dims) not in (4, 5) or min(dims) < 1:
+        raise argparse.ArgumentTypeError(f"shape must be m1,n1,m2,n2[,r], got {text!r}")
+    return KronShape(*dims[:4], dims[4] if len(dims) == 5 else RANK)
 
 
 def flops_by_part(n_batch: int, shape: KronShape, path: str) -> dict:
@@ -221,16 +247,19 @@ def measure(shape: KronShape, n_batch: int, repeats: int, rng) -> dict:
         for path in PATHS
     }
 
-    def step_s(path, part):
-        return cell[path]["forward"]["median_s"] + cell[path][part]["median_s"]
-
-    cell["pick"] = {part: fl.train_path(n_batch, shape, dx) for part, dx in STEPS.items()}
+    cell["pick"] = {step: fl.train_path(n_batch, shape, dx) for step, (_, dx) in JUDGED.items()}
     cell["faster"] = {
-        part: "materialized" if step_s("materialized", part) < step_s("fold", part) else "fold"
-        for part in STEPS
+        step: "materialized" if step_s(cell, "materialized", step) < step_s(cell, "fold", step)
+        else "fold"
+        for step in JUDGED
     }
-    cell["pick_is_faster"] = {part: cell["pick"][part] == cell["faster"][part] for part in STEPS}
+    cell["pick_is_faster"] = {step: cell["pick"][step] == cell["faster"][step] for step in JUDGED}
     return cell
+
+
+def step_s(cell: dict, path: str, step: str) -> float:
+    """Summed medians of the parts that ``step`` runs on ``path``."""
+    return sum(cell[path][part]["median_s"] for part in JUDGED[step][0])
 
 
 def tile_ops(repeats: int, rng) -> dict:
@@ -318,7 +347,7 @@ def main(argv=None) -> int:
     p.add_argument("--repeats", type=int, default=20)
     p.add_argument("--out", default=str(ROOT / "BENCH_train.json"))
     p.add_argument("--shape", type=parse_shape, action="append",
-                   help="m1,n1,m2,n2[,r] (repeatable; default: the eight built-in shapes)")
+                   help="m1,n1,m2,n2[,r] (repeatable; default: the eleven built-in shapes)")
     p.add_argument("--batches", default=",".join(map(str, BATCHES)))
     args = p.parse_args(argv)
     if args.repeats < 2:
@@ -340,19 +369,18 @@ def main(argv=None) -> int:
                 peak = cell["step_peak_bytes"][path]["backward_dx"] / 2**20
                 print(f"{label:<18} N={n_batch:<4} {path:<12} {row}  peak {peak:8.3f} MiB")
             print(f"{'':<18} {'':<6} pick " + "  ".join(
-                f"{part} {cell['pick'][part]} ({'ok' if cell['pick_is_faster'][part] else 'WRONG'})"
-                for part in STEPS
+                f"{step} {cell['pick'][step]} ({'ok' if cell['pick_is_faster'][step] else 'WRONG'})"
+                for step in JUDGED
             ))
 
     wrong = [
-        {"shape": c["shape"], "batch": c["batch"], "step": part, "pick": c["pick"][part],
-         "fold_step_s": c["fold"]["forward"]["median_s"] + c["fold"][part]["median_s"],
-         "materialized_step_s": (c["materialized"]["forward"]["median_s"]
-                                 + c["materialized"][part]["median_s"])}
-        for c in cells for part in STEPS if not c["pick_is_faster"][part]
+        {"shape": c["shape"], "r": c["r"], "batch": c["batch"], "step": step,
+         "pick": c["pick"][step], "fold_step_s": step_s(c, "fold", step),
+         "materialized_step_s": step_s(c, "materialized", step)}
+        for c in cells for step in JUDGED if not c["pick_is_faster"][step]
     ]
-    steps = len(cells) * len(STEPS)
-    print(f"rule picked the faster training path in {steps - len(wrong)} of {steps} steps")
+    steps = len(cells) * len(JUDGED)
+    print(f"rule picked the faster path in {steps - len(wrong)} of {steps} steps")
     tiles = tile_ops(args.repeats, rng)
     for cell in tiles["matrices"]:
         print(f"{cell['m']}x{cell['n']} {tuple(cell['block'])}: prox "

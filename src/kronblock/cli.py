@@ -12,6 +12,10 @@ README. Runs are deterministic under their seed: metric files contain no
 timestamps (run_info.json carries the wall clock separately), so re-running
 an identical config reproduces byte-identical outputs. Exit codes: 0 success,
 1 validation error, 2 runtime error (e.g. divergence or over-regularization).
+A bad ``--config`` (missing, a directory, not UTF-8 or not JSON) or an
+``--out`` that cannot be made a directory ends with one line on stderr and
+exit code 1; ``train`` and ``select-pattern`` make ``--out`` before reading
+any data.
 """
 
 from __future__ import annotations
@@ -151,11 +155,15 @@ def _number(value, path: str) -> float:
 def load_config(path: str) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be an object")
     return cfg
@@ -447,8 +455,8 @@ def write_run(args, run: RunInputs, net: Network, name: str, records: list, summ
     """Write the run directory and print the summary: config.json, the
     ``records`` as ``<name>.ndjson`` (and metrics.csv), summary.json (with the
     seed), run_info.json (wall clock, environment, the training ``paths`` and
-    the inference paths at the eval set's rows) and the checkpoint of ``net``."""
-    os.makedirs(args.out, exist_ok=True)
+    the inference paths at the eval set's rows) and the checkpoint of ``net``
+    into ``args.out``, which ``run_inputs`` has made."""
     shutil.copyfile(args.config, os.path.join(args.out, "config.json"))
     with open(os.path.join(args.out, f"{name}.ndjson"), "w") as fh:
         for rec in records:
@@ -512,8 +520,13 @@ def run_inputs(args, sections: set[str], parse_model, block_required: bool = Fal
     with its input and output widths, which the datasets must fit, before any
     net is allocated. ``train.block``, ``target_rate`` and ``rounds`` are read
     under every method, so no bad value passes unread; ``block`` is None when
-    absent and not ``block_required``."""
+    absent and not ``block_required``. The ``--out`` directory is made once
+    the config is read, before any data, so an unusable one fails first."""
     cfg = load_config(args.config)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: {exc}") from exc
     _check_keys(cfg, {"seed", "dataset", "model", "train", *sections}, "config")
     seed = _config_seed(args, cfg)
     train_ds, eval_ds = build_dataset(_section(cfg, "dataset"), seed)
@@ -664,7 +677,8 @@ FLOP_AUDIT_MAX_BATCH = 4096
 def flop_audit_case(section: dict):
     """Validate a ``flops`` config section and build its audit case: the
     analytic report, the instrumented tag prefix (``<prefix>_forward`` and
-    ``<prefix>_backward``) and the random inputs drawn from ``seed``."""
+    ``<prefix>_backward``) and the random inputs drawn from ``seed``. Inputs
+    too large to allocate are a config error."""
     _check_keys(
         section, {"kind", "batch", "m", "n", "d_in", "d_hidden", "d_out",
                   "shape", "rank", "shape1", "rank1", "shape2", "rank2", "seed"},
@@ -675,39 +689,48 @@ def flop_audit_case(section: dict):
     if nb > FLOP_AUDIT_MAX_BATCH:
         raise ConfigError(f"flops.batch: must be at most {FLOP_AUDIT_MAX_BATCH}, got {nb}")
     rng = np.random.default_rng(_nonnegative_int(section.get("seed", 0), "flops.seed"))
+    normal = rng.standard_normal
 
     if kind == "dense":
         m = _positive_int(_require(section, "m", "flops"), "flops.m")
         n = _positive_int(_require(section, "n", "flops"), "flops.n")
         report = dense_layer_report(nb, m, n)
-        x, w, y = rng.standard_normal((nb, n)), rng.standard_normal((m, n)), rng.standard_normal((nb, m))
-        return report, "dense", {"x": x, "w": w, "y": y}
-    if kind == "kron":
+
+        def draw():
+            return {"x": normal((nb, n)), "w": normal((m, n)), "y": normal((nb, m))}
+    elif kind == "kron":
         shape = _parse_shape(section, "shape", "rank", "flops")
         report = kron_layer_report(nb, shape)
-        fac = random_factor(shape, rng)
-        x, y = rng.standard_normal((nb, shape.n)), rng.standard_normal((nb, shape.m))
-        return report, "kron", {"factor": fac, "x": x, "y": y}
-    if kind == "two_layer_dense":
+
+        def draw():
+            fac = random_factor(shape, rng)
+            return {"factor": fac, "x": normal((nb, shape.n)), "y": normal((nb, shape.m))}
+    elif kind == "two_layer_dense":
         d_in = _positive_int(_require(section, "d_in", "flops"), "flops.d_in")
         d_hidden = _positive_int(_require(section, "d_hidden", "flops"), "flops.d_hidden")
         d_out = _positive_int(_require(section, "d_out", "flops"), "flops.d_out")
         report = two_layer_dense_report(nb, d_in, d_hidden, d_out)
-        x = rng.standard_normal((nb, d_in))
-        w1, w2 = rng.standard_normal((d_hidden, d_in)), rng.standard_normal((d_out, d_hidden))
-        y = rng.standard_normal((nb, d_out))
-        return report, "two_layer_dense", {"x": x, "w1": w1, "w2": w2, "y": y}
-    if kind == "two_layer_kron":
+
+        def draw():
+            return {"x": normal((nb, d_in)), "w1": normal((d_hidden, d_in)),
+                    "w2": normal((d_out, d_hidden)), "y": normal((nb, d_out))}
+    elif kind == "two_layer_kron":
         s1 = _parse_shape(section, "shape1", "rank1", "flops")
         s2 = _parse_shape(section, "shape2", "rank2", "flops")
         try:
             report = two_layer_kron_report(nb, s1, s2)
         except ValueError as exc:
             raise ConfigError(f"flops: {exc}") from exc
-        f1, f2 = random_factor(s1, rng), random_factor(s2, rng)
-        x, y = rng.standard_normal((nb, s1.n)), rng.standard_normal((nb, s2.m))
-        return report, "two_layer_kron", {"f1": f1, "f2": f2, "x": x, "y": y}
-    raise ConfigError(f"flops.kind: unknown kind {kind!r}")
+
+        def draw():
+            f1, f2 = random_factor(s1, rng), random_factor(s2, rng)
+            return {"f1": f1, "f2": f2, "x": normal((nb, s1.n)), "y": normal((nb, s2.m))}
+    else:
+        raise ConfigError(f"flops.kind: unknown kind {kind!r}")
+    try:
+        return report, kind, draw()
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"flops: {exc}") from exc
 
 
 def cmd_flops(args) -> int:

@@ -166,7 +166,7 @@ def read_idx(path) -> np.ndarray:
             raise IdxBadMagicError(f"{path}: bad magic {(zeros, dtype_code, ndim)}")
         dims = struct.unpack(f">{ndim}I", _read_exact(fh, 4 * ndim, path))
         dtype = _IDX_DTYPES[dtype_code]
-        size = dtype.itemsize * math.prod(dims) if dims else 0
+        size = dtype.itemsize * math.prod(dims)
         raw = _read_payload(fh, size, dims, path)
     return np.frombuffer(raw, dtype=dtype).reshape(dims).astype(dtype.newbyteorder("="))
 

@@ -176,8 +176,9 @@ def materialize(factor: KronFactor) -> np.ndarray:
     """Expand to the dense m x n weight sum_i kron(S * A_i, B_i): the r
     products S * A_i in one broadcast product, written straight into the
     ``(m1*n1, r)`` S * A_i columns, then one GEMM of those columns with the
-    ``(r, m2*n2)`` B_i rows, then one tile transpose; the flops
-    ``flops.materialized_forward_flops`` counts before its GEMM."""
+    ``(r, m2*n2)`` B_i rows, then one tile transpose: ``r*m1*n1 +
+    m*n*(2r-1)`` flops, the ``mask_products`` and ``weight_build`` pieces of
+    the materialized path's forward in :mod:`kronblock.flops`."""
     return build_weight(factor)[0]
 
 

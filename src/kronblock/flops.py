@@ -311,13 +311,6 @@ def kron_backward_flops(n_batch: int, s: KronShape) -> int:
     return kron_layer_report(n_batch, s).backward
 
 
-def materialized_forward_flops(n_batch: int, s: KronShape) -> int:
-    """Flops to produce the layer output by building W and one GEMM:
-    r*m1*n1 (S * A_i) + m*n*(2r-1) (the GEMM of the stacked S * A_i with the
-    stacked B_i) + N*m*(2n-1) (X @ W.T)."""
-    return sum(_materialized_forward_pieces(n_batch, s).values())
-
-
 # ---------------------------------------------------------------------------
 # instrumented counter: one counted training step of the real network code
 # ---------------------------------------------------------------------------

@@ -545,6 +545,58 @@ def test_flop_audit_batch_is_capped(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "section",
+    [
+        {"kind": "dense", "m": 2**40, "n": 2**40},
+        {"kind": "kron", "shape": [2**40, 2**40, 1, 1], "rank": 1},
+        {"kind": "two_layer_dense", "d_in": 2**40, "d_hidden": 2**40, "d_out": 2**40},
+        {"kind": "two_layer_kron", "shape1": [2**40, 2**40, 1, 1], "rank1": 1,
+         "shape2": [1, 2**40, 1, 1], "rank2": 1},
+    ],
+    ids=["dense", "kron", "two_layer_dense", "two_layer_kron"],
+)
+def test_flop_audit_oversized_widths(tmp_path, capsys, section):
+    # widths of 2**40, whose inputs numpy refuses to allocate (8 TiB and more),
+    # end with exit code 1 and one line, not a traceback
+    path = write_config(tmp_path / "f.json", {"flops": section})
+    assert main(["flops", "--config", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: flops: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["train", "select-pattern", "flops"])
+@pytest.mark.parametrize("case", ["directory", "not_utf8"])
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, command, case):
+    # a --config that cannot be read as text ends with one line naming it
+    if case == "directory":
+        path, message = tmp_path, "Is a directory"
+    else:
+        path = tmp_path / "c.json"
+        path.write_bytes(b"\xff\xfe{}")
+        message = "not UTF-8 text ("
+    argv = [command, "--config", str(path)]
+    if command != "flops":
+        argv += ["--out", str(tmp_path / "x")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["train", "select-pattern"])
+def test_out_is_checked_before_the_run(tmp_path, capsys, command):
+    # an --out that names a file ends with one line before any data is read:
+    # no summary is printed
+    cfg = teacher_train_config() if command == "train" else select_config()
+    out = tmp_path / "taken"
+    out.write_text("")
+    argv = [command, "--config", write_config(tmp_path / "c.json", cfg), "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --out: ") and captured.err.count("\n") == 1
+
+
 def _oversized_config(case):
     # sizes of at least 2**40 values, which numpy refuses to allocate at once
     cfg = teacher_train_config()

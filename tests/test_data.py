@@ -135,6 +135,19 @@ def test_idx_roundtrip_lossless(tmp_path, rng):
     assert np.array_equal(read_idx(path), bytes_arr)
 
 
+def test_read_idx_zero_dims(tmp_path):
+    # a 0-d container holds one item: the full file reads as a 0-d array, and
+    # a header without its item is truncated, naming its dims
+    header = struct.pack(">HBB", 0, 0x0D, 0)  # float64, no dims
+    path = tmp_path / "scalar.idx"
+    path.write_bytes(header + struct.pack(">d", 2.5))
+    got = read_idx(path)
+    assert got.shape == () and got == 2.5
+    path.write_bytes(header)
+    with pytest.raises(IdxTruncatedError, match=r"dims \(\) declare 8 payload bytes, but only 0"):
+        read_idx(path)
+
+
 def test_teacher_dense_when_fraction_zero():
     _, teacher = make_teacher_dataset(4, 6, (2, 2), 0.0, 8, seed=0)
     from kronblock.linalg import tile_norms

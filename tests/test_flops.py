@@ -22,7 +22,6 @@ from kronblock.flops import (
     kron_forward_flops,
     kron_layer_report,
     kron_update_flops,
-    materialized_forward_flops,
     train_path,
     two_layer_dense_report,
     two_layer_kron_report,
@@ -440,11 +439,13 @@ def _predict_on_path(seed, path):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_materialized_forward_flops_counts_the_path(seed):
-    # net_predict builds W term by term (S*A_i, its Kronecker product with
-    # B_i, the rank sum from the first term), then runs one GEMM
+def test_materialized_forward_counts_the_path(seed):
+    # net_predict builds W (the S*A_i, one GEMM with the stacked B_i), then
+    # runs one GEMM: the forward of a one-layer training step on the same
+    # path, less its loss
     counted, shape, rows, out, fold_out = _predict_on_path(seed, "materialized")
-    assert counted == materialized_forward_flops(rows, shape)
+    report = kron_layer_report(rows, shape)
+    assert counted == report.forward - report.breakdown["forward.loss"]
     assert np.allclose(out, fold_out, rtol=1e-12, atol=1e-12)
 
 
@@ -477,57 +478,24 @@ def test_eval_paths_picks(layers, rows, layer, path):
     assert paths[layer] == path
 
 
-def test_bench_flops_script_writes_schema(tmp_path):
-    # schema only: timings are noisy, so no bound is placed on them
-    script = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "bench_flops.py")
-    out_path = tmp_path / "BENCH_flops.json"
-    proc = subprocess.run(
-        [sys.executable, script, "--repeats", "2", "--out", str(out_path)],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(out_path.read_text())
-    assert set(result) == {"benchmark", "batch", "seed", "environment", "rows",
-                           "audit_pass_median_s"}
-    assert set(result["environment"]) == {"python", "numpy", "blas", "blas_version",
-                                          "blas_threads", "heap_policy", "nproc"}
-    assert len(result["rows"]) == 10
-    for row in result["rows"]:
-        assert set(row) == {"config", "tag", "analytic_flops", "median_s", "iqr_s", "repeats"}
-        assert row["tag"] in fl.TAGS
-        assert row["repeats"] == 2
-        assert row["median_s"] >= 0.0 and row["iqr_s"] >= 0.0
-
-
 def test_bench_eval_script_writes_schema(tmp_path):
     # schema only: timings are noisy, so no bound is placed on them
     script = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "bench_eval.py")
     out_path = tmp_path / "BENCH_eval.json"
     proc = subprocess.run(
-        [sys.executable, script, "--repeats", "2", "--shape", "8,16,2,2", "--batches", "1,64",
-         "--out", str(out_path)],
+        [sys.executable, script, "--repeats", "2", "--batches", "1,64", "--out", str(out_path)],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(out_path.read_text())
-    assert set(result) == {"benchmark", "rank", "repeats", "seed", "environment", "cells",
-                           "rule_right", "rule_wrong", "thin_weight_rows", "thin_products",
-                           "thin_rule_right", "thin_rule_wrong", "evaluate"}
-    assert {"blas", "blas_version", "blas_threads"} <= set(result["environment"])
-    assert [c["batch"] for c in result["cells"]] == [1, 64]
-    for cell in result["cells"]:
-        assert set(cell) == {"shape", "r", "m", "n", "batch", "fold", "materialized", "pick",
-                             "faster", "pick_is_faster"}
-        assert cell["shape"] == [8, 16, 2, 2] and cell["r"] == 2
-        shape = KronShape(8, 16, 2, 2, 2)
-        assert cell["pick"] == train_path(cell["batch"], shape, False)
-        assert cell["fold"]["flops"] == fl.kron_forward_matmul_flops(cell["batch"], shape)
-        assert cell["materialized"]["flops"] == materialized_forward_flops(cell["batch"], shape)
-        for path in ("fold", "materialized"):
-            assert set(cell[path]) == {"flops", "median_s", "iqr_s", "gflops"}
-            assert cell[path]["median_s"] >= 0.0 and cell[path]["iqr_s"] >= 0.0
-        assert cell["pick_is_faster"] == (cell["pick"] == cell["faster"])
-    assert result["rule_right"] + len(result["rule_wrong"]) == 2
+    assert set(result) == {"benchmark", "repeats", "seed", "environment", "thin_weight_rows",
+                           "thin_products", "thin_rule_right", "thin_rule_wrong", "evaluate"}
+    assert set(result["environment"]) == {"python", "numpy", "blas", "blas_version",
+                                          "blas_threads", "heap_policy", "nproc"}
+    # the committed file holds what the script writes, and no single-layer
+    # path cells: bench_train.py judges the eval path
+    with open(os.path.join(os.path.dirname(__file__), "..", "BENCH_eval.json")) as fh:
+        assert set(json.load(fh)) == set(result)
     # the thin-weight products: both orientations at every batch, each side of
     # the orientation rule
     assert result["thin_weight_rows"] == THIN_WEIGHT_ROWS
@@ -558,6 +526,63 @@ def test_bench_eval_script_writes_schema(tmp_path):
             assert cell[kind]["median_s"] >= 0.0 and cell[kind]["iqr_s"] >= 0.0
 
 
+# the default shapes of bench_train.py, r=2 unless a fifth element is given
+BENCH_TRAIN_SHAPES = [
+    KronShape(*dims[:4], dims[4] if len(dims) == 5 else 2)
+    for dims in ((5, 392, 2, 2), (5, 49, 2, 16), (2, 49, 5, 16), (64, 64, 16, 16),
+                 (1, 64, 16, 16), (32, 32, 32, 32), (8, 16, 2, 2), (4, 8, 4, 4),
+                 (8, 16, 2, 2, 4), (4, 8, 4, 4, 4), (2, 4, 8, 8, 4))
+]
+
+
+# the steps bench_train.py judges the path rule on: the parts each runs, and
+# whether it computes the input gradient
+JUDGED_STEPS = {
+    "eval": (("forward",), False),
+    "backward": (("forward", "backward"), False),
+    "backward_dx": (("forward", "backward_dx"), True),
+}
+
+
+def check_train_cells(result, shapes, batches):
+    """The per-layer cells of a BENCH_train.json: one per shape and batch, in
+    that order, each timing every part on every path and judging the path
+    rule on every step."""
+    cells = result["cells"]
+    assert [(KronShape(*c["shape"], c["r"]), c["batch"]) for c in cells] == [
+        (shape, batch) for shape in shapes for batch in batches]
+    paths = ("fold", "materialized")
+    for cell in cells:
+        shape = KronShape(*cell["shape"], cell["r"])
+        assert set(cell) == {"shape", "r", "m", "n", "batch", *paths, "dense", "update",
+                             "pick", "faster", "pick_is_faster", "step_peak_bytes"}
+        # the traced peak of one training step per path, without and with the
+        # input gradient; a step allocates at least its output and its gradients
+        assert set(cell["step_peak_bytes"]) == {*paths, "dense"}
+        for peaks in cell["step_peak_bytes"].values():
+            assert set(peaks) == {"backward", "backward_dx"}
+            assert all(isinstance(v, int) and v >= 8 * cell["batch"] * cell["m"]
+                       for v in peaks.values())
+        rows = [cell[path][part] for path in (*paths, "dense")
+                for part in ("forward", "backward_dx", "backward")]
+        assert set(cell["update"]) == {"kron", "dense"}
+        for row in rows + list(cell["update"].values()):
+            assert set(row) == {"flops", "median_s", "iqr_s", "gflops"}
+            assert isinstance(row["flops"], int) and row["flops"] > 0
+            assert row["median_s"] >= 0.0 and row["iqr_s"] >= 0.0
+        for key in ("pick", "faster", "pick_is_faster"):
+            assert set(cell[key]) == set(JUDGED_STEPS)
+        for step, (parts, with_dx) in JUDGED_STEPS.items():
+            assert cell["pick"][step] == train_path(cell["batch"], shape, with_dx)
+            fold, mat = (sum(cell[path][part]["median_s"] for part in parts) for path in paths)
+            assert cell["faster"][step] == ("materialized" if mat < fold else "fold")
+            assert cell["pick_is_faster"][step] == (cell["pick"][step] == cell["faster"][step])
+    wrong = [(w["shape"], w["r"], w["batch"], w["step"]) for w in result["rule_wrong"]]
+    assert wrong == [(c["shape"], c["r"], c["batch"], step)
+                     for c in cells for step in JUDGED_STEPS if not c["pick_is_faster"][step]]
+    assert result["rule_right"] + len(wrong) == len(JUDGED_STEPS) * len(cells)
+
+
 def test_bench_train_script_writes_schema(tmp_path, monkeypatch):
     # schema only: timings are noisy, so no bound is placed on them
     script = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "bench_train.py")
@@ -571,38 +596,22 @@ def test_bench_train_script_writes_schema(tmp_path, monkeypatch):
     result = json.loads(out_path.read_text())
     assert set(result) == {"benchmark", "rank", "repeats", "seed", "environment", "cells",
                            "rule_right", "rule_wrong", "tile_ops", "epochs"}
-    assert {"blas", "blas_version", "blas_threads", "heap_policy"} <= set(result["environment"])
+    assert set(result["environment"]) == {"python", "numpy", "blas", "blas_version",
+                                          "blas_threads", "heap_policy", "nproc"}
     # a four-element shape is at the default rank 2, a fifth element sets it
-    shapes = [KronShape(8, 16, 2, 2, 2)] * 2 + [KronShape(2, 4, 8, 8, 4)] * 2
-    assert [c["batch"] for c in result["cells"]] == [1, 64, 1, 64]
-    paths = ("fold", "materialized")
-    steps = ("backward", "backward_dx")
-    for cell, shape in zip(result["cells"], shapes, strict=True):
-        assert set(cell) == {"shape", "r", "m", "n", "batch", *paths, "dense", "update",
-                             "pick", "faster", "pick_is_faster", "step_peak_bytes"}
-        # the traced peak of one step per path, without and with the input
-        # gradient; a step allocates at least its output and its gradients
-        assert set(cell["step_peak_bytes"]) == {*paths, "dense"}
-        for peaks in cell["step_peak_bytes"].values():
-            assert set(peaks) == set(steps)
-            assert all(isinstance(v, int) and v >= 8 * cell["batch"] * cell["m"]
-                       for v in peaks.values())
-        assert cell["shape"] == [shape.m1, shape.n1, shape.m2, shape.n2]
-        assert cell["r"] == shape.r
-        rows = [cell[path][part] for path in (*paths, "dense")
-                for part in ("forward", "backward_dx", "backward")]
-        assert set(cell["update"]) == {"kron", "dense"}
-        for row in rows + list(cell["update"].values()):
-            assert set(row) == {"flops", "median_s", "iqr_s", "gflops"}
-            assert isinstance(row["flops"], int) and row["flops"] > 0
-            assert row["median_s"] >= 0.0 and row["iqr_s"] >= 0.0
-        for key in ("pick", "faster", "pick_is_faster"):
-            assert set(cell[key]) == set(steps)
-        for step, with_dx in zip(steps, (False, True)):
-            assert cell["pick"][step] == train_path(cell["batch"], shape, with_dx)
-            assert cell["faster"][step] in paths
-            assert cell["pick_is_faster"][step] == (cell["pick"][step] == cell["faster"][step])
-    assert result["rule_right"] + len(result["rule_wrong"]) == 4 * len(steps)
+    check_train_cells(result, [KronShape(8, 16, 2, 2, 2), KronShape(2, 4, 8, 8, 4)], [1, 64])
+    # the committed file times every default shape at one row and at every row
+    # count a benchmark workload trains, evaluates or selects on
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), ".."))
+    from perfbench.workloads import WORKLOADS
+
+    batches = sorted({1, *(n for wl in WORKLOADS.values()
+                           for n in (wl.batch, wl.n_test, wl.select_samples))})
+    assert batches == [1, 64, 256, 512, 2048]
+    with open(os.path.join(os.path.dirname(__file__), "..", "BENCH_train.json")) as fh:
+        committed = json.load(fh)
+    assert set(committed) == set(result)
+    check_train_cells(committed, BENCH_TRAIN_SHAPES, batches)
     # the tile-wise products of the dense baselines, and build_weight
     timing = {"median_s", "iqr_s"}
     tiles = result["tile_ops"]
@@ -616,9 +625,6 @@ def test_bench_train_script_writes_schema(tmp_path, monkeypatch):
     assert tiles["build_weight"]["shape"] == [5, 392, 2, 2] and tiles["build_weight"]["r"] == 2
     # one epoch of each trainer and of select_pattern per benchmark workload,
     # with its analytic flops
-    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), ".."))
-    from perfbench.workloads import WORKLOADS
-
     trainers = ("train_kron", "group_lasso", "prune", "select")
     cells = result["epochs"]
     assert [(c["workload"], c["trainer"]) for c in cells] == [
