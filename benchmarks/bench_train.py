@@ -38,8 +38,17 @@ runs on one thread unless OPENBLAS_NUM_THREADS is set; the environment
 (Python, numpy, BLAS name, version and thread count, heap policy and CPU
 count) goes into the same file.
 
-Two more sections time whole operations:
+Three more sections:
 
+* ``thin_products``: the weight product of a materialized or dense layer in
+  both orientations, ``direct`` (``X @ W.T``) and ``swapped``
+  (``(W @ X.T).T`` made C-contiguous), the two timed in turn, for weights of
+  2 to 64 rows at the widths 784 and 1024 and at every batch. Each cell
+  records each side's flops (``kronblock.flops``) and GFLOP/s, the median
+  speedup of the swap, the orientation ``network.product_orientation``
+  picks (swapped below ``network.THIN_WEIGHT_ROWS`` weight rows from
+  ``network.SWAP_MIN_ROWS`` input rows) and whether it was the faster one;
+  cells where it was not are listed under ``thin_rule_wrong``;
 * ``tile_ops``: the tile-wise products of the dense baselines on a 10x784
   (2,2), a 1024x1024 (16,16) and a 16x1024 (16,16) matrix:
   ``train.group_lasso_prox``, the prune gradient mask as ``prune_blocks``
@@ -55,7 +64,8 @@ Two more sections time whole operations:
   batch and pattern net); the per-epoch evaluation and the proximal steps
   are timed but not counted.
 
-Both record the median and interquartile range of repeated runs.
+Each records the median and interquartile range of repeated runs. A whole
+``network.evaluate`` call is timed end to end by perfbench's ``eval`` phase.
 
 Run: python benchmarks/bench_train.py [--repeats 20] [--out BENCH_train.json]
      [--shape 5,392,2,2[,r] ...] [--batches 1,64,256,512,2048]
@@ -72,23 +82,27 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-# bench_eval puts src/ and the repository root on sys.path
-from bench_eval import ROOT, environment, path_row, time_path, timing  # noqa: E402
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import numpy as np  # noqa: E402
 
 from kronblock import flops as fl  # noqa: E402
+from kronblock.cli import run_environment  # noqa: E402
 from kronblock.factor import KronShape, build_weight, random_factor  # noqa: E402
-from kronblock.linalg import row_view, tile_rows  # noqa: E402
+from kronblock.linalg import matmul, row_view, tile_rows  # noqa: E402
 from kronblock.network import (  # noqa: E402
+    THIN_WEIGHT_ROWS,
     Layer,
     Network,
     dense_spec,
@@ -98,6 +112,7 @@ from kronblock.network import (  # noqa: E402
     network_backward_flops,
     network_forward_flops,
     network_update_flops,
+    product_orientation,
 )
 from kronblock.patterns import PatternSet, select_pattern  # noqa: E402
 from kronblock.train import TrainConfig, group_lasso_prox, init_velocities, sgd_step  # noqa: E402
@@ -142,10 +157,67 @@ TILE_MATRICES = ((10, 784, (2, 2)), (1024, 1024, (16, 16)), (16, 1024, (16, 16))
 # about 1e-4 each, so the timed weights stay far from subnormal numbers
 PROX_T = 1e-4
 BUILD_SHAPE = KronShape(5, 392, 2, 2, 2)
+# weight rows on both sides of THIN_WEIGHT_ROWS, at the paper's input width
+# and the 1024-wide benchmark net's
+THIN_ROWS = (2, 4, 10, 15, 16, 24, 64)
+THIN_WIDTHS = (784, 1024)
+
+
+def environment() -> dict:
+    """``run_info.json``'s environment (Python, numpy and BLAS versions, the
+    BLAS thread count and the heap policy) plus the CPUs this process may use."""
+    return {**run_environment(), "nproc": len(os.sched_getaffinity(0))}
+
+
+def time_path(fn, repeats: int) -> list[float]:
+    fn()  # warm-up
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return times
+
+
+def time_pair(fa, fb, repeats: int) -> tuple[list[float], list[float]]:
+    """Times of ``fa`` and ``fb`` run in turn, each going first in every other
+    round, so that a slow spell of the host slows both alike."""
+    fa(), fb()  # warm-up
+    times = ([], [])
+    for i in range(repeats):
+        order = ((fa, times[0]), (fb, times[1]))
+        for fn, out in order if i % 2 == 0 else order[::-1]:
+            t0 = time.perf_counter()
+            fn()
+            out.append(time.perf_counter() - t0)
+    return times
+
+
+def timing(times: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return {"median_s": median, "iqr_s": q3 - q1}
+
+
+def path_row(flops: int, times: list[float]) -> dict:
+    row = {"flops": flops, **timing(times)}
+    row["gflops"] = flops / row["median_s"] / 1e9 if row["median_s"] > 0 else 0.0
+    return row
 
 
 def shape_dims(shape: KronShape) -> list[int]:
     return [shape.m1, shape.n1, shape.m2, shape.n2]
+
+
+def parse_batches(text: str) -> list[int]:
+    """Comma-separated positive row counts."""
+    try:
+        batches = [int(v) for v in text.split(",")]
+    except ValueError:
+        batches = []
+    if not batches or min(batches) < 1:
+        raise argparse.ArgumentTypeError(
+            f"batches must be comma-separated positive integers, got {text!r}")
+    return batches
 
 
 def parse_shape(text: str) -> KronShape:
@@ -262,6 +334,43 @@ def step_s(cell: dict, path: str, step: str) -> float:
     return sum(cell[path][part]["median_s"] for part in JUDGED[step][0])
 
 
+def measure_thin(m: int, n: int, n_batch: int, repeats: int, rng) -> dict:
+    """Both orientations of ``X @ W.T`` for an ``m x n`` weight and
+    ``n_batch`` input rows, and the orientation the rule picks."""
+    w = rng.standard_normal((m, n))
+    x = rng.standard_normal((n_batch, n))
+    flops = fl.dense_layer_report(n_batch, m, n).breakdown["forward.matmul"]
+    direct, swapped = (
+        path_row(flops, times)
+        for times in time_pair(
+            lambda: matmul(x, w.T), lambda: np.ascontiguousarray(matmul(w, x.T).T), repeats
+        )
+    )
+    pick = product_orientation(m, n_batch)
+    faster = "swapped" if swapped["median_s"] < direct["median_s"] else "direct"
+    return {
+        "m": m, "n": n, "batch": n_batch, "direct": direct, "swapped": swapped,
+        "swap_speedup": direct["median_s"] / swapped["median_s"] if swapped["median_s"] else 0.0,
+        "pick": pick, "faster": faster, "pick_is_faster": pick == faster,
+    }
+
+
+def thin_products(batches: list[int], repeats: int, rng) -> list[dict]:
+    """``measure_thin`` for every weight width, weight row count and batch."""
+    cells = []
+    for n in THIN_WIDTHS:
+        for m in THIN_ROWS:
+            for n_batch in batches:
+                cell = measure_thin(m, n, n_batch, repeats, rng)
+                cells.append(cell)
+                direct, swapped = cell["direct"], cell["swapped"]
+                print(f"W {m:>2}x{n:<5} N={n_batch:<5} direct {direct['median_s'] * 1e3:9.3f} ms "
+                      f"swapped {swapped['median_s'] * 1e3:9.3f} ms  "
+                      f"x{cell['swap_speedup']:4.2f}  pick {cell['pick']:<8} "
+                      f"{'ok' if cell['pick_is_faster'] else 'WRONG'}")
+    return cells
+
+
 def tile_ops(repeats: int, rng) -> dict:
     """Times of the dense baselines' tile-wise products and of ``build_weight``."""
     cells = []
@@ -348,12 +457,12 @@ def main(argv=None) -> int:
     p.add_argument("--out", default=str(ROOT / "BENCH_train.json"))
     p.add_argument("--shape", type=parse_shape, action="append",
                    help="m1,n1,m2,n2[,r] (repeatable; default: the eleven built-in shapes)")
-    p.add_argument("--batches", default=",".join(map(str, BATCHES)))
+    p.add_argument("--batches", type=parse_batches, default=list(BATCHES),
+                   help="comma-separated row counts (default: 1,64,256,512,2048)")
     args = p.parse_args(argv)
     if args.repeats < 2:
         p.error("--repeats must be at least 2")
-    shapes = args.shape or SHAPES
-    batches = [int(v) for v in args.batches.split(",")]
+    shapes, batches = args.shape or SHAPES, args.batches
 
     rng = np.random.default_rng(SEED)
     cells = []
@@ -381,6 +490,13 @@ def main(argv=None) -> int:
     ]
     steps = len(cells) * len(JUDGED)
     print(f"rule picked the faster path in {steps - len(wrong)} of {steps} steps")
+    thin = thin_products(batches, args.repeats, rng)
+    thin_wrong = [{"m": c["m"], "n": c["n"], "batch": c["batch"], "pick": c["pick"],
+                   "direct_median_s": c["direct"]["median_s"],
+                   "swapped_median_s": c["swapped"]["median_s"]}
+                  for c in thin if not c["pick_is_faster"]]
+    print(f"orientation rule picked the faster product in {len(thin) - len(thin_wrong)} "
+          f"of {len(thin)} cells")
     tiles = tile_ops(args.repeats, rng)
     for cell in tiles["matrices"]:
         print(f"{cell['m']}x{cell['n']} {tuple(cell['block'])}: prox "
@@ -388,7 +504,8 @@ def main(argv=None) -> int:
               f"{cell['prune_grad_mask']['median_s'] * 1e6:8.1f} us")
     print(f"build_weight {tiles['build_weight']['median_s'] * 1e6:8.1f} us")
     result = {
-        "benchmark": "one training step per layer: fold and materialized paths vs dense twin",
+        "benchmark": "one training step per layer: fold and materialized paths vs dense twin; "
+                     "thin weight products in both orientations",
         "rank": RANK,
         "repeats": args.repeats,
         "seed": SEED,
@@ -396,6 +513,10 @@ def main(argv=None) -> int:
         "cells": cells,
         "rule_right": steps - len(wrong),
         "rule_wrong": wrong,
+        "thin_weight_rows": THIN_WEIGHT_ROWS,
+        "thin_products": thin,
+        "thin_rule_right": len(thin) - len(thin_wrong),
+        "thin_rule_wrong": thin_wrong,
         "tile_ops": tiles,
         "epochs": epochs(args.repeats),
     }

@@ -457,7 +457,10 @@ def write_run(args, run: RunInputs, net: Network, name: str, records: list, summ
     seed), run_info.json (wall clock, environment, the training ``paths`` and
     the inference paths at the eval set's rows) and the checkpoint of ``net``
     into ``args.out``, which ``run_inputs`` has made."""
-    shutil.copyfile(args.config, os.path.join(args.out, "config.json"))
+    config_copy = os.path.join(args.out, "config.json")
+    # a config re-run from its own run directory is already in place
+    if not (os.path.exists(config_copy) and os.path.samefile(args.config, config_copy)):
+        shutil.copyfile(args.config, config_copy)
     with open(os.path.join(args.out, f"{name}.ndjson"), "w") as fh:
         for rec in records:
             fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")

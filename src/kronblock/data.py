@@ -173,7 +173,8 @@ def read_idx(path) -> np.ndarray:
 
 def write_idx(path, arr: np.ndarray) -> None:
     """Write a uint8 or float64 array as an IDX container."""
-    arr = np.ascontiguousarray(arr)
+    # not ascontiguousarray, which turns a 0-d array into a 1-d one
+    arr = np.asarray(arr, order="C")
     if arr.dtype not in _IDX_CODES:
         raise ValueError(f"unsupported IDX dtype {arr.dtype}")
     code = _IDX_CODES[arr.dtype]

@@ -244,7 +244,7 @@ def _activate(layer: Layer, pre: np.ndarray) -> np.ndarray:
 # rows leaves part of each tile idle in ``X @ W.T``, while swapped the batch
 # fills them. The swap pays from 512 input rows; at 16 weight rows, or with
 # fewer input rows, its copy costs more than the tiling saves
-# (``thin_products`` in BENCH_eval.json)
+# (``thin_products`` in BENCH_train.json)
 THIN_WEIGHT_ROWS = 16
 SWAP_MIN_ROWS = 512
 

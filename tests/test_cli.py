@@ -1097,3 +1097,23 @@ def test_golden_outputs_across_blas_threads(tmp_path, threads):
     assert proc.returncode == 0, proc.stderr
     for name in sorted(GOLDEN):
         assert golden_digests(name, tmp_path) == GOLDEN[name][2], name
+
+
+@pytest.mark.parametrize("name", ["kron", "select"])
+def test_rerun_from_own_run_directory(tmp_path, name):
+    # a run directory's config.json run again into that directory writes every
+    # output there, keeps its config bytes and gives the fresh run's files
+    command = GOLDEN[name][0]
+    assert main(golden_argv(name, tmp_path)) == 0
+    fresh, run = tmp_path / name, tmp_path / "rerun"
+    run.mkdir()
+    config = (fresh / "config.json").read_bytes()
+    (run / "config.json").write_bytes(config)
+    argv = [command[0], "--config", str(run / "config.json"), *command[1:], "--out", str(run)]
+    assert main(argv) == 0
+    assert (run / "config.json").read_bytes() == config
+    outputs = sorted(p.name for p in fresh.iterdir())
+    assert sorted(p.name for p in run.iterdir()) == outputs
+    for file in outputs:
+        if file != "run_info.json":  # holds the wall clock
+            assert (run / file).read_bytes() == (fresh / file).read_bytes(), file

@@ -135,15 +135,26 @@ def test_idx_roundtrip_lossless(tmp_path, rng):
     assert np.array_equal(read_idx(path), bytes_arr)
 
 
+def test_idx_roundtrip_keeps_shape(tmp_path, rng):
+    # a 0-d array stays 0-d, and a strided view is written in C order
+    path = tmp_path / "arr.idx"
+    write_idx(path, np.array(2.5))
+    got = read_idx(path)
+    assert got.shape == () and got == 2.5
+    strided = rng.standard_normal((4, 6))[:, ::2]
+    write_idx(path, strided)
+    assert np.array_equal(read_idx(path), strided)
+
+
 def test_read_idx_zero_dims(tmp_path):
     # a 0-d container holds one item: the full file reads as a 0-d array, and
     # a header without its item is truncated, naming its dims
-    header = struct.pack(">HBB", 0, 0x0D, 0)  # float64, no dims
     path = tmp_path / "scalar.idx"
-    path.write_bytes(header + struct.pack(">d", 2.5))
+    write_idx(path, np.array(2.5))
+    assert path.read_bytes() == struct.pack(">HBBd", 0, 0x0D, 0, 2.5)  # float64, no dims
     got = read_idx(path)
     assert got.shape == () and got == 2.5
-    path.write_bytes(header)
+    path.write_bytes(path.read_bytes()[:4])
     with pytest.raises(IdxTruncatedError, match=r"dims \(\) declare 8 payload bytes, but only 0"):
         read_idx(path)
 

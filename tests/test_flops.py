@@ -478,54 +478,6 @@ def test_eval_paths_picks(layers, rows, layer, path):
     assert paths[layer] == path
 
 
-def test_bench_eval_script_writes_schema(tmp_path):
-    # schema only: timings are noisy, so no bound is placed on them
-    script = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "bench_eval.py")
-    out_path = tmp_path / "BENCH_eval.json"
-    proc = subprocess.run(
-        [sys.executable, script, "--repeats", "2", "--batches", "1,64", "--out", str(out_path)],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(out_path.read_text())
-    assert set(result) == {"benchmark", "repeats", "seed", "environment", "thin_weight_rows",
-                           "thin_products", "thin_rule_right", "thin_rule_wrong", "evaluate"}
-    assert set(result["environment"]) == {"python", "numpy", "blas", "blas_version",
-                                          "blas_threads", "heap_policy", "nproc"}
-    # the committed file holds what the script writes, and no single-layer
-    # path cells: bench_train.py judges the eval path
-    with open(os.path.join(os.path.dirname(__file__), "..", "BENCH_eval.json")) as fh:
-        assert set(json.load(fh)) == set(result)
-    # the thin-weight products: both orientations at every batch, each side of
-    # the orientation rule
-    assert result["thin_weight_rows"] == THIN_WEIGHT_ROWS
-    thin = result["thin_products"]
-    assert {c["batch"] for c in thin} == {1, 64}
-    assert min(c["m"] for c in thin) < THIN_WEIGHT_ROWS <= max(c["m"] for c in thin)
-    for cell in thin:
-        assert set(cell) == {"m", "n", "batch", "direct", "swapped", "swap_speedup", "pick",
-                             "faster", "pick_is_faster"}
-        flops = cell["batch"] * cell["m"] * (2 * cell["n"] - 1)
-        for side in ("direct", "swapped"):
-            assert set(cell[side]) == {"flops", "median_s", "iqr_s", "gflops"}
-            assert cell[side]["flops"] == flops
-            assert cell[side]["median_s"] >= 0.0 and cell[side]["iqr_s"] >= 0.0
-        assert cell["pick"] == product_orientation(cell["m"], cell["batch"])
-        assert cell["swap_speedup"] == cell["direct"]["median_s"] / cell["swapped"]["median_s"]
-        assert cell["faster"] in ("direct", "swapped")
-        assert cell["pick_is_faster"] == (cell["pick"] == cell["faster"])
-    assert result["thin_rule_right"] + len(result["thin_rule_wrong"]) == len(thin)
-    # a whole evaluate call of each benchmark net, factored and dense
-    assert [(c["net"], c["batch"]) for c in result["evaluate"]] == [
-        ("linear784", 1), ("linear784", 64), ("wide1024", 1), ("wide1024", 64)]
-    for cell in result["evaluate"]:
-        assert set(cell) == {"net", "batch", "paths", "kron", "dense"}
-        assert set(cell["paths"]) <= {"fold", "materialized"}
-        for kind in ("kron", "dense"):
-            assert set(cell[kind]) == {"median_s", "iqr_s", "samples_per_s"}
-            assert cell[kind]["median_s"] >= 0.0 and cell[kind]["iqr_s"] >= 0.0
-
-
 # the default shapes of bench_train.py, r=2 unless a fifth element is given
 BENCH_TRAIN_SHAPES = [
     KronShape(*dims[:4], dims[4] if len(dims) == 5 else 2)
@@ -583,6 +535,39 @@ def check_train_cells(result, shapes, batches):
     assert result["rule_right"] + len(wrong) == len(JUDGED_STEPS) * len(cells)
 
 
+# the thin weight products of bench_train.py: weight widths and row counts
+THIN_WIDTHS = (784, 1024)
+THIN_ROWS = (2, 4, 10, 15, 16, 24, 64)
+
+
+def check_thin_cells(result, batches):
+    """The thin weight products of a BENCH_train.json: one per weight width,
+    row count and batch, in that order, each timing both orientations with
+    the cost model's flops and judging the orientation rule."""
+    assert result["thin_weight_rows"] == THIN_WEIGHT_ROWS
+    thin = result["thin_products"]
+    assert [(c["n"], c["m"], c["batch"]) for c in thin] == [
+        (n, m, batch) for n in THIN_WIDTHS for m in THIN_ROWS for batch in batches]
+    # cells on both sides of the orientation rule's weight rows
+    assert min(c["m"] for c in thin) < THIN_WEIGHT_ROWS <= max(c["m"] for c in thin)
+    for cell in thin:
+        assert set(cell) == {"m", "n", "batch", "direct", "swapped", "swap_speedup", "pick",
+                             "faster", "pick_is_faster"}
+        flops = fl.dense_layer_report(cell["batch"], cell["m"], cell["n"]).breakdown[
+            "forward.matmul"]
+        for side in ("direct", "swapped"):
+            assert set(cell[side]) == {"flops", "median_s", "iqr_s", "gflops"}
+            assert cell[side]["flops"] == flops
+            assert cell[side]["median_s"] >= 0.0 and cell[side]["iqr_s"] >= 0.0
+        assert cell["pick"] == product_orientation(cell["m"], cell["batch"])
+        assert cell["swap_speedup"] == cell["direct"]["median_s"] / cell["swapped"]["median_s"]
+        assert cell["faster"] in ("direct", "swapped")
+        assert cell["pick_is_faster"] == (cell["pick"] == cell["faster"])
+    wrong = [(w["m"], w["n"], w["batch"]) for w in result["thin_rule_wrong"]]
+    assert wrong == [(c["m"], c["n"], c["batch"]) for c in thin if not c["pick_is_faster"]]
+    assert result["thin_rule_right"] + len(wrong) == len(thin)
+
+
 def test_bench_train_script_writes_schema(tmp_path, monkeypatch):
     # schema only: timings are noisy, so no bound is placed on them
     script = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "bench_train.py")
@@ -595,11 +580,13 @@ def test_bench_train_script_writes_schema(tmp_path, monkeypatch):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(out_path.read_text())
     assert set(result) == {"benchmark", "rank", "repeats", "seed", "environment", "cells",
-                           "rule_right", "rule_wrong", "tile_ops", "epochs"}
+                           "rule_right", "rule_wrong", "thin_weight_rows", "thin_products",
+                           "thin_rule_right", "thin_rule_wrong", "tile_ops", "epochs"}
     assert set(result["environment"]) == {"python", "numpy", "blas", "blas_version",
                                           "blas_threads", "heap_policy", "nproc"}
     # a four-element shape is at the default rank 2, a fifth element sets it
     check_train_cells(result, [KronShape(8, 16, 2, 2, 2), KronShape(2, 4, 8, 8, 4)], [1, 64])
+    check_thin_cells(result, [1, 64])
     # the committed file times every default shape at one row and at every row
     # count a benchmark workload trains, evaluates or selects on
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), ".."))
@@ -612,6 +599,8 @@ def test_bench_train_script_writes_schema(tmp_path, monkeypatch):
         committed = json.load(fh)
     assert set(committed) == set(result)
     check_train_cells(committed, BENCH_TRAIN_SHAPES, batches)
+    check_thin_cells(committed, batches)
+    assert len(committed["thin_products"]) == 70
     # the tile-wise products of the dense baselines, and build_weight
     timing = {"median_s", "iqr_s"}
     tiles = result["tile_ops"]
@@ -648,3 +637,21 @@ def test_bench_train_script_writes_schema(tmp_path, monkeypatch):
         step = fl.layers_report(wl.batch, layers)
         assert cell["flops_per_epoch"] == wl.n_train // wl.batch * (
             step.forward + step.backward + step.update)
+
+
+def test_bench_train_script_rejects_bad_batches(tmp_path):
+    # --batches takes comma-separated positive integers; anything else is a
+    # usage error before any timing
+    script = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "bench_train.py")
+    out_path = tmp_path / "BENCH_train.json"
+    for batches in ("1,x", "0,64", ""):
+        proc = subprocess.run(
+            [sys.executable, script, "--batches", batches, "--out", str(out_path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines()[-1] == (
+            "bench_train.py: error: argument --batches: batches must be comma-separated "
+            f"positive integers, got {batches!r}")
+        assert not out_path.exists()
