@@ -210,13 +210,9 @@ def shape_dims(shape: KronShape) -> list[int]:
 
 def parse_batches(text: str) -> list[int]:
     """Comma-separated positive row counts."""
-    try:
-        batches = [int(v) for v in text.split(",")]
-    except ValueError:
-        batches = []
-    if not batches or min(batches) < 1:
-        raise argparse.ArgumentTypeError(
-            f"batches must be comma-separated positive integers, got {text!r}")
+    batches = [int(v) for v in text.split(",")]
+    if min(batches) < 1:
+        raise argparse.ArgumentTypeError(f"batches must be positive, got {text!r}")
     return batches
 
 

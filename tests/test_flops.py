@@ -651,7 +651,7 @@ def test_bench_train_script_rejects_bad_batches(tmp_path):
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
-        assert proc.stderr.splitlines()[-1] == (
-            "bench_train.py: error: argument --batches: batches must be comma-separated "
-            f"positive integers, got {batches!r}")
+        error = proc.stderr.splitlines()[-1]
+        assert error.startswith("bench_train.py: error: argument --batches: ")
+        assert error.endswith(repr(batches))
         assert not out_path.exists()
