@@ -30,8 +30,8 @@ import platform
 import shutil
 import sys
 import time
-from dataclasses import MISSING, dataclass, fields
-from typing import get_type_hints
+from dataclasses import MISSING, dataclass, fields, make_dataclass
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -99,26 +99,6 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _require(cfg: dict, key: str, path: str):
-    if key not in cfg:
-        raise ConfigError(f"{path}.{key}: required field is missing")
-    return cfg[key]
-
-
-def _section(cfg: dict, key: str) -> dict:
-    """The required top-level section ``cfg[key]``, which must be an object."""
-    value = _require(cfg, key, "config")
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key}: must be an object")
-    return value
-
-
-def _check_keys(cfg: dict, allowed: set[str], path: str) -> None:
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown field")
-
-
 def _positive_int(value, path: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ConfigError(f"{path}: must be a positive integer, got {value!r}")
@@ -178,210 +158,107 @@ def _parse_block(value, path: str) -> tuple[int, int]:
     raise ConfigError(f"{path}: must be [m2, n2] with positive integers")
 
 
-def _bounded_rank(shape: KronShape, path: str) -> KronShape:
-    """``shape`` if its rank is at most ``shape.full_rank``, the rank beyond
+def _shape(value, path: str) -> tuple[int, int, int, int]:
+    if not isinstance(value, list) or len(value) != 4:
+        raise ConfigError(f"{path}: must be [m1, n1, m2, n2]")
+    return tuple(_positive_int(v, path) for v in value)
+
+
+def _activation(value, path: str) -> str:
+    if value not in ACTIVATIONS:
+        raise ConfigError(f"{path}: unknown activation {value!r}")
+    return value
+
+
+def _layer_list(value, path: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: must be a non-empty list")
+    return value
+
+
+def _patterns(value, path: str) -> list:
+    """At least two patterns, each one that is a list read as its blocks."""
+    if not isinstance(value, list) or len(value) < 2:
+        raise ConfigError(f"{path}: need at least 2 patterns")
+    return [[_parse_block(b, f"{path}[{k}][{i}]") for i, b in enumerate(blocks)]
+            if isinstance(blocks, list) else blocks for k, blocks in enumerate(value)]
+
+
+# The audit draws batch x width random inputs and runs one training step on
+# them; exact counts need no more rows than this.
+FLOP_AUDIT_MAX_BATCH = 4096
+
+
+def _audit_batch(value, path: str) -> int:
+    if _positive_int(value, path) > FLOP_AUDIT_MAX_BATCH:
+        raise ConfigError(f"{path}: must be at most {FLOP_AUDIT_MAX_BATCH}, got {value}")
+    return value
+
+
+def _kron_shape(dims, rank: int, path: str) -> KronShape:
+    """``KronShape(*dims, rank)`` if ``rank`` is at most its full rank, beyond
     which more terms add no expressive power; ``path`` names the rank field."""
+    shape = KronShape(*dims, rank)
     if shape.r > shape.full_rank:
-        dims = [shape.m1, shape.n1, shape.m2, shape.n2]
-        raise ConfigError(
-            f"{path}: must be at most the full rank {shape.full_rank} of shape {dims}, "
-            f"got {shape.r}"
-        )
+        raise ConfigError(f"{path}: must be at most the full rank {shape.full_rank} "
+                          f"of shape {list(dims)}, got {shape.r}")
     return shape
 
 
-def _parse_shape(section: dict, key: str, rank_key: str, path: str) -> KronShape:
-    """``section[key]`` as ``[m1, n1, m2, n2]`` with the rank
-    ``section[rank_key]`` (default 1, at most the full rank); ``path`` names
-    the section."""
-    sh = _require(section, key, path)
-    if not isinstance(sh, list) or len(sh) != 4:
-        raise ConfigError(f"{path}.{key}: must be [m1, n1, m2, n2]")
-    rank = _positive_int(section.get(rank_key, 1), f"{path}.{rank_key}")
-    shape = KronShape(*(_positive_int(v, f"{path}.{key}") for v in sh), rank)
-    return _bounded_rank(shape, f"{path}.{rank_key}")
-
-
-def _layer_shape(layer: dict, path: str) -> KronShape:
-    if "shape" in layer:
-        return _parse_shape(layer, "shape", "rank", path)
-    rank = _positive_int(layer.get("rank", 1), f"{path}.rank")
-    m = _positive_int(_require(layer, "m", path), f"{path}.m")
-    n = _positive_int(_require(layer, "n", path), f"{path}.n")
-    m2, n2 = _parse_block(_require(layer, "block", path), f"{path}.block")
-    if m % m2 != 0 or n % n2 != 0:
-        raise ConfigError(f"{path}.block: ({m2},{n2}) does not divide {m}x{n}")
-    return _bounded_rank(KronShape(m // m2, n // n2, m2, n2, rank), f"{path}.rank")
-
-
-def _model_layers(model_cfg: dict, model_keys: set[str], layer_keys: set[str]):
-    """Check the keys of the ``model`` section, then yield ``(path, layer)``
-    per layer with the layer's keys checked."""
-    _check_keys(model_cfg, model_keys, "model")
-    layers_cfg = _require(model_cfg, "layers", "model")
-    if not isinstance(layers_cfg, list) or not layers_cfg:
-        raise ConfigError("model.layers: must be a non-empty list")
-    for idx, layer in enumerate(layers_cfg):
-        path = f"model.layers[{idx}]"
-        if not isinstance(layer, dict):
-            raise ConfigError(f"{path}: must be an object")
-        _check_keys(layer, layer_keys, path)
-        yield path, layer
-
-
-def _activation(layer: dict, path: str) -> str:
-    activation = layer.get("activation", "identity")
-    if activation not in ACTIVATIONS:
-        raise ConfigError(f"{path}.activation: unknown activation {activation!r}")
-    return activation
-
-
-def model_specs(model_cfg: dict, force_dense: bool = False) -> list:
-    """The checked layer specs of the ``model`` section, before anything is
-    allocated."""
-    specs = []
-    for path, layer in _model_layers(
-        model_cfg, {"layers", "init_seed"},
-        {"kind", "activation", "shape", "rank", "m", "n", "block"},
-    ):
-        kind = _require(layer, "kind", path)
-        activation = _activation(layer, path)
-        if kind == "kron":
-            shape = _layer_shape(layer, path)
-            if force_dense:
-                specs.append(dense_spec(shape.m, shape.n, activation))
-            else:
-                specs.append(kron_spec(shape, activation))
-        elif kind == "dense":
-            m = _positive_int(_require(layer, "m", path), f"{path}.m")
-            n = _positive_int(_require(layer, "n", path), f"{path}.n")
-            specs.append(dense_spec(m, n, activation))
-        else:
-            raise ConfigError(f"{path}.kind: must be 'kron' or 'dense', got {kind!r}")
-    return specs
-
-
-def build_model(model_cfg: dict, specs: list, seed: int) -> Network:
-    """The network of ``model_specs``; a net too large to allocate is a
-    config error."""
-    init_seed = _nonnegative_int(model_cfg.get("init_seed", seed), "model.init_seed")
-    try:
-        return build_network(specs, seed=init_seed)
-    except (ValueError, MemoryError) as exc:
-        raise ConfigError(f"model.layers: {exc}") from exc
-
-
-def build_dataset(ds_cfg: dict, seed: int) -> tuple[Dataset, Dataset | None]:
-    """Returns (train, eval-or-None) per the dataset config; a teacher too
-    large to allocate is a config error."""
-    kind = _require(ds_cfg, "kind", "dataset")
-    if kind == "teacher":
-        _check_keys(
-            ds_cfg,
-            {
-                "kind", "m", "n", "block", "zero_tile_fraction", "n_samples",
-                "noise_sigma", "seed", "classification", "test_fraction",
-            },
-            "dataset",
-        )
-        m = _positive_int(_require(ds_cfg, "m", "dataset"), "dataset.m")
-        n = _positive_int(_require(ds_cfg, "n", "dataset"), "dataset.n")
-        block = _parse_block(_require(ds_cfg, "block", "dataset"), "dataset.block")
-        frac = _number(ds_cfg.get("zero_tile_fraction", 0.5), "dataset.zero_tile_fraction")
-        n_samples = _positive_int(ds_cfg.get("n_samples", 512), "dataset.n_samples")
-        noise_sigma = _number(ds_cfg.get("noise_sigma", 0.0), "dataset.noise_sigma")
-        test_fraction = _number(ds_cfg.get("test_fraction", 0.0), "dataset.test_fraction")
-        ds_seed = _nonnegative_int(ds_cfg.get("seed", seed), "dataset.seed")
-        classification = _boolean(ds_cfg.get("classification", True), "dataset.classification")
-        try:
-            ds, _ = make_teacher_dataset(
-                m, n, block, frac, n_samples,
-                noise_sigma=noise_sigma,
-                seed=ds_seed,
-                classification=classification,
-            )
-        except (ValueError, MemoryError) as exc:
-            raise ConfigError(f"dataset: {exc}") from exc
-        if test_fraction > 0:
-            try:
-                return train_test_split(ds, test_fraction, seed=ds_seed)
-            except ValueError as exc:
-                raise ConfigError(f"dataset.test_fraction: {exc}") from exc
-        return ds, None
-    if kind == "mnist":
-        _check_keys(ds_cfg, {"kind", "dir", "limit"}, "dataset")
-        data_dir = ds_cfg.get("dir")
-        if data_dir is not None:
-            _string(data_dir, "dataset.dir")
-        data_dir = data_dir or default_data_dir()
-        paths = find_mnist(data_dir)
-        if paths is None:
-            raise ConfigError(f"dataset.dir: MNIST files not found under {data_dir}")
-        pairs = [(paths[f"{part}_images"], paths[f"{part}_labels"]) for part in ("train", "test")]
-    elif kind == "idx":
-        _check_keys(
-            ds_cfg, {"kind", "images", "labels", "test_images", "test_labels"}, "dataset"
-        )
-        prefixes = ("", "test_") if "test_images" in ds_cfg else ("",)
-        pairs = [[_string(_require(ds_cfg, p + key, "dataset"), f"dataset.{p}{key}")
-                  for key in ("images", "labels")] for p in prefixes]
-    else:
-        raise ConfigError(f"dataset.kind: unknown kind {kind!r}")
-    try:
-        train, *test = [load_idx(*pair) for pair in pairs]
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"dataset: {exc}") from exc
-    limit = ds_cfg.get("limit")
-    if limit is not None:
-        limit = _positive_int(limit, "dataset.limit")
-        train = train.subset(np.arange(min(limit, train.n)))
-    return train, (test[0] if test else None)
-
-
-def _check_fit(ds_cfg: dict, sets: list, loss: str, in_dim: int, out_dim: int) -> None:
-    """The built ``sets`` fit the model's widths: a teacher's ``n`` and ``m``
-    equal them; an IDX set has as many features, and no label past the
-    outputs (``class_count``, which a subset shares, so no rows are gathered).
-    Cross-entropy takes labels, the squared loss regression targets."""
-    labelled = sets[0].class_count is not None
-    if labelled != (loss == "softmax_cross_entropy"):
-        targets = "class labels" if labelled else "regression targets"
-        raise ConfigError(f"train.loss: {loss} does not fit a dataset of {targets}")
-    if ds_cfg["kind"] == "teacher":
-        for key, width, what in (("n", in_dim, "input"), ("m", out_dim, "output")):
-            if ds_cfg[key] != width:
-                raise ConfigError(
-                    f"dataset.{key}: {ds_cfg[key]} does not match the model's {what} width {width}"
-                )
-        return
-    for ds in sets:
-        if ds.width != in_dim:
-            raise ConfigError(
-                f"dataset: images have {ds.width} pixels, but the model's input width is {in_dim}"
-            )
-        if ds.class_count > out_dim:
-            raise ConfigError(
-                f"dataset: labels reach {ds.class_count - 1}, past the model's output width {out_dim}"
-            )
-
-
+# Field annotations that carry their own JSON check; _JSON_TYPES checks the
+# plain ones. The int fields are all counts or seeds; an object field is a
+# section or a kind, which its own read checks.
+Positive = Annotated[int, _positive_int]
+Block = Annotated[tuple, _parse_block]
+Shape = Annotated[tuple, _shape]
+Activation = Annotated[str, _activation]
+Layers = Annotated[list, _layer_list]
+Patterns = Annotated[list, _patterns]
+AuditBatch = Annotated[int, _audit_batch]
+_JSON_TYPES = {int: _nonnegative_int, float: _number, bool: _boolean, str: _string,
+               object: lambda value, path: value}
+LEFT_OUT = object()  # a top-level section's default: found missing when it is read
 # Config keys of dataclass fields whose key is not the field name.
 CONFIG_KEYS = {"lam": "lambda", "eps_zero": "epsilon_zero"}
-# JSON type check per field annotation; the int fields are all counts.
-_JSON_TYPES = {int: _nonnegative_int, float: _number, bool: _boolean, str: _string}
 
 
-def _dataclass_section(cls, section: dict, name: str, extra: set[str], **fixed):
-    """``cls(**fixed, ...)``, every other field read from config section ``name``
-    under its key (``CONFIG_KEYS``, else the field name). The caller parses the
-    ``extra`` keys, which are not fields; defaults and ranges are ``cls``'s own."""
-    keys = {CONFIG_KEYS.get(f.name, f.name): f for f in fields(cls) if f.name not in fixed}
-    _check_keys(section, set(keys) | extra, name)
-    types = get_type_hints(cls)
+@functools.cache
+def _check(hint):
+    """The JSON check of a field annotation; ``X | None`` takes null too."""
+    args = get_args(hint)
+    if type(None) in args:
+        check = _check(args[0])
+        return lambda value, path: None if value is None else check(value, path)
+    return hint.__metadata__[0] if get_origin(hint) is Annotated else _JSON_TYPES[hint]
+
+
+@functools.cache
+def _fields(cls) -> dict:
+    """Config key (``CONFIG_KEYS``, else the field name) -> (field, annotation)
+    of dataclass ``cls``; cached, as reading annotations takes ~100 us."""
+    hints = get_type_hints(cls, include_extras=True)
+    return {CONFIG_KEYS[f.name] if f.name in CONFIG_KEYS else f.name: (f, hints[f.name])
+            for f in fields(cls)}
+
+
+def _dataclass_section(cls, section, name: str, also=(), **fixed):
+    """``cls(**fixed, ...)``, every other field read from config section
+    ``name`` under its key and checked by its annotation (``_check``); other
+    keys may only be those of the ``also`` dataclasses, which other reads
+    take. Top-level (``config``) values are named by their key alone."""
+    if section is LEFT_OUT:
+        raise ConfigError(f"config.{name}: required field is missing")
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name}: must be an object")
+    keys = {key: fh for key, fh in _fields(cls).items() if fh[0].name not in fixed}
+    unknown = set(section) - set(keys).union(*map(_fields, also))
+    if unknown:
+        raise ConfigError(f"{name}.{sorted(unknown)[0]}: unknown field")
+    prefix = "" if name == "config" else f"{name}."
     values = dict(fixed)
-    for key, f in keys.items():
+    for key, (f, hint) in keys.items():
         if key in section:
-            values[f.name] = _JSON_TYPES[types[f.name]](section[key], f"{name}.{key}")
+            values[f.name] = _check(hint)(section[key], prefix + key)
         elif f.default is MISSING:
             raise ConfigError(f"{name}.{key}: required field is missing")
     try:
@@ -390,14 +267,177 @@ def _dataclass_section(cls, section: dict, name: str, extra: set[str], **fixed):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def build_train_config(train_cfg: dict, seed: int) -> TrainConfig:
-    return _dataclass_section(
-        TrainConfig, train_cfg, "train", {"block", "target_rate", "rounds"}, seed=seed
-    )
+def _kinded(head, kinds: dict, section, name: str, unknown: str):
+    """``section`` read as ``kinds[kind]``, after ``head`` (the keys every kind
+    takes, ``kind`` first) is read among all kinds' keys: a key that only
+    another kind takes is unknown. ``unknown`` formats a bad kind's message."""
+    kind = _dataclass_section(head, section, name, kinds.values()).kind
+    for key, cls in kinds.items():
+        if kind == key:
+            return _dataclass_section(cls, section, name)
+    raise ConfigError(f"{name}.kind: " + unknown.format(kind))
 
 
-def build_select_config(select_cfg: dict, tcfg: TrainConfig) -> SelectConfig:
-    return _dataclass_section(SelectConfig, select_cfg, "select", {"patterns", "rank"}, train=tcfg)
+def _schema(name: str, *bases, **keys):
+    """Frozen dataclass ``name`` over ``bases``; a key gives ``(annotation, default)``."""
+    specs = [(key, *spec) if isinstance(spec, tuple) else (key, spec) for key, spec in keys.items()]
+    cls = make_dataclass(name, specs, bases=bases, frozen=True, kw_only=True)
+    cls.__module__ = __name__
+    return cls
+
+
+# One frozen dataclass per config section and kind (_kinded): its fields are
+# the keys, its annotations pick their checks, its defaults are the only ones;
+# a default of None is the key left out, and JSON null is a value only of an
+# ``X | None`` key. ``train``, ``select`` and ``train``'s ``model`` take two
+# schemas' keys each; the top level's sections are read in turn.
+SECTION = (object, LEFT_OUT)
+TrainFile = _schema("TrainFile", seed=(int, 0), dataset=SECTION, train=SECTION, model=SECTION)
+SelectFile = _schema("SelectFile", TrainFile, select=SECTION)
+FlopsFile = _schema("FlopsFile", flops=SECTION)
+DatasetKind = _schema("DatasetKind", kind=object)
+TeacherData = _schema(
+    "TeacherData", DatasetKind, m=Positive, n=Positive, block=Block,
+    zero_tile_fraction=(float, 0.5), n_samples=(Positive, 512), noise_sigma=(float, 0.0),
+    test_fraction=(float, 0.0), seed=(int, None), classification=(bool, True),
+)  # seed None: the master seed
+IdxData = _schema("IdxData", DatasetKind, images=str, labels=str,  # the test pair: both or none
+                  test_images=(str, None), test_labels=(str, None))
+MnistData = _schema("MnistData", DatasetKind, dir=(str | None, None), limit=(Positive | None, None))
+Model = _schema("Model", layers=Layers)
+ModelInit = _schema("ModelInit", init_seed=(int, None))  # read to build the net
+Layer = _schema("Layer", kind=object, activation=(Activation, "identity"))
+KronShapeLayer = _schema("KronShapeLayer", Layer, shape=Shape, rank=(Positive, 1))
+KronBlockLayer = _schema("KronBlockLayer", Layer, rank=(Positive, 1), m=Positive, n=Positive,
+                         block=Block)
+DenseLayer = _schema("DenseLayer", Layer, m=Positive, n=Positive)
+SelectKind = _schema("SelectKind", kind=(object, "kron"))  # a select-pattern layer's
+SelectLayer = _schema("SelectLayer", SelectKind, m=Positive, n=Positive,
+                      activation=(Activation, "identity"))
+TrainMethod = _schema("TrainMethod", block=(Block, None), target_rate=(float, 0.5),
+                      rounds=(Positive, 1))  # beside TrainConfig's keys, under every method
+SelectPatterns = _schema("SelectPatterns", patterns=Patterns, rank=(Positive, 1))
+FlopAudit = _schema("FlopAudit", kind=object, batch=(AuditBatch, 1), seed=(int, 0))
+DenseAudit = _schema("DenseAudit", FlopAudit, m=Positive, n=Positive)
+KronAudit = _schema("KronAudit", FlopAudit, shape=Shape, rank=(Positive, 1))
+TwoLayerDenseAudit = _schema("TwoLayerDenseAudit", FlopAudit, d_in=Positive, d_hidden=Positive,
+                             d_out=Positive)
+TwoLayerKronAudit = _schema("TwoLayerKronAudit", FlopAudit, shape1=Shape, rank1=(Positive, 1),
+                            shape2=Shape, rank2=(Positive, 1))
+DATASETS = {"teacher": TeacherData, "idx": IdxData, "mnist": MnistData}
+FLOP_AUDITS = {"dense": DenseAudit, "kron": KronAudit,
+               "two_layer_dense": TwoLayerDenseAudit, "two_layer_kron": TwoLayerKronAudit}
+
+
+def _layer_shape(layer, path: str) -> KronShape:
+    if isinstance(layer, KronShapeLayer):
+        return _kron_shape(layer.shape, layer.rank, f"{path}.rank")
+    (m2, n2), m, n = layer.block, layer.m, layer.n
+    if m % m2 != 0 or n % n2 != 0:
+        raise ConfigError(f"{path}.block: ({m2},{n2}) does not divide {m}x{n}")
+    return _kron_shape((m // m2, n // n2, m2, n2), layer.rank, f"{path}.rank")
+
+
+def model_specs(model_cfg, force_dense: bool = False) -> list:
+    """The checked layer specs of ``train``'s ``model`` section, before anything
+    is allocated; a ``kron`` layer gives ``shape`` or ``m``, ``n`` and ``block``."""
+    specs = []
+    for i, raw in enumerate(_dataclass_section(Model, model_cfg, "model", (ModelInit,)).layers):
+        path = f"model.layers[{i}]"
+        kron = KronShapeLayer if isinstance(raw, dict) and "shape" in raw else KronBlockLayer
+        layer = _kinded(Layer, {"kron": kron, "dense": DenseLayer}, raw, path,
+                        "must be 'kron' or 'dense', got {!r}")
+        if layer.kind == "dense":
+            specs.append(dense_spec(layer.m, layer.n, layer.activation))
+            continue
+        shape = _layer_shape(layer, path)
+        specs.append(dense_spec(shape.m, shape.n, layer.activation) if force_dense
+                     else kron_spec(shape, layer.activation))
+    return specs
+
+
+def build_model(model_cfg, specs: list, seed: int) -> Network:
+    """The network of ``model_specs``; a net too large to allocate is a
+    config error."""
+    init_seed = _dataclass_section(ModelInit, model_cfg, "model", (Model,)).init_seed
+    try:
+        return build_network(specs, seed=seed if init_seed is None else init_seed)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"model.layers: {exc}") from exc
+
+
+def build_dataset(ds, seed: int) -> tuple[Dataset, Dataset | None]:
+    """Returns (train, eval-or-None) of the dataset schema ``ds``; a teacher
+    too large to allocate is a config error."""
+    if isinstance(ds, TeacherData):
+        ds_seed = seed if ds.seed is None else ds.seed
+        try:
+            train, _ = make_teacher_dataset(
+                ds.m, ds.n, ds.block, ds.zero_tile_fraction, ds.n_samples,
+                noise_sigma=ds.noise_sigma, seed=ds_seed, classification=ds.classification,
+            )
+        except (ValueError, MemoryError) as exc:
+            raise ConfigError(f"dataset: {exc}") from exc
+        if ds.test_fraction > 0:
+            try:
+                return train_test_split(train, ds.test_fraction, seed=ds_seed)
+            except ValueError as exc:
+                raise ConfigError(f"dataset.test_fraction: {exc}") from exc
+        return train, None
+    if isinstance(ds, MnistData):
+        data_dir = ds.dir or default_data_dir()
+        paths = find_mnist(data_dir)
+        if paths is None:
+            raise ConfigError(f"dataset.dir: MNIST files not found under {data_dir}")
+        pairs = [(paths[f"{part}_images"], paths[f"{part}_labels"]) for part in ("train", "test")]
+    else:
+        test = (ds.test_images, ds.test_labels)
+        if None in test and test != (None, None):
+            raise ConfigError(f"dataset.test_{'images' if test[0] is None else 'labels'}: "
+                              "required field is missing")
+        pairs = [(ds.images, ds.labels)] + ([test] if test[0] is not None else [])
+    try:
+        train, *test = [load_idx(*pair) for pair in pairs]
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"dataset: {exc}") from exc
+    if isinstance(ds, MnistData) and ds.limit is not None:
+        train = train.subset(np.arange(min(ds.limit, train.n)))
+    return train, (test[0] if test else None)
+
+
+def _check_fit(ds, sets: list, loss: str, in_dim: int, out_dim: int) -> None:
+    """The built ``sets`` fit the model's widths: a teacher's ``n`` and ``m``
+    equal them; an IDX set has as many features, and no label past the
+    outputs (``class_count``, which a subset shares, so no rows are gathered).
+    Cross-entropy takes labels, the squared loss regression targets."""
+    labelled = sets[0].class_count is not None
+    if labelled != (loss == "softmax_cross_entropy"):
+        targets = "class labels" if labelled else "regression targets"
+        raise ConfigError(f"train.loss: {loss} does not fit a dataset of {targets}")
+    if isinstance(ds, TeacherData):
+        for key, width, what in (("n", in_dim, "input"), ("m", out_dim, "output")):
+            if getattr(ds, key) != width:
+                raise ConfigError(
+                    f"dataset.{key}: {getattr(ds, key)} does not match the model's {what} width {width}"
+                )
+        return
+    for data in sets:
+        if data.width != in_dim:
+            raise ConfigError(
+                f"dataset: images have {data.width} pixels, but the model's input width is {in_dim}"
+            )
+        if data.class_count > out_dim:
+            raise ConfigError(
+                f"dataset: labels reach {data.class_count - 1}, past the model's output width {out_dim}"
+            )
+
+
+def build_train_config(train_cfg, seed: int) -> TrainConfig:
+    return _dataclass_section(TrainConfig, train_cfg, "train", (TrainMethod,), seed=seed)
+
+
+def build_select_config(select_cfg, tcfg: TrainConfig) -> SelectConfig:
+    return _dataclass_section(SelectConfig, select_cfg, "select", (SelectPatterns,), train=tcfg)
 
 
 # ---------------------------------------------------------------------------
@@ -489,25 +529,16 @@ def write_run(args, run: RunInputs, net: Network, name: str, records: list, summ
 # ---------------------------------------------------------------------------
 
 
-def _config_seed(args, cfg: dict) -> int:
-    """The master seed: ``--seed`` if given, else the config's ``seed``."""
-    if args.seed is not None:
-        return _nonnegative_int(args.seed, "--seed")
-    return _nonnegative_int(cfg.get("seed", 0), "seed")
-
-
 @dataclass(frozen=True)
 class RunInputs:
     """What ``train`` and ``select-pattern`` read alike (``run_inputs``)."""
 
-    cfg: dict
+    cfg: TrainFile
     seed: int
     train_ds: Dataset
     eval_ds: Dataset | None
     tcfg: TrainConfig
-    block: tuple[int, int] | None
-    target_rate: float
-    rounds: int
+    method: TrainMethod
     model: object  # the first value of the command's ``parse_model``
 
     @property
@@ -516,34 +547,30 @@ class RunInputs:
         return min(self.tcfg.batch_size, self.train_ds.n)
 
 
-def run_inputs(args, sections: set[str], parse_model, block_required: bool = False) -> RunInputs:
-    """The front end of ``train`` and ``select-pattern``: the config (top-level
-    keys seed, dataset, model, train and ``sections``), seed, datasets,
-    ``train`` section, and the model that ``parse_model(model_cfg)`` returns
-    with its input and output widths, which the datasets must fit, before any
-    net is allocated. ``train.block``, ``target_rate`` and ``rounds`` are read
-    under every method, so no bad value passes unread; ``block`` is None when
-    absent and not ``block_required``. The ``--out`` directory is made once
-    the config is read, before any data, so an unusable one fails first."""
+def run_inputs(args, file, parse_model, block_required: bool = False) -> RunInputs:
+    """The front end of ``train`` and ``select-pattern``: the config (top level
+    ``file``, whose ``seed`` is checked under ``--seed`` too), seed, datasets,
+    ``train`` section (``TrainMethod``'s keys read under every method), and
+    the model that ``parse_model(model_cfg)`` returns with its input and output
+    widths, which the datasets must fit, before any net is allocated. ``--out``
+    is made once the config is read, before any data, so a bad one fails first."""
     cfg = load_config(args.config)
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"--out: {exc}") from exc
-    _check_keys(cfg, {"seed", "dataset", "model", "train", *sections}, "config")
-    seed = _config_seed(args, cfg)
-    train_ds, eval_ds = build_dataset(_section(cfg, "dataset"), seed)
-    train_section = _section(cfg, "train")
-    tcfg = build_train_config(train_section, seed)
-    block = None
-    if block_required or "block" in train_section:
-        block = _parse_block(_require(train_section, "block", "train"), "train.block")
-    target = _number(train_section.get("target_rate", 0.5), "train.target_rate")
-    rounds = _positive_int(train_section.get("rounds", 1), "train.rounds")
-    model, in_dim, out_dim = parse_model(_section(cfg, "model"))
+    top = _dataclass_section(file, cfg, "config")
+    seed = top.seed if args.seed is None else _nonnegative_int(args.seed, "--seed")
+    dataset = _kinded(DatasetKind, DATASETS, top.dataset, "dataset", "unknown kind {!r}")
+    train_ds, eval_ds = build_dataset(dataset, seed)
+    tcfg = build_train_config(top.train, seed)
+    method = _dataclass_section(TrainMethod, top.train, "train", (TrainConfig,))
+    if block_required and method.block is None:
+        raise ConfigError("train.block: required field is missing")
+    model, in_dim, out_dim = parse_model(top.model)
     sets = [ds for ds in (train_ds, eval_ds) if ds is not None]
-    _check_fit(cfg["dataset"], sets, tcfg.loss, in_dim, out_dim)
-    return RunInputs(cfg, seed, train_ds, eval_ds, tcfg, block, target, rounds, model)
+    _check_fit(dataset, sets, tcfg.loss, in_dim, out_dim)
+    return RunInputs(top, seed, train_ds, eval_ds, tcfg, method, model)
 
 
 def cmd_train(args) -> int:
@@ -553,19 +580,19 @@ def cmd_train(args) -> int:
         specs = model_specs(model_cfg, force_dense=method != "kron")
         return specs, specs[0].in_dim, specs[-1].out_dim
 
-    run = run_inputs(args, set(), parse_model, block_required=method != "kron")
-    net = build_model(run.cfg["model"], run.model, run.seed)
+    run = run_inputs(args, TrainFile, parse_model, block_required=method != "kron")
+    net = build_model(run.cfg.model, run.model, run.seed)
     try:
         if method == "kron":
             net, records = train_kron(net, run.train_ds, run.tcfg, eval_data=run.eval_ds)
         elif method == "group-lasso":
             net, records = train_group_lasso(
-                net, run.train_ds, run.tcfg, run.block, eval_data=run.eval_ds
+                net, run.train_ds, run.tcfg, run.method.block, eval_data=run.eval_ds
             )
         else:
             net, records = prune_blocks(
-                net, run.train_ds, run.tcfg, run.block, run.target_rate, run.rounds,
-                eval_data=run.eval_ds,
+                net, run.train_ds, run.tcfg, run.method.block, run.method.target_rate,
+                run.method.rounds, eval_data=run.eval_ds,
             )
     except ValueError as exc:
         raise ConfigError(f"train: {exc}") from exc
@@ -576,40 +603,31 @@ def cmd_train(args) -> int:
     return write_run(args, run, net, "metrics", records, summary, paths)
 
 
-def _select_layers(model_cfg: dict):
+def _select_layers(model_cfg):
     """The ``(m, n)`` and activation of each layer of a ``select-pattern``
     model, with its input and output widths."""
     layer_dims, activations = [], []
-    for path, layer in _model_layers(model_cfg, {"layers"}, {"kind", "activation", "m", "n"}):
-        if layer.get("kind", "kron") != "kron":
-            raise ConfigError(f"{path}.kind: pattern selection factorizes every layer")
-        m = _positive_int(_require(layer, "m", path), f"{path}.m")
-        n = _positive_int(_require(layer, "n", path), f"{path}.n")
-        layer_dims.append((m, n))
-        activations.append(_activation(layer, path))
+    for i, raw in enumerate(_dataclass_section(Model, model_cfg, "model").layers):
+        layer = _kinded(SelectKind, {"kron": SelectLayer}, raw, f"model.layers[{i}]",
+                        "pattern selection factorizes every layer")
+        layer_dims.append((layer.m, layer.n))
+        activations.append(layer.activation)
     return (layer_dims, activations), layer_dims[0][1], layer_dims[-1][0]
 
 
 def cmd_select_pattern(args) -> int:
-    run = run_inputs(args, {"select"}, _select_layers)
+    run = run_inputs(args, SelectFile, _select_layers)
     layer_dims, activations = run.model
-    select_cfg = _section(run.cfg, "select")
-    scfg = build_select_config(select_cfg, run.tcfg)
-    patterns_cfg = _require(select_cfg, "patterns", "select")
-    if not isinstance(patterns_cfg, list) or len(patterns_cfg) < 2:
-        raise ConfigError("select.patterns: need at least 2 patterns")
-    blocks_per_pattern = []
-    for k, blocks in enumerate(patterns_cfg):
+    scfg = build_select_config(run.cfg.select, run.tcfg)
+    select = _dataclass_section(SelectPatterns, run.cfg.select, "select", (SelectConfig,))
+    blocks_per_pattern, rank = select.patterns, select.rank
+    for k, blocks in enumerate(blocks_per_pattern):
         if not isinstance(blocks, list) or len(blocks) != len(layer_dims):
             raise ConfigError(f"select.patterns[{k}]: one [m2, n2] block per layer required")
-        blocks_per_pattern.append(
-            [_parse_block(b, f"select.patterns[{k}][{i}]") for i, b in enumerate(blocks)]
-        )
-    rank = _positive_int(select_cfg.get("rank", 1), "select.rank")
     for blocks in blocks_per_pattern:
         for (m, n), (m2, n2) in zip(layer_dims, blocks):
             if m % m2 == 0 and n % n2 == 0:  # build_pattern_set names a misfit block
-                _bounded_rank(KronShape(m // m2, n // n2, m2, n2, rank), "select.rank")
+                _kron_shape((m // m2, n // n2, m2, n2), rank, "select.rank")
     try:
         pset = build_pattern_set(layer_dims, blocks_per_pattern, rank, activations, run.seed)
     except ValueError as exc:
@@ -672,54 +690,39 @@ def cmd_shape_opt(args) -> int:
     return 0
 
 
-# The audit draws batch x width random inputs and runs one training step on
-# them; exact counts need no more rows than this.
-FLOP_AUDIT_MAX_BATCH = 4096
-
-
-def flop_audit_case(section: dict):
+def flop_audit_case(section):
     """Validate a ``flops`` config section and build its audit case: the
     analytic report, the instrumented tag prefix (``<prefix>_forward`` and
     ``<prefix>_backward``) and the random inputs drawn from ``seed``. Inputs
     too large to allocate are a config error."""
-    _check_keys(
-        section, {"kind", "batch", "m", "n", "d_in", "d_hidden", "d_out",
-                  "shape", "rank", "shape1", "rank1", "shape2", "rank2", "seed"},
-        "flops",
-    )
-    kind = _require(section, "kind", "flops")
-    nb = _positive_int(section.get("batch", 1), "flops.batch")
-    if nb > FLOP_AUDIT_MAX_BATCH:
-        raise ConfigError(f"flops.batch: must be at most {FLOP_AUDIT_MAX_BATCH}, got {nb}")
-    rng = np.random.default_rng(_nonnegative_int(section.get("seed", 0), "flops.seed"))
+    case = _kinded(FlopAudit, FLOP_AUDITS, section, "flops", "unknown kind {!r}")
+    nb = case.batch
+    rng = np.random.default_rng(case.seed)
     normal = rng.standard_normal
 
-    if kind == "dense":
-        m = _positive_int(_require(section, "m", "flops"), "flops.m")
-        n = _positive_int(_require(section, "n", "flops"), "flops.n")
+    if case.kind == "dense":
+        m, n = case.m, case.n
         report = dense_layer_report(nb, m, n)
 
         def draw():
             return {"x": normal((nb, n)), "w": normal((m, n)), "y": normal((nb, m))}
-    elif kind == "kron":
-        shape = _parse_shape(section, "shape", "rank", "flops")
+    elif case.kind == "kron":
+        shape = _kron_shape(case.shape, case.rank, "flops.rank")
         report = kron_layer_report(nb, shape)
 
         def draw():
             fac = random_factor(shape, rng)
             return {"factor": fac, "x": normal((nb, shape.n)), "y": normal((nb, shape.m))}
-    elif kind == "two_layer_dense":
-        d_in = _positive_int(_require(section, "d_in", "flops"), "flops.d_in")
-        d_hidden = _positive_int(_require(section, "d_hidden", "flops"), "flops.d_hidden")
-        d_out = _positive_int(_require(section, "d_out", "flops"), "flops.d_out")
-        report = two_layer_dense_report(nb, d_in, d_hidden, d_out)
+    elif case.kind == "two_layer_dense":
+        report = two_layer_dense_report(nb, case.d_in, case.d_hidden, case.d_out)
 
         def draw():
+            d_in, d_hidden, d_out = case.d_in, case.d_hidden, case.d_out
             return {"x": normal((nb, d_in)), "w1": normal((d_hidden, d_in)),
                     "w2": normal((d_out, d_hidden)), "y": normal((nb, d_out))}
-    elif kind == "two_layer_kron":
-        s1 = _parse_shape(section, "shape1", "rank1", "flops")
-        s2 = _parse_shape(section, "shape2", "rank2", "flops")
+    else:
+        s1 = _kron_shape(case.shape1, case.rank1, "flops.rank1")
+        s2 = _kron_shape(case.shape2, case.rank2, "flops.rank2")
         try:
             report = two_layer_kron_report(nb, s1, s2)
         except ValueError as exc:
@@ -728,18 +731,15 @@ def flop_audit_case(section: dict):
         def draw():
             f1, f2 = random_factor(s1, rng), random_factor(s2, rng)
             return {"f1": f1, "f2": f2, "x": normal((nb, s1.n)), "y": normal((nb, s2.m))}
-    else:
-        raise ConfigError(f"flops.kind: unknown kind {kind!r}")
     try:
-        return report, kind, draw()
+        return report, case.kind, draw()
     except (ValueError, MemoryError) as exc:
         raise ConfigError(f"flops: {exc}") from exc
 
 
 def cmd_flops(args) -> int:
-    cfg = load_config(args.config)
-    _check_keys(cfg, {"flops"}, "config")
-    report, prefix, inputs = flop_audit_case(_section(cfg, "flops"))
+    top = _dataclass_section(FlopsFile, load_config(args.config), "config")
+    report, prefix, inputs = flop_audit_case(top.flops)
     inst_fwd = instrumented_count(f"{prefix}_forward", **inputs)
     inst_bwd = instrumented_count(f"{prefix}_backward", **inputs)
     payload = {

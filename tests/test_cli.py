@@ -1,23 +1,17 @@
 import json
 import os
 import pathlib
+import re
 import tempfile
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from kronblock import KronShape, SelectConfig, TrainConfig, write_idx
-from kronblock.cli import (
-    CONFIG_KEYS,
-    ConfigError,
-    build_parser,
-    build_select_config,
-    build_train_config,
-    main,
-)
+from kronblock import KronShape, SelectConfig, TrainConfig, cli, write_idx
+from kronblock.cli import CONFIG_KEYS, ConfigError, build_parser, main
 from kronblock.flops import train_path
 
 from conftest import run_fresh
@@ -237,13 +231,36 @@ def test_block_booleans_rejected(tmp_path, capsys, path, value):
     assert capsys.readouterr().err == f"error: {path}: must be [m2, n2] with positive integers\n"
 
 
-# Every key of the train/select sections, valid; the dataclasses own the
-# defaults, ranges and field names, the CLI only the keys that are not fields.
+# Every key of each config schema, valid: the dataclasses own the keys,
+# defaults, ranges and field names. A section that two schemas read (train,
+# select, train's model) or a kind's first read (the keys every kind takes,
+# among those of all kinds) holds the keys of the others too.
+TEACHER = {
+    "kind": "teacher", "m": 8, "n": 16, "block": [2, 2], "zero_tile_fraction": 0.25,
+    "n_samples": 64, "noise_sigma": 0.5, "test_fraction": 0.25, "seed": 2,
+    "classification": False,
+}
+IDX = {"kind": "idx", "images": "a", "labels": "b", "test_images": "c", "test_labels": "d"}
+MNIST = {"kind": "mnist", "dir": "data", "limit": 10}
+KRON_SHAPE = {"kind": "kron", "activation": "relu", "shape": [4, 8, 2, 2], "rank": 2}
+KRON_BLOCK = {"kind": "kron", "activation": "relu", "rank": 2, "m": 8, "n": 16, "block": [2, 2]}
+DENSE = {"kind": "dense", "activation": "relu", "m": 8, "n": 16}
+AUDITS = {
+    "dense": {"kind": "dense", "batch": 2, "seed": 1, "m": 3, "n": 4},
+    "kron": {"kind": "kron", "batch": 2, "seed": 1, "shape": [2, 3, 2, 2], "rank": 2},
+    "two_layer_dense": {"kind": "two_layer_dense", "batch": 2, "seed": 1, "d_in": 3,
+                        "d_hidden": 4, "d_out": 2},
+    "two_layer_kron": {"kind": "two_layer_kron", "batch": 2, "seed": 1,
+                       "shape1": [2, 3, 3, 2], "rank1": 2, "shape2": [2, 2, 2, 3], "rank2": 2},
+}
 FULL_SECTIONS = {
+    "config": {"seed": 3, "dataset": {}, "train": {}, "model": {}},
+    "config-select": {"seed": 3, "dataset": {}, "train": {}, "model": {}, "select": {}},
+    "config-flops": {"flops": {}},
     "train": {
         "epochs": 2, "batch_size": 8, "learning_rate": 0.5, "momentum": 0.5, "lambda": 0.25,
         "epsilon_zero": 1e-3, "loss": "squared_frobenius", "shuffle": False,
-        "block": [2, 2], "target_rate": 0.5, "rounds": 1,
+        "block": [2, 2], "target_rate": 0.25, "rounds": 2,
     },
     "select": {
         "lambda1_init": 0.5, "lambda2_init": 0.25, "lambda_increment": 0.125,
@@ -251,34 +268,96 @@ FULL_SECTIONS = {
         "finetune_epochs": 0, "keep_l1_in_finetune": False,
         "patterns": [[[2, 2]], [[4, 4]]], "rank": 2,
     },
+    "dataset": {**TEACHER, **IDX, **MNIST},
+    "teacher": TEACHER, "idx": IDX, "mnist": MNIST,
+    "model": {"layers": [{}], "init_seed": 4},
+    "layer": {**KRON_SHAPE, **KRON_BLOCK, **DENSE},
+    "kron-shape-layer": KRON_SHAPE, "kron-block-layer": KRON_BLOCK, "dense-layer": DENSE,
+    "select-layer": {"kind": "kron", "m": 8, "n": 16, "activation": "relu"},
+    "flops": {key: value for audit in AUDITS.values() for key, value in audit.items()},
+    **{f"flops-{kind}": audit for kind, audit in AUDITS.items()},
 }
+FULL_SECTIONS["train-method"] = FULL_SECTIONS["train"]
+FULL_SECTIONS["select-patterns"] = FULL_SECTIONS["select"]
+FULL_SECTIONS["model-init"] = FULL_SECTIONS["model"]
+FULL_SECTIONS["select-kind"] = FULL_SECTIONS["select-layer"]
+TCFG = TrainConfig(epochs=1, batch_size=1, learning_rate=0.1)
+LAYERS = "model.layers[0]"
 SECTION_SCHEMA = {
-    # section: (dataclass, fields the caller fixes, keys that are not fields)
-    "train": (TrainConfig, {"seed"}, {"block", "target_rate", "rounds"}),
-    "select": (SelectConfig, {"train"}, {"patterns", "rank"}),
+    # name: (dataclass, config path, fields the caller fixes, dataclasses
+    # whose keys the section also holds)
+    "config": (cli.TrainFile, "config", {}, ()),
+    "config-select": (cli.SelectFile, "config", {}, ()),
+    "config-flops": (cli.FlopsFile, "config", {}, ()),
+    "train": (TrainConfig, "train", {"seed": 7}, (cli.TrainMethod,)),
+    "train-method": (cli.TrainMethod, "train", {}, (TrainConfig,)),
+    "select": (SelectConfig, "select", {"train": TCFG}, (cli.SelectPatterns,)),
+    "select-patterns": (cli.SelectPatterns, "select", {}, (SelectConfig,)),
+    "dataset": (cli.DatasetKind, "dataset", {}, tuple(cli.DATASETS.values())),
+    "teacher": (cli.TeacherData, "dataset", {}, ()),
+    "idx": (cli.IdxData, "dataset", {}, ()),
+    "mnist": (cli.MnistData, "dataset", {}, ()),
+    "model": (cli.Model, "model", {}, (cli.ModelInit,)),
+    "model-init": (cli.ModelInit, "model", {}, (cli.Model,)),
+    "layer": (cli.Layer, LAYERS, {},
+              (cli.KronShapeLayer, cli.KronBlockLayer, cli.DenseLayer)),
+    "kron-shape-layer": (cli.KronShapeLayer, LAYERS, {}, ()),
+    "kron-block-layer": (cli.KronBlockLayer, LAYERS, {}, ()),
+    "dense-layer": (cli.DenseLayer, LAYERS, {}, ()),
+    "select-kind": (cli.SelectKind, LAYERS, {}, (cli.SelectLayer,)),
+    "select-layer": (cli.SelectLayer, LAYERS, {}, ()),
+    "flops": (cli.FlopAudit, "flops", {}, tuple(cli.FLOP_AUDITS.values())),
+    **{f"flops-{kind}": (cls, "flops", {}, ()) for kind, cls in cli.FLOP_AUDITS.items()},
 }
+
+
+# the fields a caller fixes: no key of any section
+FIXED = {cls: set(fixed) for cls, _, fixed, _ in SECTION_SCHEMA.values()}
+
+
+def config_keys(cls, fixed=None):
+    """Config key -> field of the dataclass ``cls``, without its fixed fields."""
+    fixed = FIXED[cls] if fixed is None else fixed
+    return {CONFIG_KEYS.get(f.name, f.name): f for f in fields(cls) if f.name not in fixed}
 
 
 def build_section(name, section):
-    if name == "train":
-        return build_train_config(section, seed=7)
-    return build_select_config(section, TrainConfig(epochs=1, batch_size=1, learning_rate=0.1))
+    cls, path, fixed, also = SECTION_SCHEMA[name]
+    return cli._dataclass_section(cls, section, path, also, **fixed)
 
 
-@pytest.mark.parametrize("name", ["train", "select"])
+def as_json(value):
+    # a value as the config holds it: a block or shape tuple is a JSON list
+    return json.loads(json.dumps(value))
+
+
+def test_build_train_and_select_config_are_the_sections():
+    train, select = FULL_SECTIONS["train"], FULL_SECTIONS["select"]
+    assert cli.build_train_config(train, 7) == build_section("train", train)
+    assert cli.build_select_config(select, TCFG) == build_section("select", select)
+
+
+def test_every_schema_dataclass_is_covered():
+    schemas = {cls for cls, *_ in SECTION_SCHEMA.values()}
+    defined = {value for value in vars(cli).values()
+               if isinstance(value, type) and value.__module__ == cli.__name__
+               and hasattr(value, "__dataclass_fields__") and value is not cli.RunInputs}
+    assert defined <= schemas
+
+
+@pytest.mark.parametrize("name", sorted(SECTION_SCHEMA))
 def test_section_keys_are_the_dataclass_fields(name):
-    cls, fixed, extra = SECTION_SCHEMA[name]
-    keys = {CONFIG_KEYS.get(f.name, f.name) for f in fields(cls) if f.name not in fixed}
+    cls, path, fixed, also = SECTION_SCHEMA[name]
+    keys = set(config_keys(cls, fixed))
+    extra = set().union(*(config_keys(other) for other in also)) - keys
     section = FULL_SECTIONS[name]
     assert keys | extra == set(section)
     cfg = build_section(name, section)
-    for f in fields(cls):
-        key = CONFIG_KEYS.get(f.name, f.name)
-        if key in section:
-            assert getattr(cfg, f.name) == section[key]
+    for key, f in config_keys(cls, fixed).items():
+        assert as_json(getattr(cfg, f.name)) == section[key]
     # a field name that is not a key (aliased or fixed by the caller) is unknown
     for field_name in {f.name for f in fields(cls)} - keys:
-        with pytest.raises(ConfigError, match=rf"^{name}\.{field_name}: unknown field$"):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}\.{field_name}: unknown field$"):
             build_section(name, {**section, field_name: 1})
 
 
@@ -287,30 +366,32 @@ JSON_SCALARS = st.one_of(
 )
 
 
-@pytest.mark.parametrize("name", ["train", "select"])
+@pytest.mark.parametrize("name", sorted(SECTION_SCHEMA))
 @given(data=st.data())
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_section_builder_fuzz(name, data):
     # arbitrary JSON scalars in the fields, some fields left out: the builder
     # returns a config holding the given values, or ends in one ConfigError
-    # line naming the section; never another exception
-    cls, _, extra = SECTION_SCHEMA[name]
-    keys = sorted(set(FULL_SECTIONS[name]) - extra)
+    # line naming the section (a top-level value by its key alone); never
+    # another exception
+    cls, path, fixed, _ = SECTION_SCHEMA[name]
+    keys = sorted(config_keys(cls, fixed))
     overrides = data.draw(st.dictionaries(st.sampled_from(keys), JSON_SCALARS, max_size=2))
     section = {**FULL_SECTIONS[name], **overrides}
     for key in data.draw(st.sets(st.sampled_from(keys), max_size=2)):
         del section[key]
+    names = (f"{path}.", f"{path}:", *(f"{key}:" for key in keys if path == "config"))
     try:
         cfg = build_section(name, section)
     except ConfigError as exc:
         message = str(exc)
-        assert message.startswith((f"{name}.", f"{name}:")) and "\n" not in message
+        assert message.startswith(names) and "\n" not in message
     else:
         assert isinstance(cfg, cls)
-        for f in fields(cls):
-            key = CONFIG_KEYS.get(f.name, f.name)
-            if key in section:
-                assert getattr(cfg, f.name) == section[key]
+        for key, f in config_keys(cls, fixed).items():
+            if key in section:  # an object field holds the very value, NaN too
+                value = getattr(cfg, f.name)
+                assert value is section[key] or as_json(value) == as_json(section[key])
 
 
 @pytest.mark.parametrize(
@@ -345,6 +426,76 @@ def test_select_pattern_rejects_unknown_model_field(tmp_path, capsys, key):
     path = write_config(tmp_path / "s.json", cfg)
     assert main(["select-pattern", "--config", path, "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err == f"error: model.{key}: unknown field\n"
+
+
+KRON_WITH_BOTH_FORMS = {"kind": "kron", "shape": [4, 8, 2, 2], "m": 999, "n": 5,
+                        "block": [7, 7]}
+
+
+@pytest.mark.parametrize(
+    "command,section,value,message",
+    [
+        ("flops", "flops", {"kind": "dense", "m": 10, "n": 784, "shape": "garbage",
+                            "rank": -3, "d_in": "x"}, "flops.d_in: unknown field"),
+        ("kron", "layer", KRON_WITH_BOTH_FORMS, "model.layers[0].block: unknown field"),
+        ("kron", "layer", {"kind": "kron", "shape": [4, 8, 2, 2], "n": 16},
+         "model.layers[0].n: unknown field"),
+        ("group-lasso", "layer", {"kind": "dense", "m": 8, "n": 16, "rank": 99,
+                                  "shape": [1, 1, 1, 1], "block": [3, 3]},
+         "model.layers[0].block: unknown field"),
+        ("group-lasso", "layer", {"kind": "dense", "m": 8, "n": 16, "rank": 99},
+         "model.layers[0].rank: unknown field"),
+    ],
+    ids=["flops-dense", "kron-shape-and-block", "kron-shape-and-n", "dense-kron-keys",
+         "dense-rank"],
+)
+def test_keys_of_another_kind_rejected(tmp_path, capsys, command, section, value, message):
+    # a key that only another kind takes, or a kron layer's m/n/block beside its
+    # shape, ends with one line; each used to be accepted and never read
+    if command == "flops":
+        cfg, argv = {"flops": value}, ["flops"]
+    else:
+        cfg = teacher_train_config()
+        cfg["model"]["layers"][0] = value
+        argv = ["train", "--method", command, "--out", str(tmp_path / "x")]
+    assert main([*argv, "--config", write_config(tmp_path / "c.json", cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_idx_test_labels_need_test_images(tmp_path, capsys):
+    # test_labels without test_images used to be dropped, so the run evaluated
+    # on the training set, even with no test_labels file
+    cfg = teacher_train_config()
+    cfg["dataset"] = {**_idx_files(tmp_path, "idx"), "test_labels": str(tmp_path / "missing")}
+    cfg["model"]["layers"] = [{"kind": "kron", "m": 10, "n": 4, "block": [2, 2]}]
+    path = write_config(tmp_path / "c.json", cfg)
+    assert main(["train", "--config", path, "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == "error: dataset.test_images: required field is missing\n"
+
+
+def test_config_seed_checked_under_seed_option(tmp_path, capsys):
+    # --seed used to skip the config's own seed, so the run's config.json
+    # failed when run again
+    path = write_config(tmp_path / "c.json", teacher_train_config(seed="not-a-seed"))
+    assert main(["train", "--config", path, "--seed", "3", "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == (
+        "error: seed: must be a non-negative integer, got 'not-a-seed'\n"
+    )
+
+
+def test_missing_section_is_found_in_turn(tmp_path, capsys):
+    # sections are read in turn: a bad dataset field is reported before a
+    # train or model section that is left out
+    cfg = teacher_train_config()
+    cfg["dataset"]["classification"] = "false"
+    del cfg["model"]
+    path = write_config(tmp_path / "c.json", cfg)
+    assert main(["train", "--config", path, "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == "error: dataset.classification: must be a boolean, got 'false'\n"
+    del cfg["dataset"]
+    path = write_config(tmp_path / "c.json", cfg)
+    assert main(["train", "--config", path, "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == "error: config.dataset: required field is missing\n"
 
 
 def test_run_info_records_eval_paths(tmp_path):
@@ -871,6 +1022,55 @@ def test_select_pattern_whole_config_fuzz(capsys, mutations):
     assert code in (0, 1, 2)
     if code:
         assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+def readme_schema_block():
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text[text.index("```jsonc", text.index("### Config schema")):]
+    return block[len("```jsonc"):block.index("```", 3)].splitlines()
+
+
+def readme_default(marker):
+    """The default a README ``// required`` or ``// default <value>`` comment
+    gives: MISSING, a JSON value, or None for ``none``."""
+    if marker.startswith("required"):
+        return MISSING
+    value = marker[len("default "):]
+    return None if value.startswith("none") else json.JSONDecoder().raw_decode(value)[0]
+
+
+def test_readme_config_defaults_are_the_dataclass_defaults():
+    # README's config block names the schema dataclasses of each object where
+    # it opens, or where a comment turns to another kind, and marks each key
+    # "// required" or "// default <value>": every key of every schema is
+    # there, with its dataclass's own default
+    scopes, documented = [[]], set()
+    for line in readme_schema_block():
+        code, _, comment = line.partition("//")
+        comment = comment.strip()
+        named = [getattr(cli, name)
+                 for name in re.findall(r"\b(?:cli|kronblock)\.([A-Z][a-z]\w*)", comment)]
+        if comment.startswith(("required", "default ")):
+            want = readme_default(comment)
+            for key in re.findall(r'"(\w+)"\s*:', code):
+                owners = [cls for cls in scopes[-1] if key in config_keys(cls)]
+                assert owners, line
+                for cls in owners:
+                    default = config_keys(cls)[key].default
+                    if default is cli.LEFT_OUT:  # a section, required where it is read
+                        default = MISSING
+                    assert (default, type(default)) == (want, type(want)), line
+                    documented.add((cls, key))
+        depth = sum(code.count(c) for c in "{[") - sum(code.count(c) for c in "}]")
+        if depth > 0:
+            scopes.append(named or scopes[-1])
+        elif depth < 0:
+            del scopes[depth:]
+        elif named and not code.strip():
+            scopes[-1] = named
+    for cls in {cls for cls, *_ in SECTION_SCHEMA.values()}:
+        for key in config_keys(cls):
+            assert any(k == key and issubclass(cls, d) for d, k in documented), (cls, key)
 
 
 def test_shape_opt_examples(capsys):
