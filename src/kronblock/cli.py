@@ -237,8 +237,7 @@ def _fields(cls) -> dict:
     """Config key (``CONFIG_KEYS``, else the field name) -> (field, annotation)
     of dataclass ``cls``; cached, as reading annotations takes ~100 us."""
     hints = get_type_hints(cls, include_extras=True)
-    return {CONFIG_KEYS[f.name] if f.name in CONFIG_KEYS else f.name: (f, hints[f.name])
-            for f in fields(cls)}
+    return {CONFIG_KEYS.get(f.name, f.name): (f, hints[f.name]) for f in fields(cls)}
 
 
 def _dataclass_section(cls, section, name: str, also=(), **fixed):
@@ -268,13 +267,14 @@ def _dataclass_section(cls, section, name: str, also=(), **fixed):
 
 
 def _kinded(head, kinds: dict, section, name: str, unknown: str):
-    """``section`` read as ``kinds[kind]``, after ``head`` (the keys every kind
-    takes, ``kind`` first) is read among all kinds' keys: a key that only
-    another kind takes is unknown. ``unknown`` formats a bad kind's message."""
-    kind = _dataclass_section(head, section, name, kinds.values()).kind
-    for key, cls in kinds.items():
+    """``section`` read as ``kinds[kind][0]`` (the caller reads the kind's later
+    dataclasses), after ``head`` (the keys every kind takes, ``kind`` first) is
+    read among all kinds' keys: a key only another kind takes is unknown.
+    ``unknown`` formats a bad kind's message."""
+    kind = _dataclass_section(head, section, name, sum(kinds.values(), ())).kind
+    for key, (cls, *later) in kinds.items():
         if kind == key:
-            return _dataclass_section(cls, section, name)
+            return _dataclass_section(cls, section, name, later)
     raise ConfigError(f"{name}.kind: " + unknown.format(kind))
 
 
@@ -289,8 +289,8 @@ def _schema(name: str, *bases, **keys):
 # One frozen dataclass per config section and kind (_kinded): its fields are
 # the keys, its annotations pick their checks, its defaults are the only ones;
 # a default of None is the key left out, and JSON null is a value only of an
-# ``X | None`` key. ``train``, ``select`` and ``train``'s ``model`` take two
-# schemas' keys each; the top level's sections are read in turn.
+# ``X | None`` key. ``train``, ``select``, ``train``'s ``model`` and a two-layer
+# kron audit take two schemas' keys each; top-level sections are read in turn.
 SECTION = (object, LEFT_OUT)
 TrainFile = _schema("TrainFile", seed=(int, 0), dataset=SECTION, train=SECTION, model=SECTION)
 SelectFile = _schema("SelectFile", TrainFile, select=SECTION)
@@ -322,11 +322,12 @@ DenseAudit = _schema("DenseAudit", FlopAudit, m=Positive, n=Positive)
 KronAudit = _schema("KronAudit", FlopAudit, shape=Shape, rank=(Positive, 1))
 TwoLayerDenseAudit = _schema("TwoLayerDenseAudit", FlopAudit, d_in=Positive, d_hidden=Positive,
                              d_out=Positive)
-TwoLayerKronAudit = _schema("TwoLayerKronAudit", FlopAudit, shape1=Shape, rank1=(Positive, 1),
-                            shape2=Shape, rank2=(Positive, 1))
-DATASETS = {"teacher": TeacherData, "idx": IdxData, "mnist": MnistData}
-FLOP_AUDITS = {"dense": DenseAudit, "kron": KronAudit,
-               "two_layer_dense": TwoLayerDenseAudit, "two_layer_kron": TwoLayerKronAudit}
+TwoLayerKronAudit = _schema("TwoLayerKronAudit", FlopAudit, shape1=Shape, rank1=(Positive, 1))
+SecondKronAudit = _schema("SecondKronAudit", shape2=Shape, rank2=(Positive, 1))  # after rank1's bound
+DATASETS = {"teacher": (TeacherData,), "idx": (IdxData,), "mnist": (MnistData,)}
+FLOP_AUDITS = {"dense": (DenseAudit,), "kron": (KronAudit,),
+               "two_layer_dense": (TwoLayerDenseAudit,),
+               "two_layer_kron": (TwoLayerKronAudit, SecondKronAudit)}
 
 
 def _layer_shape(layer, path: str) -> KronShape:
@@ -345,7 +346,7 @@ def model_specs(model_cfg, force_dense: bool = False) -> list:
     for i, raw in enumerate(_dataclass_section(Model, model_cfg, "model", (ModelInit,)).layers):
         path = f"model.layers[{i}]"
         kron = KronShapeLayer if isinstance(raw, dict) and "shape" in raw else KronBlockLayer
-        layer = _kinded(Layer, {"kron": kron, "dense": DenseLayer}, raw, path,
+        layer = _kinded(Layer, {"kron": (kron,), "dense": (DenseLayer,)}, raw, path,
                         "must be 'kron' or 'dense', got {!r}")
         if layer.kind == "dense":
             specs.append(dense_spec(layer.m, layer.n, layer.activation))
@@ -608,7 +609,7 @@ def _select_layers(model_cfg):
     model, with its input and output widths."""
     layer_dims, activations = [], []
     for i, raw in enumerate(_dataclass_section(Model, model_cfg, "model").layers):
-        layer = _kinded(SelectKind, {"kron": SelectLayer}, raw, f"model.layers[{i}]",
+        layer = _kinded(SelectKind, {"kron": (SelectLayer,)}, raw, f"model.layers[{i}]",
                         "pattern selection factorizes every layer")
         layer_dims.append((layer.m, layer.n))
         activations.append(layer.activation)
@@ -722,7 +723,8 @@ def flop_audit_case(section):
                     "w2": normal((d_out, d_hidden)), "y": normal((nb, d_out))}
     else:
         s1 = _kron_shape(case.shape1, case.rank1, "flops.rank1")
-        s2 = _kron_shape(case.shape2, case.rank2, "flops.rank2")
+        second = _dataclass_section(SecondKronAudit, section, "flops", (TwoLayerKronAudit,))
+        s2 = _kron_shape(second.shape2, second.rank2, "flops.rank2")
         try:
             report = two_layer_kron_report(nb, s1, s2)
         except ValueError as exc:

@@ -276,6 +276,7 @@ FULL_SECTIONS = {
     "select-layer": {"kind": "kron", "m": 8, "n": 16, "activation": "relu"},
     "flops": {key: value for audit in AUDITS.values() for key, value in audit.items()},
     **{f"flops-{kind}": audit for kind, audit in AUDITS.items()},
+    "flops-second-kron": AUDITS["two_layer_kron"],
 }
 FULL_SECTIONS["train-method"] = FULL_SECTIONS["train"]
 FULL_SECTIONS["select-patterns"] = FULL_SECTIONS["select"]
@@ -293,7 +294,7 @@ SECTION_SCHEMA = {
     "train-method": (cli.TrainMethod, "train", {}, (TrainConfig,)),
     "select": (SelectConfig, "select", {"train": TCFG}, (cli.SelectPatterns,)),
     "select-patterns": (cli.SelectPatterns, "select", {}, (SelectConfig,)),
-    "dataset": (cli.DatasetKind, "dataset", {}, tuple(cli.DATASETS.values())),
+    "dataset": (cli.DatasetKind, "dataset", {}, sum(cli.DATASETS.values(), ())),
     "teacher": (cli.TeacherData, "dataset", {}, ()),
     "idx": (cli.IdxData, "dataset", {}, ()),
     "mnist": (cli.MnistData, "dataset", {}, ()),
@@ -306,8 +307,10 @@ SECTION_SCHEMA = {
     "dense-layer": (cli.DenseLayer, LAYERS, {}, ()),
     "select-kind": (cli.SelectKind, LAYERS, {}, (cli.SelectLayer,)),
     "select-layer": (cli.SelectLayer, LAYERS, {}, ()),
-    "flops": (cli.FlopAudit, "flops", {}, tuple(cli.FLOP_AUDITS.values())),
-    **{f"flops-{kind}": (cls, "flops", {}, ()) for kind, cls in cli.FLOP_AUDITS.items()},
+    "flops": (cli.FlopAudit, "flops", {}, sum(cli.FLOP_AUDITS.values(), ())),
+    **{f"flops-{kind}": (cls, "flops", {}, tuple(later))
+       for kind, (cls, *later) in cli.FLOP_AUDITS.items()},
+    "flops-second-kron": (cli.SecondKronAudit, "flops", {}, (cli.TwoLayerKronAudit,)),
 }
 
 
@@ -368,7 +371,7 @@ JSON_SCALARS = st.one_of(
 
 @pytest.mark.parametrize("name", sorted(SECTION_SCHEMA))
 @given(data=st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_section_builder_fuzz(name, data):
     # arbitrary JSON scalars in the fields, some fields left out: the builder
     # returns a config holding the given values, or ends in one ConfigError
@@ -899,6 +902,20 @@ def test_rank_above_full_rank_rejected(tmp_path, capsys, command, field, where, 
         assert capsys.readouterr().err == (
             f"error: {where}: must be at most the full rank {full} of shape {shape}, "
             f"got {rank}\n"
+        )
+
+
+def test_two_layer_kron_rank1_bound_before_second_layer(tmp_path, capsys):
+    # the first layer's rank bound is checked before the second layer is read
+    for shape2 in ("garbage", [2, 2, 0, 4], None):
+        section = {"kind": "two_layer_kron", "shape1": [4, 8, 2, 2], "rank1": 5,
+                   "shape2": shape2, "rank2": -1}
+        if shape2 is None:
+            del section["shape2"]
+        path = write_config(tmp_path / "f.json", {"flops": section})
+        assert main(["flops", "--config", path]) == 1
+        assert capsys.readouterr().err == (
+            "error: flops.rank1: must be at most the full rank 4 of shape [4, 8, 2, 2], got 5\n"
         )
 
 
