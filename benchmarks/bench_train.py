@@ -15,10 +15,11 @@ dense ``m x n`` twin, each through the code that trains,
   the materialized path;
 * ``backward``: the same without the input gradient (``factor.backward_params``
   on the fold path), as the first layer runs it in training;
-* ``update``: one ``train.sgd_step`` on a one-layer net (momentum, no prox):
-  one momentum update of the factored layer's flat S, A, B buffer (the same
-  on both paths), or of the dense twin's ``w``. ``sgd_step`` consumes its
-  gradient, so an untimed copy restores the gradient before each call.
+* ``update``: one ``train.sgd_step`` on a one-layer net: one momentum
+  update of the layer's ``Layer.params`` from its gradient's ``flat``, the
+  factored layer's S, A, B buffer (the same on both paths) or the dense
+  twin's ``w``. ``sgd_step`` consumes its gradient, so an untimed copy
+  restores the gradient before each call.
 
 Each part records the median and interquartile range of repeated runs, its
 flops by the cost model of ``kronblock.flops`` and the achieved GFLOP/s (the
@@ -64,8 +65,12 @@ Three more sections:
   batch and pattern net); the per-epoch evaluation and the proximal steps
   are timed but not counted.
 
-Each records the median and interquartile range of repeated runs. A whole
-``network.evaluate`` call is timed end to end by perfbench's ``eval`` phase.
+Each records the median and interquartile range of repeated runs. What one
+cell or workload times (the parts of a step, the two orientations, the two
+tile-wise products, the four trainers) runs in turn, each going first in
+turn (``time_turns``), so a slow spell of the host slows all of them alike.
+A whole ``network.evaluate`` call is timed end to end by perfbench's
+``eval`` phase.
 
 Run: python benchmarks/bench_train.py [--repeats 20] [--out BENCH_train.json]
      [--shape 5,392,2,2[,r] ...] [--batches 1,64,256,512,2048]
@@ -147,8 +152,7 @@ STEPS = {"backward": False, "backward_dx": True}
 # of a step without the input gradient
 JUDGED = {"eval": (("forward",), False),
           **{part: (("forward", part), dx) for part, dx in STEPS.items()}}
-# lr small enough that repeated steps keep the weights finite; lam 0, so the
-# update is the momentum step alone (the cost model's update)
+# lr small enough that repeated steps keep the weights finite
 UPDATE_CFG = TrainConfig(epochs=1, batch_size=1, learning_rate=1e-6)
 # (m, n, block) of the tile-wise products: the linear784 dense twin and the
 # two layers of the wide1024 one
@@ -169,27 +173,20 @@ def environment() -> dict:
     return {**run_environment(), "nproc": len(os.sched_getaffinity(0))}
 
 
-def time_path(fn, repeats: int) -> list[float]:
-    fn()  # warm-up
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
+def time_turns(fns, repeats: int) -> list[list[float]]:
+    """Per function of ``fns``, its times over ``repeats`` rounds after one
+    warm-up call each. Every round runs all of them in turn, round i starting
+    with ``fns[i % k]``, so each goes first in turn and a slow spell of the
+    host slows all alike."""
+    for fn in fns:
         fn()
-        times.append(time.perf_counter() - t0)
-    return times
-
-
-def time_pair(fa, fb, repeats: int) -> tuple[list[float], list[float]]:
-    """Times of ``fa`` and ``fb`` run in turn, each going first in every other
-    round, so that a slow spell of the host slows both alike."""
-    fa(), fb()  # warm-up
-    times = ([], [])
+    k = len(fns)
+    times = [[] for _ in fns]
     for i in range(repeats):
-        order = ((fa, times[0]), (fb, times[1]))
-        for fn, out in order if i % 2 == 0 else order[::-1]:
+        for j in range(i, i + k):
             t0 = time.perf_counter()
-            fn()
-            out.append(time.perf_counter() - t0)
+            fns[j % k]()
+            times[j % k].append(time.perf_counter() - t0)
     return times
 
 
@@ -247,11 +244,10 @@ def time_update(layer: Layer, grad, repeats: int) -> list[float]:
     restored from an untimed copy: the step writes ``lr * v`` into it."""
     net = Network([layer])
     vel = init_velocities(net)
-    spent = grad.flat if layer.spec.kind == "kron" else grad.d_w
-    fresh = spent.copy()
+    fresh = grad.flat.copy()
     times = []
     for _ in range(repeats + 1):
-        spent[:] = fresh
+        grad.flat[:] = fresh
         t0 = time.perf_counter()
         sgd_step(net, [grad], vel, UPDATE_CFG)
         times.append(time.perf_counter() - t0)
@@ -279,13 +275,14 @@ def step_peak(layer: Layer, path: str, x, d_out, with_dx: bool) -> int:
 
 
 def parts(layer: Layer, path: str, x, d_out, repeats: int) -> dict:
-    """Times of each part of ``layer``'s training step on ``path``."""
+    """Times of each part of ``layer``'s training step on ``path``, the
+    parts run in turn."""
     _, cache = layer_forward(layer, path, x)
-    return {
-        "forward": time_path(lambda: layer_forward(layer, path, x), repeats),
-        "backward_dx": time_path(lambda: layer_backward(layer, x, cache, d_out, True), repeats),
-        "backward": time_path(lambda: layer_backward(layer, x, cache, d_out, False), repeats),
-    }
+    return dict(zip(PARTS, time_turns([
+        lambda: layer_forward(layer, path, x),
+        lambda: layer_backward(layer, x, cache, d_out, True),
+        lambda: layer_backward(layer, x, cache, d_out, False),
+    ], repeats)))
 
 
 def measure(shape: KronShape, n_batch: int, repeats: int, rng) -> dict:
@@ -338,8 +335,8 @@ def measure_thin(m: int, n: int, n_batch: int, repeats: int, rng) -> dict:
     flops = fl.dense_layer_report(n_batch, m, n).breakdown["forward.matmul"]
     direct, swapped = (
         path_row(flops, times)
-        for times in time_pair(
-            lambda: matmul(x, w.T), lambda: np.ascontiguousarray(matmul(w, x.T).T), repeats
+        for times in time_turns(
+            [lambda: matmul(x, w.T), lambda: np.ascontiguousarray(matmul(w, x.T).T)], repeats
         )
     )
     pick = product_orientation(m, n_batch)
@@ -379,15 +376,13 @@ def tile_ops(repeats: int, rng) -> dict:
         def prune_grad_mask():
             row_view(d_w, m2)[:] *= keep
 
-        cells.append({
-            "m": m, "n": n, "block": [m2, n2],
-            "group_lasso_prox": timing(
-                time_path(lambda: group_lasso_prox(w, (m2, n2), PROX_T), repeats)),
-            "prune_grad_mask": timing(time_path(prune_grad_mask, repeats)),
-        })
+        prox, mask = time_turns(
+            [lambda: group_lasso_prox(w, (m2, n2), PROX_T), prune_grad_mask], repeats)
+        cells.append({"m": m, "n": n, "block": [m2, n2],
+                      "group_lasso_prox": timing(prox), "prune_grad_mask": timing(mask)})
     factor = random_factor(BUILD_SHAPE, rng)
     build = {"shape": shape_dims(BUILD_SHAPE), "r": BUILD_SHAPE.r,
-             **timing(time_path(lambda: build_weight(factor), repeats))}
+             **timing(time_turns([lambda: build_weight(factor)], repeats)[0])}
     return {"matrices": cells, "build_weight": build}
 
 
@@ -426,15 +421,20 @@ def epoch_runs(st: State) -> dict:
 
 
 def epochs(repeats: int) -> list[dict]:
-    """Per benchmark workload, the time of one epoch of each trainer."""
+    """Per benchmark workload, the time of one epoch of each trainer, the
+    trainers run in turn."""
     cells = []
     with tempfile.TemporaryDirectory() as workdir:
         for name, wl in WORKLOADS.items():
             st = State(wl, SEED, workdir)
-            for trainer, (run, samples, flops) in epoch_runs(st).items():
-                trained = []
-                times = time_path(lambda: trained.append(run()), repeats)
-                n_epochs = trained[0] // samples
+            runs = epoch_runs(st)
+            trained = {trainer: [] for trainer in runs}
+            all_times = time_turns([
+                lambda run=run, out=trained[trainer]: out.append(run())
+                for trainer, (run, _, _) in runs.items()
+            ], repeats)
+            for (trainer, (_, samples, flops)), times in zip(runs.items(), all_times):
+                n_epochs = trained[trainer][0] // samples
                 t = timing([s / n_epochs for s in times])
                 cells.append({
                     "workload": name, "trainer": trainer, "epochs": n_epochs,

@@ -246,12 +246,13 @@ def make_teacher_dataset(
     n_samples: int,
     noise_sigma: float = 0.0,
     seed: int = 0,
-    classification: bool = False,
+    *,
+    classification: bool,
 ) -> tuple[Dataset, np.ndarray]:
     """Draw a dense m x n teacher, zero a random fraction of its m2 x n2 tiles,
     and sample X ~ N(0, 1) with Y = X W*^T + noise. The classification variant
     labels each row with the argmax of the noiseless logits. Deterministic
-    under the seed."""
+    under the seed. ``classification`` has its one default in the config."""
     m2, n2 = block
     if m % m2 != 0 or n % n2 != 0:
         raise ValueError(f"block {block} does not divide {m}x{n}")

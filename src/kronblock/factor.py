@@ -5,9 +5,9 @@ mask ``S`` and the ``A_i`` are ``m1 x n1``, the ``B_i`` are ``m2 x n2``, and
 entry ``S[i1, j1]`` gates exactly tile ``(i1, j1)`` of the materialized
 ``m x n`` weight. The factors are stored stacked: ``A`` is one ``(r, m1, n1)``
 array and ``B`` one ``(r, m2, n2)`` array, and S, A and B are views into one
-flat buffer per layer, as are the three gradients, so one momentum-SGD update
-steps a whole layer. Every product ``S * A_i`` comes from one broadcast
-product over the stack. A layer trains on one of two paths, which
+flat buffer per layer, as are the three gradients (written in place), so one
+momentum-SGD update steps a whole layer. Every product ``S * A_i`` comes from
+one broadcast product over the stack. A layer trains on one of two paths, which
 ``flops.train_path`` picks from its shape and batch size:
 
 * the *fold* path (``forward``, ``backward``, ``backward_params``) never
@@ -97,13 +97,18 @@ def count_params(shape: KronShape) -> int:
     return s + shape.r * (s + shape.m2 * shape.n2)
 
 
-def _pack(s: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
-    """One contiguous buffer holding the float64 arrays ``s``, ``a`` and ``b``
-    flattened row-major in that order, and the three views into it in their
-    shapes."""
+def _views(shape: KronShape, flat: np.ndarray) -> tuple:
+    """The S (m1, n1), A (r, m1, n1) and B (r, m2, n2) views of ``flat``, a
+    buffer laid out as ``KronFactor.flat``."""
+    m1, n1, m2, n2, r = shape.m1, shape.n1, shape.m2, shape.n2, shape.r
+    i, j = m1 * n1, (1 + r) * m1 * n1
+    return flat[:i].reshape(m1, n1), flat[i:j].reshape(r, m1, n1), flat[j:].reshape(r, m2, n2)
+
+
+def _pack(shape: KronShape, s: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """``s``, ``a`` and ``b`` copied into one fresh buffer, and their views of it."""
     flat = np.concatenate((s.ravel(), a.ravel(), b.ravel()))
-    i, j = s.size, s.size + a.size
-    return flat, flat[:i].reshape(s.shape), flat[i:j].reshape(a.shape), flat[j:].reshape(b.shape)
+    return (flat, *_views(shape, flat))
 
 
 @dataclass
@@ -140,7 +145,7 @@ class KronFactor:
         for x in b:
             if x.shape != (sh.m2, sh.n2):
                 raise ValueError(f"B_i must be {sh.m2}x{sh.n2}, got {x.shape}")
-        self.flat, self.s, self.a, self.b = _pack(s, np.asarray(a), np.asarray(b))
+        self.flat, self.s, self.a, self.b = _pack(sh, s, np.asarray(a), np.asarray(b))
 
     def copy(self) -> "KronFactor":
         return KronFactor(self.shape, self.s, self.a, self.b)
@@ -242,30 +247,33 @@ class KronGradient:
     """Gradients for one factored layer plus the input gradient for backprop
     (``None`` from ``backward_params``, which does not compute it). dS, the
     stacked dA (r, m1, n1) and dB (r, m2, n2) are views into ``flat``, laid
-    out as ``KronFactor.flat``."""
+    out as ``KronFactor.flat``; the backward writes them in place."""
 
+    flat: np.ndarray
     d_s: np.ndarray
     d_a: np.ndarray
     d_b: np.ndarray
     d_x: np.ndarray | None = None
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.flat, self.d_s, self.d_a, self.d_b = _pack(
-            *(np.asarray(x, dtype=np.float64) for x in (self.d_s, self.d_a, self.d_b))
-        )
 
 
-def _gradient(factor: KronFactor, g: np.ndarray, d_b: np.ndarray, d_x) -> KronGradient:
+def _new_gradient(shape: KronShape) -> KronGradient:
+    flat = np.empty(count_params(shape))
+    return KronGradient(flat, *_views(shape, flat))
+
+
+def _mask_gradients(factor: KronFactor, g: np.ndarray, grad: KronGradient) -> KronGradient:
     # g: (r, m1, n1), G_i the gradient w.r.t. S * A_i, made contiguous for
-    # the two products (a copy on the fold path only). dA_i = G_i * S in one
-    # broadcast product; dS = sum_i G_i * A_i, its terms added in rank order
+    # the two products (a copy on the fold path only). The G_i * A_i go into
+    # dA's view, dS sums them in rank order, and then dA_i = G_i * S
+    # overwrites them; each is one broadcast product
     g = np.ascontiguousarray(g)
-    terms = hadamard(g, factor.a)
-    d_s = terms[0]
-    for term in terms[1:]:
-        d_s = add(d_s, term)
-    return KronGradient(d_s, hadamard(g, factor.s), d_b.reshape(factor.b.shape), d_x)
+    d_s, d_a = grad.d_s, grad.d_a
+    hadamard(g, factor.a, out=d_a)
+    d_s[:] = d_a[0]
+    for term in d_a[1:]:
+        add(d_s, term, out=d_s)
+    hadamard(g, factor.s, out=d_a)
+    return grad
 
 
 def _backward(
@@ -279,11 +287,11 @@ def _backward(
     d_of = unfold_output(d_out, sh.m2)
     g = matmul(d_of.T, cache.mids)
     d_mid = _swap_blocks(matmul(d_of, cache.masked_a), sh.m2, sh.n1)
-    d_b = matmul(d_mid, cache.x.reshape(nb * sh.n1, sh.n2))
-    d_x = None
+    grad = _new_gradient(sh)
+    matmul(d_mid, cache.x.reshape(nb * sh.n1, sh.n2), out=grad.d_b.reshape(sh.r * sh.m2, sh.n2))
     if with_dx:
-        d_x = matmul(d_mid.T, factor.b.reshape(sh.r * sh.m2, sh.n2)).reshape(nb, sh.n)
-    return _gradient(factor, g.reshape(sh.m1, sh.r, sh.n1).transpose(1, 0, 2), d_b, d_x)
+        grad.d_x = matmul(d_mid.T, factor.b.reshape(sh.r * sh.m2, sh.n2)).reshape(nb, sh.n)
+    return _mask_gradients(factor, g.reshape(sh.m1, sh.r, sh.n1).transpose(1, 0, 2), grad)
 
 
 def backward(factor: KronFactor, cache: KronForwardCache, d_out: np.ndarray) -> KronGradient:
@@ -326,8 +334,10 @@ def weight_gradient(
     sh = factor.shape
     t = fold_tiles(d_w, sh.m2, sh.n2)
     g = matmul(factor.b.reshape(sh.r, -1), t.T)
-    d_b = matmul(masked_a.T, t)
-    return _gradient(factor, g.reshape(sh.r, sh.m1, sh.n1), d_b, d_x)
+    grad = _new_gradient(sh)
+    matmul(masked_a.T, t, out=grad.d_b.reshape(sh.r, -1))
+    grad.d_x = d_x
+    return _mask_gradients(factor, g.reshape(sh.r, sh.m1, sh.n1), grad)
 
 
 def reconstruct_from_blockwise(w: np.ndarray, block: tuple[int, int]) -> KronFactor:
@@ -415,10 +425,7 @@ def read_factor(fh) -> KronFactor:
     size = 8 * ((1 + r) * m1 * n1 + r * m2 * n2)
     check_payload(fh, size, f"factor dims (m1, n1, m2, n2, r) = {(m1, n1, m2, n2, r)}")
     flat = np.frombuffer(read_exact(fh, size, "factor payload"), dtype="<f8")
-    i, j = m1 * n1, (1 + r) * m1 * n1
-    return KronFactor(
-        shape, flat[:i].reshape(m1, n1), flat[i:j].reshape(r, m1, n1), flat[j:].reshape(r, m2, n2)
-    )
+    return KronFactor(shape, *_views(shape, flat))
 
 
 def save_factor(path, factor: KronFactor) -> None:

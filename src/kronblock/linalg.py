@@ -105,14 +105,16 @@ def hadamard(a, b, out: np.ndarray | None = None) -> np.ndarray:
     return np.multiply(a, b, out=out)
 
 
-@_counted(lambda a, b: a.shape[0] * b.shape[1] * (2 * a.shape[1] - 1))
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a @ b
+@_counted(lambda a, b, out=None: a.shape[0] * b.shape[1] * (2 * a.shape[1] - 1))
+def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b``, written into ``out`` when given."""
+    return np.matmul(a, b, out=out)
 
 
-@_counted(lambda a, b: a.size)
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a + b
+@_counted(lambda a, b, out=None: a.size)
+def add(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a + b``, written into ``out`` when given (``a`` to add in place)."""
+    return np.add(a, b, out=out)
 
 
 @_counted(lambda a, b: a.size)

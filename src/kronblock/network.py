@@ -100,6 +100,11 @@ class Layer:
             if self.w.shape != (self.spec.m, self.spec.n):
                 raise ValueError(f"dense weight must be {(self.spec.m, self.spec.n)}")
 
+    @property
+    def params(self) -> np.ndarray:
+        """All the layer's parameters as one array: ``factor.flat`` or ``w``."""
+        return self.factor.flat if self.spec.kind == "kron" else self.w
+
     def copy(self) -> "Layer":
         if self.spec.kind == "kron":
             return Layer(self.spec, factor=self.factor.copy())
@@ -225,6 +230,10 @@ class NetCache:
 class DenseGradient:
     d_w: np.ndarray
     d_x: np.ndarray | None = None
+
+    @property
+    def flat(self) -> np.ndarray:  # the layout of ``Layer.params``
+        return self.d_w
 
 
 def _net_input(net: Network, x) -> np.ndarray:
@@ -409,13 +418,7 @@ def evaluate(net: Network, x: np.ndarray, labels, loss_kind: str = "softmax_cros
 
 
 def count_network_params(net: Network) -> int:
-    total = 0
-    for layer in net.layers:
-        if layer.spec.kind == "kron":
-            total += kf.count_params(layer.spec.shape)
-        else:
-            total += layer.spec.m * layer.spec.n
-    return total
+    return sum(layer.params.size for layer in net.layers)
 
 
 def _flop_layers(net: Network) -> list:

@@ -24,7 +24,8 @@ from .train import (
     MetricRecord,
     TrainConfig,
     init_velocities,
-    soft_threshold,
+    kron_masks,
+    mask_l1_prox,
     train_kron,
     train_step,
 )
@@ -140,27 +141,21 @@ class SelectionResult:
     finetune_metrics: list[MetricRecord] = field(default_factory=list)
 
 
-def _masks(net: Network) -> list[np.ndarray]:
-    return [layer.factor.s for layer in net.layers if layer.spec.kind == "kron"]
-
-
 def _group_norm(net: Network) -> float:
-    return float(np.sqrt(sum(float(np.sum(s * s)) for s in _masks(net))))
+    return float(np.sqrt(sum(float(np.sum(s * s)) for s in kron_masks(net))))
 
 
 def _l1_norm(net: Network) -> float:
-    return float(sum(np.sum(np.abs(s)) for s in _masks(net)))
+    return float(sum(np.sum(np.abs(s)) for s in kron_masks(net)))
 
 
 def _pattern_prox(net: Network, lr: float, lam1: float, lam2: float) -> None:
-    masks = _masks(net)
     if lam2 > 0:
-        for s in masks:
-            s[:] = soft_threshold(s, lr * lam2)
+        mask_l1_prox(net, lr * lam2)
     if lam1 > 0:
         g = _group_norm(net)
         scale = max(1.0 - lr * lam1 / g, 0.0) if g > 0 else 0.0
-        for s in masks:
+        for s in kron_masks(net):
             s *= scale
 
 
@@ -192,7 +187,7 @@ def select_pattern(pset: PatternSet, data: Dataset, cfg: SelectConfig) -> Select
             lam2 += cfg.lambda_increment
         for xb, tb in batches(data, tcfg.batch_size, tcfg.shuffle, seed=(tcfg.seed, epoch)):
             for net, vel in zip(pset.nets, vels):
-                train_step(net, xb, tb, vel, tcfg, prox_l1=False)
+                train_step(net, xb, tb, vel, tcfg)
                 _pattern_prox(net, tcfg.learning_rate, lam1, lam2)
         norms = [_group_norm(net) for net in pset.nets]
         for k, net in enumerate(pset.nets):

@@ -3,8 +3,10 @@ baseline on dense nets, block-magnitude pruning, and per-epoch metrics.
 
 All trainers are deterministic bit-for-bit given (config, data, seed) on a
 single thread: initialization is the caller's, batch order comes from
-(seed, epoch), and updates run in fixed layer order. The L1 and group
-penalties are handled proximally (exact zeros), never by subgradient.
+(seed, epoch), and updates run in fixed layer order. ``sgd_step`` updates
+each layer's ``Layer.params`` from its ``grad.flat``, whatever its kind. The
+L1 and group penalties are handled proximally (exact zeros), never by
+subgradient: each trainer runs its penalty's prox after the update.
 """
 
 from __future__ import annotations
@@ -89,9 +91,21 @@ class MetricRecord:
 METRIC_FIELDS = tuple(f.name for f in fields(MetricRecord))
 
 
-def soft_threshold(x: np.ndarray, t: float) -> np.ndarray:
-    """Proximal operator of t*||.||_1: exact zeros below the threshold."""
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+def soft_threshold(x: np.ndarray, t: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Proximal operator of t*||.||_1: exact zeros below the threshold,
+    written into ``out`` when given (``x`` itself for an in-place step)."""
+    return np.multiply(np.sign(x), np.maximum(np.abs(x) - t, 0.0), out=out)
+
+
+def kron_masks(net: Network) -> list[np.ndarray]:
+    """The mask S of every factored layer, in layer order."""
+    return [layer.factor.s for layer in net.layers if layer.spec.kind == "kron"]
+
+
+def mask_l1_prox(net: Network, t: float) -> None:
+    """In-place proximal step of t*||S||_1 on every mask S."""
+    for s in kron_masks(net):
+        soft_threshold(s, t, out=s)
 
 
 def _guard(loss: float) -> None:
@@ -114,11 +128,9 @@ def eval_metrics(net: Network, ds: Dataset, loss_kind: str) -> tuple[float, floa
 
 def net_mask_sparsity(net: Network, eps_zero: float = 1e-6) -> float:
     """Zero fraction over all mask entries of the factored layers."""
-    zeros = total = 0
-    for layer in net.layers:
-        if layer.spec.kind == "kron":
-            zeros += int(np.sum(np.abs(layer.factor.s) < eps_zero))
-            total += layer.factor.s.size
+    masks = kron_masks(net)
+    zeros = sum(int(np.sum(np.abs(s) < eps_zero)) for s in masks)
+    total = sum(s.size for s in masks)
     return zeros / total if total else 0.0
 
 
@@ -167,35 +179,26 @@ def collect_metrics(
 
 
 def init_velocities(net: Network) -> list[np.ndarray]:
-    """One zero momentum buffer per layer, shaped as the array ``sgd_step``
-    updates: a factored layer's ``factor.flat`` or a dense layer's ``w``."""
-    return [
-        np.zeros_like(layer.factor.flat if layer.spec.kind == "kron" else layer.w)
-        for layer in net.layers
-    ]
+    """One zero momentum buffer per layer, shaped as its ``Layer.params``."""
+    return [np.zeros_like(layer.params) for layer in net.layers]
 
 
-def sgd_step(net: Network, grads: list, vel: list, cfg: TrainConfig, prox_l1: bool = True) -> None:
-    """One momentum-SGD step per layer, on all its parameters at once (a
-    factored layer's flat S, A, B buffer, or a dense ``w``); factored-layer
-    masks then get the L1 proximal soft-threshold (step size lr*lam) when
-    prox_l1 and lam > 0.
+def sgd_step(net: Network, grads: list, vel: list, cfg: TrainConfig) -> None:
+    """One momentum-SGD step per layer on all its parameters at once: the
+    update of ``layer.params`` from ``grad.flat``. No penalty: a trainer runs
+    its proximal step after this one.
 
     It consumes ``grads``: once a gradient is in the momentum, its buffer
     holds the step ``lr * v``, so the step needs no temporary of its own."""
     lr, mu = cfg.learning_rate, cfg.momentum
     for layer, g, v in zip(net.layers, grads, vel):
-        kron = layer.spec.kind == "kron"
-        params, grad = (layer.factor.flat, g.flat) if kron else (layer.w, g.d_w)
         v *= mu
-        v += grad
-        params -= np.multiply(v, lr, out=grad)
-        if kron and prox_l1 and cfg.lam > 0:
-            s = layer.factor.s
-            s[:] = soft_threshold(s, lr * cfg.lam)
+        v += g.flat
+        params = layer.params
+        params -= np.multiply(v, lr, out=g.flat)
 
 
-def train_step(net, xb, tb, vel, cfg, prox_l1=True, grad_hook=None) -> float:
+def train_step(net, xb, tb, vel, cfg, grad_hook=None) -> float:
     """One momentum-SGD step on the batch ``xb`` with targets ``tb``: the
     training forward and backward, the divergence guard, ``grad_hook`` on the
     gradients, then ``sgd_step``. Returns the batch loss. The step's cache
@@ -206,17 +209,29 @@ def train_step(net, xb, tb, vel, cfg, prox_l1=True, grad_hook=None) -> float:
     _guard(loss)
     if grad_hook is not None:
         grad_hook(grads)
-    sgd_step(net, grads, vel, cfg, prox_l1=prox_l1)
+    sgd_step(net, grads, vel, cfg)
     return loss
 
 
-def _epoch_pass(net, data, cfg, epoch, vel, prox_l1=True, grad_hook=None, post_step=None):
+def _epoch_pass(net, data, cfg, epoch, vel, grad_hook=None, post_step=None):
     losses = []
     for xb, tb in batches(data, cfg.batch_size, cfg.shuffle, seed=(cfg.seed, epoch)):
-        losses.append(train_step(net, xb, tb, vel, cfg, prox_l1, grad_hook))
+        losses.append(train_step(net, xb, tb, vel, cfg, grad_hook))
         if post_step is not None:
             post_step()
     return float(np.mean(losses))
+
+
+def _train_epochs(net, data, cfg, eval_data, vel, records, block=None, **hooks) -> list:
+    """``cfg.epochs`` epochs of ``_epoch_pass`` with ``hooks``, numbered on
+    from ``records``, each appending its ``collect_metrics`` record; a dense
+    baseline passes its ``block``, so the records count zero tiles."""
+    eval_ds = eval_data if eval_data is not None else data
+    for epoch in range(len(records) + 1, len(records) + cfg.epochs + 1):
+        train_loss = _epoch_pass(net, data, cfg, epoch, vel, **hooks)
+        sparsity = None if block is None else dense_tile_sparsity(net, block, cfg.eps_zero)
+        records.append(collect_metrics(net, eval_ds, cfg, epoch, train_loss, sparsity))
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -227,17 +242,18 @@ def _epoch_pass(net, data, cfg, epoch, vel, prox_l1=True, grad_hook=None, post_s
 def train_kron(
     net: Network, data: Dataset, cfg: TrainConfig, eval_data: Dataset | None = None
 ) -> tuple[Network, list[MetricRecord]]:
-    """Mini-batch momentum SGD on all S, A_i, B_i with per-step proximal
-    soft-thresholding of each mask (never subgradient descent on the L1)."""
+    """Mini-batch momentum SGD on all S, A_i, B_i, each step followed by the
+    proximal soft-threshold of each mask, ``mask_l1_prox`` at lr*lam (never
+    subgradient descent on the L1)."""
     if not any(layer.spec.kind == "kron" for layer in net.layers):
         raise ValueError("train_kron needs at least one factored layer")
-    vel = init_velocities(net)
-    eval_ds = eval_data if eval_data is not None else data
-    records = []
-    for epoch in range(1, cfg.epochs + 1):
-        train_loss = _epoch_pass(net, data, cfg, epoch, vel)
-        records.append(collect_metrics(net, eval_ds, cfg, epoch, train_loss))
-    return net, records
+    t = cfg.learning_rate * cfg.lam
+
+    def prox():
+        if cfg.lam > 0:
+            mask_l1_prox(net, t)
+
+    return net, _train_epochs(net, data, cfg, eval_data, init_velocities(net), [], post_step=prox)
 
 
 def group_lasso_prox(w: np.ndarray, block: tuple[int, int], t: float) -> None:
@@ -271,8 +287,6 @@ def train_group_lasso(
     """Dense-net baseline: momentum SGD plus a per-step proximal block
     soft-threshold driving whole tiles to exact zero."""
     _check_dense_tiling(net, block, "train_group_lasso")
-    vel = init_velocities(net)
-    eval_ds = eval_data if eval_data is not None else data
     t = cfg.learning_rate * cfg.lam
 
     def prox():
@@ -280,16 +294,8 @@ def train_group_lasso(
             for layer in net.layers:
                 group_lasso_prox(layer.w, block, t)
 
-    records = []
-    for epoch in range(1, cfg.epochs + 1):
-        train_loss = _epoch_pass(net, data, cfg, epoch, vel, post_step=prox)
-        records.append(
-            collect_metrics(
-                net, eval_ds, cfg, epoch, train_loss,
-                sparsity=dense_tile_sparsity(net, block, cfg.eps_zero),
-            )
-        )
-    return net, records
+    vel = init_velocities(net)
+    return net, _train_epochs(net, data, cfg, eval_data, vel, [], block, post_step=prox)
 
 
 def prune_blocks(
@@ -320,25 +326,11 @@ def prune_blocks(
     # rebuilt only when prune_to changes the mask
     keep = [tile_rows(mask.astype(np.float64), n2) for mask in masks]
     vel = init_velocities(net)
-    eval_ds = eval_data if eval_data is not None else data
     records: list[MetricRecord] = []
-    epoch = 0
 
     def mask_grads(grads):
         for g, k in zip(grads, keep):
             row_view(g.d_w, m2)[:] *= k
-
-    def run_phase(n_epochs):
-        nonlocal epoch
-        for _ in range(n_epochs):
-            epoch += 1
-            train_loss = _epoch_pass(net, data, cfg, epoch, vel, grad_hook=mask_grads)
-            records.append(
-                collect_metrics(
-                    net, eval_ds, cfg, epoch, train_loss,
-                    sparsity=dense_tile_sparsity(net, block, cfg.eps_zero),
-                )
-            )
 
     def prune_to(quota_fraction):
         for i, (layer, mask, v) in enumerate(zip(net.layers, masks, vel)):
@@ -353,8 +345,8 @@ def prune_blocks(
             row_view(layer.w, m2)[:] *= keep[i]
             row_view(v, m2)[:] *= keep[i]
 
-    run_phase(cfg.epochs)
-    for k in range(1, rounds + 1):
-        prune_to(target_rate * k / rounds)
-        run_phase(cfg.epochs)
+    for k in range(rounds + 1):
+        if k:
+            prune_to(target_rate * k / rounds)
+        _train_epochs(net, data, cfg, eval_data, vel, records, block, grad_hook=mask_grads)
     return net, records

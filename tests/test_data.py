@@ -160,27 +160,32 @@ def test_read_idx_zero_dims(tmp_path):
 
 
 def test_teacher_dense_when_fraction_zero():
-    _, teacher = make_teacher_dataset(4, 6, (2, 2), 0.0, 8, seed=0)
+    _, teacher = make_teacher_dataset(4, 6, (2, 2), 0.0, 8, seed=0, classification=False)
     from kronblock.linalg import tile_norms
 
     assert np.all(tile_norms(teacher, 2, 2) > 0)
 
 
 def test_teacher_surviving_tiles_match_reconstruction_rank():
-    _, teacher = make_teacher_dataset(8, 8, (2, 2), 0.5, 4, seed=3)
+    _, teacher = make_teacher_dataset(8, 8, (2, 2), 0.5, 4, seed=3, classification=False)
     fac = kb.reconstruct_from_blockwise(teacher, (2, 2))
     expected_live = 16 - int(round(0.5 * 16))
     assert fac.shape.r == expected_live
 
 
 def test_teacher_noiseless_attained_by_teacher():
-    ds, teacher = make_teacher_dataset(4, 6, (2, 2), 0.5, 16, noise_sigma=0.0, seed=1)
+    ds, teacher = make_teacher_dataset(
+        4, 6, (2, 2), 0.5, 16, noise_sigma=0.0, seed=1, classification=False
+    )
     assert np.max(np.abs(ds.y - ds.x @ teacher.T)) == 0.0
 
 
 def test_teacher_deterministic():
-    a_ds, a_t = make_teacher_dataset(4, 8, (2, 2), 0.25, 10, noise_sigma=0.1, seed=9)
-    b_ds, b_t = make_teacher_dataset(4, 8, (2, 2), 0.25, 10, noise_sigma=0.1, seed=9)
+    def draw():
+        return make_teacher_dataset(4, 8, (2, 2), 0.25, 10, noise_sigma=0.1, seed=9,
+                                    classification=False)
+
+    (a_ds, a_t), (b_ds, b_t) = draw(), draw()
     assert np.array_equal(a_t, b_t)
     assert np.array_equal(a_ds.x, b_ds.x)
     assert np.array_equal(a_ds.y, b_ds.y)
@@ -194,9 +199,9 @@ def test_teacher_classification_labels():
 
 def test_teacher_validation():
     with pytest.raises(ValueError):
-        make_teacher_dataset(4, 6, (3, 2), 0.5, 8)
+        make_teacher_dataset(4, 6, (3, 2), 0.5, 8, classification=False)
     with pytest.raises(ValueError):
-        make_teacher_dataset(4, 6, (2, 2), 1.0, 8)
+        make_teacher_dataset(4, 6, (2, 2), 1.0, 8, classification=False)
 
 
 def test_batches_single_batch(rng):

@@ -15,7 +15,7 @@ from kronblock import (
     unfold_output,
     unfold_tiles,
 )
-from kronblock.linalg import counting, row_view, tile_rows, tile_view
+from kronblock.linalg import add, counting, matmul, row_view, tile_rows, tile_view
 
 dims = st.integers(min_value=1, max_value=6)
 
@@ -106,6 +106,28 @@ def test_hadamard_out_fills_out_and_counts_a_size(rng):
     assert np.array_equal(columns, hadamard(a, s).reshape(4, 15).T)
     with pytest.raises(ValueError, match="out shape"):
         hadamard(a, s, np.empty((4, 15)))
+
+
+@pytest.mark.parametrize("p,q,s", [(1, 1, 1), (1, 7, 1), (6, 1, 5), (7, 13, 3), (64, 33, 16),
+                                   (256, 8, 2)])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_matmul_and_add_out_match_the_allocating_form(p, q, s, transposed):
+    # ``out``, here a view into a larger flat buffer as a factored layer's dB
+    # is, gets the bits of the allocating call and is returned; ``add`` also
+    # runs in place. The counts are those of the calls without ``out``
+    rng = np.random.default_rng(p * q * s)
+    a = rng.standard_normal((q, p)).T if transposed else rng.standard_normal((p, q))
+    b, c = rng.standard_normal((q, s)), rng.standard_normal((p, s))
+    with counting() as allocating:
+        product = matmul(a, b)
+        total = add(product, c)
+    view = np.empty(3 + p * s)[3:].reshape(p, s)
+    with counting() as ops:
+        assert matmul(a, b, out=view) is view
+        assert np.array_equal(view, product)
+        assert add(view, c, out=view) is view
+    assert np.array_equal(view, total)
+    assert ops == allocating == [("matmul", p * s * (2 * q - 1)), ("add", p * s)]
 
 
 SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan)

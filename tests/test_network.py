@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kronblock as kb
@@ -187,12 +187,43 @@ def test_training_backward_matches_net_backward(seed):
             assert np.array_equal(a, b)
 
 
+def _magnitudes(net, x, target):
+    """Output, loss, gradients and input gradient of the squared-loss step
+    run on absolute values: |parameters|, |x| and the target -|target|, so
+    the seed is 2(|O| + |Y|). Each entry is at least the sum of the
+    magnitudes of the summands of the same entry of the real step: no term
+    cancels, and each relu only widens its mask."""
+    mag = net.copy()
+    for layer in mag.layers:
+        np.abs(layer.params, out=layer.params)
+    out, cache = net_forward(mag, np.abs(x))
+    loss, grads, dx = net_backward(mag, cache, -np.abs(target), "squared_frobenius")
+    return out, loss, grads, dx
+
+
+def _rounding_bound(net, n_batch):
+    """2 gamma_k = 2ku / (1 - ku): two computations of one exact value, each
+    within gamma_k of the magnitude of its summands (Higham, "Accuracy and
+    Stability of Numerical Algorithms", 3.1-3.5), where k bounds the
+    roundings along any chain of the step. Each layer's forward and backward
+    nest at most three sums of at most max(N, r) * m * n terms each, so
+    k = 8 * sum over layers of max(N, r) * m * n also covers the loss."""
+    k = 8 * sum(
+        max(n_batch, layer.spec.shape.r if layer.spec.kind == "kron" else 1)
+        * layer.spec.out_dim * layer.spec.in_dim
+        for layer in net.layers
+    )
+    ku = k * np.finfo(np.float64).eps / 2
+    return 2 * ku / (1 - ku)
+
+
 @given(seed=st.integers(0, 2**31))
+@example(seed=655540739)  # its input gradient cancels to 2e-6 of its summands
 @settings(max_examples=40, deadline=None)
 def test_training_paths_agree_on_mixed_nets(seed):
     # mixed dense/kron nets of 1-3 layers: the step train_paths picks gives the
     # output, loss and every gradient of an all-fold and an all-materialized
-    # step within 1e-12 relative
+    # step, each entry within the rounding bound of its summands' magnitude
     from kronblock import flops as fl
 
     r = np.random.default_rng(seed)
@@ -213,6 +244,8 @@ def test_training_paths_agree_on_mixed_nets(seed):
             assert np.array_equal(w, kb.materialize(layer.factor)) and masked_a is not None
         else:
             assert lc.fcache[0] is layer.w and lc.fcache[1] is None
+    m_out, m_loss, m_grads, m_dx = _magnitudes(net, x, target)
+    tol = _rounding_bound(net, n)
     train_path = fl.train_path
     for forced in ("fold", "materialized"):
         fl.train_path = lambda *_args, forced=forced, **_kw: forced
@@ -222,11 +255,11 @@ def test_training_paths_agree_on_mixed_nets(seed):
             f_loss, f_grads, f_dx = net_backward(net, f_cache, target, "squared_frobenius")
         finally:
             fl.train_path = train_path
-        assert abs(f_loss - loss) <= 1e-12 * abs(loss)
-        for got, want in [(f_out, out), (f_dx, dx)] + list(
-            zip(_net_grads(f_grads), _net_grads(grads), strict=True)
+        assert abs(f_loss - loss) <= tol * m_loss
+        for got, want, mag in [(f_out, out, m_out), (f_dx, dx, m_dx)] + list(
+            zip(_net_grads(f_grads), _net_grads(grads), _net_grads(m_grads), strict=True)
         ):
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            assert np.all(np.abs(got - want) <= tol * mag)
 
 
 def test_relu_dead_unit_blocks_gradient(rng):

@@ -30,6 +30,7 @@ from kronblock.train import (
     dense_tile_sparsity,
     eval_metrics,
     init_velocities,
+    mask_l1_prox,
     net_mask_sparsity,
     sgd_step,
     soft_threshold,
@@ -128,7 +129,8 @@ def test_lambda_zero_matches_plain_sgd(rng):
 
 def _per_array_sgd(net, grads, vel, cfg):
     # momentum SGD on every matrix on its own, the mask prox right after the
-    # mask's step: the update sgd_step must reproduce bit for bit
+    # mask's step: the update sgd_step and then mask_l1_prox must reproduce
+    # bit for bit
     lr, mu = cfg.learning_rate, cfg.momentum
     for layer, g, v in zip(net.layers, grads, vel):
         if layer.spec.kind == "dense":
@@ -153,8 +155,8 @@ def _per_array_sgd(net, grads, vel, cfg):
 )
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_sgd_step_matches_per_array_reference(r, path, tiling, batch, lam):
-    # one flat update per layer (a factored layer, then a dense one) equals
-    # the per-array update, on either training path and with the L1 prox
+    # one flat update per layer (a factored layer, then a dense one) and then
+    # the mask's L1 prox equal the per-array update, on either training path
     shape = KronShape(*tiling, r)
     net = build_network([kron_spec(shape, "relu"), dense_spec(3, shape.m)], seed=r)
     assert train_paths(net, batch) == [path, "dense"]
@@ -173,6 +175,8 @@ def test_sgd_step_matches_per_array_reference(r, path, tiling, batch, lam):
         labels = rng.integers(0, 3, batch)
         _, grads = net_backward_params(net, net_forward(net, x)[1], labels, cfg.loss)
         sgd_step(net, grads, vel, cfg)
+        if lam > 0:
+            mask_l1_prox(net, cfg.learning_rate * lam)
         _, grads = net_backward_params(ref, net_forward(ref, x)[1], labels, cfg.loss)
         _per_array_sgd(ref, grads, ref_vel, cfg)
         got = net.layers[0].factor
@@ -182,6 +186,29 @@ def test_sgd_step_matches_per_array_reference(r, path, tiling, batch, lam):
         assert np.array_equal(net.layers[1].w, w)
     if lam == 3.0:
         assert np.any(f.s == 0.0)
+
+
+@pytest.mark.parametrize("path,tilings,batch", [
+    ("fold", ((8, 8, 4, 4), (8, 8, 4, 4)), 4),
+    ("materialized", ((2, 4, 2, 2), (2, 2, 2, 2)), 8),
+])
+def test_train_step_concatenates_nothing(monkeypatch, path, tilings, batch):
+    # the backward writes dS, the dA_i and the dB_i straight into their views
+    # of one flat gradient, so a training step of two factored layers, the
+    # second with the input gradient, joins no arrays
+    shapes = [KronShape(*tiling, 2) for tiling in tilings]
+    net = build_network([kron_spec(shapes[0], "relu"), kron_spec(shapes[1])], seed=1)
+    assert train_paths(net, batch) == [path, path]
+    cfg = TrainConfig(epochs=1, batch_size=batch, learning_rate=0.1, lam=0.5)
+    vel = init_velocities(net)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((batch, net.in_dim))
+    labels = rng.integers(0, net.out_dim, batch)
+    calls = []
+    concatenate = np.concatenate
+    monkeypatch.setattr(np, "concatenate", lambda *a, **k: calls.append(1) or concatenate(*a, **k))
+    train_mod.train_step(net, x, labels, vel, cfg)
+    assert calls == []
 
 
 def test_huge_lambda_kills_mask_in_one_epoch():
@@ -270,7 +297,9 @@ def test_group_lasso_tiles_exact_zero_or_positive_norm():
 
 def test_group_lasso_loss_parity_with_kron():
     # noisy regression teacher: both trainers reach the held-out noise floor
-    ds, _ = make_teacher_dataset(8, 16, (2, 2), 0.5, 2048, noise_sigma=0.3, seed=6)
+    ds, _ = make_teacher_dataset(
+        8, 16, (2, 2), 0.5, 2048, noise_sigma=0.3, seed=6, classification=False
+    )
     tr, te = kb.train_test_split(ds, 0.25, seed=6)
     cfg = TrainConfig(
         epochs=100, batch_size=32, learning_rate=1e-3, momentum=0.0,
