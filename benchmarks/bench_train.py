@@ -227,7 +227,7 @@ def flops_by_part(n_batch: int, shape: KronShape, path: str) -> dict:
 
     def pieces(with_dx):
         if path == "dense":
-            return fl._layer_pieces(n_batch, (shape.m, shape.n), with_dx)[:2]
+            return fl._layer_pieces(n_batch, dense_spec(shape.m, shape.n), with_dx)[:2]
         return fl._kron_path_pieces(n_batch, shape, with_dx)[path]
 
     fwd, bwd_dx = pieces(True)

@@ -781,6 +781,8 @@ def cmd_decompose(args) -> int:
         w = _load_matrix(args.infile)
     except (OSError, EOFError, ValueError) as exc:
         raise ConfigError(f"--in: {exc}") from exc
+    if not np.isfinite(w).all():
+        raise ConfigError("--in: matrix has non-finite entries")
     try:
         factor = reconstruct_from_blockwise(w, (m2, n2))
     except ValueError as exc:

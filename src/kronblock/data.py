@@ -3,10 +3,11 @@ the synthetic block-sparse teacher generator, splits, and deterministic
 mini-batch iteration.
 
 IDX files are big-endian: 2 zero bytes, a dtype code (0x08 unsigned byte,
-0x0D float64), the number of dimensions, then one u32 per dimension and the
-payload. MNIST images use magic 0x00000803 (ubyte, 3-D), labels 0x00000801
-(ubyte, 1-D). ``write_idx`` writes float64 arrays in the float64 container,
-so round trips are lossless.
+0x0C int32, 0x0D float32, 0x0E float64, as LeCun's MNIST page defines them),
+the number of dimensions, then one u32 per dimension and the payload. MNIST
+images use magic 0x00000803 (ubyte, 3-D), labels 0x00000801 (ubyte, 1-D).
+``write_idx`` writes float64 arrays in the float64 container, so round trips
+are lossless.
 
 A subset (``Dataset.subset``, ``train_test_split``, the CLI's MNIST
 ``limit``) shares the validated arrays of the dataset it came from and holds
@@ -35,8 +36,10 @@ IDX_LABEL_MAGIC = 0x00000801
 
 DATA_DIR_ENV = "KRONBLOCK_DATA_DIR"
 
-_IDX_DTYPES = {0x08: np.dtype(">u1"), 0x0C: np.dtype(">i4"), 0x0D: np.dtype(">f8")}
-_IDX_CODES = {np.dtype(np.uint8): 0x08, np.dtype(np.float64): 0x0D}
+_IDX_DTYPES = {
+    0x08: np.dtype(">u1"), 0x0C: np.dtype(">i4"), 0x0D: np.dtype(">f4"), 0x0E: np.dtype(">f8")
+}
+_IDX_CODES = {np.dtype(np.uint8): 0x08, np.dtype(np.float64): 0x0E}
 
 
 class IdxFormatError(ValueError):

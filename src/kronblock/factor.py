@@ -374,7 +374,7 @@ def reconstruct_from_blockwise(w: np.ndarray, block: tuple[int, int]) -> KronFac
     )
 
 
-def sparsity_rate(factor: KronFactor, eps_zero: float = 1e-6) -> float:
+def sparsity_rate(factor: KronFactor, eps_zero: float) -> float:
     """Fraction of mask entries with |S| < eps_zero (measured on S, i.e. on
     tiles of the materialized weight barring A_i cancellation)."""
     if eps_zero <= 0:

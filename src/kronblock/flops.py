@@ -3,8 +3,8 @@
 Two independent routes are kept deliberately separate and compared in tests:
 
 * the *analytic* cost model: per-layer forward and backward pieces (exact
-  integers, pre-asymptotic) that ``layers_report`` sums over a layer list;
-  every closed form and report below is such a sum, and
+  integers, pre-asymptotic) that ``layers_report`` sums over a model's
+  ``LayerSpec``s; every closed form and report below is such a sum, and
 * the *instrumented* counter: ``counted_step`` runs one real training step
   of a ``network.Network`` (``net_forward``, then ``net_backward_params``
   with the squared loss) inside ``linalg.counting()``, where every multiply,
@@ -12,9 +12,10 @@ Two independent routes are kept deliberately separate and compared in tests:
   holds no formula or walk of its own; ``instrumented_count`` builds the
   network from a tag's inputs.
 
-For the cost model a layer is its dimensions: a ``KronShape``, or ``(m, n)``
-for a dense layer, paired with its activation. A factored layer has pieces
-for both training paths of :mod:`kronblock.factor`, fold and materialized;
+A layer is the ``LayerSpec`` the network is built from, defined here: its
+kind, the ``m x n`` of its weight (a factored layer's ``KronShape``) and its
+activation. A factored layer has pieces for both training paths of
+:mod:`kronblock.factor`, fold and materialized;
 ``train_path`` picks the one whose forward plus backward costs fewer flops
 (materialized on a tie), and every report counts the picked path, as
 ``network.net_forward`` runs it. Inference takes the same rule's pick
@@ -43,6 +44,57 @@ from dataclasses import dataclass, field
 
 from .factor import KronFactor, KronShape
 from .linalg import counting
+
+ACTIVATIONS = ("relu", "identity", "softmax_output")
+
+
+@dataclass(frozen=True)
+class LayerSpec:
+    """One layer as ``network.build_network`` builds it and ``layers_report``
+    prices it: a factored layer of ``shape`` or a dense ``m x n`` one, and
+    its activation. A kron spec takes ``m`` and ``n`` from its shape."""
+
+    kind: str  # "kron" | "dense"
+    activation: str = "identity"
+    shape: KronShape | None = None
+    m: int | None = None
+    n: int | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("kron", "dense"):
+            raise ValueError(f"unknown layer kind {self.kind!r}")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
+        if self.kind == "kron":
+            if self.shape is None:
+                raise ValueError("kron layer needs a KronShape")
+            object.__setattr__(self, "m", self.shape.m)
+            object.__setattr__(self, "n", self.shape.n)
+        elif self.m is None or self.n is None or self.m < 1 or self.n < 1:
+            raise ValueError("dense layer needs positive m, n")
+
+    @property
+    def out_dim(self) -> int:
+        return self.m
+
+    @property
+    def in_dim(self) -> int:
+        return self.n
+
+
+def kron_spec(shape: KronShape, activation: str = "identity") -> LayerSpec:
+    return LayerSpec(kind="kron", activation=activation, shape=shape)
+
+
+def dense_spec(m: int, n: int, activation: str = "identity") -> LayerSpec:
+    return LayerSpec(kind="dense", activation=activation, m=m, n=n)
+
+
+def check_widths(specs: list) -> None:
+    """Raise unless each layer's output width is the next layer's input width."""
+    for prev, nxt in zip(specs, specs[1:]):
+        if prev.m != nxt.n:
+            raise ValueError(f"layer dims incompatible: {prev.m} -> {nxt.n}")
 
 
 @dataclass
@@ -177,57 +229,46 @@ def kron_update_flops(s: KronShape) -> int:
     return s.r * (s.m1 * s.n1 + s.m2 * s.n2)
 
 
-def _dims(layer) -> tuple[int, int]:
-    """(m, n) of a cost-model layer: a ``KronShape`` or a dense ``(m, n)``."""
-    return (layer.m, layer.n) if isinstance(layer, KronShape) else tuple(layer)
-
-
-def _layer_pieces(n_batch: int, layer, with_dx: bool):
+def _layer_pieces(n_batch: int, spec: LayerSpec, with_dx: bool):
     """Forward pieces, backward pieces and update flops of one layer, on the
     ``train_path`` of a factored layer."""
-    if isinstance(layer, KronShape):
-        fwd, bwd = _kron_path_pieces(n_batch, layer, with_dx)[
-            train_path(n_batch, layer, with_dx)
-        ]
-        return fwd, bwd, kron_update_flops(layer)
-    m, n = layer
+    if spec.kind == "kron":
+        s = spec.shape
+        fwd, bwd = _kron_path_pieces(n_batch, s, with_dx)[train_path(n_batch, s, with_dx)]
+        return fwd, bwd, kron_update_flops(s)
     return (
-        _dense_forward_pieces(n_batch, m, n),
-        _dense_backward_pieces(n_batch, m, n, with_dx),
-        dense_update_flops(m, n),
+        _dense_forward_pieces(n_batch, spec.m, spec.n),
+        _dense_backward_pieces(n_batch, spec.m, spec.n, with_dx),
+        dense_update_flops(spec.m, spec.n),
     )
 
 
-def layers_report(n_batch: int, layers: list) -> FlopReport:
-    """Exact flops of one training step of a model given as ``(dims,
-    activation)`` pairs (``dims`` a ``KronShape`` or a dense ``(m, n)``), in
-    the order ``network.net_forward`` and ``net_backward_params`` run.
+def layers_report(n_batch: int, specs: list) -> FlopReport:
+    """Exact flops of one training step of a model given as its ``LayerSpec``s
+    (``[layer.spec for layer in net.layers]``), in the order
+    ``network.net_forward`` and ``net_backward_params`` run.
 
     Breakdown keys are ``forward.<piece>`` and ``backward.<piece>``, with the
     piece prefixed ``layer<i>.`` when the model has more than one layer; relu
     costs add up under ``forward.activation`` and ``backward.activation_mask``.
     """
-    for (prev, _), (nxt, _) in zip(layers, layers[1:]):
-        if _dims(prev)[0] != _dims(nxt)[1]:
-            raise ValueError(f"layer dims incompatible: {_dims(prev)[0]} -> {_dims(nxt)[1]}")
+    check_widths(specs)
     n = n_batch
-    pieces = [_layer_pieces(n, dims, idx > 0) for idx, (dims, _) in enumerate(layers)]
-    prefixes = [f"layer{idx + 1}." if len(layers) > 1 else "" for idx in range(len(layers))]
-    out_dim = _dims(layers[-1][0])[0]
+    pieces = [_layer_pieces(n, spec, idx > 0) for idx, spec in enumerate(specs)]
+    prefixes = [f"layer{idx + 1}." if len(specs) > 1 else "" for idx in range(len(specs))]
+    out_dim = specs[-1].m
 
     fwd: dict[str, int] = {}
-    for (dims, activation), (f_pieces, _, _), prefix in zip(layers, pieces, prefixes):
+    for spec, (f_pieces, _, _), prefix in zip(specs, pieces, prefixes):
         fwd.update({prefix + k: v for k, v in f_pieces.items()})
-        if activation == "relu":
-            fwd["activation"] = fwd.get("activation", 0) + n * _dims(dims)[0]
+        if spec.activation == "relu":
+            fwd["activation"] = fwd.get("activation", 0) + n * spec.m
     fwd["loss"] = 3 * n * out_dim - 1
 
     bwd = {"seed": n * out_dim}
-    for (dims, activation), (_, b_pieces, _), prefix in reversed(
-        list(zip(layers, pieces, prefixes))
-    ):
-        if activation == "relu":
-            bwd["activation_mask"] = bwd.get("activation_mask", 0) + n * _dims(dims)[0]
+    for spec, (_, b_pieces, _), prefix in reversed(list(zip(specs, pieces, prefixes))):
+        if spec.activation == "relu":
+            bwd["activation_mask"] = bwd.get("activation_mask", 0) + n * spec.m
         bwd.update({prefix + k: v for k, v in b_pieces.items()})
 
     upd = sum(u for _, _, u in pieces)
@@ -238,16 +279,17 @@ def layers_report(n_batch: int, layers: list) -> FlopReport:
 
 
 def dense_layer_report(n_batch: int, m: int, n: int) -> FlopReport:
-    return layers_report(n_batch, [((m, n), "identity")])
+    return layers_report(n_batch, [dense_spec(m, n)])
 
 
 def kron_layer_report(n_batch: int, s: KronShape) -> FlopReport:
-    return layers_report(n_batch, [(s, "identity")])
+    return layers_report(n_batch, [kron_spec(s)])
 
 
 def two_layer_dense_report(n_batch: int, d_in: int, d_hidden: int, d_out: int) -> FlopReport:
     """Two-layer relu regression model with dense weights (exact sums)."""
-    return layers_report(n_batch, [((d_hidden, d_in), "relu"), ((d_out, d_hidden), "identity")])
+    specs = [dense_spec(d_hidden, d_in, "relu"), dense_spec(d_out, d_hidden)]
+    return layers_report(n_batch, specs)
 
 
 def _c_forward(n_batch: int, s: KronShape) -> int:
@@ -272,7 +314,7 @@ def two_layer_kron_report(n_batch: int, s1: KronShape, s2: KronShape) -> FlopRep
     s1.m == s2.n. ``constants`` exposes the leading-term aggregates C1/C2
     (forward, per rank term) and C3/C4 (backward, rank included).
     """
-    rep = layers_report(n_batch, [(s1, "relu"), (s2, "identity")])
+    rep = layers_report(n_batch, [kron_spec(s1, "relu"), kron_spec(s2)])
     rep.constants = {
         "C1": _c_forward(n_batch, s1),
         "C2": _c_forward(n_batch, s2),
@@ -361,8 +403,8 @@ def instrumented_count(tag: str, **inputs) -> int:
     for idx, key in enumerate(keys):
         weight, activation = inputs[key], "relu" if idx < len(keys) - 1 else "identity"
         if isinstance(weight, KronFactor):
-            layers.append(network.Layer(network.kron_spec(weight.shape, activation), factor=weight))
+            layers.append(network.Layer(kron_spec(weight.shape, activation), factor=weight))
         else:
-            layers.append(network.Layer(network.dense_spec(*weight.shape, activation), w=weight))
+            layers.append(network.Layer(dense_spec(*weight.shape, activation), w=weight))
     forward, backward = counted_step(network.Network(layers), inputs["x"], inputs["y"])
     return forward if phase == "forward" else backward

@@ -39,50 +39,14 @@ import numpy as np
 
 from . import factor as kf
 from . import flops as fl
+from .flops import ACTIVATIONS, LayerSpec, dense_spec, kron_spec
 from .linalg import as_matrix, mask_mul, matmul, relu, scale, sq_sum, sub
 
-ACTIVATIONS = ("relu", "identity", "softmax_output")
 LOSSES = ("squared_frobenius", "softmax_cross_entropy")
 
 _NET_MAGIC = b"KBN1"
 _ACT_CODE = {name: i for i, name in enumerate(ACTIVATIONS)}
 _ACT_NAME = {i: name for name, i in _ACT_CODE.items()}
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    kind: str  # "kron" | "dense"
-    activation: str = "identity"
-    shape: kf.KronShape | None = None
-    m: int | None = None
-    n: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("kron", "dense"):
-            raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.kind == "kron":
-            if self.shape is None:
-                raise ValueError("kron layer needs a KronShape")
-        elif self.m is None or self.n is None or self.m < 1 or self.n < 1:
-            raise ValueError("dense layer needs positive m, n")
-
-    @property
-    def out_dim(self) -> int:
-        return self.shape.m if self.kind == "kron" else self.m
-
-    @property
-    def in_dim(self) -> int:
-        return self.shape.n if self.kind == "kron" else self.n
-
-
-def kron_spec(shape: kf.KronShape, activation: str = "identity") -> LayerSpec:
-    return LayerSpec(kind="kron", activation=activation, shape=shape)
-
-
-def dense_spec(m: int, n: int, activation: str = "identity") -> LayerSpec:
-    return LayerSpec(kind="dense", activation=activation, m=m, n=n)
 
 
 @dataclass
@@ -118,11 +82,7 @@ class Network:
     def __post_init__(self):
         if not self.layers:
             raise ValueError("network needs at least one layer")
-        for prev, nxt in zip(self.layers, self.layers[1:]):
-            if prev.spec.out_dim != nxt.spec.in_dim:
-                raise ValueError(
-                    f"layer dims incompatible: {prev.spec.out_dim} -> {nxt.spec.in_dim}"
-                )
+        fl.check_widths([layer.spec for layer in self.layers])
 
     @property
     def in_dim(self) -> int:
@@ -222,8 +182,8 @@ class LayerCache:
 
 @dataclass
 class NetCache:
+    # the network's output is ``layers[-1].out``
     layers: list[LayerCache] = field(default_factory=list)
-    output: np.ndarray | None = None
 
 
 @dataclass
@@ -333,7 +293,6 @@ def net_forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, NetCache]:
         out = _activate(layer, pre)
         cache.layers.append(LayerCache(cur, out, fcache))
         cur = out
-    cache.output = cur
     return cur, cache
 
 
@@ -358,9 +317,9 @@ def net_predict(net: Network, x: np.ndarray) -> np.ndarray:
 
 
 def _backward(net: Network, cache: NetCache, target, loss_kind: str, keep_dx: bool):
-    if cache.output is None or len(cache.layers) != len(net.layers):
+    if len(cache.layers) != len(net.layers):
         raise ValueError("cache does not match network")
-    loss, d_act = loss_and_seed(cache.output, target, loss_kind)
+    loss, d_act = loss_and_seed(cache.layers[-1].out, target, loss_kind)
     grads: list = [None] * len(net.layers)
     for idx in range(len(net.layers) - 1, -1, -1):
         layer, lc = net.layers[idx], cache.layers[idx]
@@ -421,32 +380,22 @@ def count_network_params(net: Network) -> int:
     return sum(layer.params.size for layer in net.layers)
 
 
-def _flop_layers(net: Network) -> list:
-    """The net as ``flops.layers_report`` reads it: per layer its dimensions
-    (the ``KronShape``, or ``(m, n)`` for a dense layer) and its activation."""
-    return [
-        (layer.spec.shape if layer.spec.kind == "kron" else (layer.spec.m, layer.spec.n),
-         layer.spec.activation)
-        for layer in net.layers
-    ]
-
-
 def network_forward_flops(net: Network, n_batch: int) -> int:
     """Analytic forward flops for one batch, squared-loss accounting (the only
     loss the cost model covers; used for every configured loss)."""
-    return fl.layers_report(n_batch, _flop_layers(net)).forward
+    return fl.layers_report(n_batch, [layer.spec for layer in net.layers]).forward
 
 
 def network_backward_flops(net: Network, n_batch: int) -> int:
     """Analytic backward flops for one batch of ``net_backward_params``, the
     training backward (seed, per-layer gradients, input gradients for all but
     the first layer, relu mask products)."""
-    return fl.layers_report(n_batch, _flop_layers(net)).backward
+    return fl.layers_report(n_batch, [layer.spec for layer in net.layers]).backward
 
 
 def network_update_flops(net: Network) -> int:
     # the update cost does not depend on the batch size
-    return fl.layers_report(1, _flop_layers(net)).update
+    return fl.layers_report(1, [layer.spec for layer in net.layers]).update
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .factor import KronShape, count_params
-from .flops import kron_backward_flops, kron_forward_flops, kron_update_flops
+from .flops import kron_layer_report
 
 
 def divisors(n: int) -> list[int]:
@@ -51,13 +51,15 @@ class OptimalShapeResult:
 
 
 def optimal_shape(m: int, n: int) -> OptimalShapeResult:
-    """Global minimum of 2*m1*n1 + m2*n2 over all divisor pairs, ties broken
-    by smallest m1 then smallest n1; the full candidate table comes along."""
+    """Global minimum of 2*m1*n1 + m2*n2, the ``count_params`` of the rank-1
+    shape, over all divisor pairs, ties broken by smallest m1 then smallest
+    n1; the full candidate table comes along."""
     candidates = []
     for m1 in divisors(m):
         for n1 in divisors(n):
             m2, n2 = m // m1, n // n1
-            candidates.append(ShapeCandidate(m1, n1, m2, n2, 2 * m1 * n1 + m2 * n2))
+            objective = count_params(KronShape(m1, n1, m2, n2, 1))
+            candidates.append(ShapeCandidate(m1, n1, m2, n2, objective))
     best = min(candidates, key=lambda c: (c.objective, c.m1, c.n1))
     return OptimalShapeResult(
         best=(best.m1, best.n1, best.m2, best.n2),
@@ -84,9 +86,7 @@ def shape_report(m: int, n: int, r_grid: tuple[int, ...] = (1, 2, 4)) -> list[di
                     "r": r,
                     "objective": cand.objective,
                     "params": count_params(shape),
-                    "train_flops": kron_forward_flops(1, shape)
-                    + kron_backward_flops(1, shape)
-                    + kron_update_flops(shape),
+                    "train_flops": kron_layer_report(1, shape).total,
                     "rank_ceiling": shape.full_rank,
                     "feasible": r <= shape.full_rank,
                 }

@@ -126,7 +126,7 @@ def eval_metrics(net: Network, ds: Dataset, loss_kind: str) -> tuple[float, floa
     return loss, accuracy
 
 
-def net_mask_sparsity(net: Network, eps_zero: float = 1e-6) -> float:
+def net_mask_sparsity(net: Network, eps_zero: float) -> float:
     """Zero fraction over all mask entries of the factored layers."""
     masks = kron_masks(net)
     zeros = sum(int(np.sum(np.abs(s) < eps_zero)) for s in masks)
@@ -134,7 +134,7 @@ def net_mask_sparsity(net: Network, eps_zero: float = 1e-6) -> float:
     return zeros / total if total else 0.0
 
 
-def dense_tile_sparsity(net: Network, block: tuple[int, int], eps_zero: float = 1e-6) -> float:
+def dense_tile_sparsity(net: Network, block: tuple[int, int], eps_zero: float) -> float:
     """Zero-tile fraction over the dense layers of a net."""
     m2, n2 = block
     zeros = total = 0

@@ -1201,6 +1201,21 @@ def test_decompose_bad_block_arg(tmp_path, capsys):
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
 
 
+def test_decompose_rejects_non_finite_matrix(tmp_path, capsys):
+    # a NaN or inf entry ends with exit code 1 and one line, before --out is
+    # written (a NaN would otherwise print an invalid JSON report)
+    w = np.ones((4, 4))
+    w[1, 2] = np.nan
+    np.save(tmp_path / "nan.npy", w)
+    (tmp_path / "inf.txt").write_text("1 2 3 4\n1 inf 3 4\n1 2 3 4\n1 2 3 4\n")
+    out = tmp_path / "f.kbf"
+    for name in ("nan.npy", "inf.txt"):
+        argv = ["decompose", "--in", str(tmp_path / name), "--block", "2x2", "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: --in: matrix has non-finite entries\n"
+        assert not out.exists()
+
+
 def test_mnist_dataset_kind_end_to_end(tmp_path, monkeypatch):
     # synthetic IDX files laid out like the real MNIST download
     import struct

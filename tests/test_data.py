@@ -113,11 +113,13 @@ def test_load_idx_label_count_beyond_file_names_dims(tmp_path):
         load_idx(img, lab)
 
 
-@pytest.mark.parametrize("dims,code", [((2**31, 2**31, 4), 0x08), ((BIG, BIG, 4), 0x0D)])
+@pytest.mark.parametrize(
+    "dims,code", [((2**31, 2**31, 4), 0x08), ((BIG, BIG, 4), 0x0D), ((BIG, BIG, 4), 0x0E)]
+)
 def test_read_idx_oversize_dims_rejected(tmp_path, dims, code):
     # in int64 the element counts wrap, to 0 and to a negative number; the
     # byte count must be a Python int
-    size = (1 if code == 0x08 else 8) * dims[0] * dims[1] * dims[2]
+    size = {0x08: 1, 0x0D: 4, 0x0E: 8}[code] * dims[0] * dims[1] * dims[2]
     assert size > sys.maxsize
     path = tmp_path / "big.idx"
     path.write_bytes(struct.pack(">HBB3I", 0, code, 3, *dims) + b"\x00" * 16)
@@ -133,6 +135,22 @@ def test_idx_roundtrip_lossless(tmp_path, rng):
     bytes_arr = rng.integers(0, 256, size=(3, 4), dtype=np.uint8)
     write_idx(path, bytes_arr)
     assert np.array_equal(read_idx(path), bytes_arr)
+
+
+def test_idx_float_codes_follow_the_format(tmp_path):
+    # 0x0D is a 4-byte float and 0x0E an 8-byte double; a float64 payload
+    # under 0x0D (how older kronblock versions wrote it) is twice the declared
+    # size, so it fails on its trailing bytes
+    path = tmp_path / "f.idx"
+    path.write_bytes(struct.pack(">HBBIff", 0, 0x0D, 1, 2, 1.5, -2.0))
+    got = read_idx(path)
+    assert got.dtype == np.float32 and got.tolist() == [1.5, -2.0]
+    path.write_bytes(struct.pack(">HBBIdd", 0, 0x0E, 1, 2, 1.5, -2.0))
+    got = read_idx(path)
+    assert got.dtype == np.float64 and got.tolist() == [1.5, -2.0]
+    path.write_bytes(struct.pack(">HBBIdd", 0, 0x0D, 1, 2, 1.5, -2.0))
+    with pytest.raises(IdxFormatError, match="trailing bytes after payload"):
+        read_idx(path)
 
 
 def test_idx_roundtrip_keeps_shape(tmp_path, rng):
@@ -151,7 +169,7 @@ def test_read_idx_zero_dims(tmp_path):
     # a header without its item is truncated, naming its dims
     path = tmp_path / "scalar.idx"
     write_idx(path, np.array(2.5))
-    assert path.read_bytes() == struct.pack(">HBBd", 0, 0x0D, 0, 2.5)  # float64, no dims
+    assert path.read_bytes() == struct.pack(">HBBd", 0, 0x0E, 0, 2.5)  # float64, no dims
     got = read_idx(path)
     assert got.shape == () and got == 2.5
     path.write_bytes(path.read_bytes()[:4])

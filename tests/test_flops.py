@@ -246,6 +246,20 @@ def test_counted_walk_matches_network_flops(seed):
     )
 
 
+def test_layers_report_prices_layer_specs():
+    # a kron spec carries its shape's m and n, and the network and the cost
+    # model reject a width mismatch through the one check
+    spec = kb.kron_spec(KronShape(2, 3, 4, 5, 2), "relu")
+    assert (spec.m, spec.n, spec.out_dim, spec.in_dim) == (8, 15, 8, 15)
+    relu, plain = fl.layers_report(3, [spec]), fl.kron_layer_report(3, spec.shape)
+    relu_terms = {"forward.activation": 3 * 8, "backward.activation_mask": 3 * 8}
+    assert relu.breakdown == {**plain.breakdown, **relu_terms}
+    bad = [kb.dense_spec(4, 3), kb.kron_spec(KronShape(1, 5, 2, 1))]
+    for build in (lambda: fl.layers_report(1, bad), lambda: kb.build_network(bad)):
+        with pytest.raises(ValueError, match=r"^layer dims incompatible: 4 -> 5$"):
+            build()
+
+
 @pytest.mark.parametrize(
     "layers,n_batch,paths",
     [
@@ -262,7 +276,7 @@ def test_counted_step_on_materialized_path(layers, n_batch, paths):
     rng = np.random.default_rng(n_batch)
     x = rng.standard_normal((n_batch, net.in_dim))
     y = rng.standard_normal((n_batch, net.out_dim))
-    rep = fl.layers_report(n_batch, layers)
+    rep = fl.layers_report(n_batch, [layer.spec for layer in net.layers])
     assert fl.counted_step(net, x, y) == (rep.forward, rep.backward)
     weight_builds = [k for k in rep.breakdown if k.endswith("weight_build")]
     assert len(weight_builds) == paths.count("materialized")
@@ -631,10 +645,9 @@ def test_bench_train_script_writes_schema(tmp_path, monkeypatch):
         if cell["trainer"] == "select":
             continue
         assert wl.n_train % wl.batch == 0
-        layers = list(wl.kron_layers)
-        if cell["trainer"] != "train_kron":
-            layers = [((s.m, s.n), act) for s, act in layers]
-        step = fl.layers_report(wl.batch, layers)
+        specs = [fl.kron_spec(s, act) if cell["trainer"] == "train_kron"
+                 else fl.dense_spec(s.m, s.n, act) for s, act in wl.kron_layers]
+        step = fl.layers_report(wl.batch, specs)
         assert cell["flops_per_epoch"] == wl.n_train // wl.batch * (
             step.forward + step.backward + step.update)
 
