@@ -16,10 +16,10 @@ dense ``m x n`` twin, each through the code that trains,
 * ``backward``: the same without the input gradient (``factor.backward_params``
   on the fold path), as the first layer runs it in training;
 * ``update``: one ``train.sgd_step`` on a one-layer net: one momentum
-  update of the layer's ``Layer.params`` from its gradient's ``flat``, the
-  factored layer's S, A, B buffer (the same on both paths) or the dense
-  twin's ``w``. ``sgd_step`` consumes its gradient, so an untimed copy
-  restores the gradient before each call.
+  update of the layer's ``Layer.params`` from its gradient, one array in
+  the same layout: the factored layer's S, A, B buffer (the same on both
+  paths) or the dense twin's ``w``. ``sgd_step`` consumes its gradient, so
+  an untimed copy restores the gradient before each call.
 
 Each part records the median and interquartile range of repeated runs, its
 flops by the cost model of ``kronblock.flops`` and the achieved GFLOP/s (the
@@ -244,10 +244,10 @@ def time_update(layer: Layer, grad, repeats: int) -> list[float]:
     restored from an untimed copy: the step writes ``lr * v`` into it."""
     net = Network([layer])
     vel = init_velocities(net)
-    fresh = grad.flat.copy()
+    fresh = grad.copy()
     times = []
     for _ in range(repeats + 1):
-        grad.flat[:] = fresh
+        grad[:] = fresh
         t0 = time.perf_counter()
         sgd_step(net, [grad], vel, UPDATE_CFG)
         times.append(time.perf_counter() - t0)
@@ -262,7 +262,7 @@ def step_peak(layer: Layer, path: str, x, d_out, with_dx: bool) -> int:
 
     def step():
         _, cache = layer_forward(net.layers[0], path, x)
-        grad = layer_backward(net.layers[0], x, cache, d_out, with_dx)
+        grad = layer_backward(net.layers[0], x, cache, d_out, with_dx)[0]
         sgd_step(net, [grad], vel, UPDATE_CFG)
 
     step()
@@ -300,7 +300,7 @@ def measure(shape: KronShape, n_batch: int, repeats: int, rng) -> dict:
 
     def update_row(flops, path):
         layer = layers[path]
-        grad = layer_backward(layer, x, layer_forward(layer, path, x)[1], d_out, False)
+        grad = layer_backward(layer, x, layer_forward(layer, path, x)[1], d_out, False)[0]
         return path_row(flops, time_update(layer.copy(), grad, repeats))
 
     cell["update"] = {

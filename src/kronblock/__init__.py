@@ -22,7 +22,6 @@ from .data import (
 )
 from .factor import (
     KronFactor,
-    KronGradient,
     KronShape,
     backward,
     backward_params,

@@ -30,6 +30,7 @@ import platform
 import shutil
 import sys
 import time
+import warnings
 from dataclasses import MISSING, dataclass, fields, make_dataclass
 from typing import Annotated, get_args, get_origin, get_type_hints
 
@@ -330,12 +331,19 @@ FLOP_AUDITS = {"dense": (DenseAudit,), "kron": (KronAudit,),
                "two_layer_kron": (TwoLayerKronAudit, SecondKronAudit)}
 
 
+def _check_tiles(block, m: int, n: int, path: str) -> None:
+    """A config error naming the field ``path`` unless ``block`` tiles an
+    m x n matrix."""
+    m2, n2 = block
+    if m % m2 != 0 or n % n2 != 0:
+        raise ConfigError(f"{path}: ({m2},{n2}) does not divide {m}x{n}")
+
+
 def _layer_shape(layer, path: str) -> KronShape:
     if isinstance(layer, KronShapeLayer):
         return _kron_shape(layer.shape, layer.rank, f"{path}.rank")
     (m2, n2), m, n = layer.block, layer.m, layer.n
-    if m % m2 != 0 or n % n2 != 0:
-        raise ConfigError(f"{path}.block: ({m2},{n2}) does not divide {m}x{n}")
+    _check_tiles(layer.block, m, n, f"{path}.block")
     return _kron_shape((m // m2, n // n2, m2, n2), layer.rank, f"{path}.rank")
 
 
@@ -371,6 +379,7 @@ def build_dataset(ds, seed: int) -> tuple[Dataset, Dataset | None]:
     """Returns (train, eval-or-None) of the dataset schema ``ds``; a teacher
     too large to allocate is a config error."""
     if isinstance(ds, TeacherData):
+        _check_tiles(ds.block, ds.m, ds.n, "dataset.block")
         ds_seed = seed if ds.seed is None else ds.seed
         try:
             train, _ = make_teacher_dataset(
@@ -582,6 +591,9 @@ def cmd_train(args) -> int:
         return specs, specs[0].in_dim, specs[-1].out_dim
 
     run = run_inputs(args, TrainFile, parse_model, block_required=method != "kron")
+    if method != "kron":
+        for spec in run.model:
+            _check_tiles(run.method.block, spec.m, spec.n, "train.block")
     net = build_model(run.cfg.model, run.model, run.seed)
     try:
         if method == "kron":
@@ -625,10 +637,10 @@ def cmd_select_pattern(args) -> int:
     for k, blocks in enumerate(blocks_per_pattern):
         if not isinstance(blocks, list) or len(blocks) != len(layer_dims):
             raise ConfigError(f"select.patterns[{k}]: one [m2, n2] block per layer required")
-    for blocks in blocks_per_pattern:
-        for (m, n), (m2, n2) in zip(layer_dims, blocks):
-            if m % m2 == 0 and n % n2 == 0:  # build_pattern_set names a misfit block
-                _kron_shape((m // m2, n // n2, m2, n2), rank, "select.rank")
+    for k, blocks in enumerate(blocks_per_pattern):
+        for i, ((m, n), (m2, n2)) in enumerate(zip(layer_dims, blocks)):
+            _check_tiles((m2, n2), m, n, f"select.patterns[{k}][{i}]")
+            _kron_shape((m // m2, n // n2, m2, n2), rank, "select.rank")
     try:
         pset = build_pattern_set(layer_dims, blocks_per_pattern, rank, activations, run.seed)
     except ValueError as exc:
@@ -762,7 +774,9 @@ def _load_matrix(path: str) -> np.ndarray:
     elif path.endswith(".idx"):
         arr = read_idx(path)
     else:
-        return np.loadtxt(path, ndmin=2, dtype=np.float64)
+        with warnings.catch_warnings():  # cmd_decompose names an empty matrix
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return np.loadtxt(path, ndmin=2, dtype=np.float64)
     if arr.dtype.kind not in "biuf":
         raise ValueError(f"expected a real array, got dtype {arr.dtype}")
     return np.asarray(arr, dtype=np.float64)
@@ -781,6 +795,8 @@ def cmd_decompose(args) -> int:
         w = _load_matrix(args.infile)
     except (OSError, EOFError, ValueError) as exc:
         raise ConfigError(f"--in: {exc}") from exc
+    if w.ndim != 2 or not w.size:
+        raise ConfigError(f"--in: expected a non-empty 2-D matrix, got shape {w.shape}")
     if not np.isfinite(w).all():
         raise ConfigError("--in: matrix has non-finite entries")
     try:

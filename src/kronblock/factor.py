@@ -5,7 +5,8 @@ mask ``S`` and the ``A_i`` are ``m1 x n1``, the ``B_i`` are ``m2 x n2``, and
 entry ``S[i1, j1]`` gates exactly tile ``(i1, j1)`` of the materialized
 ``m x n`` weight. The factors are stored stacked: ``A`` is one ``(r, m1, n1)``
 array and ``B`` one ``(r, m2, n2)`` array, and S, A and B are views into one
-flat buffer per layer, as are the three gradients (written in place), so one
+flat buffer per layer. The backward returns the gradient as one buffer in the
+same layout (``views`` gives its dS, dA and dB, written in place), so one
 momentum-SGD update steps a whole layer. Every product ``S * A_i`` comes from
 one broadcast product over the stack. A layer trains on one of two paths, which
 ``flops.train_path`` picks from its shape and batch size:
@@ -97,9 +98,10 @@ def count_params(shape: KronShape) -> int:
     return s + shape.r * (s + shape.m2 * shape.n2)
 
 
-def _views(shape: KronShape, flat: np.ndarray) -> tuple:
+def views(shape: KronShape, flat: np.ndarray) -> tuple:
     """The S (m1, n1), A (r, m1, n1) and B (r, m2, n2) views of ``flat``, a
-    buffer laid out as ``KronFactor.flat``."""
+    buffer laid out as ``KronFactor.flat``: a factor's parameters, or their
+    gradient as the backward returns it (dS, dA and dB)."""
     m1, n1, m2, n2, r = shape.m1, shape.n1, shape.m2, shape.n2, shape.r
     i, j = m1 * n1, (1 + r) * m1 * n1
     return flat[:i].reshape(m1, n1), flat[i:j].reshape(r, m1, n1), flat[j:].reshape(r, m2, n2)
@@ -108,7 +110,7 @@ def _views(shape: KronShape, flat: np.ndarray) -> tuple:
 def _pack(shape: KronShape, s: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
     """``s``, ``a`` and ``b`` copied into one fresh buffer, and their views of it."""
     flat = np.concatenate((s.ravel(), a.ravel(), b.ravel()))
-    return (flat, *_views(shape, flat))
+    return (flat, *views(shape, flat))
 
 
 @dataclass
@@ -242,43 +244,22 @@ def forward(factor: KronFactor, x: np.ndarray) -> tuple[np.ndarray, KronForwardC
     return out, KronForwardCache(nb, x, mids, masked_a)
 
 
-@dataclass
-class KronGradient:
-    """Gradients for one factored layer plus the input gradient for backprop
-    (``None`` from ``backward_params``, which does not compute it). dS, the
-    stacked dA (r, m1, n1) and dB (r, m2, n2) are views into ``flat``, laid
-    out as ``KronFactor.flat``; the backward writes them in place."""
-
-    flat: np.ndarray
-    d_s: np.ndarray
-    d_a: np.ndarray
-    d_b: np.ndarray
-    d_x: np.ndarray | None = None
-
-
-def _new_gradient(shape: KronShape) -> KronGradient:
-    flat = np.empty(count_params(shape))
-    return KronGradient(flat, *_views(shape, flat))
-
-
-def _mask_gradients(factor: KronFactor, g: np.ndarray, grad: KronGradient) -> KronGradient:
+def _mask_gradients(factor: KronFactor, g: np.ndarray, d_s: np.ndarray, d_a: np.ndarray):
     # g: (r, m1, n1), G_i the gradient w.r.t. S * A_i, made contiguous for
     # the two products (a copy on the fold path only). The G_i * A_i go into
     # dA's view, dS sums them in rank order, and then dA_i = G_i * S
     # overwrites them; each is one broadcast product
     g = np.ascontiguousarray(g)
-    d_s, d_a = grad.d_s, grad.d_a
     hadamard(g, factor.a, out=d_a)
     d_s[:] = d_a[0]
     for term in d_a[1:]:
         add(d_s, term, out=d_s)
     hadamard(g, factor.s, out=d_a)
-    return grad
 
 
 def _backward(
     factor: KronFactor, cache: KronForwardCache, d_out: np.ndarray, with_dx: bool
-) -> KronGradient:
+) -> tuple[np.ndarray, np.ndarray | None]:
     sh = factor.shape
     nb = cache.batch
     d_out = _output_grad(factor, nb, d_out)
@@ -287,15 +268,22 @@ def _backward(
     d_of = unfold_output(d_out, sh.m2)
     g = matmul(d_of.T, cache.mids)
     d_mid = _swap_blocks(matmul(d_of, cache.masked_a), sh.m2, sh.n1)
-    grad = _new_gradient(sh)
-    matmul(d_mid, cache.x.reshape(nb * sh.n1, sh.n2), out=grad.d_b.reshape(sh.r * sh.m2, sh.n2))
+    grad = np.empty(count_params(sh))
+    d_s, d_a, d_b = views(sh, grad)
+    matmul(d_mid, cache.x.reshape(nb * sh.n1, sh.n2), out=d_b.reshape(sh.r * sh.m2, sh.n2))
+    d_x = None
     if with_dx:
-        grad.d_x = matmul(d_mid.T, factor.b.reshape(sh.r * sh.m2, sh.n2)).reshape(nb, sh.n)
-    return _mask_gradients(factor, g.reshape(sh.m1, sh.r, sh.n1).transpose(1, 0, 2), grad)
+        d_x = matmul(d_mid.T, factor.b.reshape(sh.r * sh.m2, sh.n2)).reshape(nb, sh.n)
+    _mask_gradients(factor, g.reshape(sh.m1, sh.r, sh.n1).transpose(1, 0, 2), d_s, d_a)
+    return grad, d_x
 
 
-def backward(factor: KronFactor, cache: KronForwardCache, d_out: np.ndarray) -> KronGradient:
-    """Exact closed-form backward pass.
+def backward(
+    factor: KronFactor, cache: KronForwardCache, d_out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact closed-form backward pass: ``(grad, d_x)``, the parameter
+    gradient as one fresh buffer laid out as ``factor.flat`` (``views`` gives
+    its dS, dA and dB) and the input gradient.
 
     ``d_out`` is the loss gradient w.r.t. the layer output in N x m layout.
     With M the cached stacked mids, D = unfold_out(dO) and G = [G_1 ... G_r]
@@ -311,7 +299,7 @@ def backward(factor: KronFactor, cache: KronForwardCache, d_out: np.ndarray) -> 
 
 def backward_params(
     factor: KronFactor, cache: KronForwardCache, d_out: np.ndarray
-) -> KronGradient:
+) -> tuple[np.ndarray, None]:
     """``backward`` without the input gradient (``d_x`` is ``None``): the same
     dS, dA_i and dB_i from the same operations in the same order, minus the
     one GEMM ``dMid.T @ [B_1; ...; B_r]``. For the first layer of a network,
@@ -319,12 +307,10 @@ def backward_params(
     return _backward(factor, cache, d_out, with_dx=False)
 
 
-def weight_gradient(
-    factor: KronFactor, masked_a: np.ndarray, d_w: np.ndarray, d_x
-) -> KronGradient:
-    """The gradients of ``backward`` from the dense weight gradient
-    ``d_w = dO.T @ X`` of the materialized path, with ``masked_a`` the stacked
-    S * A_i of ``build_weight`` and ``d_x`` passed through. With
+def weight_gradient(factor: KronFactor, masked_a: np.ndarray, d_w: np.ndarray) -> np.ndarray:
+    """The parameter gradient of ``backward``, laid out as ``factor.flat``,
+    from the dense weight gradient ``d_w = dO.T @ X`` of the materialized
+    path, with ``masked_a`` the stacked S * A_i of ``build_weight``. With
     T = fold_tiles(d_w), the ``(m1*n1, m2*n2)`` tile-major weight gradient,
     and G_i the gradient w.r.t. S*A_i:
       [vec G_i].T = [vec B_i].T @ T.T     (the G_i as C-contiguous rows)
@@ -334,10 +320,11 @@ def weight_gradient(
     sh = factor.shape
     t = fold_tiles(d_w, sh.m2, sh.n2)
     g = matmul(factor.b.reshape(sh.r, -1), t.T)
-    grad = _new_gradient(sh)
-    matmul(masked_a.T, t, out=grad.d_b.reshape(sh.r, -1))
-    grad.d_x = d_x
-    return _mask_gradients(factor, g.reshape(sh.r, sh.m1, sh.n1), grad)
+    grad = np.empty(count_params(sh))
+    d_s, d_a, d_b = views(sh, grad)
+    matmul(masked_a.T, t, out=d_b.reshape(sh.r, -1))
+    _mask_gradients(factor, g.reshape(sh.r, sh.m1, sh.n1), d_s, d_a)
+    return grad
 
 
 def reconstruct_from_blockwise(w: np.ndarray, block: tuple[int, int]) -> KronFactor:
@@ -425,7 +412,7 @@ def read_factor(fh) -> KronFactor:
     size = 8 * ((1 + r) * m1 * n1 + r * m2 * n2)
     check_payload(fh, size, f"factor dims (m1, n1, m2, n2, r) = {(m1, n1, m2, n2, r)}")
     flat = np.frombuffer(read_exact(fh, size, "factor payload"), dtype="<f8")
-    return KronFactor(shape, *_views(shape, flat))
+    return KronFactor(shape, *views(shape, flat))
 
 
 def save_factor(path, factor: KronFactor) -> None:

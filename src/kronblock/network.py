@@ -10,15 +10,16 @@ softmax cross-entropy gradient seed is normalized by the batch size so the
 learning-rate scale is batch-size invariant.
 
 Training runs ``net_forward`` then ``net_backward_params``, which skips the
-gradient w.r.t. the network input (the trainers never read it) and returns
-no input gradients; ``net_backward`` also returns them. A relu runs in place
-on the fresh pre-activation, so the forward cache holds each layer's input
-and activation (``LayerCache.out``), and the training backward masks each
-relu gradient in place. Each layer runs through
-``layer_forward`` and ``layer_backward`` on one of three paths: a factored
-layer on the fold path of :mod:`kronblock.factor` or on the materialized
-path, whichever ``flops.train_path`` counts as no dearer for its shape and
-batch size, and a dense layer on the dense path. A materialized layer is the
+gradient w.r.t. the network input (the trainers never read it);
+``net_backward`` also returns it. A relu runs in place on the fresh
+pre-activation, so the forward cache holds each layer's input and activation
+(``LayerCache.out``), and the backward masks each relu gradient in place.
+Every layer's backward returns ``(grad, d_x)``: its parameter gradient as one
+array laid out as ``Layer.params``, and its input gradient. Each layer runs
+through ``layer_forward`` and ``layer_backward`` on one of three paths: a
+factored layer on the fold path of :mod:`kronblock.factor` or on the
+materialized path, whichever ``flops.train_path`` counts as no dearer for
+its shape and batch size, and a dense layer on the dense path. A materialized layer is the
 dense layer on the weight ``factor.build_weight`` builds, with
 ``factor.weight_gradient`` projecting its weight gradient onto the factors.
 Inference (``net_predict``) runs the same ``layer_forward`` on each layer's
@@ -186,16 +187,6 @@ class NetCache:
     layers: list[LayerCache] = field(default_factory=list)
 
 
-@dataclass
-class DenseGradient:
-    d_w: np.ndarray
-    d_x: np.ndarray | None = None
-
-    @property
-    def flat(self) -> np.ndarray:  # the layout of ``Layer.params``
-        return self.d_w
-
-
 def _net_input(net: Network, x) -> np.ndarray:
     x = as_matrix(x, "x")
     if x.shape[1] != net.in_dim:
@@ -253,11 +244,12 @@ def layer_forward(layer: Layer, path: str, x: np.ndarray):
 
 
 def layer_backward(layer: Layer, x: np.ndarray, cache, d_out: np.ndarray, with_dx: bool):
-    """Gradients of one layer from its input ``x``, the cache of
-    ``layer_forward`` and the gradient ``d_out`` w.r.t. its output; the input
-    gradient ``d_x`` only when ``with_dx``. The fold path runs
-    ``factor.backward`` or ``factor.backward_params``. The dense and the
-    materialized path run the dense layer's ``dW = dO.T @ X`` and
+    """``(grad, d_x)`` of one layer from its input ``x``, the cache of
+    ``layer_forward`` and the gradient ``d_out`` w.r.t. its output: ``grad``
+    the parameter gradient as one fresh array laid out as ``layer.params``,
+    and the input gradient ``d_x`` only when ``with_dx`` (else None). The fold
+    path runs ``factor.backward`` or ``factor.backward_params``. The dense and
+    the materialized path run the dense layer's ``dW = dO.T @ X`` and
     ``dX = dO @ W``, and a factored layer projects dW onto its factors with
     ``factor.weight_gradient``."""
     if isinstance(cache, kf.KronForwardCache):
@@ -266,9 +258,8 @@ def layer_backward(layer: Layer, x: np.ndarray, cache, d_out: np.ndarray, with_d
     w, masked_a = cache
     d_w = matmul(d_out.T, x)
     d_x = matmul(d_out, w) if with_dx else None
-    if masked_a is None:
-        return DenseGradient(d_w, d_x)
-    return kf.weight_gradient(layer.factor, masked_a, d_w, d_x)
+    grad = d_w if masked_a is None else kf.weight_gradient(layer.factor, masked_a, d_w)
+    return grad, d_x
 
 
 def train_paths(net: Network, n_batch: int) -> list[str]:
@@ -324,32 +315,27 @@ def _backward(net: Network, cache: NetCache, target, loss_kind: str, keep_dx: bo
     for idx in range(len(net.layers) - 1, -1, -1):
         layer, lc = net.layers[idx], cache.layers[idx]
         if layer.spec.activation == "relu":
-            d_act = mask_mul(d_act, lc.out, out=None if keep_dx else d_act)
-        grads[idx] = layer_backward(layer, lc.x_in, lc.fcache, d_act, keep_dx or idx > 0)
-        d_act = grads[idx].d_x
-        if not keep_dx:
-            grads[idx].d_x = None
+            d_act = mask_mul(d_act, lc.out, out=d_act)
+        grads[idx], d_act = layer_backward(layer, lc.x_in, lc.fcache, d_act, keep_dx or idx > 0)
     return loss, grads, d_act
 
 
 def net_backward(
     net: Network, cache: NetCache, target, loss_kind: str
 ) -> tuple[float, list, np.ndarray]:
-    """Loss value, per-layer gradients, and the gradient w.r.t. the input.
-    Each layer's gradient keeps its input gradient ``d_x``, before the relu
-    mask of the layer below."""
+    """Loss value, per-layer parameter gradients (each laid out as its
+    ``Layer.params``), and the gradient w.r.t. the network input."""
     return _backward(net, cache, target, loss_kind, keep_dx=True)
 
 
 def net_backward_params(
     net: Network, cache: NetCache, target, loss_kind: str
 ) -> tuple[float, list]:
-    """Loss value and per-layer gradients: the training backward. It is
-    ``net_backward`` without the gradient w.r.t. the network input, and it
-    returns no input gradients: every gradient has ``d_x`` None. Each inner
-    input gradient is masked by the relu below it in place and dropped once
-    the layer below has used it. Every other value comes from the same
-    operations in the same order, so the gradients are bit-identical."""
+    """Loss value and per-layer parameter gradients: the training backward.
+    It is ``net_backward`` without the gradient w.r.t. the network input,
+    which the first layer then does not compute. Every other value comes from
+    the same operations in the same order, so the gradients are
+    bit-identical."""
     loss, grads, _ = _backward(net, cache, target, loss_kind, keep_dx=False)
     return loss, grads
 

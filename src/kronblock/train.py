@@ -4,9 +4,10 @@ baseline on dense nets, block-magnitude pruning, and per-epoch metrics.
 All trainers are deterministic bit-for-bit given (config, data, seed) on a
 single thread: initialization is the caller's, batch order comes from
 (seed, epoch), and updates run in fixed layer order. ``sgd_step`` updates
-each layer's ``Layer.params`` from its ``grad.flat``, whatever its kind. The
-L1 and group penalties are handled proximally (exact zeros), never by
-subgradient: each trainer runs its penalty's prox after the update.
+each layer's ``Layer.params`` from its gradient, one array in the same
+layout, whatever its kind. The L1 and group penalties are handled
+proximally (exact zeros), never by subgradient: each trainer runs its
+penalty's prox after the update.
 """
 
 from __future__ import annotations
@@ -185,17 +186,17 @@ def init_velocities(net: Network) -> list[np.ndarray]:
 
 def sgd_step(net: Network, grads: list, vel: list, cfg: TrainConfig) -> None:
     """One momentum-SGD step per layer on all its parameters at once: the
-    update of ``layer.params`` from ``grad.flat``. No penalty: a trainer runs
-    its proximal step after this one.
+    update of ``layer.params`` from its gradient array. No penalty: a
+    trainer runs its proximal step after this one.
 
     It consumes ``grads``: once a gradient is in the momentum, its buffer
     holds the step ``lr * v``, so the step needs no temporary of its own."""
     lr, mu = cfg.learning_rate, cfg.momentum
     for layer, g, v in zip(net.layers, grads, vel):
         v *= mu
-        v += g.flat
+        v += g
         params = layer.params
-        params -= np.multiply(v, lr, out=g.flat)
+        params -= np.multiply(v, lr, out=g)
 
 
 def train_step(net, xb, tb, vel, cfg, grad_hook=None) -> float:
@@ -330,7 +331,7 @@ def prune_blocks(
 
     def mask_grads(grads):
         for g, k in zip(grads, keep):
-            row_view(g.d_w, m2)[:] *= k
+            row_view(g, m2)[:] *= k
 
     def prune_to(quota_fraction):
         for i, (layer, mask, v) in enumerate(zip(net.layers, masks, vel)):

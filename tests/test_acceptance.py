@@ -132,11 +132,12 @@ def test_criterion_2_gradient_oracle():
         _, grads, dx = net_backward(net, cache, target, loss)
         for layer, g in zip(net.layers, grads):
             if layer.spec.kind == "kron":
-                arrays = [(layer.factor.s, g.d_s)]
-                arrays += list(zip(layer.factor.a, g.d_a))
-                arrays += list(zip(layer.factor.b, g.d_b))
+                d_s, d_a, d_b = kb.factor.views(layer.spec.shape, g)
+                arrays = [(layer.factor.s, d_s)]
+                arrays += list(zip(layer.factor.a, d_a))
+                arrays += list(zip(layer.factor.b, d_b))
             else:
-                arrays = [(layer.w, g.d_w)]
+                arrays = [(layer.w, g)]
             for arr, analytic in arrays:
                 worst = max(worst, rel_err(analytic, finite_diff(loss_fn, arr)))
         worst = max(worst, rel_err(dx, finite_diff(loss_fn, x)))

@@ -231,6 +231,30 @@ def test_block_booleans_rejected(tmp_path, capsys, path, value):
     assert capsys.readouterr().err == f"error: {path}: must be [m2, n2] with positive integers\n"
 
 
+@pytest.mark.parametrize("path", ["dataset.block", "train.block", "select.patterns[1][0]"])
+def test_block_that_does_not_tile_names_its_field(tmp_path, capsys, monkeypatch, path):
+    # a block that does not tile its layer or teacher is named by its field
+    # before any net (or, for dataset.block, the teacher) is built
+    def unreachable(*_args, **_kw):
+        raise AssertionError("allocated before the block was checked")
+
+    monkeypatch.setattr(cli, "build_network", unreachable)
+    monkeypatch.setattr(cli, "build_pattern_set", unreachable)
+    if path == "select.patterns[1][0]":
+        cfg, argv, dims = select_config(), ["select-pattern"], "16x32"
+        cfg["select"]["patterns"][1][0] = [3, 3]
+    else:
+        cfg, dims = teacher_train_config(), "8x16"
+        section = path.split(".")[0]
+        cfg[section]["block"] = [3, 3]
+        argv = ["train", "--method", "prune" if section == "train" else "kron"]
+        if section == "dataset":
+            monkeypatch.setattr(cli, "make_teacher_dataset", unreachable)
+    argv += ["--config", write_config(tmp_path / "c.json", cfg), "--out", str(tmp_path / "x")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {path}: (3,3) does not divide {dims}\n"
+
+
 # Every key of each config schema, valid: the dataclasses own the keys,
 # defaults, ranges and field names. A section that two schemas read (train,
 # select, train's model) or a kind's first read (the keys every kind takes,
@@ -1213,6 +1237,23 @@ def test_decompose_rejects_non_finite_matrix(tmp_path, capsys):
         argv = ["decompose", "--in", str(tmp_path / name), "--block", "2x2", "--out", str(out)]
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: --in: matrix has non-finite entries\n"
+        assert not out.exists()
+
+
+def test_decompose_rejects_empty_or_non_matrix(tmp_path, capsys):
+    # an empty text file, a (0, 4), a 1-D and a 0-d array end with exit code
+    # 1 and one line naming --in and the shape, before --out is written
+    (tmp_path / "empty.txt").write_text("")
+    np.save(tmp_path / "rows0.npy", np.ones((0, 4)))
+    np.save(tmp_path / "vector.npy", np.ones(4))
+    np.save(tmp_path / "scalar.npy", np.array(1.0))
+    out = tmp_path / "f.kbf"
+    for name, shape in (("empty.txt", "(0, 1)"), ("rows0.npy", "(0, 4)"),
+                        ("vector.npy", "(4,)"), ("scalar.npy", "()")):
+        argv = ["decompose", "--in", str(tmp_path / name), "--block", "2x2", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --in: expected a non-empty 2-D matrix, got shape {shape}\n"
         assert not out.exists()
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import kronblock as kb
 from kronblock import KronFactor, KronShape
-from kronblock.factor import build_weight
+from kronblock.factor import build_weight, views
 from kronblock.flops import kron_forward_matmul_flops
 from kronblock.linalg import (
     counting,
@@ -18,9 +18,15 @@ from kronblock.linalg import (
     unfold_mid,
     unfold_output,
 )
-from kronblock.network import Layer, kron_spec, layer_backward, layer_forward
+from kronblock.network import Layer, dense_spec, kron_spec, layer_backward, layer_forward
 
 from conftest import finite_diff, random_dense_factor, random_shape, rel_err
+
+
+def split(f, result):
+    # dS, dA, dB and d_x of a backward's (grad, d_x)
+    grad, d_x = result
+    return (*views(f.shape, grad), d_x)
 
 
 def materialize_bruteforce(f):
@@ -132,8 +138,8 @@ def test_backward_zero_a_zeroes_ds(rng):
         a_i[:] = 0.0
     x = rng.standard_normal((3, f.shape.n))
     o, cache = kb.forward(f, x)
-    g = kb.backward(f, cache, rng.standard_normal(o.shape))
-    assert np.array_equal(g.d_s, np.zeros_like(f.s))
+    d_s = split(f, kb.backward(f, cache, rng.standard_normal(o.shape)))[0]
+    assert np.array_equal(d_s, np.zeros_like(f.s))
 
 
 def test_backward_zero_mask_zeroes_da(rng):
@@ -141,8 +147,7 @@ def test_backward_zero_mask_zeroes_da(rng):
     f.s[:] = 0.0
     x = rng.standard_normal((3, f.shape.n))
     o, cache = kb.forward(f, x)
-    g = kb.backward(f, cache, rng.standard_normal(o.shape))
-    for d_a in g.d_a:
+    for d_a in split(f, kb.backward(f, cache, rng.standard_normal(o.shape)))[1]:
         assert np.array_equal(d_a, np.zeros_like(f.s))
 
 
@@ -158,12 +163,12 @@ def test_backward_matches_finite_differences(rng):
         return float(np.sum(d * d))
 
     o, cache = kb.forward(f, x)
-    g = kb.backward(f, cache, 2.0 * (o - y))
-    assert rel_err(g.d_s, finite_diff(loss, f.s)) <= 1e-6
+    d_s, d_a, d_b, d_x = split(f, kb.backward(f, cache, 2.0 * (o - y)))
+    assert rel_err(d_s, finite_diff(loss, f.s)) <= 1e-6
     for i in range(2):
-        assert rel_err(g.d_a[i], finite_diff(loss, f.a[i])) <= 1e-6
-        assert rel_err(g.d_b[i], finite_diff(loss, f.b[i])) <= 1e-6
-    assert rel_err(g.d_x, finite_diff(loss, x)) <= 1e-6
+        assert rel_err(d_a[i], finite_diff(loss, f.a[i])) <= 1e-6
+        assert rel_err(d_b[i], finite_diff(loss, f.b[i])) <= 1e-6
+    assert rel_err(d_x, finite_diff(loss, x)) <= 1e-6
 
 
 def _rel(got, want):
@@ -189,15 +194,16 @@ def test_materialized_path_matches_fold_path(seed, with_dx):
     out, cache = kb.forward(f, x)
     got_out, got = materialized_step(f, x, d_out, with_dx)
     assert _rel(got_out, out) <= 1e-12
-    want = (kb.backward if with_dx else kb.backward_params)(f, cache, d_out)
-    assert _rel(got.d_s, want.d_s) <= 1e-12
-    for name in ("d_a", "d_b"):
-        for g, w in zip(getattr(got, name), getattr(want, name), strict=True):
-            assert g.shape == w.shape and _rel(g, w) <= 1e-12
+    got_s, got_a, got_b, got_x = split(f, got)
+    backward = kb.backward if with_dx else kb.backward_params
+    want_s, want_a, want_b, want_x = split(f, backward(f, cache, d_out))
+    assert _rel(got_s, want_s) <= 1e-12
+    for g, w in zip([*got_a, *got_b], [*want_a, *want_b], strict=True):
+        assert g.shape == w.shape and _rel(g, w) <= 1e-12
     if with_dx:
-        assert _rel(got.d_x, want.d_x) <= 1e-12
+        assert _rel(got_x, want_x) <= 1e-12
     else:
-        assert got.d_x is None
+        assert got_x is None
 
 
 def _per_rank_loop(f, x, d_out):
@@ -231,11 +237,11 @@ def test_fold_path_matches_per_rank_loop(seed):
         d_out = r.standard_normal((rows, f.shape.m))
         want_out, want_s, want_a, want_b, want_x = _per_rank_loop(f, x, d_out)
         out, cache = kb.forward(f, x)
-        got = kb.backward(f, cache, d_out)
+        d_s, d_a, d_b, d_x = split(f, kb.backward(f, cache, d_out))
         assert _rel(out, want_out) <= 1e-12
-        assert _rel(got.d_s, want_s) <= 1e-12
-        assert _rel(got.d_x, want_x) <= 1e-12
-        for g, w in zip([*got.d_a, *got.d_b], [*want_a, *want_b], strict=True):
+        assert _rel(d_s, want_s) <= 1e-12
+        assert _rel(d_x, want_x) <= 1e-12
+        for g, w in zip([*d_a, *d_b], [*want_a, *want_b], strict=True):
             assert g.shape == w.shape and _rel(g, w) <= 1e-12
 
 
@@ -273,12 +279,12 @@ def test_materialized_backward_matches_finite_differences(rng):
         return float(np.sum(d * d))
 
     o, cache = layer_forward(layer, "materialized", x)
-    g = layer_backward(layer, x, cache, 2.0 * (o - y), with_dx=True)
-    assert rel_err(g.d_s, finite_diff(loss, f.s)) <= 1e-6
+    d_s, d_a, d_b, d_x = split(f, layer_backward(layer, x, cache, 2.0 * (o - y), with_dx=True))
+    assert rel_err(d_s, finite_diff(loss, f.s)) <= 1e-6
     for i in range(2):
-        assert rel_err(g.d_a[i], finite_diff(loss, f.a[i])) <= 1e-6
-        assert rel_err(g.d_b[i], finite_diff(loss, f.b[i])) <= 1e-6
-    assert rel_err(g.d_x, finite_diff(loss, x)) <= 1e-6
+        assert rel_err(d_a[i], finite_diff(loss, f.a[i])) <= 1e-6
+        assert rel_err(d_b[i], finite_diff(loss, f.b[i])) <= 1e-6
+    assert rel_err(d_x, finite_diff(loss, x)) <= 1e-6
 
 
 def test_zeroing_one_mask_entry_zeroes_exactly_that_tile(rng):
@@ -470,21 +476,34 @@ def test_stacked_factor_storage(r):
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_gradients_share_one_buffer(r):
-    # on both training paths dS, dA, dB are views of one flat gradient laid
-    # out as the factor's flat parameters
+    # on the fold, materialized and dense paths, with and without the input
+    # gradient, a layer backward returns (grad, d_x): grad one fresh
+    # C-contiguous array laid out as the layer's params (for a factored layer
+    # dS, dA, dB in the order of its flat parameters), d_x None exactly when
+    # not asked for
     rng = np.random.default_rng(10 + r)
     f = random_dense_factor(KronShape(2, 3, 4, 2, r), rng)
     x = rng.standard_normal((5, f.shape.n))
     d_out = rng.standard_normal((5, f.shape.m))
-    fold = kb.backward_params(f, kb.forward(f, x)[1], d_out)
-    built = materialized_step(f, x, d_out, False)[1]
+    kron = Layer(kron_spec(f.shape), factor=f)
+    dense = Layer(dense_spec(f.shape.m, f.shape.n), w=rng.standard_normal((f.shape.m, f.shape.n)))
+    for layer, path in ((kron, "fold"), (kron, "materialized"), (dense, "dense")):
+        for with_dx in (False, True):
+            cache = layer_forward(layer, path, x)[1]
+            grad, d_x = layer_backward(layer, x, cache, d_out, with_dx)
+            assert grad.shape == layer.params.shape and grad.flags.c_contiguous
+            assert not np.shares_memory(grad, layer.params)
+            assert (d_x is None) != with_dx
+            assert not with_dx or d_x.shape == (5, f.shape.n)
+    fold = kb.backward_params(f, kb.forward(f, x)[1], d_out)[0]
+    built = materialized_step(f, x, d_out, False)[1][0]
     for g in (fold, built):
-        assert g.d_a.shape == f.a.shape and g.d_b.shape == f.b.shape
-        assert g.flat.shape == f.flat.shape and g.flat.flags.c_contiguous
-        for view in (g.d_s, g.d_a, g.d_b):
-            assert np.shares_memory(view, g.flat)
-        want = np.concatenate([g.d_s.ravel(), g.d_a.ravel(), g.d_b.ravel()])
-        assert np.array_equal(g.flat, want)
+        d_s, d_a, d_b = views(f.shape, g)
+        assert d_a.shape == f.a.shape and d_b.shape == f.b.shape
+        for view in (d_s, d_a, d_b):
+            assert np.shares_memory(view, g)
+        want = np.concatenate([d_s.ravel(), d_a.ravel(), d_b.ravel()])
+        assert np.array_equal(g, want)
 
 
 def test_factor_file_payload_order(tmp_path):

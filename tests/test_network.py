@@ -83,7 +83,7 @@ def test_kron_vs_dense_shared_gradients(rng):
     # a factored net on the materialized path is its dense twin plus the
     # projection of each weight gradient onto the factors: the output, loss
     # and every input gradient are the twin's bit for bit, and each factored
-    # gradient is weight_gradient of the twin's d_w
+    # gradient is weight_gradient of the twin's dW
     net = two_layer_net(rng)
     assert train_paths(net, 4) == ["materialized", "materialized"]
     dnet = densified(net)
@@ -94,11 +94,13 @@ def test_kron_vs_dense_shared_gradients(rng):
     l1, g1, dx1 = net_backward(net, c1, y, "squared_frobenius")
     l2, g2, dx2 = net_backward(dnet, c2, y, "squared_frobenius")
     assert np.array_equal(out1, out2) and l1 == l2 and np.array_equal(dx1, dx2)
-    for layer, lc, got, twin in zip(net.layers, c1.layers, g1, g2, strict=True):
-        want = kb.factor.weight_gradient(layer.factor, lc.fcache[1], twin.d_w, twin.d_x)
-        assert np.array_equal(got.d_x, twin.d_x)
-        for a, b in zip(_net_grads([got]), _net_grads([want]), strict=True):
-            assert np.array_equal(a, b)
+    for idx, (layer, lc, tc) in enumerate(zip(net.layers, c1.layers, c2.layers, strict=True)):
+        want = kb.factor.weight_gradient(layer.factor, lc.fcache[1], g2[idx])
+        assert np.array_equal(g1[idx], want)
+        d_out = rng.standard_normal(lc.out.shape)
+        got_dx = layer_backward(layer, lc.x_in, lc.fcache, d_out, True)[1]
+        twin_dx = layer_backward(dnet.layers[idx], tc.x_in, tc.fcache, d_out, True)[1]
+        assert np.array_equal(got_dx, twin_dx)
 
 
 def test_perfect_fit_zero_gradients(rng):
@@ -107,30 +109,25 @@ def test_perfect_fit_zero_gradients(rng):
     out, cache = net_forward(net, x)
     loss, grads, dx = net_backward(net, cache, out.copy(), "squared_frobenius")
     assert loss == 0.0
-    for g in grads:
-        parts = [g.d_w] if hasattr(g, "d_w") else [g.d_s, *g.d_a, *g.d_b]
-        for p in parts:
-            assert np.array_equal(p, np.zeros_like(p))
+    for p in _net_grads(net, grads):
+        assert np.array_equal(p, np.zeros_like(p))
+
+
+def _net_grads(net, grads):
+    # each layer's array split as its parameters are: the dense W, or S, the
+    # A_i and the B_i of a factored layer
+    for layer, g in zip(net.layers, grads, strict=True):
+        if layer.spec.kind == "kron":
+            d_s, d_a, d_b = kb.factor.views(layer.spec.shape, g)
+            yield d_s
+            yield from d_a
+            yield from d_b
+        else:
+            yield g
 
 
 def _net_params(net):
-    for layer in net.layers:
-        if layer.spec.kind == "kron":
-            yield layer.factor.s
-            yield from layer.factor.a
-            yield from layer.factor.b
-        else:
-            yield layer.w
-
-
-def _net_grads(grads):
-    for g in grads:
-        if hasattr(g, "d_w"):
-            yield g.d_w
-        else:
-            yield g.d_s
-            yield from g.d_a
-            yield from g.d_b
+    return _net_grads(net, [layer.params for layer in net.layers])
 
 
 @pytest.mark.parametrize("kinds", [("kron", "kron"), ("dense", "dense"), ("kron", "dense")])
@@ -150,7 +147,7 @@ def test_full_network_gradient_check(rng, kinds, act, loss):
 
     out, cache = net_forward(net, x)
     _, grads, dx = net_backward(net, cache, target, loss)
-    for arr, g in zip(_net_params(net), _net_grads(grads)):
+    for arr, g in zip(_net_params(net), _net_grads(net, grads)):
         assert rel_err(g, finite_diff(loss_fn, arr)) <= 1e-6
     assert rel_err(dx, finite_diff(loss_fn, x)) <= 1e-6
 
@@ -159,9 +156,9 @@ def test_full_network_gradient_check(rng, kinds, act, loss):
 @settings(max_examples=40, deadline=None)
 def test_training_backward_matches_net_backward(seed):
     # mixed dense/kron nets of 1-3 layers, every activation, both losses: the
-    # training backward differs from net_backward only by the input gradients
-    # it does not return (every d_x is None), so every loss and parameter
-    # gradient is bit-identical
+    # training backward differs from net_backward only by the input gradient
+    # it does not return, so every loss and parameter gradient is
+    # bit-identical
     r = np.random.default_rng(seed)
     net = random_mixed_net(r, seed)
     n = int(r.integers(1, 6))
@@ -175,16 +172,15 @@ def test_training_backward_matches_net_backward(seed):
         want_loss, want, _ = net_backward(net, cache, target, loss)
         got_loss, got = net_backward_params(net, cache, target, loss)
         assert got_loss == want_loss
-        assert all(g.d_x is None for g in got)
-        for a, b in zip(_net_grads(got), _net_grads(want), strict=True):
+        assert all(g.shape == layer.params.shape for g, layer in zip(got, net.layers))
+        for a, b in zip(_net_grads(net, got), _net_grads(net, want), strict=True):
             assert np.array_equal(a, b)
     for layer, lc in zip(net.layers, cache.layers):
         d_out = r.standard_normal(lc.out.shape)
-        want = layer_backward(layer, lc.x_in, lc.fcache, d_out, with_dx=True)
-        got = layer_backward(layer, lc.x_in, lc.fcache, d_out, with_dx=False)
-        assert got.d_x is None
-        for a, b in zip(_net_grads([got]), _net_grads([want]), strict=True):
-            assert np.array_equal(a, b)
+        want, _ = layer_backward(layer, lc.x_in, lc.fcache, d_out, with_dx=True)
+        got, d_x = layer_backward(layer, lc.x_in, lc.fcache, d_out, with_dx=False)
+        assert d_x is None
+        assert np.array_equal(got, want)
 
 
 def _magnitudes(net, x, target):
@@ -257,7 +253,7 @@ def test_training_paths_agree_on_mixed_nets(seed):
             fl.train_path = train_path
         assert abs(f_loss - loss) <= tol * m_loss
         for got, want, mag in [(f_out, out, m_out), (f_dx, dx, m_dx)] + list(
-            zip(_net_grads(f_grads), _net_grads(grads), _net_grads(m_grads), strict=True)
+            zip(*(_net_grads(net, g) for g in (f_grads, grads, m_grads)), strict=True)
         ):
             assert np.all(np.abs(got - want) <= tol * mag)
 
@@ -270,8 +266,8 @@ def test_relu_dead_unit_blocks_gradient(rng):
     net.layers[0].w[1, :] = 1.0
     out, cache = net_forward(net, x)
     _, grads, _ = net_backward(net, cache, np.ones((1, 2)), "squared_frobenius")
-    assert np.array_equal(grads[0].d_w[0, :], np.zeros(3))
-    assert np.any(grads[0].d_w[1, :] != 0.0)
+    assert np.array_equal(grads[0][0, :], np.zeros(3))
+    assert np.any(grads[0][1, :] != 0.0)
 
 
 def test_softmax_rows_and_stability():

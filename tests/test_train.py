@@ -25,6 +25,7 @@ from kronblock.network import (
     train_paths,
 )
 from kronblock import train as train_mod
+from kronblock.factor import views
 from kronblock.linalg import tile_norms, tile_view
 from kronblock.train import (
     dense_tile_sparsity,
@@ -112,13 +113,13 @@ def test_lambda_zero_matches_plain_sgd(rng):
         for xb, tb in batches(ds, cfg.batch_size, cfg.shuffle, seed=(cfg.seed, epoch)):
             _, cache = net_forward(oracle, xb)
             _, grads, _ = net_backward(oracle, cache, tb, cfg.loss)
-            g = grads[0]
-            vel["s"] = cfg.momentum * vel["s"] + g.d_s
+            d_s, d_a, d_b = views(shape, grads[0])
+            vel["s"] = cfg.momentum * vel["s"] + d_s
             f.s -= cfg.learning_rate * vel["s"]
             for i in range(shape.r):
-                vel["a"][i] = cfg.momentum * vel["a"][i] + g.d_a[i]
+                vel["a"][i] = cfg.momentum * vel["a"][i] + d_a[i]
                 f.a[i] -= cfg.learning_rate * vel["a"][i]
-                vel["b"][i] = cfg.momentum * vel["b"][i] + g.d_b[i]
+                vel["b"][i] = cfg.momentum * vel["b"][i] + d_b[i]
                 f.b[i] -= cfg.learning_rate * vel["b"][i]
 
     trained = net.layers[0].factor
@@ -134,18 +135,19 @@ def _per_array_sgd(net, grads, vel, cfg):
     lr, mu = cfg.learning_rate, cfg.momentum
     for layer, g, v in zip(net.layers, grads, vel):
         if layer.spec.kind == "dense":
-            v["w"] = mu * v["w"] + g.d_w
+            v["w"] = mu * v["w"] + g
             layer.w -= lr * v["w"]
             continue
         f = layer.factor
-        v["s"] = mu * v["s"] + g.d_s
+        d_s, d_a, d_b = views(f.shape, g)
+        v["s"] = mu * v["s"] + d_s
         f.s -= lr * v["s"]
         if cfg.lam > 0:
             f.s[:] = soft_threshold(f.s, lr * cfg.lam)
         for i in range(f.shape.r):
-            v["a"][i] = mu * v["a"][i] + g.d_a[i]
+            v["a"][i] = mu * v["a"][i] + d_a[i]
             f.a[i] -= lr * v["a"][i]
-            v["b"][i] = mu * v["b"][i] + g.d_b[i]
+            v["b"][i] = mu * v["b"][i] + d_b[i]
             f.b[i] -= lr * v["b"][i]
 
 
@@ -262,7 +264,7 @@ def test_group_lasso_lambda_zero_is_plain_sgd(rng):
         for xb, tb in batches(ds, cfg.batch_size, cfg.shuffle, seed=(cfg.seed, epoch)):
             _, cache = net_forward(oracle, xb)
             _, grads, _ = net_backward(oracle, cache, tb, cfg.loss)
-            vel = cfg.momentum * vel + grads[0].d_w
+            vel = cfg.momentum * vel + grads[0]
             w -= cfg.learning_rate * vel
     assert np.array_equal(net.layers[0].w, w)
 
@@ -419,7 +421,7 @@ def reference_prune_blocks(net, data, cfg, block, target_rate, rounds, eval_data
 
     def mask_grads(grads):
         for g, mask in zip(grads, masks):
-            tile_view(g.d_w, m2, n2)[:] *= mask[:, None, :, None]
+            tile_view(g, m2, n2)[:] *= mask[:, None, :, None]
 
     def run_phase():
         for _ in range(cfg.epochs):
@@ -612,27 +614,29 @@ def test_training_skips_first_layer_input_gradient(monkeypatch):
     # training never asks for the gradient w.r.t. the network input, so on
     # either training path only the second layer of a two-layer net computes
     # one, once per step: the fold path's backward and backward_params share
-    # _backward, and the materialized path hands its input gradient to
-    # weight_gradient
+    # _backward, and the materialized path's layer_backward returns the input
+    # gradient beside its weight_gradient
     from kronblock import factor as kf
+    from kronblock import network
     from kronblock.network import train_paths
     from kronblock.patterns import SelectConfig, build_pattern_set, select_pattern
 
     calls = []
-    fold_backward, weight_gradient = kf._backward, kf.weight_gradient
+    fold_backward, layer_backward = kf._backward, network.layer_backward
 
     def spy_fold(factor, cache, d_out, with_dx):
         if with_dx:
             calls.append("fold")
         return fold_backward(factor, cache, d_out, with_dx)
 
-    def spy_materialized(factor, masked_a, d_w, d_x):
-        if d_x is not None:
+    def spy_materialized(layer, x, cache, d_out, with_dx):
+        grad, d_x = layer_backward(layer, x, cache, d_out, with_dx)
+        if d_x is not None and not isinstance(cache, kf.KronForwardCache):
             calls.append("materialized")
-        return weight_gradient(factor, masked_a, d_w, d_x)
+        return grad, d_x
 
     monkeypatch.setattr(kf, "_backward", spy_fold)
-    monkeypatch.setattr(kf, "weight_gradient", spy_materialized)
+    monkeypatch.setattr(network, "layer_backward", spy_materialized)
     ds, _ = make_teacher_dataset(4, 8, (2, 2), 0.5, 40, seed=1, classification=True)
     cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=0.05, seed=4)
     steps = cfg.epochs * 3  # 40 rows in batches of 16
