@@ -14,8 +14,10 @@ an identical config reproduces byte-identical outputs. Exit codes: 0 success,
 1 validation error, 2 runtime error (e.g. divergence or over-regularization).
 A bad ``--config`` (missing, a directory, not UTF-8 or not JSON) or an
 ``--out`` that cannot be made a directory ends with one line on stderr and
-exit code 1; ``train`` and ``select-pattern`` make ``--out`` before reading
-any data.
+exit code 1; ``train`` and ``select-pattern`` make ``--out``, then check every
+config section, before reading any data. The dataset's targets pick the
+training loss: cross entropy for class labels, the squared loss for
+regression targets.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from .factor import (
     random_factor,
     reconstruct_from_blockwise,
     save_factor,
+    tiled_shape,
 )
 from .flops import (
     dense_layer_report,
@@ -196,13 +199,13 @@ def _audit_batch(value, path: str) -> int:
     return value
 
 
-def _kron_shape(dims, rank: int, path: str) -> KronShape:
-    """``KronShape(*dims, rank)`` if ``rank`` is at most its full rank, beyond
-    which more terms add no expressive power; ``path`` names the rank field."""
-    shape = KronShape(*dims, rank)
+def _kron_shape(shape: KronShape, path: str) -> KronShape:
+    """``shape`` if its rank is at most its full rank, beyond which more terms
+    add no expressive power; ``path`` names the rank field."""
     if shape.r > shape.full_rank:
+        dims = [shape.m1, shape.n1, shape.m2, shape.n2]
         raise ConfigError(f"{path}: must be at most the full rank {shape.full_rank} "
-                          f"of shape {list(dims)}, got {shape.r}")
+                          f"of shape {dims}, got {shape.r}")
     return shape
 
 
@@ -331,20 +334,21 @@ FLOP_AUDITS = {"dense": (DenseAudit,), "kron": (KronAudit,),
                "two_layer_kron": (TwoLayerKronAudit, SecondKronAudit)}
 
 
-def _check_tiles(block, m: int, n: int, path: str) -> None:
-    """A config error naming the field ``path`` unless ``block`` tiles an
-    m x n matrix."""
-    m2, n2 = block
-    if m % m2 != 0 or n % n2 != 0:
-        raise ConfigError(f"{path}: ({m2},{n2}) does not divide {m}x{n}")
+def _check_tiles(block, m: int, n: int, path: str, rank: int = 1) -> KronShape:
+    """``factor.tiled_shape`` of an m x n matrix, its error naming the field
+    ``path`` of ``block``."""
+    try:
+        return tiled_shape(m, n, block, rank)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _layer_shape(layer, path: str) -> KronShape:
     if isinstance(layer, KronShapeLayer):
-        return _kron_shape(layer.shape, layer.rank, f"{path}.rank")
-    (m2, n2), m, n = layer.block, layer.m, layer.n
-    _check_tiles(layer.block, m, n, f"{path}.block")
-    return _kron_shape((m // m2, n // n2, m2, n2), layer.rank, f"{path}.rank")
+        shape = KronShape(*layer.shape, layer.rank)
+    else:
+        shape = _check_tiles(layer.block, layer.m, layer.n, f"{path}.block", layer.rank)
+    return _kron_shape(shape, f"{path}.rank")
 
 
 def model_specs(model_cfg, force_dense: bool = False) -> list:
@@ -375,11 +379,19 @@ def build_model(model_cfg, specs: list, seed: int) -> Network:
         raise ConfigError(f"model.layers: {exc}") from exc
 
 
-def build_dataset(ds, seed: int) -> tuple[Dataset, Dataset | None]:
-    """Returns (train, eval-or-None) of the dataset schema ``ds``; a teacher
-    too large to allocate is a config error."""
+def build_dataset(ds, seed: int, in_dim: int, out_dim: int) -> tuple[Dataset, Dataset | None]:
+    """Returns (train, eval-or-None) of the dataset schema ``ds``, which must
+    fit the model's input and output widths: a teacher's ``n`` and ``m``
+    equal them, checked before it is drawn; an IDX set has as many features,
+    and no label past the outputs (``class_count``, checked before a
+    ``limit`` gathers rows). A teacher too large to allocate is a config
+    error."""
     if isinstance(ds, TeacherData):
-        _check_tiles(ds.block, ds.m, ds.n, "dataset.block")
+        for key, width, what in (("n", in_dim, "input"), ("m", out_dim, "output")):
+            if getattr(ds, key) != width:
+                raise ConfigError(
+                    f"dataset.{key}: {getattr(ds, key)} does not match the model's {what} width {width}"
+                )
         ds_seed = seed if ds.seed is None else ds.seed
         try:
             train, _ = make_teacher_dataset(
@@ -410,28 +422,7 @@ def build_dataset(ds, seed: int) -> tuple[Dataset, Dataset | None]:
         train, *test = [load_idx(*pair) for pair in pairs]
     except (OSError, ValueError) as exc:
         raise ConfigError(f"dataset: {exc}") from exc
-    if isinstance(ds, MnistData) and ds.limit is not None:
-        train = train.subset(np.arange(min(ds.limit, train.n)))
-    return train, (test[0] if test else None)
-
-
-def _check_fit(ds, sets: list, loss: str, in_dim: int, out_dim: int) -> None:
-    """The built ``sets`` fit the model's widths: a teacher's ``n`` and ``m``
-    equal them; an IDX set has as many features, and no label past the
-    outputs (``class_count``, which a subset shares, so no rows are gathered).
-    Cross-entropy takes labels, the squared loss regression targets."""
-    labelled = sets[0].class_count is not None
-    if labelled != (loss == "softmax_cross_entropy"):
-        targets = "class labels" if labelled else "regression targets"
-        raise ConfigError(f"train.loss: {loss} does not fit a dataset of {targets}")
-    if isinstance(ds, TeacherData):
-        for key, width, what in (("n", in_dim, "input"), ("m", out_dim, "output")):
-            if getattr(ds, key) != width:
-                raise ConfigError(
-                    f"dataset.{key}: {getattr(ds, key)} does not match the model's {what} width {width}"
-                )
-        return
-    for data in sets:
+    for data in (train, *test):
         if data.width != in_dim:
             raise ConfigError(
                 f"dataset: images have {data.width} pixels, but the model's input width is {in_dim}"
@@ -440,6 +431,9 @@ def _check_fit(ds, sets: list, loss: str, in_dim: int, out_dim: int) -> None:
             raise ConfigError(
                 f"dataset: labels reach {data.class_count - 1}, past the model's output width {out_dim}"
             )
+    if isinstance(ds, MnistData) and ds.limit is not None:
+        train = train.subset(np.arange(min(ds.limit, train.n)))
+    return train, (test[0] if test else None)
 
 
 def build_train_config(train_cfg, seed: int) -> TrainConfig:
@@ -549,7 +543,7 @@ class RunInputs:
     eval_ds: Dataset | None
     tcfg: TrainConfig
     method: TrainMethod
-    model: object  # the first value of the command's ``parse_model``
+    model: object  # the first value of the command's ``parse``
 
     @property
     def batch_rows(self) -> int:
@@ -557,13 +551,15 @@ class RunInputs:
         return min(self.tcfg.batch_size, self.train_ds.n)
 
 
-def run_inputs(args, file, parse_model, block_required: bool = False) -> RunInputs:
-    """The front end of ``train`` and ``select-pattern``: the config (top level
-    ``file``, whose ``seed`` is checked under ``--seed`` too), seed, datasets,
-    ``train`` section (``TrainMethod``'s keys read under every method), and
-    the model that ``parse_model(model_cfg)`` returns with its input and output
-    widths, which the datasets must fit, before any net is allocated. ``--out``
-    is made once the config is read, before any data, so a bad one fails first."""
+def run_inputs(args, file, parse) -> RunInputs:
+    """The front end of ``train`` and ``select-pattern``. First the whole
+    config: the top level ``file`` (whose ``seed`` is checked under ``--seed``
+    too), the seed, the dataset section (a teacher's ``block`` must tile it),
+    the ``train`` section (``TrainMethod``'s keys read under every method),
+    and what ``parse(top, tcfg, method)`` reads of the command's own sections:
+    the model, returned with its input and output widths. Then the datasets,
+    which ``build_dataset`` fits to those widths. ``--out`` is made once the
+    config file is read, so a bad one fails before any section is checked."""
     cfg = load_config(args.config)
     try:
         os.makedirs(args.out, exist_ok=True)
@@ -572,28 +568,29 @@ def run_inputs(args, file, parse_model, block_required: bool = False) -> RunInpu
     top = _dataclass_section(file, cfg, "config")
     seed = top.seed if args.seed is None else _nonnegative_int(args.seed, "--seed")
     dataset = _kinded(DatasetKind, DATASETS, top.dataset, "dataset", "unknown kind {!r}")
-    train_ds, eval_ds = build_dataset(dataset, seed)
+    if isinstance(dataset, TeacherData):
+        _check_tiles(dataset.block, dataset.m, dataset.n, "dataset.block")
     tcfg = build_train_config(top.train, seed)
     method = _dataclass_section(TrainMethod, top.train, "train", (TrainConfig,))
-    if block_required and method.block is None:
-        raise ConfigError("train.block: required field is missing")
-    model, in_dim, out_dim = parse_model(top.model)
-    sets = [ds for ds in (train_ds, eval_ds) if ds is not None]
-    _check_fit(dataset, sets, tcfg.loss, in_dim, out_dim)
+    model, in_dim, out_dim = parse(top, tcfg, method)
+    train_ds, eval_ds = build_dataset(dataset, seed, in_dim, out_dim)
     return RunInputs(top, seed, train_ds, eval_ds, tcfg, method, model)
 
 
 def cmd_train(args) -> int:
     method = args.method
 
-    def parse_model(model_cfg: dict):
-        specs = model_specs(model_cfg, force_dense=method != "kron")
+    def parse(top, _tcfg, method_cfg):
+        # the dense baselines need a train.block that tiles every layer
+        specs = model_specs(top.model, force_dense=method != "kron")
+        if method != "kron":
+            if method_cfg.block is None:
+                raise ConfigError("train.block: required field is missing")
+            for spec in specs:
+                _check_tiles(method_cfg.block, spec.m, spec.n, "train.block")
         return specs, specs[0].in_dim, specs[-1].out_dim
 
-    run = run_inputs(args, TrainFile, parse_model, block_required=method != "kron")
-    if method != "kron":
-        for spec in run.model:
-            _check_tiles(run.method.block, spec.m, spec.n, "train.block")
+    run = run_inputs(args, TrainFile, parse)
     net = build_model(run.cfg.model, run.model, run.seed)
     try:
         if method == "kron":
@@ -616,33 +613,34 @@ def cmd_train(args) -> int:
     return write_run(args, run, net, "metrics", records, summary, paths)
 
 
-def _select_layers(model_cfg):
-    """The ``(m, n)`` and activation of each layer of a ``select-pattern``
-    model, with its input and output widths."""
+def _select_sections(top, tcfg, _method):
+    """The ``select-pattern`` model and ``select`` section: the ``(m, n)`` and
+    activation of each layer, the ``SelectConfig`` and the patterns, each one
+    block per layer that tiles it at a rank within the bound; with the model's
+    input and output widths."""
     layer_dims, activations = [], []
-    for i, raw in enumerate(_dataclass_section(Model, model_cfg, "model").layers):
+    for i, raw in enumerate(_dataclass_section(Model, top.model, "model").layers):
         layer = _kinded(SelectKind, {"kron": (SelectLayer,)}, raw, f"model.layers[{i}]",
                         "pattern selection factorizes every layer")
         layer_dims.append((layer.m, layer.n))
         activations.append(layer.activation)
-    return (layer_dims, activations), layer_dims[0][1], layer_dims[-1][0]
+    scfg = build_select_config(top.select, tcfg)
+    select = _dataclass_section(SelectPatterns, top.select, "select", (SelectConfig,))
+    for k, blocks in enumerate(select.patterns):
+        if not isinstance(blocks, list) or len(blocks) != len(layer_dims):
+            raise ConfigError(f"select.patterns[{k}]: one [m2, n2] block per layer required")
+    for k, blocks in enumerate(select.patterns):
+        for i, ((m, n), block) in enumerate(zip(layer_dims, blocks)):
+            path = f"select.patterns[{k}][{i}]"
+            _kron_shape(_check_tiles(block, m, n, path, select.rank), "select.rank")
+    return (layer_dims, activations, scfg, select), layer_dims[0][1], layer_dims[-1][0]
 
 
 def cmd_select_pattern(args) -> int:
-    run = run_inputs(args, SelectFile, _select_layers)
-    layer_dims, activations = run.model
-    scfg = build_select_config(run.cfg.select, run.tcfg)
-    select = _dataclass_section(SelectPatterns, run.cfg.select, "select", (SelectConfig,))
-    blocks_per_pattern, rank = select.patterns, select.rank
-    for k, blocks in enumerate(blocks_per_pattern):
-        if not isinstance(blocks, list) or len(blocks) != len(layer_dims):
-            raise ConfigError(f"select.patterns[{k}]: one [m2, n2] block per layer required")
-    for k, blocks in enumerate(blocks_per_pattern):
-        for i, ((m, n), (m2, n2)) in enumerate(zip(layer_dims, blocks)):
-            _check_tiles((m2, n2), m, n, f"select.patterns[{k}][{i}]")
-            _kron_shape((m // m2, n // n2, m2, n2), rank, "select.rank")
+    run = run_inputs(args, SelectFile, _select_sections)
+    layer_dims, activations, scfg, select = run.model
     try:
-        pset = build_pattern_set(layer_dims, blocks_per_pattern, rank, activations, run.seed)
+        pset = build_pattern_set(layer_dims, select.patterns, select.rank, activations, run.seed)
     except ValueError as exc:
         raise ConfigError(f"select: {exc}") from exc
     except MemoryError as exc:
@@ -650,7 +648,7 @@ def cmd_select_pattern(args) -> int:
     result = select_pattern(pset, run.train_ds, scfg)
     summary = {
         "winner": result.winner,
-        "winner_blocks": blocks_per_pattern[result.winner],
+        "winner_blocks": select.patterns[result.winner],
         "stop_epoch": result.stop_epoch,
         "lambda1_final": result.lambda1_final,
         "lambda2_final": result.lambda2_final,
@@ -658,9 +656,7 @@ def cmd_select_pattern(args) -> int:
         "selection_params": selection_param_count(pset.shapes),
     }
     if run.eval_ds is not None:
-        summary["eval_loss"], summary["accuracy"] = eval_metrics(
-            result.net, run.eval_ds, run.tcfg.loss
-        )
+        summary["eval_loss"], summary["accuracy"] = eval_metrics(result.net, run.eval_ds)
     paths = [train_paths(net, run.batch_rows) for net in pset.nets]
     return write_run(args, run, result.net, "selection", result.history, summary, paths)
 
@@ -720,7 +716,7 @@ def flop_audit_case(section):
         def draw():
             return {"x": normal((nb, n)), "w": normal((m, n)), "y": normal((nb, m))}
     elif case.kind == "kron":
-        shape = _kron_shape(case.shape, case.rank, "flops.rank")
+        shape = _kron_shape(KronShape(*case.shape, case.rank), "flops.rank")
         report = kron_layer_report(nb, shape)
 
         def draw():
@@ -734,9 +730,9 @@ def flop_audit_case(section):
             return {"x": normal((nb, d_in)), "w1": normal((d_hidden, d_in)),
                     "w2": normal((d_out, d_hidden)), "y": normal((nb, d_out))}
     else:
-        s1 = _kron_shape(case.shape1, case.rank1, "flops.rank1")
+        s1 = _kron_shape(KronShape(*case.shape1, case.rank1), "flops.rank1")
         second = _dataclass_section(SecondKronAudit, section, "flops", (TwoLayerKronAudit,))
-        s2 = _kron_shape(second.shape2, second.rank2, "flops.rank2")
+        s2 = _kron_shape(KronShape(*second.shape2, second.rank2), "flops.rank2")
         try:
             report = two_layer_kron_report(nb, s1, s2)
         except ValueError as exc:
@@ -799,10 +795,10 @@ def cmd_decompose(args) -> int:
         raise ConfigError(f"--in: expected a non-empty 2-D matrix, got shape {w.shape}")
     if not np.isfinite(w).all():
         raise ConfigError("--in: matrix has non-finite entries")
-    try:
+    try:  # the block must tile the matrix
         factor = reconstruct_from_blockwise(w, (m2, n2))
     except ValueError as exc:
-        raise ConfigError(f"decompose: {exc}") from exc
+        raise ConfigError(f"--block: {exc}") from exc
     try:
         save_factor(args.out, factor)
     except OSError as exc:

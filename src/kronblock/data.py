@@ -29,7 +29,7 @@ import struct
 
 import numpy as np
 
-from .factor import check_payload
+from .factor import check_payload, tiled_shape
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -256,16 +256,14 @@ def make_teacher_dataset(
     and sample X ~ N(0, 1) with Y = X W*^T + noise. The classification variant
     labels each row with the argmax of the noiseless logits. Deterministic
     under the seed. ``classification`` has its one default in the config."""
-    m2, n2 = block
-    if m % m2 != 0 or n % n2 != 0:
-        raise ValueError(f"block {block} does not divide {m}x{n}")
+    shape = tiled_shape(m, n, block)
     if not 0.0 <= zero_tile_fraction < 1.0:
         raise ValueError("zero_tile_fraction must be in [0, 1)")
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     teacher = rng.standard_normal((m, n))
-    m1, n1 = m // m2, n // n2
+    m1, n1, m2, n2 = shape.m1, shape.n1, shape.m2, shape.n2
     n_tiles = m1 * n1
     n_zero = int(round(zero_tile_fraction * n_tiles))
     zero_idx = rng.choice(n_tiles, size=n_zero, replace=False)

@@ -92,6 +92,15 @@ class KronShape:
         return (self.m2, self.n2)
 
 
+def tiled_shape(m: int, n: int, block: tuple[int, int], r: int = 1) -> KronShape:
+    """The shape of ``r`` terms whose ``block`` (m2, n2) tiles an m x n
+    matrix; a ValueError unless the tiles fit it exactly."""
+    m2, n2 = block
+    if m % m2 != 0 or n % n2 != 0:
+        raise ValueError(f"({m2},{n2}) does not divide {m}x{n}")
+    return KronShape(m // m2, n // n2, m2, n2, r)
+
+
 def count_params(shape: KronShape) -> int:
     """Trainable parameter count: one S plus r pairs (A_i, B_i)."""
     s = shape.m1 * shape.n1
@@ -337,16 +346,13 @@ def reconstruct_from_blockwise(w: np.ndarray, block: tuple[int, int]) -> KronFac
     matrix yields the r = 1 degenerate all-zero factor.
     """
     w = as_matrix(w, "w")
-    m2, n2 = block
-    m, n = w.shape
-    if m % m2 != 0 or n % n2 != 0:
-        raise ValueError(f"block {block} does not divide matrix {w.shape}")
-    m1, n1 = m // m2, n // n2
+    shape = tiled_shape(*w.shape, block)
+    m1, n1, m2, n2 = shape.m1, shape.n1, shape.m2, shape.n2
     tiles = tile_view(w, m2, n2).transpose(0, 2, 1, 3).reshape(m1 * n1, m2, n2)
     nonzero = np.flatnonzero(np.any(tiles != 0.0, axis=(1, 2)))
     if not nonzero.size:
         return KronFactor(
-            KronShape(m1, n1, m2, n2, 1),
+            shape,
             np.zeros((m1, n1)),
             np.zeros((1, m1, n1)),
             np.zeros((1, m2, n2)),

@@ -7,10 +7,10 @@ Two independent routes are kept deliberately separate and compared in tests:
   ``LayerSpec``s; every closed form and report below is such a sum, and
 * the *instrumented* counter: ``counted_step`` runs one real training step
   of a ``network.Network`` (``net_forward``, then ``net_backward_params``
-  with the squared loss) inside ``linalg.counting()``, where every multiply,
-  add and subtract goes through a counted op of :mod:`kronblock.linalg`. It
-  holds no formula or walk of its own; ``instrumented_count`` builds the
-  network from a tag's inputs.
+  under the squared loss its 2-D targets pick) inside ``linalg.counting()``,
+  where every multiply, add and subtract goes through a counted op of
+  :mod:`kronblock.linalg`. It holds no formula or walk of its own;
+  ``instrumented_count`` builds the network from a tag's inputs.
 
 A layer is the ``LayerSpec`` the network is built from, defined here: its
 kind, the ``m x n`` of its weight (a factored layer's ``KronShape``) and its
@@ -138,12 +138,20 @@ def _dense_forward_pieces(n_batch: int, m: int, n: int) -> dict[str, int]:
     return {"matmul": n_batch * m * (2 * n - 1)}
 
 
+def _mask_pieces(s: KronShape) -> tuple[dict[str, int], dict[str, int]]:
+    """Forward and backward pieces both paths of a factored layer share: the
+    products S * A_i, and from the G_i the mask gradient sum_i G_i * A_i and
+    the A gradients G_i * S."""
+    ss = s.m1 * s.n1
+    return {"mask_products": s.r * ss}, {"s_grad": s.r * ss + (s.r - 1) * ss, "a_grad": s.r * ss}
+
+
 def _kron_forward_pieces(n_batch: int, s: KronShape) -> dict[str, int]:
     # per-term pieces of the rank-stacked GEMMs: b_matmul is the one GEMM of
     # [B_1; ...; B_r] with X, a_matmul + rank_sum the one over K = r*n1
     return {
         "b_matmul": s.r * n_batch * s.n1 * s.m2 * (2 * s.n2 - 1),
-        "mask_products": s.r * s.m1 * s.n1,
+        **_mask_pieces(s)[0],
         "a_matmul": s.r * n_batch * s.m1 * s.m2 * (2 * s.n1 - 1),
         "rank_sum": (s.r - 1) * n_batch * s.m,
     }
@@ -160,8 +168,7 @@ def _kron_backward_pieces(n_batch: int, s: KronShape, with_dx: bool) -> dict[str
     ss = s.m1 * s.n1
     pieces = {
         "grad_mask_products": s.r * ss * (2 * n_batch * s.m2 - 1),
-        "s_grad": s.r * ss + (s.r - 1) * ss,
-        "a_grad": s.r * ss,
+        **_mask_pieces(s)[1],
         "mid_grad": s.r * n_batch * s.m2 * s.n1 * (2 * s.m1 - 1),
         "b_grad": s.r * s.m2 * s.n2 * (2 * n_batch * s.n1 - 1),
     }
@@ -175,7 +182,7 @@ def _kron_backward_pieces(n_batch: int, s: KronShape, with_dx: bool) -> dict[str
 def _materialized_forward_pieces(n_batch: int, s: KronShape) -> dict[str, int]:
     # building W, then the dense layer's forward on it
     return {
-        "mask_products": s.r * s.m1 * s.n1,
+        **_mask_pieces(s)[0],
         "weight_build": s.m * s.n * (2 * s.r - 1),
         "weight_matmul": _dense_forward_pieces(n_batch, s.m, s.n)["matmul"],
     }
@@ -187,8 +194,7 @@ def _materialized_backward_pieces(n_batch: int, s: KronShape, with_dx: bool) -> 
     return {
         **_dense_backward_pieces(n_batch, s.m, s.n, with_dx),
         "grad_mask_products": s.r * ss * (2 * tt - 1),
-        "s_grad": s.r * ss + (s.r - 1) * ss,
-        "a_grad": s.r * ss,
+        **_mask_pieces(s)[1],
         "b_grad": s.r * tt * (2 * ss - 1),
     }
 
@@ -371,13 +377,14 @@ TAGS = tuple(f"{prefix}_{phase}" for prefix in _TAG_WEIGHTS for phase in ("forwa
 def counted_step(net, x, y) -> tuple[int, int]:
     """Forward and backward flops of one training step of ``net`` on
     ``(x, y)``: ``network.net_forward`` then ``network.net_backward_params``
-    with the squared loss, counted op by op. The forward phase ends with the
-    loss's sum of squares; the backward phase is every op after it."""
+    under the squared loss the 2-D ``y`` picks, counted op by op. The forward
+    phase ends with the loss's sum of squares; the backward phase is every op
+    after it."""
     from . import network  # network imports this module
 
     with counting() as ops:
         _, cache = network.net_forward(net, x)
-        network.net_backward_params(net, cache, y, "squared_frobenius")
+        network.net_backward_params(net, cache, y)
     split = [name for name, _ in ops].index("sq_sum") + 1
     return sum(flops for _, flops in ops[:split]), sum(flops for _, flops in ops[split:])
 

@@ -1,12 +1,14 @@
 """Multi-layer models: stacks of factored or dense linear layers (no bias),
-element-wise activations, the two supported losses, and exact end-to-end
+element-wise activations, the two losses, and exact end-to-end
 backpropagation.
 
 Layers own either a :class:`~kronblock.factor.KronFactor` or a dense weight
 matrix. Activations are ``relu``, ``identity`` or ``softmax_output``; the
 latter passes logits through and defers the softmax to the loss/metrics.
-The squared Frobenius loss is the unnormalized sum over the batch; the
-softmax cross-entropy gradient seed is normalized by the batch size so the
+The targets pick the loss (``loss_and_seed``): 1-D class labels train under
+softmax cross entropy, 2-D regression targets under the squared Frobenius
+loss. The squared loss is the unnormalized sum over the batch; the
+cross-entropy gradient seed is normalized by the batch size so the
 learning-rate scale is batch-size invariant.
 
 Training runs ``net_forward`` then ``net_backward_params``, which skips the
@@ -42,8 +44,6 @@ from . import factor as kf
 from . import flops as fl
 from .flops import ACTIVATIONS, LayerSpec, dense_spec, kron_spec
 from .linalg import as_matrix, mask_mul, matmul, relu, scale, sq_sum, sub
-
-LOSSES = ("squared_frobenius", "softmax_cross_entropy")
 
 _NET_MAGIC = b"KBN1"
 _ACT_CODE = {name: i for i, name in enumerate(ACTIVATIONS)}
@@ -156,12 +156,12 @@ def softmax_cross_entropy(o: np.ndarray, labels: np.ndarray) -> tuple[float, np.
     return loss, seed / nbatch
 
 
-def loss_and_seed(o: np.ndarray, target, loss_kind: str) -> tuple[float, np.ndarray]:
-    if loss_kind == "squared_frobenius":
-        return squared_frobenius(o, target)
-    if loss_kind == "softmax_cross_entropy":
+def loss_and_seed(o: np.ndarray, target) -> tuple[float, np.ndarray]:
+    """The loss the target implies and its gradient seed: cross entropy for
+    1-D class labels, the squared loss for 2-D regression targets."""
+    if np.ndim(target) == 1:
         return softmax_cross_entropy(o, target)
-    raise ValueError(f"unknown loss {loss_kind!r}")
+    return squared_frobenius(o, target)
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +307,10 @@ def net_predict(net: Network, x: np.ndarray) -> np.ndarray:
     return cur
 
 
-def _backward(net: Network, cache: NetCache, target, loss_kind: str, keep_dx: bool):
+def _backward(net: Network, cache: NetCache, target, keep_dx: bool):
     if len(cache.layers) != len(net.layers):
         raise ValueError("cache does not match network")
-    loss, d_act = loss_and_seed(cache.layers[-1].out, target, loss_kind)
+    loss, d_act = loss_and_seed(cache.layers[-1].out, target)
     grads: list = [None] * len(net.layers)
     for idx in range(len(net.layers) - 1, -1, -1):
         layer, lc = net.layers[idx], cache.layers[idx]
@@ -320,39 +320,31 @@ def _backward(net: Network, cache: NetCache, target, loss_kind: str, keep_dx: bo
     return loss, grads, d_act
 
 
-def net_backward(
-    net: Network, cache: NetCache, target, loss_kind: str
-) -> tuple[float, list, np.ndarray]:
-    """Loss value, per-layer parameter gradients (each laid out as its
-    ``Layer.params``), and the gradient w.r.t. the network input."""
-    return _backward(net, cache, target, loss_kind, keep_dx=True)
+def net_backward(net: Network, cache: NetCache, target) -> tuple[float, list, np.ndarray]:
+    """Loss value (``loss_and_seed`` of the output and ``target``), per-layer
+    parameter gradients (each laid out as its ``Layer.params``), and the
+    gradient w.r.t. the network input."""
+    return _backward(net, cache, target, keep_dx=True)
 
 
-def net_backward_params(
-    net: Network, cache: NetCache, target, loss_kind: str
-) -> tuple[float, list]:
+def net_backward_params(net: Network, cache: NetCache, target) -> tuple[float, list]:
     """Loss value and per-layer parameter gradients: the training backward.
     It is ``net_backward`` without the gradient w.r.t. the network input,
     which the first layer then does not compute. Every other value comes from
     the same operations in the same order, so the gradients are
     bit-identical."""
-    loss, grads, _ = _backward(net, cache, target, loss_kind, keep_dx=False)
+    loss, grads, _ = _backward(net, cache, target, keep_dx=False)
     return loss, grads
 
 
-def evaluate(net: Network, x: np.ndarray, labels, loss_kind: str = "softmax_cross_entropy") -> dict:
-    """Classification metrics: loss plus argmax accuracy (ties break to the
-    lowest class index). Squared loss evaluates against one-hot targets. The
-    outputs come from ``net_predict``; the loss is the one the training
-    losses return, without their gradient seed."""
+def evaluate(net: Network, x: np.ndarray, labels) -> dict:
+    """Classification metrics: cross-entropy loss plus argmax accuracy (ties
+    break to the lowest class index). The outputs come from ``net_predict``;
+    the loss is the one ``softmax_cross_entropy`` returns, without its
+    gradient seed."""
     out = net_predict(net, x)
     labels = np.asarray(labels)
-    if loss_kind == "squared_frobenius":
-        onehot = np.zeros_like(out)
-        onehot[np.arange(out.shape[0]), labels] = 1.0
-        loss = sq_sum(sub(out, onehot))
-    else:
-        loss = _cross_entropy(out, labels)[0]
+    loss = _cross_entropy(out, labels)[0]
     accuracy = float(np.mean(np.argmax(out, axis=1) == labels))
     return {"loss": loss, "accuracy": accuracy}
 
@@ -368,7 +360,7 @@ def count_network_params(net: Network) -> int:
 
 def network_forward_flops(net: Network, n_batch: int) -> int:
     """Analytic forward flops for one batch, squared-loss accounting (the only
-    loss the cost model covers; used for every configured loss)."""
+    loss the cost model covers; used whatever loss the targets pick)."""
     return fl.layers_report(n_batch, [layer.spec for layer in net.layers]).forward
 
 

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .data import Dataset, batches
-from .factor import KronShape, count_params
+from .factor import KronShape, count_params, tiled_shape
 from .network import Network, build_network, kron_spec
 from .shapeopt import divisors
 from .train import (
@@ -238,11 +238,7 @@ def build_pattern_set(
     for k, blocks in enumerate(blocks_per_pattern):
         if len(blocks) != len(layer_dims):
             raise ValueError("each pattern needs one block size per layer")
-        per_layer = []
-        for (m, n), (m2, n2) in zip(layer_dims, blocks):
-            if m % m2 != 0 or n % n2 != 0:
-                raise ValueError(f"block ({m2},{n2}) does not divide layer {m}x{n}")
-            per_layer.append(KronShape(m // m2, n // n2, m2, n2, rank))
+        per_layer = [tiled_shape(m, n, block, rank) for (m, n), block in zip(layer_dims, blocks)]
         shapes.append(per_layer)
         specs = [kron_spec(shape, act) for shape, act in zip(per_layer, activations)]
         nets.append(build_network(specs, seed=np.random.SeedSequence((seed, k))))

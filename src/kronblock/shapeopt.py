@@ -68,11 +68,11 @@ def optimal_shape(m: int, n: int) -> OptimalShapeResult:
     )
 
 
-def shape_report(m: int, n: int, r_grid: tuple[int, ...] = (1, 2, 4)) -> list[dict]:
-    """Candidate table extended over ranks: parameter count, analytic training
-    flops (forward+backward+update at batch size 1, squared-loss accounting),
-    and the rank ceiling min(m1*n1, m2*n2); rows with r past the ceiling are
-    flagged infeasible."""
+def shape_report(m: int, n: int, r_grid: tuple[int, ...]) -> list[dict]:
+    """Candidate table extended over the ranks ``r_grid``: parameter count,
+    analytic training flops (forward+backward+update at batch size 1,
+    squared-loss accounting), and the rank ceiling min(m1*n1, m2*n2); rows
+    with r past the ceiling are flagged infeasible."""
     rows = []
     for cand in optimal_shape(m, n).candidates:
         for r in r_grid:

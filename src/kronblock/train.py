@@ -1,5 +1,8 @@
 """Trainers: proximal SGD for factored nets (L1 on the masks), the group-LASSO
 baseline on dense nets, block-magnitude pruning, and per-epoch metrics.
+Every trainer trains under the loss its data's targets pick
+(``network.loss_and_seed``): cross entropy on class labels, the squared loss
+on regression targets.
 
 All trainers are deterministic bit-for-bit given (config, data, seed) on a
 single thread: initialization is the caller's, batch order comes from
@@ -17,11 +20,11 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .data import Dataset, batches
+from .factor import tiled_shape
 from .linalg import row_view, sq_sum, sub, tile_norms, tile_rows
 # loss_and_seed and squared_frobenius are unused here, but the benchmark's
 # tracer (perfbench/spans.py) wraps them under this module's name.
 from .network import (  # noqa: F401
-    LOSSES,
     Network,
     count_network_params,
     evaluate,
@@ -53,7 +56,6 @@ class TrainConfig:
     lam: float = 0.0
     eps_zero: float = 1e-6
     seed: int = 0
-    loss: str = "softmax_cross_entropy"
     shuffle: bool = True
 
     def __post_init__(self):
@@ -69,8 +71,6 @@ class TrainConfig:
             raise ValueError("lam must be >= 0")
         if self.eps_zero <= 0:
             raise ValueError("eps_zero must be > 0")
-        if self.loss not in LOSSES:
-            raise ValueError(f"unknown loss {self.loss!r}")
 
 
 @dataclass
@@ -114,12 +114,12 @@ def _guard(loss: float) -> None:
         raise TrainingDivergedError(f"loss diverged: {loss}")
 
 
-def eval_metrics(net: Network, ds: Dataset, loss_kind: str) -> tuple[float, float]:
+def eval_metrics(net: Network, ds: Dataset) -> tuple[float, float]:
     """Eval loss and accuracy: ``network.evaluate`` for labelled datasets.
     Regression datasets score the squared loss and, as accuracy, argmax
     agreement between prediction and target rows (the classification proxy)."""
     if ds.labels is not None:
-        result = evaluate(net, ds.x, ds.labels, loss_kind)
+        result = evaluate(net, ds.x, ds.labels)
         return result["loss"], result["accuracy"]
     out = net_predict(net, ds.x)
     loss = sq_sum(sub(out, ds.y))
@@ -159,7 +159,7 @@ def collect_metrics(
     """One epoch snapshot. Parameter counts use the factored parameterization
     for kron layers and m*n for dense layers; flop fields use the analytic
     cost model at the configured batch size."""
-    eval_loss, accuracy = eval_metrics(net, eval_data, cfg.loss)
+    eval_loss, accuracy = eval_metrics(net, eval_data)
     if sparsity is None:
         sparsity = net_mask_sparsity(net, cfg.eps_zero)
     return MetricRecord(
@@ -206,7 +206,7 @@ def train_step(net, xb, tb, vel, cfg, grad_hook=None) -> float:
     and gradients are locals, so they are freed before the caller's next
     step allocates its own."""
     _, cache = net_forward(net, xb)
-    loss, grads = net_backward_params(net, cache, tb, cfg.loss)
+    loss, grads = net_backward_params(net, cache, tb)
     _guard(loss)
     if grad_hook is not None:
         grad_hook(grads)
@@ -270,12 +270,10 @@ def group_lasso_prox(w: np.ndarray, block: tuple[int, int], t: float) -> None:
 
 def _check_dense_tiling(net: Network, block: tuple[int, int], trainer: str) -> None:
     """The dense baselines need an all-dense net that ``block`` tiles."""
-    m2, n2 = block
     for layer in net.layers:
         if layer.spec.kind != "dense":
             raise ValueError(f"{trainer} expects an all-dense network")
-        if layer.spec.m % m2 != 0 or layer.spec.n % n2 != 0:
-            raise ValueError(f"block {block} does not divide layer {layer.spec.m}x{layer.spec.n}")
+        tiled_shape(layer.spec.m, layer.spec.n, block)
 
 
 def train_group_lasso(

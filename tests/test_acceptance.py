@@ -115,21 +115,21 @@ def _fd_config(rng, idx):
         target = rng.standard_normal((n_batch, net.out_dim))
     else:
         target = rng.integers(0, net.out_dim, size=n_batch)
-    return net, x, target, loss
+    return net, x, target
 
 
 def test_criterion_2_gradient_oracle():
     rng = np.random.default_rng(202)
     worst = 0.0
     for idx in range(100):
-        net, x, target, loss = _fd_config(rng, idx)
+        net, x, target = _fd_config(rng, idx)
 
         def loss_fn():
             _, cache = net_forward(net, x)
-            return net_backward(net, cache, target, loss)[0]
+            return net_backward(net, cache, target)[0]
 
         _, cache = net_forward(net, x)
-        _, grads, dx = net_backward(net, cache, target, loss)
+        _, grads, dx = net_backward(net, cache, target)
         for layer, g in zip(net.layers, grads):
             if layer.spec.kind == "kron":
                 d_s, d_a, d_b = kb.factor.views(layer.spec.shape, g)

@@ -38,8 +38,7 @@ def teacher_train_config(**overrides):
         },
         "train": {
             "epochs": 3, "batch_size": 32, "learning_rate": 0.1,
-            "momentum": 0.9, "lambda": 0.01, "loss": "softmax_cross_entropy",
-            "block": [2, 2],
+            "momentum": 0.9, "lambda": 0.01, "block": [2, 2],
         },
     }
     cfg.update(overrides)
@@ -231,28 +230,49 @@ def test_block_booleans_rejected(tmp_path, capsys, path, value):
     assert capsys.readouterr().err == f"error: {path}: must be [m2, n2] with positive integers\n"
 
 
-@pytest.mark.parametrize("path", ["dataset.block", "train.block", "select.patterns[1][0]"])
-def test_block_that_does_not_tile_names_its_field(tmp_path, capsys, monkeypatch, path):
-    # a block that does not tile its layer or teacher is named by its field
-    # before any net (or, for dataset.block, the teacher) is built
-    def unreachable(*_args, **_kw):
-        raise AssertionError("allocated before the block was checked")
+CHECKED_BEFORE_DATA = {
+    # case: (command, config edit, error line)
+    "dataset.block": (["train", "--method", "kron"],
+                      lambda cfg: cfg["dataset"].update(block=[3, 3]),
+                      "dataset.block: (3,3) does not divide 8x16"),
+    "train.block": (["train", "--method", "prune"],
+                    lambda cfg: cfg["train"].update(block=[3, 3]),
+                    "train.block: (3,3) does not divide 8x16"),
+    "select.patterns[1][0]": (["select-pattern"],
+                              lambda cfg: cfg["select"]["patterns"][1].__setitem__(0, [3, 3]),
+                              "select.patterns[1][0]: (3,3) does not divide 16x32"),
+    "missing train.block": (["train", "--method", "group-lasso"],
+                            lambda cfg: cfg["train"].pop("block"),
+                            "train.block: required field is missing"),
+    "model.layers[0].block": (["train", "--method", "kron"],
+                              lambda cfg: cfg["model"]["layers"][0].update(block=[3, 3]),
+                              "model.layers[0].block: (3,3) does not divide 8x16"),
+    "train.epochs": (["train", "--method", "kron"],
+                     lambda cfg: cfg["train"].update(epochs=0),
+                     "train: epochs must be >= 1"),
+    "unknown train key": (["train", "--method", "kron"],
+                          lambda cfg: cfg["train"].update(bogus=1),
+                          "train.bogus: unknown field"),
+}
 
-    monkeypatch.setattr(cli, "build_network", unreachable)
-    monkeypatch.setattr(cli, "build_pattern_set", unreachable)
-    if path == "select.patterns[1][0]":
-        cfg, argv, dims = select_config(), ["select-pattern"], "16x32"
-        cfg["select"]["patterns"][1][0] = [3, 3]
-    else:
-        cfg, dims = teacher_train_config(), "8x16"
-        section = path.split(".")[0]
-        cfg[section]["block"] = [3, 3]
-        argv = ["train", "--method", "prune" if section == "train" else "kron"]
-        if section == "dataset":
-            monkeypatch.setattr(cli, "make_teacher_dataset", unreachable)
-    argv += ["--config", write_config(tmp_path / "c.json", cfg), "--out", str(tmp_path / "x")]
+
+@pytest.mark.parametrize("case", list(CHECKED_BEFORE_DATA))
+def test_block_that_does_not_tile_names_its_field(tmp_path, capsys, monkeypatch, case):
+    # a block that does not tile its layer or teacher is named by its field,
+    # and it and every other config error end the run before the teacher is
+    # drawn or any net is built
+    def unreachable(*_args, **_kw):
+        raise AssertionError("allocated before the config was checked")
+
+    for name in ("build_network", "build_pattern_set", "make_teacher_dataset"):
+        monkeypatch.setattr(cli, name, unreachable)
+    argv, change, error = CHECKED_BEFORE_DATA[case]
+    cfg = select_config() if argv[0] == "select-pattern" else teacher_train_config()
+    change(cfg)
+    argv = [*argv, "--config", write_config(tmp_path / "c.json", cfg),
+            "--out", str(tmp_path / "x")]
     assert main(argv) == 1
-    assert capsys.readouterr().err == f"error: {path}: (3,3) does not divide {dims}\n"
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 # Every key of each config schema, valid: the dataclasses own the keys,
@@ -283,7 +303,7 @@ FULL_SECTIONS = {
     "config-flops": {"flops": {}},
     "train": {
         "epochs": 2, "batch_size": 8, "learning_rate": 0.5, "momentum": 0.5, "lambda": 0.25,
-        "epsilon_zero": 1e-3, "loss": "squared_frobenius", "shuffle": False,
+        "epsilon_zero": 1e-3, "shuffle": False,
         "block": [2, 2], "target_rate": 0.25, "rounds": 2,
     },
     "select": {
@@ -648,22 +668,20 @@ def test_dataset_must_fit_model_widths(tmp_path, capsys, kind, dims, command):
     assert capsys.readouterr().err == f"error: {WIDTH_CASES[dims]}\n"
 
 
-@pytest.mark.parametrize("classification,loss,targets", [
-    (True, "squared_frobenius", "class labels"),
-    (False, "softmax_cross_entropy", "regression targets"),
+@pytest.mark.parametrize("classification,loss", [
+    (True, "squared_frobenius"),
+    (False, "softmax_cross_entropy"),
 ])
 @pytest.mark.parametrize("command", ["train", "select-pattern"])
-def test_loss_must_fit_dataset_targets(tmp_path, capsys, command, classification, loss, targets):
-    # found by the select-pattern fuzz: the first step raised a ValueError,
-    # a traceback under select-pattern
+def test_loss_key_is_unknown(tmp_path, capsys, command, classification, loss):
+    # the dataset's targets pick the loss, so a train.loss key is rejected
+    # like any unknown field, whether or not it names the loss they pick
     cfg = teacher_train_config() if command == "train" else select_config()
     cfg["dataset"]["classification"] = classification
     cfg["train"]["loss"] = loss
     path = write_config(tmp_path / "c.json", cfg)
     assert main([command, "--config", path, "--out", str(tmp_path / "x")]) == 1
-    assert capsys.readouterr().err == (
-        f"error: train.loss: {loss} does not fit a dataset of {targets}\n"
-    )
+    assert capsys.readouterr().err == "error: train.loss: unknown field\n"
 
 
 @pytest.mark.parametrize("key,value", [("block", "mnist"), ("target_rate", [1]), ("rounds", -1)])
@@ -953,7 +971,6 @@ def test_rank_at_full_rank_accepted(tmp_path, capsys):
 def test_divergence_exit_code(tmp_path):
     cfg = teacher_train_config()
     cfg["dataset"]["classification"] = False
-    cfg["train"]["loss"] = "squared_frobenius"
     cfg["train"]["learning_rate"] = 10.0
     cfg["train"]["epochs"] = 30
     path = write_config(tmp_path / "c.json", cfg)
@@ -1213,6 +1230,7 @@ def test_decompose_bad_block_arg(tmp_path, capsys):
         (good, "4by4", out, "--block: expected M2xN2 with positive integers, got '4by4'"),
         (good, "0x2", out, "--block: expected M2xN2 with positive integers, got '0x2'"),
         (good, "2x-1", out, "--block: expected M2xN2 with positive integers, got '2x-1'"),
+        (good, "3x3", out, "--block: (3,3) does not divide 4x4"),
         (str(tmp_path / "garbage.npy"), "2x2", out, "--in: "),
         (str(tmp_path / "pickled.npy"), "2x2", out, "--in: "),
         (str(tmp_path / "complex.npy"), "2x2", out,

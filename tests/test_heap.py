@@ -28,7 +28,7 @@ vel = init_velocities(net)
 
 def step():  # its temporaries are freed when it returns
     _, cache = net_forward(net, x)
-    _, grads = net_backward_params(net, cache, labels, cfg.loss)
+    _, grads = net_backward_params(net, cache, labels)
     sgd_step(net, grads, vel, cfg)
 
 

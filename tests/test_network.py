@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import kronblock as kb
 from kronblock import KronShape
+from kronblock.data import Dataset
 from kronblock.network import (
-    LOSSES,
     Layer,
     build_network,
     dense_spec,
@@ -17,6 +17,7 @@ from kronblock.network import (
     kron_spec,
     layer_backward,
     load_network,
+    loss_and_seed,
     net_backward,
     net_backward_params,
     net_forward,
@@ -31,7 +32,7 @@ from kronblock.network import (
 from conftest import finite_diff, random_mixed_net, rel_err, run_fresh
 
 
-def two_layer_net(rng, loss="squared_frobenius", act="relu", kinds=("kron", "kron")):
+def two_layer_net(rng, act="relu", kinds=("kron", "kron")):
     specs = []
     s1 = KronShape(2, 3, 3, 2, 2)  # 6 -> 6
     s2 = KronShape(2, 2, 2, 3, 2)  # 6 -> 4
@@ -91,8 +92,8 @@ def test_kron_vs_dense_shared_gradients(rng):
     y = rng.standard_normal((4, net.out_dim))
     out1, c1 = net_forward(net, x)
     out2, c2 = net_forward(dnet, x)
-    l1, g1, dx1 = net_backward(net, c1, y, "squared_frobenius")
-    l2, g2, dx2 = net_backward(dnet, c2, y, "squared_frobenius")
+    l1, g1, dx1 = net_backward(net, c1, y)
+    l2, g2, dx2 = net_backward(dnet, c2, y)
     assert np.array_equal(out1, out2) and l1 == l2 and np.array_equal(dx1, dx2)
     for idx, (layer, lc, tc) in enumerate(zip(net.layers, c1.layers, c2.layers, strict=True)):
         want = kb.factor.weight_gradient(layer.factor, lc.fcache[1], g2[idx])
@@ -107,7 +108,7 @@ def test_perfect_fit_zero_gradients(rng):
     net = two_layer_net(rng, act="identity")
     x = rng.standard_normal((3, net.in_dim))
     out, cache = net_forward(net, x)
-    loss, grads, dx = net_backward(net, cache, out.copy(), "squared_frobenius")
+    loss, grads, dx = net_backward(net, cache, out.copy())
     assert loss == 0.0
     for p in _net_grads(net, grads):
         assert np.array_equal(p, np.zeros_like(p))
@@ -143,10 +144,10 @@ def test_full_network_gradient_check(rng, kinds, act, loss):
 
     def loss_fn():
         out, cache = net_forward(net, x)
-        return net_backward(net, cache, target, loss)[0]
+        return net_backward(net, cache, target)[0]
 
     out, cache = net_forward(net, x)
-    _, grads, dx = net_backward(net, cache, target, loss)
+    _, grads, dx = net_backward(net, cache, target)
     for arr, g in zip(_net_params(net), _net_grads(net, grads)):
         assert rel_err(g, finite_diff(loss_fn, arr)) <= 1e-6
     assert rel_err(dx, finite_diff(loss_fn, x)) <= 1e-6
@@ -164,13 +165,13 @@ def test_training_backward_matches_net_backward(seed):
     n = int(r.integers(1, 6))
     x = r.standard_normal((n, net.in_dim))
     _, cache = net_forward(net, x)
-    for loss in LOSSES:
+    for loss in ("squared_frobenius", "softmax_cross_entropy"):
         if loss == "squared_frobenius":
             target = r.standard_normal((n, net.out_dim))
         else:
             target = r.integers(0, net.out_dim, size=n)
-        want_loss, want, _ = net_backward(net, cache, target, loss)
-        got_loss, got = net_backward_params(net, cache, target, loss)
+        want_loss, want, _ = net_backward(net, cache, target)
+        got_loss, got = net_backward_params(net, cache, target)
         assert got_loss == want_loss
         assert all(g.shape == layer.params.shape for g, layer in zip(got, net.layers))
         for a, b in zip(_net_grads(net, got), _net_grads(net, want), strict=True):
@@ -193,7 +194,7 @@ def _magnitudes(net, x, target):
     for layer in mag.layers:
         np.abs(layer.params, out=layer.params)
     out, cache = net_forward(mag, np.abs(x))
-    loss, grads, dx = net_backward(mag, cache, -np.abs(target), "squared_frobenius")
+    loss, grads, dx = net_backward(mag, cache, -np.abs(target))
     return out, loss, grads, dx
 
 
@@ -229,7 +230,7 @@ def test_training_paths_agree_on_mixed_nets(seed):
     target = r.standard_normal((n, net.out_dim))
     picked = train_paths(net, n)
     out, cache = net_forward(net, x)
-    loss, grads, dx = net_backward(net, cache, target, "squared_frobenius")
+    loss, grads, dx = net_backward(net, cache, target)
     for layer, lc, path in zip(net.layers, cache.layers, picked):
         # the fold path caches its intermediates; the weight product caches
         # its weight and, for a factored layer, the stacked S * A_i
@@ -248,7 +249,7 @@ def test_training_paths_agree_on_mixed_nets(seed):
         try:
             assert train_paths(net, n) == [p if p == "dense" else forced for p in picked]
             f_out, f_cache = net_forward(net, x)
-            f_loss, f_grads, f_dx = net_backward(net, f_cache, target, "squared_frobenius")
+            f_loss, f_grads, f_dx = net_backward(net, f_cache, target)
         finally:
             fl.train_path = train_path
         assert abs(f_loss - loss) <= tol * m_loss
@@ -265,7 +266,7 @@ def test_relu_dead_unit_blocks_gradient(rng):
     net.layers[0].w[0, :] = -1.0
     net.layers[0].w[1, :] = 1.0
     out, cache = net_forward(net, x)
-    _, grads, _ = net_backward(net, cache, np.ones((1, 2)), "squared_frobenius")
+    _, grads, _ = net_backward(net, cache, np.ones((1, 2)))
     assert np.array_equal(grads[0][0, :], np.zeros(3))
     assert np.any(grads[0][1, :] != 0.0)
 
@@ -411,9 +412,11 @@ EVALUATE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("loss", LOSSES)
+@pytest.mark.parametrize("loss", ["squared_frobenius", "softmax_cross_entropy"])
 @pytest.mark.parametrize("case", range(len(EVALUATE_CASES)))
 def test_evaluate_matches_training_losses(case, loss):
+    # the squared loss evaluates regression targets (here one-hot rows) in
+    # eval_metrics, the cross entropy class labels in evaluate
     specs, batches = EVALUATE_CASES[case]
     net = build_network(specs, seed=case)
     rng = np.random.default_rng(case)
@@ -429,7 +432,10 @@ def test_evaluate_matches_training_losses(case, loss):
         else:
             want_loss, _ = softmax_cross_entropy(out, labels)
         accuracy = float(np.mean(np.argmax(out, axis=1) == labels))
-        assert evaluate(net, x, labels, loss) == {"loss": want_loss, "accuracy": accuracy}
+        if loss == "squared_frobenius":
+            assert kb.train.eval_metrics(net, Dataset(x, y=onehot)) == (want_loss, accuracy)
+        else:
+            assert evaluate(net, x, labels) == {"loss": want_loss, "accuracy": accuracy}
 
 
 def _reference_softmax_cross_entropy(o, labels):
@@ -461,6 +467,17 @@ def test_softmax_cross_entropy_matches_reference_bits(rows, classes):
     want_loss, want_seed = _reference_softmax_cross_entropy(o, labels)
     assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
     assert seed.tobytes() == want_seed.tobytes()
+
+
+def test_loss_and_seed_follows_the_targets(rng):
+    # 1-D class labels pick the cross entropy, 2-D targets the squared loss
+    o = rng.standard_normal((5, 4))
+    labels, y = rng.integers(0, 4, size=5), rng.standard_normal((5, 4))
+    for target, loss_fn in ((labels, softmax_cross_entropy), (y, squared_frobenius)):
+        loss, seed = loss_and_seed(o, target)
+        want_loss, want_seed = loss_fn(o, target)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert seed.tobytes() == want_seed.tobytes()
 
 
 @pytest.mark.parametrize("x,message", [

@@ -85,8 +85,7 @@ def test_group_norms_shrink_monotonically_without_data_gradient():
     # all-zero inputs and targets: every step is pure proximal shrinkage
     ds = Dataset(np.zeros((32, 16)), y=np.zeros((32, 8)))
     tcfg = TrainConfig(
-        epochs=1, batch_size=8, learning_rate=0.1, momentum=0.0,
-        loss="squared_frobenius", seed=0,
+        epochs=1, batch_size=8, learning_rate=0.1, momentum=0.0, seed=0,
     )
     pset = build_pattern_set([(8, 16)], [[(2, 2)], [(4, 4)]], rank=1, seed=3)
     scfg = SelectConfig(train=tcfg, max_epochs=12, finetune_epochs=0)

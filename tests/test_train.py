@@ -57,8 +57,6 @@ def test_config_validation():
         TrainConfig(epochs=1, batch_size=4, learning_rate=-1.0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=1, batch_size=4, learning_rate=0.1, momentum=1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=1, batch_size=4, learning_rate=0.1, loss="hinge")
 
 
 def test_soft_threshold_exact_zeros():
@@ -112,7 +110,7 @@ def test_lambda_zero_matches_plain_sgd(rng):
     for epoch in range(1, cfg.epochs + 1):
         for xb, tb in batches(ds, cfg.batch_size, cfg.shuffle, seed=(cfg.seed, epoch)):
             _, cache = net_forward(oracle, xb)
-            _, grads, _ = net_backward(oracle, cache, tb, cfg.loss)
+            _, grads, _ = net_backward(oracle, cache, tb)
             d_s, d_a, d_b = views(shape, grads[0])
             vel["s"] = cfg.momentum * vel["s"] + d_s
             f.s -= cfg.learning_rate * vel["s"]
@@ -175,11 +173,11 @@ def test_sgd_step_matches_per_array_reference(r, path, tiling, batch, lam):
     for _ in range(4):
         x = rng.standard_normal((batch, shape.n))
         labels = rng.integers(0, 3, batch)
-        _, grads = net_backward_params(net, net_forward(net, x)[1], labels, cfg.loss)
+        _, grads = net_backward_params(net, net_forward(net, x)[1], labels)
         sgd_step(net, grads, vel, cfg)
         if lam > 0:
             mask_l1_prox(net, cfg.learning_rate * lam)
-        _, grads = net_backward_params(ref, net_forward(ref, x)[1], labels, cfg.loss)
+        _, grads = net_backward_params(ref, net_forward(ref, x)[1], labels)
         _per_array_sgd(ref, grads, ref_vel, cfg)
         got = net.layers[0].factor
         assert np.array_equal(got.s, f.s)
@@ -231,7 +229,7 @@ def test_teacher_recovery_with_grid_lambda():
     lam = LAMBDA_GRID[7]  # 3.16e-2
     cfg = TrainConfig(
         epochs=300, batch_size=16, learning_rate=4e-3, momentum=0.0,
-        lam=lam, loss="squared_frobenius", seed=5,
+        lam=lam, seed=5,
     )
     net, records = train_kron(net, ds, cfg)
     student_zero = np.abs(net.layers[0].factor.s) < 1e-6
@@ -244,7 +242,7 @@ def test_mask_entries_exact_zero_or_clearly_nonzero():
     net = build_network([kron_spec(KronShape(4, 8, 2, 2, 2))], seed=3)
     cfg = TrainConfig(
         epochs=20, batch_size=16, learning_rate=4e-3, momentum=0.0,
-        lam=0.05, loss="squared_frobenius", seed=5,
+        lam=0.05, seed=5,
     )
     net, _ = train_kron(net, ds, cfg)
     s = net.layers[0].factor.s
@@ -263,7 +261,7 @@ def test_group_lasso_lambda_zero_is_plain_sgd(rng):
     for epoch in range(1, cfg.epochs + 1):
         for xb, tb in batches(ds, cfg.batch_size, cfg.shuffle, seed=(cfg.seed, epoch)):
             _, cache = net_forward(oracle, xb)
-            _, grads, _ = net_backward(oracle, cache, tb, cfg.loss)
+            _, grads, _ = net_backward(oracle, cache, tb)
             vel = cfg.momentum * vel + grads[0]
             w -= cfg.learning_rate * vel
     assert np.array_equal(net.layers[0].w, w)
@@ -278,7 +276,7 @@ def test_group_lasso_unexcited_tile_dies(rng):
     net = build_network([dense_spec(4, 8)], seed=2)
     cfg = TrainConfig(
         epochs=80, batch_size=16, learning_rate=2e-3, momentum=0.0,
-        lam=3.0, loss="squared_frobenius", seed=4,
+        lam=3.0, seed=4,
     )
     net, _ = train_group_lasso(net, ds, cfg, (2, 2))
     w = net.layers[0].w
@@ -305,7 +303,7 @@ def test_group_lasso_loss_parity_with_kron():
     tr, te = kb.train_test_split(ds, 0.25, seed=6)
     cfg = TrainConfig(
         epochs=100, batch_size=32, learning_rate=1e-3, momentum=0.0,
-        lam=0.0, loss="squared_frobenius", seed=4,
+        lam=0.0, seed=4,
     )
     knet = build_network([kron_spec(KronShape(4, 8, 2, 2, 4))], seed=2)
     _, krecs = train_kron(knet, tr, cfg, eval_data=te)
@@ -339,7 +337,7 @@ def test_dense_baselines_check_net_and_block(trainer, name):
     with pytest.raises(ValueError, match=rf"^{name} expects an all-dense network$"):
         trainer(kron_net, ds, cfg, (2, 2))
     dense_net = build_network([dense_spec(4, 8)], seed=0)
-    with pytest.raises(ValueError, match=r"^block \(3, 2\) does not divide layer 4x8$"):
+    with pytest.raises(ValueError, match=r"^\(3,2\) does not divide 4x8$"):
         trainer(dense_net, ds, cfg, (3, 2))
 
 
@@ -507,7 +505,7 @@ def test_monotone_sparsity_in_lambda():
         net = build_network([kron_spec(KronShape(4, 8, 2, 2, 4))], seed=3)
         cfg = TrainConfig(
             epochs=120, batch_size=16, learning_rate=4e-3, momentum=0.0,
-            lam=lam, loss="squared_frobenius", seed=5,
+            lam=lam, seed=5,
         )
         _, records = train_kron(net, ds, cfg)
         rates.append(records[-1].sparsity_rate)
@@ -522,7 +520,7 @@ def test_loss_decreases_over_first_epoch():
     initial = float(np.sum((out - ds.y) ** 2))
     cfg = TrainConfig(
         epochs=1, batch_size=16, learning_rate=4e-3, momentum=0.0,
-        lam=0.0, loss="squared_frobenius", seed=5,
+        lam=0.0, seed=5,
     )
     _, records = train_kron(net, ds, cfg)
     assert records[0].eval_loss < initial
@@ -531,7 +529,7 @@ def test_loss_decreases_over_first_epoch():
 def test_divergence_guard():
     ds, _ = make_teacher_dataset(8, 16, (2, 2), 0.5, 64, seed=1, classification=False)
     net = build_network([kron_spec(KronShape(4, 8, 2, 2, 2))], seed=3)
-    cfg = TrainConfig(epochs=50, batch_size=16, learning_rate=5.0, loss="squared_frobenius", seed=5)
+    cfg = TrainConfig(epochs=50, batch_size=16, learning_rate=5.0, seed=5)
     with pytest.raises(TrainingDivergedError):
         train_kron(net, ds, cfg)
 
@@ -561,7 +559,9 @@ def test_mixed_net_sparsity_counts_only_masks(rng):
 @pytest.mark.parametrize("loss", ["squared_frobenius", "softmax_cross_entropy"])
 def test_eval_metrics_matches_training_forward(loss):
     # labelled and regression sets, on a net whose layer the cost model puts
-    # on the materialized path at 256 rows (and on fold at one row)
+    # on the materialized path at 256 rows (and on fold at one row); the
+    # squared loss of labels is that of their one-hot rows as regression
+    # targets
     net = build_network([kron_spec(KronShape(5, 392, 2, 2, 2))], seed=5)
     assert kb.network.eval_paths(net, 256) == ["materialized"]
     assert kb.network.eval_paths(net, 1) == ["fold"]
@@ -582,7 +582,9 @@ def test_eval_metrics_matches_training_forward(loss):
             else:
                 want = float(np.sum((out - rows.y) ** 2))
                 want_acc = float(np.mean(np.argmax(out, axis=1) == np.argmax(rows.y, axis=1)))
-            got, acc = eval_metrics(net, rows, loss)
+            if classification and loss == "squared_frobenius":
+                rows = Dataset(rows.x, y=onehot)
+            got, acc = eval_metrics(net, rows)
             assert abs(got - want) <= 1e-12 * abs(want)
             assert acc == want_acc
 
@@ -599,11 +601,11 @@ def test_benchmark_tracer_installs_and_traces_eval(monkeypatch):
 
     ds, _ = make_teacher_dataset(4, 8, (2, 2), 0.5, 64, seed=1, classification=True)
     net = build_network([kron_spec(KronShape(2, 4, 2, 2, 2))], seed=2)
-    want = train_module.eval_metrics(net, ds, "softmax_cross_entropy")
+    want = train_module.eval_metrics(net, ds)
     tracer = Tracer()
     tracer.install()
     try:
-        got = train_module.eval_metrics(net, ds, "softmax_cross_entropy")
+        got = train_module.eval_metrics(net, ds)
     finally:
         tracer.uninstall()
     assert got == want
