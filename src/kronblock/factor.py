@@ -13,11 +13,14 @@ one broadcast product over the stack. A layer trains on one of two paths, which
 
 * the *fold* path (``forward``, ``backward``, ``backward_params``) never
   builds the weight. It stacks the r rank terms, so the forward is two
-  GEMMs whatever r is: ``[B_1; ...; B_r] @ X.reshape(N*n1, n2).T`` (a view
-  of X, never a folded copy), one block transpose to the stacked mids, their
-  product with ``[S*A_1 ... S*A_r].T`` over ``K = r*n1``, and
-  ``fold_output``. The backward reuses the cached input, stacked mids and
-  stacked ``S*A_i`` in three GEMMs, four with the input gradient;
+  products whatever r is: the GEMM ``Y = X.reshape(N*n1, n2) @ [B_1; ...;
+  B_r].T`` on a view of X, and per sample the ``(n1*r, m2)`` block of Y
+  times the ``(m1, n1*r)`` stacked ``S*A_i`` (``linalg.bmatmul``), which
+  writes the output in its ``(N, m1*m2)`` layout. No block of either product
+  is copied. The backward reuses the cached input, Y and stacked ``S*A_i``:
+  the input and Y gradients, and dB, come from views; only the gradient
+  w.r.t. the ``S*A_i`` reads two transposed copies. It is three products,
+  four with the input gradient;
 * the *materialized* path builds the weight with ``build_weight`` and
   trains as the dense layer on it (``network.layer_forward`` and
   ``network.layer_backward``); ``weight_gradient`` then projects that dense
@@ -41,12 +44,11 @@ import numpy as np
 from .linalg import (
     add,
     as_matrix,
-    fold_output,
+    bmatmul,
     fold_tiles,
     hadamard,
     matmul,
     tile_view,
-    unfold_output,
     unfold_tiles,
 )
 
@@ -212,45 +214,38 @@ def _output_grad(factor: KronFactor, batch: int, d_out) -> np.ndarray:
     return d_out
 
 
-def _swap_blocks(v: np.ndarray, m2: int, n1: int) -> np.ndarray:
-    # (p*m2, q*n1) -> (q*m2, p*n1): row (a, i2) column (b, j1) moves to row
-    # (b, i2) column (a, j1), one copy in runs of n1. With (p, q) = (r, N) it
-    # turns [B_i] @ X.T into the stacked mids, with (N, r) back
-    p, q = v.shape[0] // m2, v.shape[1] // n1
-    return np.ascontiguousarray(
-        v.reshape(p, m2, q, n1).transpose(2, 1, 0, 3)
-    ).reshape(q * m2, p * n1)
-
-
 @dataclass
 class KronForwardCache:
     """Forward intermediates the backward pass reuses (never recomputed): the
-    layer input X itself (not a copy), the ``(N*m2, r*n1)`` stacked mids,
-    whose column block i is mid_i, and the ``(m1, r*n1)`` stacked
-    [S*A_1 ... S*A_r]."""
+    layer input X itself (not a copy), the ``(N*n1, r*m2)`` product
+    ``Y = X.reshape(N*n1, n2) @ [B_1; ...; B_r].T`` and the ``(m1, n1*r)``
+    stacked S*A_i, whose column ``j1*r + i`` is column j1 of S*A_i."""
 
     batch: int
     x: np.ndarray
-    mids: np.ndarray
+    y: np.ndarray
     masked_a: np.ndarray
 
 
 def forward(factor: KronFactor, x: np.ndarray) -> tuple[np.ndarray, KronForwardCache]:
     """Efficient forward pass: O = X @ materialize(factor).T without
-    materializing the weight, in two GEMMs over all r terms at once:
-      Y = [B_1; ...; B_r] @ X.reshape(N*n1, n2).T     (r*m2, N*n1)
-      M = swap(Y)                                      (N*m2, r*n1)
-      O = fold_output(M @ [S*A_1 ... S*A_r].T)
-    Returns (O, cache)."""
+    materializing the weight, in two products over all r terms at once:
+      Y = X.reshape(N*n1, n2) @ [B_1; ...; B_r].T        (N*n1, r*m2)
+      O = A~ @ Y.reshape(N, n1*r, m2)[s], for each s      (N, m1, m2)
+    with A~ the ``(m1, n1*r)`` stacked S*A_i. Row ``j1*r + i`` of sample s's
+    ``(n1*r, m2)`` block of Y is ``B_i @ x_s[j1]``, so row i1 of its product
+    with A~ is ``sum_{j1, i} (S*A_i)[i1, j1] * B_i @ x_s[j1]``, output block
+    i1 of sample s, already in O's ``(N, m1*m2)`` layout. Returns (O, cache)."""
     sh = factor.shape
     x = _layer_input(factor, x)
     nb = x.shape[0]
-    y = matmul(factor.b.reshape(sh.r * sh.m2, sh.n2), x.reshape(nb * sh.n1, sh.n2).T)
-    mids = _swap_blocks(y, sh.m2, sh.n1)
-    del y  # the output GEMM can reuse its memory
-    masked_a = hadamard(factor.a, factor.s).transpose(1, 0, 2).reshape(sh.m1, sh.r * sh.n1)
-    out = fold_output(matmul(mids, masked_a.T), sh.m2)
-    return out, KronForwardCache(nb, x, mids, masked_a)
+    y = matmul(x.reshape(nb * sh.n1, sh.n2), factor.b.reshape(sh.r * sh.m2, sh.n2).T)
+    # the products go straight into A~'s (j1, i) column order, through its
+    # transposed (r, m1, n1) view
+    masked_a = np.empty((sh.m1, sh.n1 * sh.r))
+    hadamard(factor.a, factor.s, out=masked_a.reshape(sh.m1, sh.n1, sh.r).transpose(2, 0, 1))
+    out = bmatmul(masked_a, y.reshape(nb, sh.n1 * sh.r, sh.m2)).reshape(nb, sh.m)
+    return out, KronForwardCache(nb, x, y, masked_a)
 
 
 def _mask_gradients(factor: KronFactor, g: np.ndarray, d_s: np.ndarray, d_a: np.ndarray):
@@ -272,18 +267,24 @@ def _backward(
     sh = factor.shape
     nb = cache.batch
     d_out = _output_grad(factor, nb, d_out)
-    if cache.mids.shape[1] != sh.r * sh.n1:
+    if cache.y.shape[1] != sh.r * sh.m2:
         raise ValueError("cache does not match factor rank")
-    d_of = unfold_output(d_out, sh.m2)
-    g = matmul(d_of.T, cache.mids)
-    d_mid = _swap_blocks(matmul(d_of, cache.masked_a), sh.m2, sh.n1)
+    d = d_out.reshape(nb, sh.m1, sh.m2)
+    # G = sum_s D_s @ Y_s.T as one GEMM over K = N*m2, on two transposed
+    # copies freed before dY is allocated
+    d_t = np.ascontiguousarray(d.transpose(1, 0, 2)).reshape(sh.m1, nb * sh.m2)
+    y_t = np.ascontiguousarray(
+        cache.y.reshape(nb, sh.n1 * sh.r, sh.m2).transpose(0, 2, 1)
+    ).reshape(nb * sh.m2, sh.n1 * sh.r)
+    g = matmul(d_t, y_t)
+    del d_t, y_t
+    d_y = bmatmul(cache.masked_a.T, d).reshape(nb * sh.n1, sh.r * sh.m2)
     grad = np.empty(count_params(sh))
     d_s, d_a, d_b = views(sh, grad)
-    matmul(d_mid, cache.x.reshape(nb * sh.n1, sh.n2), out=d_b.reshape(sh.r * sh.m2, sh.n2))
-    d_x = None
-    if with_dx:
-        d_x = matmul(d_mid.T, factor.b.reshape(sh.r * sh.m2, sh.n2)).reshape(nb, sh.n)
-    _mask_gradients(factor, g.reshape(sh.m1, sh.r, sh.n1).transpose(1, 0, 2), d_s, d_a)
+    b_rows = factor.b.reshape(sh.r * sh.m2, sh.n2)
+    matmul(d_y.T, cache.x.reshape(nb * sh.n1, sh.n2), out=d_b.reshape(b_rows.shape))
+    d_x = matmul(d_y, b_rows).reshape(nb, sh.n) if with_dx else None
+    _mask_gradients(factor, g.reshape(sh.m1, sh.n1, sh.r).transpose(2, 0, 1), d_s, d_a)
     return grad, d_x
 
 
@@ -295,13 +296,15 @@ def backward(
     its dS, dA and dB) and the input gradient.
 
     ``d_out`` is the loss gradient w.r.t. the layer output in N x m layout.
-    With M the cached stacked mids, D = unfold_out(dO) and G = [G_1 ... G_r]
-    the gradients w.r.t. the S*A_i, four GEMMs over all r terms:
-      G       = D.T @ M                               (m1, r*n1)
-      dMid    = swap(D @ [S*A_1 ... S*A_r])           (r*m2, N*n1)
-      [dB_i]  = dMid @ X.reshape(N*n1, n2)            (dB_i stacked by rows)
-      dX      = (dMid.T @ [B_1; ...; B_r]).reshape(N, n)
-    and dS = sum_i G_i * A_i, dA_i = G_i * S.
+    With Y and A~ the cached ``(N*n1, r*m2)`` product and ``(m1, n1*r)``
+    stacked S*A_i, D = dO.reshape(N, m1, m2) (a view) and G the gradient
+    w.r.t. A~, four products over all r terms:
+      G      = sum_s D[s] @ Y_s.T                     (m1, n1*r), one GEMM
+      dY     = A~.T @ D[s], for each s                (N*n1, r*m2)
+      [dB_i] = dY.T @ X.reshape(N*n1, n2)             (dB_i stacked by rows)
+      dX     = (dY @ [B_1; ...; B_r]).reshape(N, n)
+    with Y_s sample s's ``(n1*r, m2)`` block of Y and G's column ``j1*r + i``
+    column j1 of G_i, and dS = sum_i G_i * A_i, dA_i = G_i * S.
     """
     return _backward(factor, cache, d_out, with_dx=True)
 
@@ -311,7 +314,7 @@ def backward_params(
 ) -> tuple[np.ndarray, None]:
     """``backward`` without the input gradient (``d_x`` is ``None``): the same
     dS, dA_i and dB_i from the same operations in the same order, minus the
-    one GEMM ``dMid.T @ [B_1; ...; B_r]``. For the first layer of a network,
+    one GEMM ``dY @ [B_1; ...; B_r]``. For the first layer of a network,
     whose input gradient nothing reads."""
     return _backward(factor, cache, d_out, with_dx=False)
 

@@ -147,8 +147,10 @@ def _mask_pieces(s: KronShape) -> tuple[dict[str, int], dict[str, int]]:
 
 
 def _kron_forward_pieces(n_batch: int, s: KronShape) -> dict[str, int]:
-    # per-term pieces of the rank-stacked GEMMs: b_matmul is the one GEMM of
-    # [B_1; ...; B_r] with X, a_matmul + rank_sum the one over K = r*n1
+    # per-term pieces of the rank-stacked products: b_matmul is the one GEMM
+    # of X with [B_1; ...; B_r], a_matmul + rank_sum the per-sample products
+    # with the stacked S*A_i over K = n1*r (one linalg.bmatmul), whose
+    # N*m*(2*r*n1 - 1) flops split into r terms' products and their sum
     return {
         "b_matmul": s.r * n_batch * s.n1 * s.m2 * (2 * s.n2 - 1),
         **_mask_pieces(s)[0],

@@ -19,11 +19,13 @@ Index conventions, normative for the whole package:
 
 Every fold has an exact inverse (``unfold_*``); the pairs are bijections and
 round-trip bit-exactly. The factored layer of :mod:`kronblock.factor` uses
-``fold_output``/``unfold_output`` on its fold path and
-``fold_tiles``/``unfold_tiles`` on its materialized path. Its fold path reads
-the input through the view ``x.reshape(N*n1, n2)``, so ``fold_input``,
-``fold_mid`` and their inverses are exported maps that training no longer
-calls.
+``fold_tiles``/``unfold_tiles`` on its materialized path. Its fold path
+copies no block: it reads the input and the output gradient through views
+and multiplies per sample with ``bmatmul``, which writes its output in the
+layer's ``(N, m1*m2)`` layout. ``fold_input``, ``fold_mid``, ``fold_output``
+and their inverses are exported maps that training no longer calls; the
+benchmark's tracer (``perfbench/spans.py``) binds all six by name, so they
+stay until it stops doing so.
 
 A tile-wise product, such as the group-LASSO scale or a prune mask of
 :mod:`kronblock.train`, multiplies ``row_view(w, m2)``, the ``(m1, m2, n)``
@@ -37,7 +39,8 @@ multiply, add and subtract the cost model counts through the *counted ops*
 below. An op's flops follow from its operand shapes: one per scalar
 multiply, add or subtract, so a ``(p, q) @ (q, s)`` matmul costs
 ``p*s*(2q-1)``, a sum of squares ``2*size - 1`` and every other op
-``size`` (the 0/1 relu mask is free). Inside a ``counting()`` block each op
+``size`` (the 0/1 relu mask is free); ``bmatmul`` costs one such matmul
+per stacked matrix. Inside a ``counting()`` block each op
 appends ``(op name, flops)`` to the block's list; the list lives in a
 ``ContextVar``, so all functions here stay safe to call from any number of
 threads.
@@ -109,6 +112,14 @@ def hadamard(a, b, out: np.ndarray | None = None) -> np.ndarray:
 def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``a @ b``, written into ``out`` when given."""
     return np.matmul(a, b, out=out)
+
+
+@_counted(lambda a, b: b.shape[0] * a.shape[0] * b.shape[2] * (2 * a.shape[1] - 1))
+def bmatmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b[s]`` for every ``s``: one ``(p, q)`` matrix times a stack of
+    ``(q, t)`` matrices, an ``(N, p, t)`` array, at one ``(p, q) @ (q, t)``
+    matmul's flops per stacked matrix."""
+    return np.matmul(a, b)
 
 
 @_counted(lambda a, b, out=None: a.size)

@@ -110,13 +110,13 @@ PINNED = {
     "wide1024/701/kron_train":
         "98f852e7e55f73b43363bc0458b908165555499ec70f3637f0dbe81cf6e8fc81",
     "wide1024/701/kron_train.flat":
-        "4065be629298301b7e9c0cc91e17a892be6202db3450651edbf19b182d9f4430",
+        "fe37bc9db7f0a029d6041a5c6543f807d104d5213b11c9faca7d716784b4b7b2",
     "wide1024/701/prune":
         "71b7a7bca98e1d423716d6ff1a374e9948df9e58635ca7c01dc080cd5b4da255",
     "wide1024/701/select":
         "77b06967a2e3ca40974f242706ead648e749a56990dce7bdfa6cbf364beadb8b",
     "wide1024/701/select.flat":
-        "d980239fcd7c61791f9d85fac24880165991fdf038d668bbccce02d6903d8753",
+        "8dca1b27656debdb49bcc7ba100713861acb5f3bac94bb53562d1bfb7635542b",
     "wide1024/702/eval":
         "da14f049f043e4b6cb18388b80bf78e074828abd14114a4e8470dc04e9a82807",
     "wide1024/702/flop_check":
@@ -126,13 +126,13 @@ PINNED = {
     "wide1024/702/kron_train":
         "2a5f701c9133260b0a377f349669b93e3bcee85179dc0009c00f8db2c2c8e66c",
     "wide1024/702/kron_train.flat":
-        "41e16f16b3c0b5a4cfac61c945526bcc7c5e1b3b8bb9138888971f86ef9b9058",
+        "0f8e8b1c7bf86339d70b85c3a85bed3efb956ae2b27a7443235f9748a4b6599c",
     "wide1024/702/prune":
         "7097954941fed1a56cbea77e31955dddc7292e8a83550018b2a9481fa449ca4a",
     "wide1024/702/select":
         "2f2ed6598515e7af7d48681df5bb771844b79bdf268405c8e91a377e4eea3e72",
     "wide1024/702/select.flat":
-        "626886c7b72c9d3bfeaf592412a950785b028818b9f4ab7e77416a3295f813d9",
+        "a52257fe77a0770d5387ff1edb88e4a8c48576d3a5bcb6ff57e024cced3e5623",
     "wide1024/flops@1":
         "7138f913fb81046541b3eacaf2fad797b8d3f01aa9574fd648ec57467fa12737",
     "wide1024/flops@4":

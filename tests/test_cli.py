@@ -1341,7 +1341,7 @@ GOLDEN = {
     }),
     "kron-fold": (["train", "--method", "kron"], fold_train_config, {
         "metrics.ndjson": "ae41a44cd4edf7b0c694f62cfdfeefda99a4a63e20903f3de03ed8e29610eaa8",
-        "checkpoint.kbn": "56a53c56eedb4d1ecc30c5d1837cdf6be692b8287769b0baef7e15b3f2cb7de9",
+        "checkpoint.kbn": "5cf70a5c1203025aec4218d563fc224a7fe081e2ec2a55b27553133d66efc552",
     }),
     "select": (["select-pattern"], select_config, {
         "selection.ndjson": "055618aa9c55a33d5628ecc81a879210a5485c9eb719171eaf22b653d1a27083",

@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kronblock as kb
+import kronblock.factor as kf
 from kronblock import KronFactor, KronShape
 from kronblock.factor import build_weight, views
 from kronblock.flops import kron_forward_matmul_flops
@@ -20,7 +22,7 @@ from kronblock.linalg import (
 )
 from kronblock.network import Layer, dense_spec, kron_spec, layer_backward, layer_forward
 
-from conftest import finite_diff, random_dense_factor, random_shape, rel_err
+from conftest import finite_diff, random_dense_factor, random_shape, rel_err, run_fresh
 
 
 def split(f, result):
@@ -246,25 +248,75 @@ def test_fold_path_matches_per_rank_loop(seed):
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
-def test_fold_path_is_rank_stacked(rng, r):
-    # whatever the rank, the forward is two GEMMs, the backward three without
-    # the input gradient and four with it, and X is cached without a copy
+def test_fold_path_is_rank_stacked(rng, monkeypatch, r):
+    # whatever the rank, the forward is one GEMM and one batched product, the
+    # backward two GEMMs and one batched product without the input gradient
+    # and one GEMM more with it; X and d_out are read through views, and X is
+    # cached without a copy
     f = random_dense_factor(KronShape(3, 4, 2, 5, r), rng)
     x = rng.standard_normal((6, f.shape.n))
     d_out = rng.standard_normal((6, f.shape.m))
+    operands = []
+    for name in ("matmul", "bmatmul"):
 
-    def matmuls(ops):
-        return [name for name, _ in ops].count("matmul")
+        def record(a, b, *args, _op=getattr(kf, name), **kwargs):
+            operands.append((a, b))
+            return _op(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(kf, name, record)
+
+    def products(ops):
+        names = [name for name, _ in ops]
+        return names.count("matmul"), names.count("bmatmul")
 
     with counting() as ops:
         _, cache = kb.forward(f, x)
-    assert matmuls(ops) == 2
+    assert products(ops) == (1, 1)
     assert sum(flops for _, flops in ops) == kron_forward_matmul_flops(6, f.shape)
     assert np.shares_memory(cache.x, x)
-    for backward, want in ((kb.backward_params, 3), (kb.backward, 4)):
+    (xr, _), (_, y) = operands
+    assert np.shares_memory(xr, x) and np.shares_memory(y, cache.y)
+    for backward, want in ((kb.backward_params, (2, 1)), (kb.backward, (3, 1))):
+        operands.clear()
         with counting() as ops:
             backward(f, cache, d_out)
-        assert matmuls(ops) == want
+        assert products(ops) == want
+        _, (_, d), (d_y, xr), *dx = operands
+        assert np.shares_memory(d, d_out) and np.shares_memory(xr, x)
+        assert all(np.shares_memory(a, d_y) for a, _ in dx)
+
+
+FOLD_STEP_DIGESTS = """
+import hashlib, json, sys
+import numpy as np
+import kronblock as kb
+
+out = {}
+for (m1, n1, m2, n2, r), rows in json.loads(sys.argv[1]):
+    shape = kb.KronShape(m1, n1, m2, n2, r)
+    rng = np.random.default_rng(rows)
+    f = kb.random_factor(shape, rng)
+    f.s[:] = rng.standard_normal(f.s.shape)
+    x = rng.standard_normal((rows, shape.n))
+    o, cache = kb.forward(f, x)
+    grad, d_x = kb.backward(f, cache, rng.standard_normal(o.shape))
+    digest = hashlib.sha256(o.tobytes() + grad.tobytes() + d_x.tobytes())
+    out[f"{shape}@{rows}"] = digest.hexdigest()
+print(json.dumps(out))
+"""
+
+
+def test_fold_step_bits_do_not_depend_on_blas_threads():
+    # the fold forward and backward in fresh processes at 1 and 2 OpenBLAS
+    # threads, at the wide, the square, the 784-input and criterion 7's shapes
+    shapes = [(64, 64, 16, 16, 2), (32, 32, 32, 32, 2), (5, 49, 2, 16, 2), (8, 16, 2, 2, 4)]
+    cases = json.dumps([(shape, rows) for shape in shapes for rows in (64, 512, 2048)])
+    digests = []
+    for threads in ("1", "2"):
+        proc = run_fresh(FOLD_STEP_DIGESTS, cases, threads=threads)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(json.loads(proc.stdout))
+    assert len(digests[0]) == 12 and digests[0] == digests[1]
 
 
 def test_materialized_backward_matches_finite_differences(rng):

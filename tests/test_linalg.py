@@ -15,7 +15,7 @@ from kronblock import (
     unfold_output,
     unfold_tiles,
 )
-from kronblock.linalg import add, counting, matmul, row_view, tile_rows, tile_view
+from kronblock.linalg import add, bmatmul, counting, matmul, row_view, tile_rows, tile_view
 
 dims = st.integers(min_value=1, max_value=6)
 
@@ -128,6 +128,20 @@ def test_matmul_and_add_out_match_the_allocating_form(p, q, s, transposed):
         assert add(view, c, out=view) is view
     assert np.array_equal(view, total)
     assert ops == allocating == [("matmul", p * s * (2 * q - 1)), ("add", p * s)]
+
+
+@pytest.mark.parametrize("n,p,q,t", [(1, 1, 1, 1), (3, 5, 8, 2), (6, 64, 32, 16), (17, 1, 64, 16)])
+def test_bmatmul_is_one_matmul_per_stacked_matrix(n, p, q, t):
+    # the bits of the stack's products, also through a transposed left
+    # operand as the fold backward passes it, counted as one matmul of each
+    rng = np.random.default_rng(n * p * q * t)
+    b = rng.standard_normal((n, q, t))
+    for a in (rng.standard_normal((p, q)), rng.standard_normal((q, p)).T):
+        with counting() as ops:
+            out = bmatmul(a, b)
+        assert out.shape == (n, p, t) and out.flags.c_contiguous
+        assert np.array_equal(out, np.stack([a @ b_s for b_s in b]))
+        assert ops == [("bmatmul", n * p * t * (2 * q - 1))]
 
 
 SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan)
