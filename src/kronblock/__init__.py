@@ -68,7 +68,6 @@ from .network import (
     kron_spec,
     load_network,
     net_backward,
-    net_backward_params,
     net_forward,
     net_predict,
     save_network,

@@ -370,12 +370,12 @@ def model_specs(model_cfg, force_dense: bool = False) -> list:
 
 
 def build_model(model_cfg, specs: list, seed: int) -> Network:
-    """The network of ``model_specs``; a net too large to allocate is a
-    config error."""
+    """The network of ``model_specs``; a net too large to allocate, or whose
+    init scale overflows a float, is a config error."""
     init_seed = _dataclass_section(ModelInit, model_cfg, "model", (Model,)).init_seed
     try:
         return build_network(specs, seed=seed if init_seed is None else init_seed)
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, OverflowError) as exc:
         raise ConfigError(f"model.layers: {exc}") from exc
 
 
@@ -643,7 +643,7 @@ def cmd_select_pattern(args) -> int:
         pset = build_pattern_set(layer_dims, select.patterns, select.rank, activations, run.seed)
     except ValueError as exc:
         raise ConfigError(f"select: {exc}") from exc
-    except MemoryError as exc:
+    except (MemoryError, OverflowError) as exc:
         raise ConfigError(f"model.layers: {exc}") from exc
     result = select_pattern(pset, run.train_ds, scfg)
     summary = {
@@ -703,7 +703,8 @@ def flop_audit_case(section):
     """Validate a ``flops`` config section and build its audit case: the
     analytic report, the instrumented tag prefix (``<prefix>_forward`` and
     ``<prefix>_backward``) and the random inputs drawn from ``seed``. Inputs
-    too large to allocate are a config error."""
+    too large to allocate, or a factor whose init scale overflows a float,
+    are a config error."""
     case = _kinded(FlopAudit, FLOP_AUDITS, section, "flops", "unknown kind {!r}")
     nb = case.batch
     rng = np.random.default_rng(case.seed)
@@ -743,7 +744,7 @@ def flop_audit_case(section):
             return {"f1": f1, "f2": f2, "x": normal((nb, s1.n)), "y": normal((nb, s2.m))}
     try:
         return report, case.kind, draw()
-    except (ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError, OverflowError) as exc:
         raise ConfigError(f"flops: {exc}") from exc
 
 

@@ -6,10 +6,10 @@ Two independent routes are kept deliberately separate and compared in tests:
   integers, pre-asymptotic) that ``layers_report`` sums over a model's
   ``LayerSpec``s; every closed form and report below is such a sum, and
 * the *instrumented* counter: ``counted_step`` runs one real training step
-  of a ``network.Network`` (``net_forward``, then ``net_backward_params``
-  under the squared loss its 2-D targets pick) inside ``linalg.counting()``,
-  where every multiply, add and subtract goes through a counted op of
-  :mod:`kronblock.linalg`. It holds no formula or walk of its own;
+  of a ``network.Network`` (``net_forward``, then the training
+  ``net_backward`` under the squared loss its 2-D targets pick) inside
+  ``linalg.counting()``, where every multiply, add and subtract goes through
+  a counted op of :mod:`kronblock.linalg`. It holds no formula or walk of its own;
   ``instrumented_count`` builds the network from a tag's inputs.
 
 A layer is the ``LayerSpec`` the network is built from, defined here: its
@@ -30,8 +30,8 @@ Convention notes (required to reproduce the exact totals):
     per scalar (the 0/1 mask itself is free); every other activation passes
     its input through at no cost,
   * the input gradient is counted for every layer but the first, as
-    ``network.net_backward_params`` computes it (training never reads the
-    gradient w.r.t. the network input),
+    the training ``network.net_backward`` computes it (training never reads
+    the gradient w.r.t. the network input),
   * comparisons, reshapes, folds, stacks and tile transposes cost nothing,
   * parameter updates are one flop per trainable A/B parameter for factored
     layers (r*(m1*n1 + m2*n2)) and m*n for a dense layer.
@@ -254,7 +254,7 @@ def _layer_pieces(n_batch: int, spec: LayerSpec, with_dx: bool):
 def layers_report(n_batch: int, specs: list) -> FlopReport:
     """Exact flops of one training step of a model given as its ``LayerSpec``s
     (``[layer.spec for layer in net.layers]``), in the order
-    ``network.net_forward`` and ``net_backward_params`` run.
+    ``network.net_forward`` and the training ``net_backward`` run.
 
     Breakdown keys are ``forward.<piece>`` and ``backward.<piece>``, with the
     piece prefixed ``layer<i>.`` when the model has more than one layer; relu
@@ -378,15 +378,15 @@ TAGS = tuple(f"{prefix}_{phase}" for prefix in _TAG_WEIGHTS for phase in ("forwa
 
 def counted_step(net, x, y) -> tuple[int, int]:
     """Forward and backward flops of one training step of ``net`` on
-    ``(x, y)``: ``network.net_forward`` then ``network.net_backward_params``
-    under the squared loss the 2-D ``y`` picks, counted op by op. The forward
-    phase ends with the loss's sum of squares; the backward phase is every op
-    after it."""
+    ``(x, y)``: ``network.net_forward`` then the training
+    ``network.net_backward`` (no gradient w.r.t. the network input) under the
+    squared loss the 2-D ``y`` picks, counted op by op. The forward phase ends
+    with the loss's sum of squares; the backward phase is every op after it."""
     from . import network  # network imports this module
 
     with counting() as ops:
         _, cache = network.net_forward(net, x)
-        network.net_backward_params(net, cache, y)
+        network.net_backward(net, cache, y, False)
     split = [name for name, _ in ops].index("sq_sum") + 1
     return sum(flops for _, flops in ops[:split]), sum(flops for _, flops in ops[split:])
 

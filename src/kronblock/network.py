@@ -11,11 +11,12 @@ loss. The squared loss is the unnormalized sum over the batch; the
 cross-entropy gradient seed is normalized by the batch size so the
 learning-rate scale is batch-size invariant.
 
-Training runs ``net_forward`` then ``net_backward_params``, which skips the
-gradient w.r.t. the network input (the trainers never read it);
-``net_backward`` also returns it. A relu runs in place on the fresh
-pre-activation, so the forward cache holds each layer's input and activation
-(``LayerCache.out``), and the backward masks each relu gradient in place.
+Training runs ``net_forward`` then ``net_backward(net, cache, target,
+False)``, which skips the gradient w.r.t. the network input (the trainers
+never read it); by default ``net_backward`` also returns it. A relu runs in
+place on the fresh pre-activation, so the forward cache holds each layer's
+input and activation (``LayerCache.out``), and the backward masks each relu
+gradient in place.
 Every layer's backward returns ``(grad, d_x)``: its parameter gradient as one
 array laid out as ``Layer.params``, and its input gradient. Each layer runs
 through ``layer_forward`` and ``layer_backward`` on one of three paths: a
@@ -275,7 +276,7 @@ def train_paths(net: Network, n_batch: int) -> list[str]:
 
 def net_forward(net: Network, x: np.ndarray) -> tuple[np.ndarray, NetCache]:
     """Training forward: each layer takes its path of ``train_paths``, and the
-    cache holds what ``net_backward``/``net_backward_params`` reuse."""
+    cache holds what ``net_backward`` reuses."""
     x = _net_input(net, x)
     cache = NetCache()
     cur = x
@@ -307,7 +308,18 @@ def net_predict(net: Network, x: np.ndarray) -> np.ndarray:
     return cur
 
 
-def _backward(net: Network, cache: NetCache, target, keep_dx: bool):
+def net_backward(
+    net: Network, cache: NetCache, target, keep_dx=True, /
+) -> tuple[float, list, np.ndarray | None]:
+    """Loss value (``loss_and_seed`` of the output and ``target``), per-layer
+    parameter gradients (each laid out as its ``Layer.params``), and the
+    gradient w.r.t. the network input, None when ``keep_dx`` is False.
+    Training passes False: the first layer then skips its input gradient, and
+    every other value comes from the same operations in the same order, so
+    the gradients keep their bits."""
+    # keep_dx is positional-only: the traced run's counter of this function
+    # (perfbench/spans.py, count_net_backward) takes what follows ``cache``
+    # only positionally, so a keyword call would end every traced run
     if len(cache.layers) != len(net.layers):
         raise ValueError("cache does not match network")
     loss, d_act = loss_and_seed(cache.layers[-1].out, target)
@@ -318,23 +330,6 @@ def _backward(net: Network, cache: NetCache, target, keep_dx: bool):
             d_act = mask_mul(d_act, lc.out, out=d_act)
         grads[idx], d_act = layer_backward(layer, lc.x_in, lc.fcache, d_act, keep_dx or idx > 0)
     return loss, grads, d_act
-
-
-def net_backward(net: Network, cache: NetCache, target) -> tuple[float, list, np.ndarray]:
-    """Loss value (``loss_and_seed`` of the output and ``target``), per-layer
-    parameter gradients (each laid out as its ``Layer.params``), and the
-    gradient w.r.t. the network input."""
-    return _backward(net, cache, target, keep_dx=True)
-
-
-def net_backward_params(net: Network, cache: NetCache, target) -> tuple[float, list]:
-    """Loss value and per-layer parameter gradients: the training backward.
-    It is ``net_backward`` without the gradient w.r.t. the network input,
-    which the first layer then does not compute. Every other value comes from
-    the same operations in the same order, so the gradients are
-    bit-identical."""
-    loss, grads, _ = _backward(net, cache, target, keep_dx=False)
-    return loss, grads
 
 
 def evaluate(net: Network, x: np.ndarray, labels) -> dict:
@@ -365,9 +360,10 @@ def network_forward_flops(net: Network, n_batch: int) -> int:
 
 
 def network_backward_flops(net: Network, n_batch: int) -> int:
-    """Analytic backward flops for one batch of ``net_backward_params``, the
-    training backward (seed, per-layer gradients, input gradients for all but
-    the first layer, relu mask products)."""
+    """Analytic backward flops for one batch of the training backward,
+    ``net_backward`` without the network input's gradient (seed, per-layer
+    gradients, input gradients for all but the first layer, relu mask
+    products)."""
     return fl.layers_report(n_batch, [layer.spec for layer in net.layers]).backward
 
 

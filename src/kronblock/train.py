@@ -29,7 +29,7 @@ from .network import (  # noqa: F401
     count_network_params,
     evaluate,
     loss_and_seed,
-    net_backward_params,
+    net_backward,
     net_forward,
     net_predict,
     network_backward_flops,
@@ -206,7 +206,7 @@ def train_step(net, xb, tb, vel, cfg, grad_hook=None) -> float:
     and gradients are locals, so they are freed before the caller's next
     step allocates its own."""
     _, cache = net_forward(net, xb)
-    loss, grads = net_backward_params(net, cache, tb)
+    loss, grads, _ = net_backward(net, cache, tb, False)
     _guard(loss)
     if grad_hook is not None:
         grad_hook(grads)

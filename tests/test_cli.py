@@ -840,6 +840,41 @@ def test_oversized_select_model_is_a_config_error(tmp_path, capsys):
     assert err.startswith("error: model.layers: Unable to allocate ") and err.count("\n") == 1
 
 
+def _overflow_config(command):
+    # widths whose m1*n1*r is past the largest float, so the factor's init
+    # scale (m1*n1*r) ** -0.25 overflows before anything is allocated
+    if command == "flops":
+        return {"flops": {"kind": "kron", "shape": [10**160, 10**160, 1, 1], "rank": 1}}
+    cfg = select_config()
+    cfg["dataset"].update(m=4, n=8)
+    if command == "train":
+        cfg["model"]["layers"] = [
+            {"kind": "kron", "shape": [10**320, 1, 1, 8], "rank": 1, "activation": "relu"},
+            {"kind": "kron", "shape": [4, 10**320, 1, 1], "rank": 1},
+        ]
+        del cfg["select"]
+    else:
+        cfg["model"]["layers"] = [{"kind": "kron", "m": 10**320, "n": 8, "activation": "relu"},
+                                  {"kind": "kron", "m": 4, "n": 10**320}]
+        cfg["select"]["patterns"] = [[[2, 2], [2, 2]], [[4, 4], [4, 4]]]
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "command, field", [("flops", "flops"), ("train", "model.layers"),
+                       ("select-pattern", "model.layers")]
+)
+def test_init_scale_overflow_is_a_config_error(tmp_path, capsys, command, field):
+    # an OverflowError of the init scale ends like a MemoryError: exit code 1
+    # and one line naming the field, not a traceback
+    argv = [command, "--config", write_config(tmp_path / "c.json", _overflow_config(command))]
+    if command != "flops":
+        argv += ["--out", str(tmp_path / "x")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+
+
 # Config fields the whole-config fuzz mutates, as key paths into
 # teacher_train_config(); whole sections and the layer list are fields too.
 FUZZ_FIELDS = (

@@ -15,7 +15,7 @@ STEP_FAULTS = """
 import json, resource
 import numpy as np
 from kronblock import KronShape
-from kronblock.network import build_network, kron_spec, net_backward_params, net_forward
+from kronblock.network import build_network, kron_spec, net_backward, net_forward
 from kronblock.train import TrainConfig, init_velocities, sgd_step
 
 net = build_network([kron_spec(KronShape(64, 64, 16, 16, 2), "relu"),
@@ -28,7 +28,7 @@ vel = init_velocities(net)
 
 def step():  # its temporaries are freed when it returns
     _, cache = net_forward(net, x)
-    _, grads = net_backward_params(net, cache, labels)
+    _, grads, _ = net_backward(net, cache, labels, False)
     sgd_step(net, grads, vel, cfg)
 
 

@@ -19,7 +19,6 @@ from kronblock.network import (
     load_network,
     loss_and_seed,
     net_backward,
-    net_backward_params,
     net_forward,
     net_predict,
     product_orientation,
@@ -157,9 +156,9 @@ def test_full_network_gradient_check(rng, kinds, act, loss):
 @settings(max_examples=40, deadline=None)
 def test_training_backward_matches_net_backward(seed):
     # mixed dense/kron nets of 1-3 layers, every activation, both losses: the
-    # training backward differs from net_backward only by the input gradient
-    # it does not return, so every loss and parameter gradient is
-    # bit-identical
+    # the training backward (keep_dx=False) differs from the default only by
+    # the input gradient it does not compute, so every loss and parameter
+    # gradient is bit-identical
     r = np.random.default_rng(seed)
     net = random_mixed_net(r, seed)
     n = int(r.integers(1, 6))
@@ -171,7 +170,8 @@ def test_training_backward_matches_net_backward(seed):
         else:
             target = r.integers(0, net.out_dim, size=n)
         want_loss, want, _ = net_backward(net, cache, target)
-        got_loss, got = net_backward_params(net, cache, target)
+        got_loss, got, no_dx = net_backward(net, cache, target, False)
+        assert no_dx is None
         assert got_loss == want_loss
         assert all(g.shape == layer.params.shape for g, layer in zip(got, net.layers))
         for a, b in zip(_net_grads(net, got), _net_grads(net, want), strict=True):

@@ -4,7 +4,8 @@
 package, so a renamed or removed one ends a ``--trace 1`` run. Each workload
 of ``BENCHMARK.json`` runs for one second, traced, in a fresh process at one
 OpenBLAS thread; its last line must report a correct run with no failed
-operation. ``run.py`` removes its ``.perfbench/`` work directory at exit.
+operation, and it must see the training backward: ``network.backward_s``
+above 0. ``run.py`` removes its ``.perfbench/`` work directory at exit.
 """
 
 import json
@@ -28,3 +29,4 @@ def test_traced_benchmark_run_is_correct(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, proc.stdout[-2000:]
+    assert result["metrics"]["network.backward_s"]["value"] > 0, proc.stdout[-2000:]

@@ -20,7 +20,6 @@ from kronblock.network import (
     dense_spec,
     kron_spec,
     net_backward,
-    net_backward_params,
     net_forward,
     train_paths,
 )
@@ -173,11 +172,11 @@ def test_sgd_step_matches_per_array_reference(r, path, tiling, batch, lam):
     for _ in range(4):
         x = rng.standard_normal((batch, shape.n))
         labels = rng.integers(0, 3, batch)
-        _, grads = net_backward_params(net, net_forward(net, x)[1], labels)
+        _, grads, _ = net_backward(net, net_forward(net, x)[1], labels, False)
         sgd_step(net, grads, vel, cfg)
         if lam > 0:
             mask_l1_prox(net, cfg.learning_rate * lam)
-        _, grads = net_backward_params(ref, net_forward(ref, x)[1], labels)
+        _, grads, _ = net_backward(ref, net_forward(ref, x)[1], labels, False)
         _per_array_sgd(ref, grads, ref_vel, cfg)
         got = net.layers[0].factor
         assert np.array_equal(got.s, f.s)
