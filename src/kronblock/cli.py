@@ -11,7 +11,8 @@ Configs are JSON; the full schema with every default is documented in the
 README. Runs are deterministic under their seed: metric files contain no
 timestamps (run_info.json carries the wall clock separately), so re-running
 an identical config reproduces byte-identical outputs. Exit codes: 0 success,
-1 validation error, 2 runtime error (e.g. divergence or over-regularization).
+1 validation error, 2 runtime error (e.g. divergence, a float overflow or NaN,
+or over-regularization).
 A bad ``--config`` (missing, a directory, not UTF-8 or not JSON) or an
 ``--out`` that cannot be made a directory ends with one line on stderr and
 exit code 1; ``train`` and ``select-pattern`` make ``--out``, then check every
@@ -863,11 +864,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a float overflow or NaN ends the command at its first occurrence,
+        # as one line, rather than as numpy warnings before the loss guard
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (TrainingDivergedError, OverRegularizedError, RuntimeError) as exc:
+    except (TrainingDivergedError, OverRegularizedError, RuntimeError, FloatingPointError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

@@ -48,7 +48,6 @@ from .linalg import (
     fold_tiles,
     hadamard,
     matmul,
-    tile_view,
     unfold_tiles,
 )
 
@@ -88,10 +87,6 @@ class KronShape:
     @property
     def full_rank(self) -> int:
         return min(self.m1 * self.n1, self.m2 * self.n2)
-
-    @property
-    def block(self) -> tuple[int, int]:
-        return (self.m2, self.n2)
 
 
 def tiled_shape(m: int, n: int, block: tuple[int, int], r: int = 1) -> KronShape:
@@ -344,14 +339,15 @@ def reconstruct_from_blockwise(w: np.ndarray, block: tuple[int, int]) -> KronFac
 
     With T nonzero m2 x n2 tiles (exact != 0 test; the input is assumed to be
     deliberately block-sparse), returns r = T, binary S, one-hot A_i per
-    nonzero tile in row-major (i1, j1) order, and B_i the tile contents.
+    nonzero tile in row-major (i1, j1) order, and B_i the tile contents: the
+    rows of ``fold_tiles(w)``, the tile-major layout of the materialized path.
     ``materialize`` of the result reproduces the input bit-exactly. An all-zero
     matrix yields the r = 1 degenerate all-zero factor.
     """
     w = as_matrix(w, "w")
     shape = tiled_shape(*w.shape, block)
     m1, n1, m2, n2 = shape.m1, shape.n1, shape.m2, shape.n2
-    tiles = tile_view(w, m2, n2).transpose(0, 2, 1, 3).reshape(m1 * n1, m2, n2)
+    tiles = fold_tiles(w, m2, n2).reshape(m1 * n1, m2, n2)
     nonzero = np.flatnonzero(np.any(tiles != 0.0, axis=(1, 2)))
     if not nonzero.size:
         return KronFactor(

@@ -5,10 +5,10 @@ backpropagation.
 Layers own either a :class:`~kronblock.factor.KronFactor` or a dense weight
 matrix. Activations are ``relu``, ``identity`` or ``softmax_output``; the
 latter passes logits through and defers the softmax to the loss/metrics.
-The targets pick the loss (``loss_and_seed``): 1-D class labels train under
-softmax cross entropy, 2-D regression targets under the squared Frobenius
-loss. The squared loss is the unnormalized sum over the batch; the
-cross-entropy gradient seed is normalized by the batch size so the
+The targets pick the loss that ``loss_and_seed`` trains under and ``evaluate``
+scores: softmax cross entropy for 1-D class labels, the squared Frobenius loss
+for 2-D regression targets. The squared loss is the unnormalized sum over the
+batch; the cross-entropy gradient seed is normalized by the batch size so the
 learning-rate scale is batch-size invariant.
 
 Training runs ``net_forward`` then ``net_backward(net, cache, target,
@@ -119,12 +119,17 @@ def build_network(specs: list[LayerSpec], seed=0) -> Network:
 # ---------------------------------------------------------------------------
 
 
-def squared_frobenius(o: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Unnormalized sum of squared residuals; gradient seed 2*(O - Y)."""
+def _residuals(o: np.ndarray, y) -> np.ndarray:
+    """O - Y, for a 2-D target Y of the output's shape."""
     y = as_matrix(y, "y")
     if y.shape != o.shape:
         raise ValueError(f"target shape {y.shape} != output shape {o.shape}")
-    diff = sub(o, y)
+    return sub(o, y)
+
+
+def squared_frobenius(o: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Unnormalized sum of squared residuals; gradient seed 2*(O - Y)."""
+    diff = _residuals(o, y)
     return sq_sum(diff), scale(diff, 2.0)
 
 
@@ -332,14 +337,15 @@ def net_backward(
     return loss, grads, d_act
 
 
-def evaluate(net: Network, x: np.ndarray, labels) -> dict:
-    """Classification metrics: cross-entropy loss plus argmax accuracy (ties
-    break to the lowest class index). The outputs come from ``net_predict``;
-    the loss is the one ``softmax_cross_entropy`` returns, without its
-    gradient seed."""
+def evaluate(net: Network, x: np.ndarray, target) -> dict:
+    """Loss and argmax accuracy (ties break to the lowest index) of the outputs
+    of ``net_predict``: the loss ``loss_and_seed`` picks, without its gradient
+    seed, and for 2-D regression targets the argmax agreement of rows."""
     out = net_predict(net, x)
-    labels = np.asarray(labels)
-    loss = _cross_entropy(out, labels)[0]
+    if np.ndim(target) == 1:
+        loss, labels = _cross_entropy(out, target)[0], np.asarray(target)
+    else:
+        loss, labels = sq_sum(_residuals(out, target)), np.argmax(target, axis=1)
     accuracy = float(np.mean(np.argmax(out, axis=1) == labels))
     return {"loss": loss, "accuracy": accuracy}
 

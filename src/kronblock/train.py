@@ -1,8 +1,8 @@
 """Trainers: proximal SGD for factored nets (L1 on the masks), the group-LASSO
 baseline on dense nets, block-magnitude pruning, and per-epoch metrics.
-Every trainer trains under the loss its data's targets pick
-(``network.loss_and_seed``): cross entropy on class labels, the squared loss
-on regression targets.
+Every trainer trains under, and ``eval_metrics`` scores, the loss its data's
+targets pick (``network.loss_and_seed``): cross entropy on class labels, the
+squared loss on regression targets.
 
 All trainers are deterministic bit-for-bit given (config, data, seed) on a
 single thread: initialization is the caller's, batch order comes from
@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import Dataset, batches
 from .factor import tiled_shape
-from .linalg import row_view, sq_sum, sub, tile_norms, tile_rows
+from .linalg import row_view, tile_norms, tile_rows
 # loss_and_seed and squared_frobenius are unused here, but the benchmark's
 # tracer (perfbench/spans.py) wraps them under this module's name.
 from .network import (  # noqa: F401
@@ -31,7 +31,6 @@ from .network import (  # noqa: F401
     loss_and_seed,
     net_backward,
     net_forward,
-    net_predict,
     network_backward_flops,
     network_forward_flops,
     squared_frobenius,
@@ -115,16 +114,10 @@ def _guard(loss: float) -> None:
 
 
 def eval_metrics(net: Network, ds: Dataset) -> tuple[float, float]:
-    """Eval loss and accuracy: ``network.evaluate`` for labelled datasets.
-    Regression datasets score the squared loss and, as accuracy, argmax
-    agreement between prediction and target rows (the classification proxy)."""
-    if ds.labels is not None:
-        result = evaluate(net, ds.x, ds.labels)
-        return result["loss"], result["accuracy"]
-    out = net_predict(net, ds.x)
-    loss = sq_sum(sub(out, ds.y))
-    accuracy = float(np.mean(np.argmax(out, axis=1) == np.argmax(ds.y, axis=1)))
-    return loss, accuracy
+    """Eval loss and accuracy: ``network.evaluate`` of ``ds``'s class labels,
+    or of its regression targets when it has none."""
+    result = evaluate(net, ds.x, ds.labels if ds.labels is not None else ds.y)
+    return result["loss"], result["accuracy"]
 
 
 def net_mask_sparsity(net: Network, eps_zero: float) -> float:

@@ -5,9 +5,12 @@ At 64 rows the factored step's time over its dense twin's is mostly per-call
 overhead, and calls, unlike timings, can be counted exactly. A fresh process
 at one OpenBLAS thread counts the Python ``call`` and C ``c_call`` events
 (``sys.setprofile``) of one ``train.train_step`` and one
-``network.net_predict``, each after one warm-up call, on three nets:
+``network.net_predict``, each after one warm-up call, on five nets:
 ``linear784``'s (5,392,2,2) r=2 layer (materialized), its 10x784 dense twin,
-and the ``wide1024`` net (fold first layer, materialized second).
+the ``wide1024`` net (fold first layer, materialized second), criterion 7's
+16x32 layer at (2,2) tiles, (8,16,2,2) r=4 (materialized), and ``linear784``'s
+two-layer audit net, (8,49,8,16) r=2 relu then (5,8,2,8) r=2, whose second
+layer computes its input gradient on the fold path.
 
 Each count must stay at most its budget. A change that cuts calls lowers the
 budget with it; one that raises a budget says why. The counts depend on the
@@ -30,6 +33,8 @@ BUDGETS = {
     "linear784": (["materialized"], (63, 60), (25, 19)),
     "linear784_dense": (["dense"], (30, 19), (13, 3)),
     "wide1024": (["fold", "materialized"], (107, 109), (42, 34)),
+    "criterion7": (["materialized"], (67, 62), (25, 19)),
+    "audit784": (["fold", "fold"], (102, 111), (39, 31)),
 }
 
 COUNT_CALLS = """
@@ -45,6 +50,9 @@ NETS = {
     "linear784_dense": [dense_spec(10, 784, "softmax_output")],
     "wide1024": [kron_spec(KronShape(64, 64, 16, 16, 2), "relu"),
                  kron_spec(KronShape(1, 64, 16, 16, 2), "softmax_output")],
+    "criterion7": [kron_spec(KronShape(8, 16, 2, 2, 4), "identity")],
+    "audit784": [kron_spec(KronShape(8, 49, 8, 16, 2), "relu"),
+                 kron_spec(KronShape(5, 8, 2, 8, 2), "softmax_output")],
 }
 
 

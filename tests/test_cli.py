@@ -1012,6 +1012,22 @@ def test_divergence_exit_code(tmp_path):
     assert main(["train", "--config", path, "--method", "kron", "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("command", [["train", "--method", "kron"],
+                                     ["train", "--method", "group-lasso"],
+                                     ["train", "--method", "prune"],
+                                     ["select-pattern"]])
+def test_float_overflow_ends_with_one_line(tmp_path, capsys, command):
+    # a learning rate that overflows the first update: one runtime error
+    # line and exit 2, with no numpy warning before it
+    cfg = select_config() if command[0] == "select-pattern" else teacher_train_config()
+    cfg["train"]["learning_rate"] = 1e308
+    path = write_config(tmp_path / "c.json", cfg)
+    argv = [command[0], "--config", path, *command[1:], "--out", str(tmp_path / "x")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and err.count("\n") == 1, err
+
+
 def select_config():
     return {
         "seed": 3,

@@ -415,8 +415,8 @@ EVALUATE_CASES = [
 @pytest.mark.parametrize("loss", ["squared_frobenius", "softmax_cross_entropy"])
 @pytest.mark.parametrize("case", range(len(EVALUATE_CASES)))
 def test_evaluate_matches_training_losses(case, loss):
-    # the squared loss evaluates regression targets (here one-hot rows) in
-    # eval_metrics, the cross entropy class labels in evaluate
+    # evaluate scores regression targets (here one-hot rows, passed through
+    # eval_metrics) under the squared loss, class labels under the cross entropy
     specs, batches = EVALUATE_CASES[case]
     net = build_network(specs, seed=case)
     rng = np.random.default_rng(case)
@@ -436,6 +436,24 @@ def test_evaluate_matches_training_losses(case, loss):
             assert kb.train.eval_metrics(net, Dataset(x, y=onehot)) == (want_loss, accuracy)
         else:
             assert evaluate(net, x, labels) == {"loss": want_loss, "accuracy": accuracy}
+
+
+@pytest.mark.parametrize("specs", [
+    [kron_spec(KronShape(5, 392, 2, 2, 2), "softmax_output")],
+    [dense_spec(10, 784, "softmax_output")],
+], ids=["kron", "dense"])
+def test_evaluate_scores_regression_targets(specs):
+    # 2-D targets score the squared loss and the argmax agreement of rows
+    net = build_network(specs, seed=3)
+    rng = np.random.default_rng(4)
+    for rows in (1, 256):
+        x, y = rng.standard_normal((rows, 784)), rng.standard_normal((rows, 10))
+        out = net_predict(net, x)
+        want_loss = kb.linalg.sq_sum(kb.linalg.sub(out, y))
+        want_acc = float(np.mean(np.argmax(out, axis=1) == np.argmax(y, axis=1)))
+        assert evaluate(net, x, y) == {"loss": want_loss, "accuracy": want_acc}
+    with pytest.raises(ValueError, match=r"target shape \(256, 9\) != output shape"):
+        evaluate(net, x, y[:, :9])
 
 
 def _reference_softmax_cross_entropy(o, labels):
