@@ -114,9 +114,6 @@ from kronblock.network import (  # noqa: E402
     kron_spec,
     layer_backward,
     layer_forward,
-    network_backward_flops,
-    network_forward_flops,
-    network_update_flops,
     product_orientation,
 )
 from kronblock.patterns import PatternSet, select_pattern  # noqa: E402
@@ -304,8 +301,8 @@ def measure(shape: KronShape, n_batch: int, repeats: int, rng) -> dict:
         return path_row(flops, time_update(layer.copy(), grad, repeats))
 
     cell["update"] = {
-        "kron": update_row(fl.kron_update_flops(shape), "fold"),
-        "dense": update_row(fl.dense_update_flops(shape.m, shape.n), "dense"),
+        "kron": update_row(fl.kron_layer_report(n_batch, shape).update, "fold"),
+        "dense": update_row(fl.dense_layer_report(n_batch, shape.m, shape.n).update, "dense"),
     }
     cell["step_peak_bytes"] = {
         path: {part: step_peak(layers[path], path, x, d_out, dx) for part, dx in STEPS.items()}
@@ -388,11 +385,13 @@ def tile_ops(repeats: int, rng) -> dict:
 
 def step_flops(nets, n_samples: int, batch: int) -> int:
     """Cost-model flops of one epoch of training steps of each net in ``nets``
-    over ``n_samples`` rows: forward, backward and update per batch."""
-    sizes = [batch] * (n_samples // batch) + ([n_samples % batch] if n_samples % batch else [])
+    over ``n_samples`` rows: the step total of one ``layers_report`` per batch
+    size, times the batches of that size."""
+    full, rest = divmod(n_samples, batch)
+    counts = {batch: full, rest: 1} if rest else {batch: full}
     return sum(
-        network_forward_flops(net, b) + network_backward_flops(net, b) + network_update_flops(net)
-        for net in nets for b in sizes
+        count * fl.layers_report(b, [layer.spec for layer in net.layers]).total
+        for net in nets for b, count in counts.items()
     )
 
 

@@ -36,14 +36,10 @@ from .factor import (
 )
 from .flops import (
     FlopReport,
-    dense_backward_flops,
-    dense_forward_flops,
     dense_layer_report,
     instrumented_count,
     kron_backward_flops,
-    kron_forward_flops,
     kron_layer_report,
-    kron_update_flops,
     two_layer_dense_report,
     train_path,
     two_layer_kron_report,

@@ -797,15 +797,17 @@ def cmd_decompose(args) -> int:
         raise ConfigError(f"--in: expected a non-empty 2-D matrix, got shape {w.shape}")
     if not np.isfinite(w).all():
         raise ConfigError("--in: matrix has non-finite entries")
-    try:  # the block must tile the matrix
+    # the block must tile the matrix, and the factor (one A_i per nonzero
+    # tile) and its round trip must fit in memory
+    try:
         factor = reconstruct_from_blockwise(w, (m2, n2))
-    except ValueError as exc:
+        roundtrip = materialize(factor)
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(f"--block: {exc}") from exc
     try:
         save_factor(args.out, factor)
     except OSError as exc:
         raise ConfigError(f"--out: {exc}") from exc
-    roundtrip = materialize(factor)
     report = {
         "rank": factor.shape.r,
         "nonzero_tiles": int(np.sum(factor.s != 0.0)),

@@ -59,7 +59,8 @@ class IdxCountMismatchError(IdxFormatError):
 
 
 class Dataset:
-    """Feature matrix plus either integer class labels or regression targets.
+    """Feature matrix plus either integer class labels or regression targets,
+    never both.
 
     The constructor validates its arrays (without copying ones that are
     already contiguous of the right dtype). A subset shares them and keeps a
@@ -74,9 +75,11 @@ class Dataset:
             raise ValueError("features must be a non-empty 2-D array")
         if not np.all(np.isfinite(x)):
             raise ValueError("features must be finite")
-        if labels is None and y is None:
-            raise ValueError("dataset needs labels or targets")
+        if (labels is None) == (y is None):
+            raise ValueError("dataset needs either labels or targets, not both")
         if labels is not None:
+            if np.asarray(labels).dtype.kind not in "iu":
+                raise ValueError("labels must be integers")
             labels = np.ascontiguousarray(labels, dtype=np.int64)
             if labels.shape != (x.shape[0],):
                 raise ValueError("labels must be one integer per row")

@@ -5,11 +5,12 @@ mask ``S`` and the ``A_i`` are ``m1 x n1``, the ``B_i`` are ``m2 x n2``, and
 entry ``S[i1, j1]`` gates exactly tile ``(i1, j1)`` of the materialized
 ``m x n`` weight. The factors are stored stacked: ``A`` is one ``(r, m1, n1)``
 array and ``B`` one ``(r, m2, n2)`` array, and S, A and B are views into one
-flat buffer per layer. The backward returns the gradient as one buffer in the
-same layout (``views`` gives its dS, dA and dB, written in place), so one
-momentum-SGD update steps a whole layer. Every product ``S * A_i`` comes from
-one broadcast product over the stack. A layer trains on one of two paths, which
-``flops.train_path`` picks from its shape and batch size:
+flat buffer per layer. Both paths' backwards end in one gradient tail, which
+returns the gradient as one buffer in the same layout (``views`` gives its
+dS, dA and dB, written in place), so one momentum-SGD update steps a whole
+layer. Every product ``S * A_i`` comes from one broadcast product over the
+stack. A layer trains on one of two paths, which ``flops.train_path`` picks
+from its shape and batch size:
 
 * the *fold* path (``forward``, ``backward``, ``backward_params``) never
   builds the weight. It stacks the r rank terms, so the forward is two
@@ -243,17 +244,24 @@ def forward(factor: KronFactor, x: np.ndarray) -> tuple[np.ndarray, KronForwardC
     return out, KronForwardCache(nb, x, y, masked_a)
 
 
-def _mask_gradients(factor: KronFactor, g: np.ndarray, d_s: np.ndarray, d_a: np.ndarray):
-    # g: (r, m1, n1), G_i the gradient w.r.t. S * A_i, made contiguous for
-    # the two products (a copy on the fold path only). The G_i * A_i go into
-    # dA's view, dS sums them in rank order, and then dA_i = G_i * S
-    # overwrites them; each is one broadcast product
+def _gradient(factor: KronFactor, g: np.ndarray, left, right) -> np.ndarray:
+    """The parameter gradient, one fresh buffer laid out as ``factor.flat``,
+    from the G_i (``g``, shape ``(r, m1, n1)``, the gradient w.r.t. the
+    S * A_i) and the two operands of the stacked dB_i = ``left @ right``: the
+    gradient tail both paths share."""
+    grad = np.empty(factor.flat.size)
+    d_s, d_a, d_b = views(factor.shape, grad)
+    matmul(left, right, out=d_b.reshape(left.shape[0], right.shape[1]))
+    # G made contiguous for the two products (a copy on the fold path only).
+    # The G_i * A_i go into dA's view, dS sums them in rank order, and then
+    # dA_i = G_i * S overwrites them; each is one broadcast product
     g = np.ascontiguousarray(g)
     hadamard(g, factor.a, out=d_a)
     d_s[:] = d_a[0]
     for term in d_a[1:]:
         add(d_s, term, out=d_s)
     hadamard(g, factor.s, out=d_a)
+    return grad
 
 
 def _backward(
@@ -274,13 +282,11 @@ def _backward(
     g = matmul(d_t, y_t)
     del d_t, y_t
     d_y = bmatmul(cache.masked_a.T, d).reshape(nb * sh.n1, sh.r * sh.m2)
-    grad = np.empty(count_params(sh))
-    d_s, d_a, d_b = views(sh, grad)
-    b_rows = factor.b.reshape(sh.r * sh.m2, sh.n2)
-    matmul(d_y.T, cache.x.reshape(nb * sh.n1, sh.n2), out=d_b.reshape(b_rows.shape))
-    d_x = matmul(d_y, b_rows).reshape(nb, sh.n) if with_dx else None
-    _mask_gradients(factor, g.reshape(sh.m1, sh.n1, sh.r).transpose(2, 0, 1), d_s, d_a)
-    return grad, d_x
+    g = g.reshape(sh.m1, sh.n1, sh.r).transpose(2, 0, 1)
+    grad = _gradient(factor, g, d_y.T, cache.x.reshape(nb * sh.n1, sh.n2))
+    if not with_dx:
+        return grad, None
+    return grad, matmul(d_y, factor.b.reshape(sh.r * sh.m2, sh.n2)).reshape(nb, sh.n)
 
 
 def backward(
@@ -327,11 +333,7 @@ def weight_gradient(factor: KronFactor, masked_a: np.ndarray, d_w: np.ndarray) -
     sh = factor.shape
     t = fold_tiles(d_w, sh.m2, sh.n2)
     g = matmul(factor.b.reshape(sh.r, -1), t.T)
-    grad = np.empty(count_params(sh))
-    d_s, d_a, d_b = views(sh, grad)
-    matmul(masked_a.T, t, out=d_b.reshape(sh.r, -1))
-    _mask_gradients(factor, g.reshape(sh.r, sh.m1, sh.n1), d_s, d_a)
-    return grad
+    return _gradient(factor, g.reshape(sh.r, sh.m1, sh.n1), masked_a.T, t)
 
 
 def reconstruct_from_blockwise(w: np.ndarray, block: tuple[int, int]) -> KronFactor:

@@ -4,7 +4,8 @@ Two independent routes are kept deliberately separate and compared in tests:
 
 * the *analytic* cost model: per-layer forward and backward pieces (exact
   integers, pre-asymptotic) that ``layers_report`` sums over a model's
-  ``LayerSpec``s; every closed form and report below is such a sum, and
+  ``LayerSpec``s into one ``FlopReport`` (forward, backward, update and
+  their total); every report and count below reads such a sum, and
 * the *instrumented* counter: ``counted_step`` runs one real training step
   of a ``network.Network`` (``net_forward``, then the training
   ``net_backward`` under the squared loss its 2-D targets pick) inside
@@ -229,25 +230,18 @@ def train_path(n_batch: int, s: KronShape, with_dx: bool) -> str:
     return "materialized" if steps["materialized"] <= steps["fold"] else "fold"
 
 
-def dense_update_flops(m: int, n: int) -> int:
-    return m * n
-
-
-def kron_update_flops(s: KronShape) -> int:
-    return s.r * (s.m1 * s.n1 + s.m2 * s.n2)
-
-
 def _layer_pieces(n_batch: int, spec: LayerSpec, with_dx: bool):
     """Forward pieces, backward pieces and update flops of one layer, on the
-    ``train_path`` of a factored layer."""
+    ``train_path`` of a factored layer. The update costs one flop per A_i and
+    B_i entry of a factored layer, one per weight entry of a dense one."""
     if spec.kind == "kron":
         s = spec.shape
         fwd, bwd = _kron_path_pieces(n_batch, s, with_dx)[train_path(n_batch, s, with_dx)]
-        return fwd, bwd, kron_update_flops(s)
+        return fwd, bwd, s.r * (s.m1 * s.n1 + s.m2 * s.n2)
     return (
         _dense_forward_pieces(n_batch, spec.m, spec.n),
         _dense_backward_pieces(n_batch, spec.m, spec.n, with_dx),
-        dense_update_flops(spec.m, spec.n),
+        spec.m * spec.n,
     )
 
 
@@ -284,6 +278,10 @@ def layers_report(n_batch: int, specs: list) -> FlopReport:
     breakdown.update({f"backward.{k}": v for k, v in bwd.items()})
     breakdown["update.params"] = upd
     return FlopReport(sum(fwd.values()), sum(bwd.values()), upd, breakdown)
+
+
+# The reports of the four ``kronblock flops`` kinds. ``cli`` imports each by
+# its name, and perfbench's tracer rebinds those names in ``cli`` to time them.
 
 
 def dense_layer_report(n_batch: int, m: int, n: int) -> FlopReport:
@@ -332,32 +330,16 @@ def two_layer_kron_report(n_batch: int, s1: KronShape, s2: KronShape) -> FlopRep
     return rep
 
 
-def dense_forward_flops(n_batch: int, m: int, n: int) -> int:
-    """Dense layer forward incl. squared loss: Nm(2n-1) + 3Nm - 1."""
-    return dense_layer_report(n_batch, m, n).forward
-
-
-def dense_backward_flops(n_batch: int, m: int, n: int) -> int:
-    """Dense layer backward: Nm (seed) + mn(2N-1) (weight gradient)."""
-    return dense_layer_report(n_batch, m, n).backward
-
-
 def kron_forward_matmul_flops(n_batch: int, s: KronShape) -> int:
-    """Flops to produce the layer output on the fold path (loss excluded):
-    r(N*m1*m2*(2n1-1) + m1*n1 + N*n1*m2*(2n2-1)) + (r-1)*N*m."""
+    """Flops of one fold-path ``factor.forward`` (no loss): the sum of its
+    forward pieces. perfbench's tracer prices each traced call with it."""
     return sum(_kron_forward_pieces(n_batch, s).values())
 
 
-def kron_forward_flops(n_batch: int, s: KronShape) -> int:
-    """Factored layer forward incl. squared loss, on its ``train_path``."""
-    return kron_layer_report(n_batch, s).forward
-
-
 def kron_backward_flops(n_batch: int, s: KronShape) -> int:
-    """Factored layer backward (single-layer model, no input gradient) on its
-    ``train_path``. Fold: Nm + r*m1n1*(2Nm2-1) + r*m1n1 + (r-1)*m1n1 + r*m1n1
-    + r*N*m2*n1*(2m1-1) + r*m2n2*(2Nn1-1). Materialized: Nm + mn(2N-1)
-    + r*m1n1*(2m2n2-1) + r*m1n1 + (r-1)*m1n1 + r*m1n1 + r*m2n2*(2m1n1-1)."""
+    """``kron_layer_report(n_batch, s).backward``: a single-layer model's
+    backward on its ``train_path``, without the input gradient. perfbench's
+    tracer prices each traced ``factor.backward`` call from it."""
     return kron_layer_report(n_batch, s).backward
 
 

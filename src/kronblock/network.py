@@ -140,11 +140,18 @@ def _cross_entropy(o: np.ndarray, labels) -> tuple[float, np.ndarray, np.ndarray
     reduces a transposed contiguous copy, one vectorized pass per class
     rather than one call per row (a max is exact in any order), and the mean
     is the sum over the batch divided by its size, as ``np.mean`` computes
-    it."""
+    it. A label must be an integer in [0, C) for C classes: any other index
+    would pick a wrong logit or none."""
     labels = np.asarray(labels)
     nbatch = o.shape[0]
     if labels.shape != (nbatch,):
         raise ValueError(f"labels must have shape ({nbatch},), got {labels.shape}")
+    if (
+        labels.dtype.kind not in "iu"
+        or np.minimum.reduce(labels) < 0
+        or np.maximum.reduce(labels) >= o.shape[1]
+    ):
+        raise ValueError("labels must be integers in [0, C)")
     z = o - np.ascontiguousarray(o.T).max(axis=0)[:, None]
     e = np.exp(z)
     total = e.sum(axis=1, keepdims=True)
@@ -359,22 +366,19 @@ def count_network_params(net: Network) -> int:
     return sum(layer.params.size for layer in net.layers)
 
 
+# The step's analytic flops under the squared loss, one field of
+# ``flops.layers_report`` each; perfbench/run.py reads them by these names.
+
+
 def network_forward_flops(net: Network, n_batch: int) -> int:
-    """Analytic forward flops for one batch, squared-loss accounting (the only
-    loss the cost model covers; used whatever loss the targets pick)."""
     return fl.layers_report(n_batch, [layer.spec for layer in net.layers]).forward
 
 
 def network_backward_flops(net: Network, n_batch: int) -> int:
-    """Analytic backward flops for one batch of the training backward,
-    ``net_backward`` without the network input's gradient (seed, per-layer
-    gradients, input gradients for all but the first layer, relu mask
-    products)."""
     return fl.layers_report(n_batch, [layer.spec for layer in net.layers]).backward
 
 
 def network_update_flops(net: Network) -> int:
-    # the update cost does not depend on the batch size
     return fl.layers_report(1, [layer.spec for layer in net.layers]).update
 
 

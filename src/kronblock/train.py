@@ -21,6 +21,7 @@ import numpy as np
 
 from .data import Dataset, batches
 from .factor import tiled_shape
+from .flops import layers_report
 from .linalg import row_view, tile_norms, tile_rows
 # loss_and_seed and squared_frobenius are unused here, but the benchmark's
 # tracer (perfbench/spans.py) wraps them under this module's name.
@@ -31,8 +32,6 @@ from .network import (  # noqa: F401
     loss_and_seed,
     net_backward,
     net_forward,
-    network_backward_flops,
-    network_forward_flops,
     squared_frobenius,
 )
 
@@ -155,6 +154,7 @@ def collect_metrics(
     eval_loss, accuracy = eval_metrics(net, eval_data)
     if sparsity is None:
         sparsity = net_mask_sparsity(net, cfg.eps_zero)
+    step = layers_report(cfg.batch_size, [layer.spec for layer in net.layers])
     return MetricRecord(
         epoch=epoch,
         train_loss=float(train_loss),
@@ -162,8 +162,8 @@ def collect_metrics(
         accuracy=accuracy,
         sparsity_rate=float(sparsity),
         trainable_params=count_network_params(net),
-        forward_flops=network_forward_flops(net, cfg.batch_size),
-        backward_flops=network_backward_flops(net, cfg.batch_size),
+        forward_flops=step.forward,
+        backward_flops=step.backward,
     )
 
 

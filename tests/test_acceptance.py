@@ -18,15 +18,9 @@ import kronblock as kb
 from kronblock import KronShape, SelectConfig, TrainConfig
 from kronblock.data import find_mnist
 from kronblock.flops import (
-    dense_backward_flops,
-    dense_forward_flops,
     dense_layer_report,
-    dense_update_flops,
     instrumented_count,
-    kron_backward_flops,
-    kron_forward_flops,
     kron_layer_report,
-    kron_update_flops,
     train_path,
     two_layer_dense_report,
     two_layer_kron_report,
@@ -178,23 +172,17 @@ def test_criterion_4_flop_exactness():
         x = rng.standard_normal((n_batch, n))
         w = rng.standard_normal((m, n))
         y = rng.standard_normal((n_batch, m))
-        assert instrumented_count("dense_forward", x=x, w=w, y=y) == dense_forward_flops(
-            n_batch, m, n
-        )
-        assert instrumented_count("dense_backward", x=x, w=w, y=y) == dense_backward_flops(
-            n_batch, m, n
-        )
+        dense = dense_layer_report(n_batch, m, n)
+        assert instrumented_count("dense_forward", x=x, w=w, y=y) == dense.forward
+        assert instrumented_count("dense_backward", x=x, w=w, y=y) == dense.backward
 
         shape = random_shape(rng, max_dim=32)
         f = random_dense_factor(shape, rng)
         xk = rng.standard_normal((n_batch, shape.n))
         yk = rng.standard_normal((n_batch, shape.m))
-        assert instrumented_count("kron_forward", factor=f, x=xk, y=yk) == kron_forward_flops(
-            n_batch, shape
-        )
-        assert instrumented_count("kron_backward", factor=f, x=xk, y=yk) == kron_backward_flops(
-            n_batch, shape
-        )
+        kron = kron_layer_report(n_batch, shape)
+        assert instrumented_count("kron_forward", factor=f, x=xk, y=yk) == kron.forward
+        assert instrumented_count("kron_backward", factor=f, x=xk, y=yk) == kron.backward
 
         d_in, d_hidden, d_out = (int(rng.integers(1, 33)) for _ in range(3))
         x2 = rng.standard_normal((n_batch, d_in))
@@ -402,7 +390,8 @@ def test_criterion_8_baseline_parity():
 
 def _counted_training_flops(shape, n_batch, rng):
     """Batch-n training flops (forward + backward from the instrumented counter,
-    plus the update formulas) of the factored layer and its dense twin."""
+    plus one update flop per A_i and B_i entry, or per weight entry) of the
+    factored layer and its dense twin."""
     m, n = shape.m, shape.n
     x = rng.standard_normal((n_batch, n))
     y = rng.standard_normal((n_batch, m))
@@ -411,12 +400,12 @@ def _counted_training_flops(shape, n_batch, rng):
     kron = (
         instrumented_count("kron_forward", factor=f, x=x, y=y)
         + instrumented_count("kron_backward", factor=f, x=x, y=y)
-        + kron_update_flops(shape)
+        + f.a.size + f.b.size
     )
     dense = (
         instrumented_count("dense_forward", x=x, w=w, y=y)
         + instrumented_count("dense_backward", x=x, w=w, y=y)
-        + dense_update_flops(m, n)
+        + w.size
     )
     return kron, dense
 

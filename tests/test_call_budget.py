@@ -12,10 +12,12 @@ the ``wide1024`` net (fold first layer, materialized second), criterion 7's
 two-layer audit net, (8,49,8,16) r=2 relu then (5,8,2,8) r=2, whose second
 layer computes its input gradient on the fold path.
 
-Each count must stay at most its budget. A change that cuts calls lowers the
-budget with it; one that raises a budget says why. The counts depend on the
-numpy version: the budgets were set under numpy ``NUMPY_VERSION``, and a
-numpy upgrade restates them as its own declared change.
+Each count must equal its budget. A count above it fails, and so does one
+below it, with a message to lower the budget: a change that cuts calls
+lowers the budget with it, so no slack is left behind, and one that raises a
+budget says why. The counts depend on the numpy version: the budgets were
+set under numpy ``NUMPY_VERSION``, and a numpy upgrade restates them as its
+own declared change.
 """
 
 import json
@@ -30,11 +32,11 @@ ROWS = 64
 # per net: its train paths at ROWS rows, then the (python, C) call budgets of
 # one train_step and of one net_predict
 BUDGETS = {
-    "linear784": (["materialized"], (63, 60), (25, 19)),
-    "linear784_dense": (["dense"], (30, 19), (13, 3)),
-    "wide1024": (["fold", "materialized"], (107, 109), (42, 34)),
-    "criterion7": (["materialized"], (67, 62), (25, 19)),
-    "audit784": (["fold", "fold"], (102, 111), (39, 31)),
+    "linear784": (["materialized"], (62, 62), (25, 19)),
+    "linear784_dense": (["dense"], (30, 21), (13, 3)),
+    "wide1024": (["fold", "materialized"], (105, 110), (42, 34)),
+    "criterion7": (["materialized"], (66, 64), (25, 19)),
+    "audit784": (["fold", "fold"], (100, 112), (39, 31)),
 }
 
 COUNT_CALLS = """
@@ -94,5 +96,7 @@ def test_step_and_predict_calls_within_budget():
         assert got_paths == paths, (name, got_paths)
         for what, got, budget in (("train_step", step, step_budget),
                                   ("net_predict", predict, predict_budget)):
-            within = all(g <= b for g, b in zip(got, budget, strict=True))
-            assert within, f"{name} {what}: (python, C) calls {got} > {budget}; {where}"
+            counts = f"{name} {what}: (python, C) calls {got}"
+            assert all(g <= b for g, b in zip(got, budget, strict=True)), (
+                f"{counts} > {budget}; {where}")
+            assert tuple(got) == budget, f"{counts} < {budget}: lower the budget; {where}"

@@ -1294,6 +1294,25 @@ def test_decompose_bad_block_arg(tmp_path, capsys):
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("stage", ["reconstruct_from_blockwise", "materialize"])
+def test_decompose_allocation_failure_is_a_block_error(tmp_path, capsys, monkeypatch, stage):
+    # a dense 1024x1024 matrix at 1x1 blocks needs an (r, m1*n1) stack of 8
+    # TiB; that MemoryError (stubbed here) ends with exit code 1 and one line
+    # naming --block, before --out is written
+    def out_of_memory(*_args):
+        raise MemoryError("Unable to allocate 8.00 TiB for an array with shape "
+                          "(1048576, 1048576) and data type float64")
+
+    monkeypatch.setattr(cli, stage, out_of_memory)
+    np.save(tmp_path / "w.npy", np.ones((4, 4)))
+    out = tmp_path / "f.kbf"
+    argv = ["decompose", "--in", str(tmp_path / "w.npy"), "--block", "1x1", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --block: Unable to allocate 8.00 TiB") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_decompose_rejects_non_finite_matrix(tmp_path, capsys):
     # a NaN or inf entry ends with exit code 1 and one line, before --out is
     # written (a NaN would otherwise print an invalid JSON report)

@@ -269,6 +269,19 @@ def test_dataset_validation(rng):
         Dataset(np.array([[np.inf, 0.0]]), labels=np.array([0]))
 
 
+def test_dataset_takes_integer_labels_or_targets_not_both(rng):
+    x = rng.standard_normal((3, 2))
+    for labels in ([0.5, 1.7, 2.2], [0.0, 1.0, 2.0], [True, False, True]):
+        with pytest.raises(ValueError, match="labels must be integers"):
+            Dataset(x, labels=labels)
+    with pytest.raises(ValueError, match="either labels or targets, not both"):
+        Dataset(x, labels=[0, 1, 2], y=np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="either labels or targets, not both"):
+        Dataset(x)
+    for labels in ([0, 1, 2], np.array([0, 1, 2], dtype=np.uint8)):
+        assert Dataset(x, labels=labels).labels.tolist() == [0, 1, 2]
+
+
 def test_dataset_rejects_non_finite_targets(rng):
     x = rng.standard_normal((3, 2))
     for bad in (np.nan, np.inf):

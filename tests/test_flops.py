@@ -14,14 +14,10 @@ from kronblock import KronShape
 from kronblock import flops as fl
 from kronblock import linalg
 from kronblock.flops import (
-    dense_backward_flops,
-    dense_forward_flops,
     dense_layer_report,
     instrumented_count,
     kron_backward_flops,
-    kron_forward_flops,
     kron_layer_report,
-    kron_update_flops,
     train_path,
     two_layer_dense_report,
     two_layer_kron_report,
@@ -33,32 +29,32 @@ from conftest import layer_forward_identity, random_dense_factor, random_mixed_n
 
 
 def test_dense_forward_closed_form():
-    assert dense_forward_flops(1, 1, 1) == 3
+    assert dense_layer_report(1, 1, 1).forward == 3
     # 784 -> 10 linear model: 10*(2*784 - 1) + 3*10 - 1 = 15670 + 29
-    assert dense_forward_flops(1, 10, 784) == 15699
+    assert dense_layer_report(1, 10, 784).forward == 15699
 
 
 def test_dense_forward_asymptotic():
     # leading term 2Nm(n+1)
     n = 100_000
-    ratio = dense_forward_flops(2, 3, n) / (2 * 2 * 3 * (n + 1))
+    ratio = dense_layer_report(2, 3, n).forward / (2 * 2 * 3 * (n + 1))
     assert abs(ratio - 1.0) < 1e-3
 
 
 def test_dense_backward_closed_form():
-    assert dense_backward_flops(1, 1, 1) == 2
-    assert dense_backward_flops(2, 3, 4) == 42
+    assert dense_layer_report(1, 1, 1).backward == 2
+    assert dense_layer_report(2, 3, 4).backward == 42
 
 
 def test_dense_backward_asymptotic():
     # leading term Nm(2n+1) (exact as both N and n grow)
     n_batch = n = 10_000
-    ratio = dense_backward_flops(n_batch, 3, n) / (n_batch * 3 * (2 * n + 1))
+    ratio = dense_layer_report(n_batch, 3, n).backward / (n_batch * 3 * (2 * n + 1))
     assert abs(ratio - 1.0) < 1e-3
 
 
 def test_kron_forward_degenerate():
-    assert kron_forward_flops(1, KronShape(1, 1, 1, 1, 1)) == 5
+    assert kron_layer_report(1, KronShape(1, 1, 1, 1, 1)).forward == 5
 
 
 def test_kron_forward_matches_counter_example1_shape(rng):
@@ -66,17 +62,18 @@ def test_kron_forward_matches_counter_example1_shape(rng):
     f = random_dense_factor(shape, rng)
     x = rng.standard_normal((1, shape.n))
     y = rng.standard_normal((1, shape.m))
-    assert kron_forward_flops(1, shape) == instrumented_count("kron_forward", factor=f, x=x, y=y)
+    counted = instrumented_count("kron_forward", factor=f, x=x, y=y)
+    assert kron_layer_report(1, shape).forward == counted
 
 
 def test_kron_forward_reduction_is_shape_dependent():
     # 10 x 784 linear model: the wide-block shape reduces flops at rank 2 and
     # the (2,2) shape does at rank 1; the (2,2) shape at rank 2 does NOT
     # (exact counting rules that combination out).
-    dense = dense_forward_flops(1, 10, 784)
-    assert kron_forward_flops(1, KronShape(5, 49, 2, 16, 2)) < dense
-    assert kron_forward_flops(1, KronShape(5, 392, 2, 2, 1)) < dense
-    assert kron_forward_flops(1, KronShape(5, 392, 2, 2, 2)) > dense
+    dense = dense_layer_report(1, 10, 784).forward
+    assert kron_layer_report(1, KronShape(5, 49, 2, 16, 2)).forward < dense
+    assert kron_layer_report(1, KronShape(5, 392, 2, 2, 1)).forward < dense
+    assert kron_layer_report(1, KronShape(5, 392, 2, 2, 2)).forward > dense
 
 
 def test_kron_backward_degenerate():
@@ -174,14 +171,16 @@ def test_instrumented_equals_analytic_single_layer(seed):
     f = random_dense_factor(shape, r)
     x = r.standard_normal((n, shape.n))
     y = r.standard_normal((n, shape.m))
-    assert instrumented_count("kron_forward", factor=f, x=x, y=y) == kron_forward_flops(n, shape)
-    assert instrumented_count("kron_backward", factor=f, x=x, y=y) == kron_backward_flops(n, shape)
+    kron = kron_layer_report(n, shape)
+    assert instrumented_count("kron_forward", factor=f, x=x, y=y) == kron.forward
+    assert instrumented_count("kron_backward", factor=f, x=x, y=y) == kron.backward
     m, nn = int(r.integers(1, 17)), int(r.integers(1, 17))
     w = r.standard_normal((m, nn))
     xd = r.standard_normal((n, nn))
     yd = r.standard_normal((n, m))
-    assert instrumented_count("dense_forward", x=xd, w=w, y=yd) == dense_forward_flops(n, m, nn)
-    assert instrumented_count("dense_backward", x=xd, w=w, y=yd) == dense_backward_flops(n, m, nn)
+    dense = dense_layer_report(n, m, nn)
+    assert instrumented_count("dense_forward", x=xd, w=w, y=yd) == dense.forward
+    assert instrumented_count("dense_backward", x=xd, w=w, y=yd) == dense.backward
 
 
 @given(seed=st.integers(0, 2**31))
@@ -206,7 +205,8 @@ def test_formulas_monotone_in_each_dimension(seed):
         step = kron_layer_report(n_grown, shape)
         step_before = kron_layer_report(n, base)
         assert step.forward + step.backward >= step_before.forward + step_before.backward
-    assert dense_forward_flops(n + 1, base.m, base.n) >= dense_forward_flops(n, base.m, base.n)
+    dense_grown, dense = (dense_layer_report(k, base.m, base.n) for k in (n + 1, n))
+    assert dense_grown.forward >= dense.forward
 
 
 def test_update_flops_below_dense_for_optimized_shapes():
@@ -221,7 +221,7 @@ def test_update_flops_below_dense_for_optimized_shapes():
             for r in range(1, max(1, ceiling // 2) + 1):
                 if r > ceiling // 2:
                     continue
-                assert kron_update_flops(KronShape(m1, n1, m2, n2, r)) <= m * n
+                assert kron_layer_report(1, KronShape(m1, n1, m2, n2, r)).update <= m * n
 
 
 def test_unknown_tag_rejected():

@@ -498,6 +498,20 @@ def test_loss_and_seed_follows_the_targets(rng):
         assert seed.tobytes() == want_seed.tobytes()
 
 
+@pytest.mark.parametrize("labels", [[-1, 2], [0, 3], [0.0, 1.0], [0.5, 1.7], [True, False]])
+def test_labels_outside_the_classes_are_rejected(labels):
+    # a label must index one of the C = 3 outputs: -1 would score as class 2,
+    # 3 or a float would end in an IndexError
+    net = build_network([dense_spec(3, 4)], seed=0)
+    x = np.random.default_rng(0).standard_normal((2, 4))
+    o = net_predict(net, x)
+    for score in (lambda: evaluate(net, x, labels),
+                  lambda: softmax_cross_entropy(o, np.asarray(labels))):
+        with pytest.raises(ValueError, match=r"labels must be integers in \[0, C\)"):
+            score()
+    assert evaluate(net, x, [0, 2])["loss"] == softmax_cross_entropy(o, np.array([0, 2]))[0]
+
+
 @pytest.mark.parametrize("x,message", [
     (np.zeros(6), "x must be 2-D"),
     (np.zeros((2, 3, 2)), "x must be 2-D"),
