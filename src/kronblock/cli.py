@@ -18,12 +18,15 @@ A bad ``--config`` (missing, a directory, not UTF-8 or not JSON) or an
 exit code 1; ``train`` and ``select-pattern`` make ``--out``, then check every
 config section, before reading any data. The dataset's targets pick the
 training loss: cross entropy for class labels, the squared loss for
-regression targets.
+regression targets. ``flops`` spells its kind as a list of ``LayerSpec``s,
+builds them with ``build_network`` as ``train`` does, and counts one
+training step of that network against the analytic report.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import ctypes
 import functools
@@ -53,17 +56,18 @@ from .factor import (
     KronShape,
     count_params,
     materialize,
-    random_factor,
     reconstruct_from_blockwise,
     save_factor,
     tiled_shape,
 )
-from .flops import (
+from .flops import counted_step, layers_report, two_layer_kron_report
+# instrumented_count and these three reports are unused here, but the
+# benchmark's tracer (perfbench/spans.py) wraps them under this module's name.
+from .flops import (  # noqa: F401
     dense_layer_report,
     instrumented_count,
     kron_layer_report,
     two_layer_dense_report,
-    two_layer_kron_report,
 )
 from .network import (
     ACTIVATIONS,
@@ -189,8 +193,8 @@ def _patterns(value, path: str) -> list:
             if isinstance(blocks, list) else blocks for k, blocks in enumerate(value)]
 
 
-# The audit draws batch x width random inputs and runs one training step on
-# them; exact counts need no more rows than this.
+# The audit draws its network and batch x width random inputs, and counts one
+# training step on them; exact counts need no more rows than this.
 FLOP_AUDIT_MAX_BATCH = 4096
 
 
@@ -370,14 +374,15 @@ def model_specs(model_cfg, force_dense: bool = False) -> list:
     return specs
 
 
-def build_model(model_cfg, specs: list, seed: int) -> Network:
-    """The network of ``model_specs``; a net too large to allocate, or whose
-    init scale overflows a float, is a config error."""
-    init_seed = _dataclass_section(ModelInit, model_cfg, "model", (Model,)).init_seed
+@contextlib.contextmanager
+def _building(field: str):
+    """What building a net or its inputs raises, a ValueError, or a net or
+    input too large to allocate or whose init scale overflows a float, ends
+    as a config error of ``field``."""
     try:
-        return build_network(specs, seed=seed if init_seed is None else init_seed)
+        yield
     except (ValueError, MemoryError, OverflowError) as exc:
-        raise ConfigError(f"model.layers: {exc}") from exc
+        raise ConfigError(f"{field}: {exc}") from exc
 
 
 def build_dataset(ds, seed: int, in_dim: int, out_dim: int) -> tuple[Dataset, Dataset | None]:
@@ -592,7 +597,9 @@ def cmd_train(args) -> int:
         return specs, specs[0].in_dim, specs[-1].out_dim
 
     run = run_inputs(args, TrainFile, parse)
-    net = build_model(run.cfg.model, run.model, run.seed)
+    init_seed = _dataclass_section(ModelInit, run.cfg.model, "model", (Model,)).init_seed
+    with _building("model.layers"):
+        net = build_network(run.model, seed=run.seed if init_seed is None else init_seed)
     try:
         if method == "kron":
             net, records = train_kron(net, run.train_ds, run.tcfg, eval_data=run.eval_ds)
@@ -700,64 +707,39 @@ def cmd_shape_opt(args) -> int:
     return 0
 
 
-def flop_audit_case(section):
-    """Validate a ``flops`` config section and build its audit case: the
-    analytic report, the instrumented tag prefix (``<prefix>_forward`` and
-    ``<prefix>_backward``) and the random inputs drawn from ``seed``. Inputs
-    too large to allocate, or a factor whose init scale overflows a float,
-    are a config error."""
+def flop_audit_specs(section):
+    """The checked ``flops`` section and its kind's layers as ``LayerSpec``s:
+    one identity layer for ``dense`` and ``kron``, a relu layer and then an
+    identity one for the two-layer kinds."""
     case = _kinded(FlopAudit, FLOP_AUDITS, section, "flops", "unknown kind {!r}")
-    nb = case.batch
-    rng = np.random.default_rng(case.seed)
-    normal = rng.standard_normal
-
     if case.kind == "dense":
-        m, n = case.m, case.n
-        report = dense_layer_report(nb, m, n)
-
-        def draw():
-            return {"x": normal((nb, n)), "w": normal((m, n)), "y": normal((nb, m))}
-    elif case.kind == "kron":
-        shape = _kron_shape(KronShape(*case.shape, case.rank), "flops.rank")
-        report = kron_layer_report(nb, shape)
-
-        def draw():
-            fac = random_factor(shape, rng)
-            return {"factor": fac, "x": normal((nb, shape.n)), "y": normal((nb, shape.m))}
-    elif case.kind == "two_layer_dense":
-        report = two_layer_dense_report(nb, case.d_in, case.d_hidden, case.d_out)
-
-        def draw():
-            d_in, d_hidden, d_out = case.d_in, case.d_hidden, case.d_out
-            return {"x": normal((nb, d_in)), "w1": normal((d_hidden, d_in)),
-                    "w2": normal((d_out, d_hidden)), "y": normal((nb, d_out))}
-    else:
-        s1 = _kron_shape(KronShape(*case.shape1, case.rank1), "flops.rank1")
-        second = _dataclass_section(SecondKronAudit, section, "flops", (TwoLayerKronAudit,))
-        s2 = _kron_shape(KronShape(*second.shape2, second.rank2), "flops.rank2")
-        try:
-            report = two_layer_kron_report(nb, s1, s2)
-        except ValueError as exc:
-            raise ConfigError(f"flops: {exc}") from exc
-
-        def draw():
-            f1, f2 = random_factor(s1, rng), random_factor(s2, rng)
-            return {"f1": f1, "f2": f2, "x": normal((nb, s1.n)), "y": normal((nb, s2.m))}
-    try:
-        return report, case.kind, draw()
-    except (ValueError, MemoryError, OverflowError) as exc:
-        raise ConfigError(f"flops: {exc}") from exc
+        return case, [dense_spec(case.m, case.n)]
+    if case.kind == "kron":
+        return case, [kron_spec(_kron_shape(KronShape(*case.shape, case.rank), "flops.rank"))]
+    if case.kind == "two_layer_dense":
+        return case, [dense_spec(case.d_hidden, case.d_in, "relu"),
+                      dense_spec(case.d_out, case.d_hidden)]
+    s1 = _kron_shape(KronShape(*case.shape1, case.rank1), "flops.rank1")
+    second = _dataclass_section(SecondKronAudit, section, "flops", (TwoLayerKronAudit,))
+    s2 = _kron_shape(KronShape(*second.shape2, second.rank2), "flops.rank2")
+    return case, [kron_spec(s1, "relu"), kron_spec(s2)]
 
 
 def cmd_flops(args) -> int:
     top = _dataclass_section(FlopsFile, load_config(args.config), "config")
-    report, prefix, inputs = flop_audit_case(top.flops)
-    inst_fwd = instrumented_count(f"{prefix}_forward", **inputs)
-    inst_bwd = instrumented_count(f"{prefix}_backward", **inputs)
+    case, specs = flop_audit_specs(top.flops)
+    with _building("flops"):
+        report = (two_layer_kron_report(case.batch, specs[0].shape, specs[1].shape)
+                  if case.kind == "two_layer_kron" else layers_report(case.batch, specs))
+        rng = np.random.default_rng(case.seed)
+        net = build_network(specs, rng)
+        x = rng.standard_normal((case.batch, specs[0].n))
+        y = rng.standard_normal((case.batch, specs[-1].m))
+    forward, backward = counted_step(net, x, y)
     payload = {
         "analytic": report.to_dict(),
-        "instrumented": {"forward": inst_fwd, "backward": inst_bwd},
-        "equal": inst_fwd == report.forward and inst_bwd == report.backward,
+        "instrumented": {"forward": forward, "backward": backward},
+        "equal": (forward, backward) == (report.forward, report.backward),
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
     if not payload["equal"]:

@@ -29,7 +29,7 @@ import struct
 
 import numpy as np
 
-from .factor import check_payload, tiled_shape
+from .factor import check_payload, read_exact, tiled_shape
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -148,17 +148,10 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _read_exact(fh, count: int, path) -> bytes:
-    raw = fh.read(count)
-    if len(raw) != count:
-        raise IdxTruncatedError(f"{path}: truncated (wanted {count} bytes, got {len(raw)})")
-    return raw
-
-
 def _read_payload(fh, size: int, dims: tuple, path) -> bytes:
     """The ``size``-byte payload that ``dims`` declare, which must end the file."""
     check_payload(fh, size, f"{path}: dims {dims}", IdxTruncatedError)
-    raw = _read_exact(fh, size, path)
+    raw = read_exact(fh, size, f"IDX payload of {path}", IdxTruncatedError)
     if fh.read(1):
         raise IdxFormatError(f"{path}: trailing bytes after payload")
     return raw
@@ -167,10 +160,12 @@ def _read_payload(fh, size: int, dims: tuple, path) -> bytes:
 def read_idx(path) -> np.ndarray:
     """Read any supported IDX container into a numpy array."""
     with open(path, "rb") as fh:
-        zeros, dtype_code, ndim = struct.unpack(">HBB", _read_exact(fh, 4, path))
+        magic = read_exact(fh, 4, f"IDX magic of {path}", IdxTruncatedError)
+        zeros, dtype_code, ndim = struct.unpack(">HBB", magic)
         if zeros != 0 or dtype_code not in _IDX_DTYPES:
             raise IdxBadMagicError(f"{path}: bad magic {(zeros, dtype_code, ndim)}")
-        dims = struct.unpack(f">{ndim}I", _read_exact(fh, 4 * ndim, path))
+        raw_dims = read_exact(fh, 4 * ndim, f"IDX dims of {path}", IdxTruncatedError)
+        dims = struct.unpack(f">{ndim}I", raw_dims)
         dtype = _IDX_DTYPES[dtype_code]
         size = dtype.itemsize * math.prod(dims)
         raw = _read_payload(fh, size, dims, path)

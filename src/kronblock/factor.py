@@ -55,6 +55,11 @@ from .linalg import (
 _FACTOR_MAGIC = b"KBF1"
 
 
+def is_positive_int(v) -> bool:
+    """Whether ``v`` is a positive Python or numpy integer, as a size must be."""
+    return isinstance(v, (int, np.integer)) and v >= 1
+
+
 @dataclass(frozen=True)
 class KronShape:
     """Factorization pattern (m1, n1, m2, n2, r) for an m x n layer.
@@ -74,7 +79,7 @@ class KronShape:
     def __post_init__(self):
         for name in ("m1", "n1", "m2", "n2", "r"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
+            if not is_positive_int(v):
                 raise ValueError(f"KronShape.{name} must be a positive integer, got {v!r}")
 
     @property
@@ -94,6 +99,8 @@ def tiled_shape(m: int, n: int, block: tuple[int, int], r: int = 1) -> KronShape
     """The shape of ``r`` terms whose ``block`` (m2, n2) tiles an m x n
     matrix; a ValueError unless the tiles fit it exactly."""
     m2, n2 = block
+    if not (is_positive_int(m2) and is_positive_int(n2)):
+        raise ValueError(f"block ({m2},{n2}) must hold positive integers")
     if m % m2 != 0 or n % n2 != 0:
         raise ValueError(f"({m2},{n2}) does not divide {m}x{n}")
     return KronShape(m // m2, n // n2, m2, n2, r)
@@ -389,11 +396,11 @@ def write_factor(fh, factor: KronFactor) -> None:
     fh.write(factor.flat.astype("<f8").tobytes())
 
 
-def read_exact(fh, size: int, what: str) -> bytes:
-    """Read exactly ``size`` bytes or raise ValueError naming ``what``."""
+def read_exact(fh, size: int, what: str, error: type[ValueError] = ValueError) -> bytes:
+    """Read exactly ``size`` bytes or raise ``error`` (a ValueError) naming ``what``."""
     raw = fh.read(size)
     if len(raw) != size:
-        raise ValueError(f"truncated {what}: expected {size} bytes, got {len(raw)}")
+        raise error(f"truncated {what}: expected {size} bytes, got {len(raw)}")
     return raw
 
 

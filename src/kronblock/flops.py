@@ -10,8 +10,10 @@ Two independent routes are kept deliberately separate and compared in tests:
   of a ``network.Network`` (``net_forward``, then the training
   ``net_backward`` under the squared loss its 2-D targets pick) inside
   ``linalg.counting()``, where every multiply, add and subtract goes through
-  a counted op of :mod:`kronblock.linalg`. It holds no formula or walk of its own;
-  ``instrumented_count`` builds the network from a tag's inputs.
+  a counted op of :mod:`kronblock.linalg`. It holds no formula or walk of its own.
+  ``kronblock flops`` counts one step of the ``network.build_network`` net
+  of its kind's ``LayerSpec``s; ``instrumented_count`` builds the network
+  from a tag's given weights.
 
 A layer is the ``LayerSpec`` the network is built from, defined here: its
 kind, the ``m x n`` of its weight (a factored layer's ``KronShape``) and its
@@ -43,7 +45,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from .factor import KronFactor, KronShape
+from .factor import KronFactor, KronShape, is_positive_int
 from .linalg import counting
 
 ACTIVATIONS = ("relu", "identity", "softmax_output")
@@ -71,8 +73,8 @@ class LayerSpec:
                 raise ValueError("kron layer needs a KronShape")
             object.__setattr__(self, "m", self.shape.m)
             object.__setattr__(self, "n", self.shape.n)
-        elif self.m is None or self.n is None or self.m < 1 or self.n < 1:
-            raise ValueError("dense layer needs positive m, n")
+        elif not (is_positive_int(self.m) and is_positive_int(self.n)):
+            raise ValueError(f"dense layer needs positive integer m, n, got {self.m!r}, {self.n!r}")
 
     @property
     def out_dim(self) -> int:
@@ -280,8 +282,10 @@ def layers_report(n_batch: int, specs: list) -> FlopReport:
     return FlopReport(sum(fwd.values()), sum(bwd.values()), upd, breakdown)
 
 
-# The reports of the four ``kronblock flops`` kinds. ``cli`` imports each by
-# its name, and perfbench's tracer rebinds those names in ``cli`` to time them.
+# The reports of the four ``kronblock flops`` kinds. ``cli`` prices the audits
+# with ``layers_report`` and takes the C1-C4 constants from
+# ``two_layer_kron_report``; it imports all four by name because perfbench's
+# tracer rebinds those names in ``cli`` to time them.
 
 
 def dense_layer_report(n_batch: int, m: int, n: int) -> FlopReport:

@@ -160,7 +160,7 @@ def mask_mul(g: np.ndarray, act: np.ndarray, out: np.ndarray | None = None) -> n
 
 
 def _check_divisible(value: int, factor: int, what: str) -> None:
-    if value % factor != 0:
+    if factor < 1 or value % factor != 0:
         raise ValueError(f"{what}: {value} is not divisible by {factor}")
 
 

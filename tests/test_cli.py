@@ -1224,6 +1224,39 @@ def test_flops_command_exact_equality(tmp_path, capsys):
             assert set(payload["analytic"]["constants"]) == {"C1", "C2", "C3", "C4"}
 
 
+@pytest.mark.parametrize("kind", AUDITS)
+def test_flop_audit_runs_one_training_step(tmp_path, capsys, monkeypatch, kind):
+    # one counted step gives both the forward and the backward count
+    from kronblock import network
+
+    calls = []
+    forward = network.net_forward
+
+    def counted_forward(*args):
+        calls.append(args)
+        return forward(*args)
+
+    monkeypatch.setattr(network, "net_forward", counted_forward)
+    path = write_config(tmp_path / "f.json", {"flops": AUDITS[kind]})
+    assert main(["flops", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["equal"] is True
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", AUDITS)
+def test_flop_audit_does_not_depend_on_its_seed(tmp_path, capsys, kind):
+    # counts follow from the shapes alone, so the seed of the drawn weights
+    # and inputs changes no byte of the report
+    for batch in (1, 4):
+        outputs = set()
+        for seed in (0, 1, 7):
+            section = {**AUDITS[kind], "batch": batch, "seed": seed}
+            assert main(["flops", "--config", write_config(tmp_path / "f.json",
+                                                           {"flops": section})]) == 0
+            outputs.add(capsys.readouterr().out)
+        assert len(outputs) == 1
+
+
 def test_parser_is_built_once_and_reused(tmp_path, capsys, monkeypatch):
     # flops, a shape-opt call argparse rejects, flops again: the cached parser
     # gives each call the output and exit code a freshly built parser gives

@@ -65,6 +65,19 @@ def test_load_idx_truncated(tmp_path):
         load_idx(img, lab)
 
 
+@pytest.mark.parametrize(
+    "head, part, want, got",
+    [(b"\x00\x00", "magic", 4, 2), (struct.pack(">HBBI", 0, 0x08, 2, 7), "dims", 8, 4)],
+    ids=["magic", "dims"],
+)
+def test_read_idx_truncated_header(tmp_path, head, part, want, got):
+    path = tmp_path / "short.idx"
+    path.write_bytes(head)
+    message = f"truncated IDX {part} of {path}: expected {want} bytes, got {got}"
+    with pytest.raises(IdxTruncatedError, match=f"^{re.escape(message)}$"):
+        read_idx(path)
+
+
 def test_load_idx_count_mismatch(tmp_path):
     images = np.zeros((2, 28, 28), dtype=np.uint8)
     img, _ = write_mnist_fixture(tmp_path, images, np.array([1, 2], dtype=np.uint8))

@@ -340,6 +340,29 @@ def test_dense_baselines_check_net_and_block(trainer, name):
         trainer(dense_net, ds, cfg, (3, 2))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda net, ds, cfg: train_group_lasso(net, ds, cfg, (0, 2)),
+        lambda net, ds, cfg: prune_blocks(net, ds, cfg, (2, 0), 0.5, 1),
+        lambda net, ds, cfg: make_teacher_dataset(4, 8, (0, 2), 0.5, 16, seed=1,
+                                                  classification=True),
+        lambda net, ds, cfg: kb.build_pattern_set([(4, 8)], [[(0, 2)], [(2, 2)]], 1),
+        lambda net, ds, cfg: tile_norms(net.layers[0].w, 0, 2),
+        lambda net, ds, cfg: dense_spec(2.5, 3),
+    ],
+    ids=["group_lasso", "prune", "teacher", "pattern_set", "tile_norms", "dense_spec"],
+)
+def test_zero_or_non_integer_size_is_a_value_error(call):
+    # a zero block size used to end in a ZeroDivisionError, and a float dense
+    # width passed the spec and failed later with a TypeError
+    ds, _ = make_teacher_dataset(4, 8, (2, 2), 0.5, 16, seed=1, classification=True)
+    net = build_network([dense_spec(4, 8)], seed=0)
+    cfg = TrainConfig(epochs=1, batch_size=8, learning_rate=0.1)
+    with pytest.raises(ValueError):
+        call(net, ds, cfg)
+
+
 def test_prune_zero_target_keeps_everything():
     ds, _ = make_teacher_dataset(4, 8, (2, 2), 0.5, 32, seed=1, classification=True)
     net = build_network([dense_spec(4, 8)], seed=2)
